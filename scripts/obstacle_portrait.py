@@ -1,7 +1,7 @@
 """Manufacture a genuinely two-sided inequality via the disc obstacle.
 
-psi = 0.25 - |x|^2 pokes above zero boundary data, so the projected
-relaxation pins u to psi near the origin and solves Delta u = u g outside.
+psi = 0.25 - |x|^2 pokes above zero boundary data, so the active-set
+solve pins u to psi near the origin and solves Delta u = u g outside.
 The realized field Delta u then jumps between the obstacle's -4 and the
 reaction term's values: a function that satisfies
 
@@ -27,7 +27,7 @@ def main():
     rep = check_pointwise(result.u, trace_operator(),
                           Bounds(result.lam_lo, result.lam_hi))
     print("resolution      : %d^2" % args.res)
-    print("iterations      : %d  (residual %.2e)" % (result.iterations, result.residual))
+    print("steps           : %d  (residual %.2e)" % (result.iterations, result.residual))
     print("realized bounds : [%.6g, %.6g]" % (result.lam_lo, result.lam_hi))
     print("contact fraction: %.2f%%" % (100.0 * result.contact_fraction))
     print("certified       : %s  (worst margins %.2e / %.2e)"

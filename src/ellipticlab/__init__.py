@@ -51,7 +51,6 @@ from .solvers import (
     residual,
     solve_dirichlet,
     solve_obstacle,
-    stability_tau,
     sup_residual,
 )
 from .simplex import MinimaxFit, minimax_affine

@@ -148,18 +148,20 @@ def cmd_solve(args) -> int:
     f = GridFunction(target.grid,
                      np.nan_to_num(eval_discrete(op, target).values, nan=0.0))
     tol = _tol_scale(args) * 1e-9 * (1.0 + f.sup_norm())
-    result = solve_dirichlet(op, f, target, grid=target.grid,
+    # start from zero inside: the solver pins the margin band to the target
+    zero = GridFunction(target.grid, np.zeros(target.grid.node_count))
+    result = solve_dirichlet(op, f, target, grid=target.grid, initial=zero,
                              config=RelaxationConfig(residual_tolerance=tol))
     sup_error = float(np.max(np.abs(result.u.values - target.values)))
     write_grid_function(result.u, os.path.join(out, "solution.txt"))
     write_csv(os.path.join(out, "solve_report.csv"),
-              ["iterations", "residual", "tau", "sup_error"],
-              [(result.iterations, result.residual, result.tau, sup_error)])
+              ["steps", "residual", "sup_error"],
+              [(result.iterations, result.residual, sup_error)])
     entries = _subject_keys(args, target)
     entries.update({"op": operator_spec_string(op), "residual_tolerance": tol,
-                    "tau": result.tau})
+                    "steps": result.iterations})
     _write_run_manifest(out, "solve", entries)
-    print("solve: residual %.3e after %d sweeps, sup error %.3e"
+    print("solve: residual %.3e after %d steps, sup error %.3e"
           % (result.residual, result.iterations, sup_error))
     return 0
 
@@ -175,12 +177,12 @@ def cmd_obstacle(args) -> int:
                             config=RelaxationConfig(residual_tolerance=tol))
     write_grid_function(result.u, os.path.join(out, "solution.txt"))
     write_csv(os.path.join(out, "obstacle_report.csv"),
-              ["contact_fraction", "lam_lo", "lam_hi", "iterations", "residual", "tau"],
+              ["contact_fraction", "lam_lo", "lam_hi", "steps", "residual"],
               [(result.contact_fraction, result.lam_lo, result.lam_hi,
-                result.iterations, result.residual, result.tau)])
+                result.iterations, result.residual)])
     _write_run_manifest(out, "obstacle", {
         "fixture": "disc", "res": res, "op": "trace", "g_weight": 1.0,
-        "residual_tolerance": tol, "tau": result.tau,
+        "residual_tolerance": tol, "steps": result.iterations,
         "lam_lo": result.lam_lo, "lam_hi": result.lam_hi,
         "contact_fraction": result.contact_fraction,
     })

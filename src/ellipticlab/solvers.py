@@ -1,16 +1,30 @@
-"""Damped-relaxation solvers for F_h(D^2 u) = f with Dirichlet data.
+"""Policy-iteration solvers for F_h(D^2 u) = f with Dirichlet data.
 
-The update u <- u + tau (F_h(u) - f) is monotone for tau below the stability
-ceiling h^2 / (4 n lam2); convergence is geometric but slow (Jacobi-like,
-iteration counts scale like h^-2), which is fine at desk scale and keeps every
-sweep deterministic and order-independent.  The obstacle variant projects each
-sweep onto {u >= psi} with the zeroth-order term u * g_weight lagged at the
-current iterate; its fixed points satisfy the discrete complementarity system
+F_h is the pointwise max (the min for pucci_min) of a few linear stencils
+with nonnegative off-centre weights (``stencils.policy_stencils``).  Howard's
+policy iteration (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009)
+solves F_h(u) = f: every step evaluates the residual with ``eval_discrete``
+and returns once it is within tolerance, otherwise freezes at each interior
+node the stencil attaining F_h(u) and solves that sparse linear system.  The
+returned field therefore solves the very scheme ``eval_discrete`` defines.
 
-    F_h(u) - g u <= f  everywhere,  with equality off the contact set,
+The obstacle variant runs the same iteration as a primal-dual active-set
+method (Hintermüller, Ito & Kunisch, SIAM J. Optim. 13, 2002) on
 
-and on contact F_h(u) >= F_h(psi) by monotonicity of the scheme, which is what
-lets us manufacture two-sided inequality bounds for the certificate checks.
+    min(u - psi, f + g u - F_h(u)) = 0  on the interior,
+
+pinning u = psi exactly where u - psi falls below the multiplier
+f + g u - F_h(u) and solving the equation on the remaining nodes, until the
+active set repeats.  Its solutions satisfy F_h(u) - g u <= f everywhere, with
+equality off the contact set, and on contact F_h(u) >= F_h(psi) by
+monotonicity of the scheme, which is what lets us manufacture two-sided
+inequality bounds for the certificate checks.
+
+Each step solves for the correction to the current iterate with BiCGSTAB
+(the same as warm-starting at the iterate); the correction vanishes on the
+boundary band and on pinned nodes, so only the free interior nodes are
+unknowns.  scipy is imported inside the solves, which keeps importing the
+package light.
 """
 
 from __future__ import annotations
@@ -21,8 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .grids import Grid, GridFunction
-from .operators import EllipticOperator
-from .stencils import StencilConfig, eval_discrete, operator_margin
+from .operators import EllipticOperator, operator_spec_string
+from .stencils import StencilConfig, eval_discrete, operator_margin, policy_stencils
 
 __all__ = [
     "RelaxationConfig",
@@ -34,12 +48,17 @@ __all__ = [
     "solve_obstacle",
     "residual",
     "sup_residual",
-    "stability_tau",
 ]
+
+# inner Krylov solves stop at this fraction of the outer tolerance, or at
+# this reduction of the step's residual, whichever is reached first
+_INNER_ATOL = 1e-3
+_INNER_RTOL = 1e-6
 
 
 class SolverError(RuntimeError):
-    """Relaxation exhausted its iteration budget; carries the last residual."""
+    """A solve exhausted its step budget or an inner linear solve broke down;
+    carries the last residual."""
 
     def __init__(self, message, last_residual=float("nan")):
         super().__init__(message)
@@ -48,38 +67,27 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class RelaxationConfig:
-    """Step size, budget and stopping rule for the relaxation sweeps.
+    """Step budget and stopping rule.
 
-    The stability ceiling tau <= h^2/(4 n lam2) involves the grid and the
-    operator, so a user-supplied tau is validated when a solve starts, not
-    here.  tau=None means "use the ceiling".
+    max_iterations bounds the policy (or active-set) steps, each one sparse
+    linear solve; the residual tolerance defaults to 1e-9 * (1 + sup|f|).
     """
 
-    max_iterations: int = 1_000_000
-    residual_tolerance: Optional[float] = None  # default 1e-9 * (1 + sup|f|)
-    tau: Optional[float] = None
+    max_iterations: int = 500
+    residual_tolerance: Optional[float] = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.residual_tolerance is not None and self.residual_tolerance <= 0:
             raise ValueError("residual_tolerance must be positive")
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive")
 
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     u: GridFunction
-    iterations: int
+    iterations: int  # policy steps, one linear solve each
     residual: float  # sup-norm of F_h(u) - f over interior at return
-    tau: float
-
-
-def stability_tau(op: EllipticOperator, grid: Grid, g_max: float = 0.0) -> float:
-    """Largest step size with a guaranteed monotone update."""
-    h = grid.h
-    return h * h / (4.0 * grid.ndim * op.params.lam2 + h * h * g_max)
 
 
 def _node_field(grid: Grid, data, name: str) -> np.ndarray:
@@ -123,54 +131,120 @@ def sup_residual(op: EllipticOperator, u: GridFunction, f,
     return residual(op, u, f, stencil).sup_norm()
 
 
+class _Policies:
+    """The candidate stencils of one operator as arrays over flat node
+    indices: offsets and weights of shape (candidates, terms), centre first,
+    short candidates padded with zero weights."""
+
+    def __init__(self, op, grid, stencil):
+        cands = policy_stencils(op, grid, stencil)
+        nx = grid.shape[0]
+        width = max(len(c) for c in cands)
+        self.offsets = np.zeros((len(cands), width), dtype=np.int32)
+        self.weights = np.zeros((len(cands), width))
+        for i, cand in enumerate(cands):
+            for t, (dx, dy, w) in enumerate(cand):
+                self.offsets[i, t] = dy * nx + dx
+                self.weights[i, t] = w
+        self.op = op
+        self.pick = np.argmin if op.kind == "pucci_min" else np.argmax
+
+    def choose(self, u, nodes):
+        """Per node, the candidate attaining F_h(u) there (None: only one)."""
+        if len(self.weights) == 1:
+            return None
+        vals = np.stack([u[nodes[:, None] + off] @ w
+                         for off, w in zip(self.offsets, self.weights)])
+        return self.pick(vals, axis=0)
+
+    def matrix(self, policy, nodes, node_count, shift):
+        """CSR matrix of the frozen policy minus diag(shift) over ``nodes``,
+        built row by row with a fixed number of terms per row; couplings to
+        any other node are dropped (its correction is zero)."""
+        from scipy import sparse
+
+        chosen = slice(0, 1) if policy is None else policy
+        offsets, weights = self.offsets[chosen], self.weights[chosen]
+        if np.any(weights[:, 1:] < 0.0):
+            raise ValueError(
+                "operator %s: a chosen stencil has a negative off-centre weight,"
+                " so the scheme is not monotone" % operator_spec_string(self.op))
+        index = np.full(node_count, -1, dtype=np.int32)
+        index[nodes] = np.arange(nodes.size, dtype=np.int32)
+        cols = index[nodes[:, None] + offsets]
+        keep = (cols >= 0) & (weights != 0.0)
+        indptr = np.zeros(nodes.size + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        data = np.broadcast_to(weights, cols.shape)[keep]
+        data[indptr[:-1]] -= shift  # the centre term leads every row
+        return sparse.csr_matrix((data, cols[keep], indptr),
+                                 shape=(nodes.size, nodes.size))
+
+
+def _correction(matrix, rhs, tol, step, r):
+    """Solve matrix @ x = rhs by BiCGSTAB from x = 0."""
+    from scipy.sparse.linalg import bicgstab
+
+    x, info = bicgstab(matrix, rhs, rtol=_INNER_RTOL, atol=_INNER_ATOL * tol)
+    if info != 0:
+        raise SolverError("linear solve of step %d broke down (BiCGSTAB info %d);"
+                          " residual %.3e" % (step, info, r), r)
+    return x
+
+
+def _setup(op, grid, stencil, f, initial):
+    margin = operator_margin(op, stencil, grid.ndim)
+    mask = grid.interior_mask(margin)
+    if not mask.any():
+        raise ValueError("grid has no interior nodes at this stencil margin")
+    if initial is not None and initial.grid != grid:
+        raise ValueError("initial guess lives on a different grid")
+    return mask, _node_field(grid, f, "f")
+
+
+def _tolerance(config, fv, mask):
+    if config.residual_tolerance is not None:
+        return config.residual_tolerance
+    return 1e-9 * (1.0 + float(np.max(np.abs(fv[mask]))))
+
+
 def solve_dirichlet(op: EllipticOperator, f, boundary,
                     config: RelaxationConfig | None = None,
                     grid: Grid | None = None,
                     stencil: StencilConfig | None = None,
                     initial: GridFunction | None = None) -> SolveResult:
-    """Relax F_h(u) = f on the interior; the whole margin band is pinned to
-    the boundary data (for wide stencils that band is several nodes deep).
+    """Solve F_h(u) = f on the interior by policy iteration; the whole margin
+    band is pinned to the boundary data (for wide stencils that band is
+    several nodes deep).
 
     f and boundary may be scalars, callables over points, or GridFunctions;
-    at least one argument must reveal the grid.
+    at least one argument must reveal the grid.  The iteration starts from
+    ``initial`` (default: the boundary field), and an exact start returns
+    after 0 steps.
     """
     config = config or RelaxationConfig()
     stencil = stencil or StencilConfig()
     grid = grid or _pick_grid(f, boundary, initial)
-    margin = operator_margin(op, stencil, grid.ndim)
-    mask = grid.interior_mask(margin)
-    if not mask.any():
-        raise ValueError("grid has no interior nodes at this stencil margin")
-    mask_lat = grid.lattice(mask)
-
-    fv = _node_field(grid, f, "f")
+    mask, fv = _setup(op, grid, stencil, f, initial)
     bv = _node_field(grid, boundary, "boundary")
-    if initial is not None and initial.grid != grid:
-        raise ValueError("initial guess lives on a different grid")
     u = initial.values.copy() if initial is not None else bv.copy()
     u[~mask] = bv[~mask]
+    tol = _tolerance(config, fv, mask)
+    nodes = np.flatnonzero(mask).astype(np.int32)
+    policies = _Policies(op, grid, stencil)
 
-    tau = config.tau if config.tau is not None else stability_tau(op, grid)
-    ceiling = stability_tau(op, grid)
-    if tau > ceiling * (1.0 + 1e-12):
-        raise ValueError("tau exceeds the stability ceiling %.6g" % ceiling)
-    tol = config.residual_tolerance
-    if tol is None:
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(fv[mask]))))
-
-    f_lat = grid.lattice(fv)
-    u_lat = grid.lattice(u).copy()
-    r = float("inf")
-    for it in range(config.max_iterations + 1):
-        gf = GridFunction(grid, u_lat.reshape(-1))
-        e = eval_discrete(op, gf, stencil).lattice() - f_lat
-        e = np.where(mask_lat, e, 0.0)
+    for step in range(config.max_iterations + 1):
+        gf = GridFunction(grid, u)
+        e = eval_discrete(op, gf, stencil).values[nodes] - fv[nodes]
         r = float(np.max(np.abs(e)))
         if r <= tol:
-            return SolveResult(gf, it, r, tau)
-        u_lat = u_lat + tau * e
+            return SolveResult(gf, step, r)
+        if step == config.max_iterations:
+            break
+        a = policies.matrix(policies.choose(u, nodes), nodes, grid.node_count, 0.0)
+        u[nodes] += _correction(a, -e, tol, step, r)
     raise SolverError(
-        "relaxation failed to converge: residual %.3e after %d iterations"
+        "policy iteration failed to converge: residual %.3e after %d steps"
         " (tolerance %.3e)" % (r, config.max_iterations, tol), r
     )
 
@@ -179,9 +253,9 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
 class ObstacleProblem:
     """Constrained problem u >= psi for F_h(u) = f + u * g_weight.
 
-    g_weight may be a scalar or a GridFunction and must be nonnegative (it is
-    lagged inside the sweep, and g >= 0 keeps the update monotone).  Boundary
-    data must dominate the obstacle on the boundary band.
+    g_weight may be a scalar or a GridFunction and must be nonnegative (g >= 0
+    keeps every frozen policy an M-matrix).  Boundary data must dominate the
+    obstacle on the boundary band.
     """
 
     op: EllipticOperator
@@ -195,7 +269,7 @@ class ObstacleProblem:
         grid = self.psi.grid
         g = _node_field(grid, self.g_weight, "g_weight")
         if np.min(g) < 0:
-            raise ValueError("g_weight must be nonnegative for a monotone sweep")
+            raise ValueError("g_weight must be nonnegative for a monotone scheme")
         object.__setattr__(self, "g_values", g)
 
     def boundary_values(self, margin: int) -> np.ndarray:
@@ -210,24 +284,23 @@ class ObstacleProblem:
 @dataclass(frozen=True, eq=False)
 class ObstacleResult:
     u: GridFunction
-    contact: np.ndarray  # flat bool over nodes, True where u is pinned to psi
+    contact: np.ndarray  # flat bool over nodes: the final active set, u == psi
     contact_fraction: float  # share of interior nodes in contact
     lam_lo: float
     lam_hi: float
-    iterations: int
-    residual: float  # sup-norm of the projected update / tau at return
-    tau: float
+    iterations: int  # active-set steps, one linear solve each
+    residual: float  # sup-norm of F_h(u) - g u - f off contact at return
 
 
 def solve_obstacle(problem: ObstacleProblem,
                    config: RelaxationConfig | None = None,
                    stencil: StencilConfig | None = None,
                    initial: GridFunction | None = None) -> ObstacleResult:
-    """Projected relaxation u <- max(psi, u + tau (F_h(u) - f - u g)).
+    """Primal-dual active-set solve of min(u - psi, f + g u - F_h(u)) = 0.
 
-    At a fixed point, every interior node either satisfies the equation
-    (residual ~ 0, off contact) or sits on the obstacle with
-    F_h(u) >= F_h(psi) there.  The returned [lam_lo, lam_hi] are manufactured
+    Every interior node either satisfies the equation (off contact, within
+    the tolerance) or is pinned to the obstacle, u == psi exactly, with
+    F_h(u) <= f + g u there.  The returned [lam_lo, lam_hi] are manufactured
     bounds the realized field F_h(u) provably satisfies on the interior:
     the upper one from complementarity (F_h(u) <= f + g u + tol), the lower
     one from monotonicity on the contact set, both cross-checked against the
@@ -237,55 +310,44 @@ def solve_obstacle(problem: ObstacleProblem,
     op = problem.op
     config = config or RelaxationConfig()
     stencil = stencil or StencilConfig()
-    margin = operator_margin(op, stencil, grid.ndim)
-    mask = grid.interior_mask(margin)
-    if not mask.any():
-        raise ValueError("grid has no interior nodes at this stencil margin")
-    mask_lat = grid.lattice(mask)
-
+    mask, fv = _setup(op, grid, stencil, problem.f, initial)
     g = problem.g_values
-    g_lat = grid.lattice(g)
-    fv = _node_field(grid, problem.f, "f")
-    psi_lat = problem.psi.lattice()
-    bv = problem.boundary_values(margin)
-    if initial is not None and initial.grid != grid:
-        raise ValueError("initial guess lives on a different grid")
-    u = initial.values.copy() if initial is not None else \
-        np.maximum(bv, problem.psi.values)
+    psi = problem.psi.values
+    bv = problem.boundary_values(operator_margin(op, stencil, grid.ndim))
+    u = initial.values.copy() if initial is not None else np.maximum(bv, psi)
     u[~mask] = bv[~mask]
+    tol = _tolerance(config, fv, mask)
+    policies = _Policies(op, grid, stencil)
 
-    tau = config.tau if config.tau is not None else \
-        stability_tau(op, grid, float(np.max(g)))
-    ceiling = stability_tau(op, grid, float(np.max(g)))
-    if tau > ceiling * (1.0 + 1e-12):
-        raise ValueError("tau exceeds the stability ceiling %.6g" % ceiling)
-    tol = config.residual_tolerance
-    if tol is None:
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(fv[mask]))))
+    def excess(u):  # F_h(u) - g u - f: zero off contact, <= 0 on it
+        return eval_discrete(op, GridFunction(grid, u), stencil).values - g * u - fv
 
-    f_lat = grid.lattice(fv)
-    u_lat = grid.lattice(u).copy()
-    r = float("inf")
-    for it in range(config.max_iterations + 1):
-        gf = GridFunction(grid, u_lat.reshape(-1))
-        e = eval_discrete(op, gf, stencil).lattice() - g_lat * u_lat - f_lat
-        e = np.where(mask_lat, e, 0.0)
-        candidate = np.where(mask_lat, np.maximum(psi_lat, u_lat + tau * e), u_lat)
-        r = float(np.max(np.abs(candidate - u_lat))) / tau
-        if r <= tol:
+    previous = None
+    for step in range(config.max_iterations + 1):
+        e = excess(u)
+        # a node below the obstacle is pinned whatever its multiplier says
+        active = mask & (u - psi < np.maximum(-e, 0.0))
+        free = mask & ~active
+        r = float(np.max(np.abs(e[free]))) if free.any() else 0.0
+        if previous is not None and np.array_equal(active, previous) and r <= tol:
             break
-        u_lat = candidate
-    else:
-        raise SolverError(
-            "projected relaxation failed to converge: residual %.3e after %d"
-            " iterations (tolerance %.3e)" % (r, config.max_iterations, tol), r
-        )
+        if step == config.max_iterations:
+            raise SolverError(
+                "active-set iteration failed to converge: residual %.3e after %d"
+                " steps (tolerance %.3e)" % (r, config.max_iterations, tol), r
+            )
+        previous = active
+        u[active] = psi[active]
+        nodes = np.flatnonzero(free).astype(np.int32)
+        if nodes.size:
+            e = excess(u)[nodes]
+            a = policies.matrix(policies.choose(u, nodes), nodes, grid.node_count,
+                                g[nodes])
+            u[nodes] += _correction(a, -e, tol, step, r)
 
-    u_fn = GridFunction(grid, u_lat.reshape(-1))
-    fh = eval_discrete(op, u_fn, stencil).values
-    # pinned-to-obstacle detection at solver accuracy
-    contact = (np.abs(u_fn.values - problem.psi.values) <= tau * tol + 1e-13) & mask
-    rhs = fv + g * u_fn.values
+    contact = active
+    rhs = fv + g * u
+    fh = e + rhs  # the realized field F_h(u) at the returned iterate
     slack = tol * (1.0 + float(np.max(np.abs(rhs[mask]))))
     lam_hi = float(np.max(np.abs(rhs[mask]))) + slack
     lo_terms = [float(np.min(rhs[mask]))]
@@ -297,4 +359,4 @@ def solve_obstacle(problem: ObstacleProblem,
     lam_lo = min(lam_lo, float(np.min(fh[mask])) - slack)
     lam_hi = max(lam_hi, float(np.max(fh[mask])) + slack)
     frac = float(np.count_nonzero(contact)) / float(np.count_nonzero(mask))
-    return ObstacleResult(u_fn, contact, frac, lam_lo, lam_hi, it, r, tau)
+    return ObstacleResult(GridFunction(grid, u), contact, frac, lam_lo, lam_hi, step, r)

@@ -7,6 +7,10 @@ bilinear interpolation at off-grid sample points.  Interpolation weights are
 nonnegative, so the scheme is monotone in the off-node values; its consistency
 error carries an O((h/r)^2) interpolation term at fixed physical stencil
 radius r.
+
+``policy_stencils`` lists the same scheme as a few candidate linear stencils
+whose pointwise max (min for pucci_min) is F_h; the solvers freeze one
+candidate per node and assemble it as a sparse matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = [
     "directional_second_difference",
     "eval_discrete",
     "operator_margin",
+    "policy_stencils",
 ]
 
 _HESSIAN_KINDS = ("trace", "linear", "max_of_linear")
@@ -114,12 +119,19 @@ def _interp_shift_terms(offset_nodes, radius):
         else:
             pieces = [(base, 1.0 - frac), (base + 1, frac)]
         terms = [(loc + (i,), w * pw) for loc, w in terms for i, pw in pieces]
-    out = []
-    for loc, w in terms:
-        if any(abs(i) > radius for i in loc):
-            raise ValueError("stencil exits its declared radius")
-        out.append((loc, w))
-    return out
+    if any(abs(i) > radius for loc, _ in terms for i in loc):
+        raise ValueError("stencil exits its declared radius")
+    return [(*loc, w) for loc, w in terms]
+
+
+def _directional_terms(theta, radius):
+    """u(x+d) - 2u(x) + u(x-d) with d = radius*(cos, sin) in node units, as
+    (dx, dy, weight) terms, centre first; off-grid points are interpolated."""
+    offset = (radius * math.cos(theta), radius * math.sin(theta))
+    terms = [(0, 0, -2.0)]
+    for sign in (+1.0, -1.0):
+        terms += _interp_shift_terms((sign * offset[0], sign * offset[1]), radius)
+    return terms
 
 
 def _directional_dd_lattice(lat, h, theta, radius):
@@ -128,14 +140,9 @@ def _directional_dd_lattice(lat, h, theta, radius):
     m = radius
     if 2 * m >= min(nx, ny):
         raise ValueError("stencil exits domain: grid too small for this radius")
-    center = lat[m : ny - m, m : nx - m]
-    acc = -2.0 * center
-    offset = (radius * math.cos(theta), radius * math.sin(theta))
-    for sign in (+1.0, -1.0):
-        shifted = np.zeros_like(center)
-        for (dx, dy), w in _interp_shift_terms((sign * offset[0], sign * offset[1]), m):
-            shifted += w * lat[m + dy : ny - m + dy, m + dx : nx - m + dx]
-        acc += shifted
+    acc = np.zeros((ny - 2 * m, nx - 2 * m))
+    for dx, dy, w in _directional_terms(theta, radius):
+        acc += w * lat[m + dy : ny - m + dy, m + dx : nx - m + dx]
     out = np.full_like(lat, np.nan)
     out[m : ny - m, m : nx - m] = acc / (radius * h) ** 2
     return out
@@ -159,13 +166,8 @@ def directional_second_difference(u: GridFunction, node, theta: float,
     if min(ix, grid.shape[0] - 1 - ix, iy, grid.shape[1] - 1 - iy) < rho_nodes:
         raise ValueError("stencil exits domain")
     lat = u.lattice()
-    h = grid.h
-    offset = (rho_nodes * math.cos(theta), rho_nodes * math.sin(theta))
-    val = -2.0 * lat[iy, ix]
-    for sign in (+1.0, -1.0):
-        for (dx, dy), w in _interp_shift_terms((sign * offset[0], sign * offset[1]), rho_nodes):
-            val += w * lat[iy + dy, ix + dx]
-    return float(val / (rho_nodes * h) ** 2)
+    val = sum(w * lat[iy + dy, ix + dx] for dx, dy, w in _directional_terms(theta, rho_nodes))
+    return float(val / (rho_nodes * grid.h) ** 2)
 
 
 def operator_margin(op: EllipticOperator, cfg: StencilConfig | None, ndim: int) -> int:
@@ -174,6 +176,67 @@ def operator_margin(op: EllipticOperator, cfg: StencilConfig | None, ndim: int) 
     if ndim == 1 or op.kind in _HESSIAN_KINDS:
         return 1
     return cfg.stencil_radius
+
+
+def _merge_terms(pieces):
+    """Sum (dx, dy, weight) terms sharing an offset; the centre comes first."""
+    acc = {(0, 0): 0.0}
+    for dx, dy, w in pieces:
+        acc[(dx, dy)] = acc.get((dx, dy), 0.0) + w
+    return [(dx, dy, w) for (dx, dy), w in acc.items()]
+
+
+def _hessian_stencil(a, h, ndim):
+    """<A, D^2_h u> from central differences and the four-point cross term."""
+    c = 1.0 / (h * h)
+    if ndim == 1:
+        return _merge_terms([(1, 0, a[0, 0] * c), (-1, 0, a[0, 0] * c),
+                             (0, 0, -2.0 * a[0, 0] * c)])
+    a11, a12, a22 = a[0, 0], a[0, 1], a[1, 1]
+    pieces = [(1, 0, a11 * c), (-1, 0, a11 * c), (0, 1, a22 * c), (0, -1, a22 * c),
+              (0, 0, -2.0 * (a11 + a22) * c)]
+    if a12 != 0.0:
+        x = 0.5 * a12 * c
+        pieces += [(1, 1, x), (-1, -1, x), (-1, 1, -x), (1, -1, -x)]
+    return _merge_terms(pieces)
+
+
+def policy_stencils(op: EllipticOperator, grid: Grid,
+                    cfg: StencilConfig | None = None) -> list:
+    """The candidate linear stencils of F_h on ``grid``.
+
+    Each candidate is a list of (dx, dy, weight) terms, centre first, with
+    F_h u(x) = max over candidates of sum(weight * u(x + (dx, dy))) -- the min
+    for pucci_min.  Trace and linear operators have one candidate,
+    max_of_linear one per matrix, and Pucci four per orthogonal angle pair
+    (lam2 or lam1 along each of the two directions).  On 1D grids dy is 0.
+    """
+    cfg = cfg or StencilConfig()
+    h, ndim = grid.h, grid.ndim
+    if ndim not in (1, 2):
+        raise NotImplementedError("policy stencils are implemented for 1D and 2D grids")
+    if op.kind == "trace":
+        return [_hessian_stencil(np.eye(ndim), h, ndim)]
+    if op.kind in ("linear", "max_of_linear"):
+        if op.mats[0].shape[0] != ndim:
+            raise ValueError("operator dimension mismatch")
+        return [_hessian_stencil(a, h, ndim) for a in op.mats]
+    lam1, lam2 = op.params.lam1, op.params.lam2
+    if ndim == 1:
+        dd = _hessian_stencil(np.eye(1), h, 1)
+        return [[(dx, dy, lam * w) for dx, dy, w in dd] for lam in (lam2, lam1)]
+    k, rho = cfg.angle_count, cfg.stencil_radius
+    c = 1.0 / (rho * h) ** 2
+    out = []
+    for j in range(k // 2):
+        theta = j * math.pi / k
+        d1 = _directional_terms(theta, rho)
+        d2 = _directional_terms(theta + math.pi / 2.0, rho)
+        for c1 in (lam2 * c, lam1 * c):
+            for c2 in (lam2 * c, lam1 * c):
+                out.append(_merge_terms([(dx, dy, c1 * w) for dx, dy, w in d1]
+                                        + [(dx, dy, c2 * w) for dx, dy, w in d2]))
+    return out
 
 
 def _pucci_wide_lattice(op, lat, h, cfg):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from ellipticlab import Domain, Grid, GridFunction
 
@@ -63,6 +64,32 @@ def dense_minimax_width(points, values, q_box=8.0, rounds=60, pts_per_axis=31):
         center = mesh[k]
         half = min(half * 2.5, float(q_box)) if on_edge else half * 0.4
     return center, best_w
+
+
+def lp_minimax_width(points, values):
+    """min_q (max - min)(u - q.x) as a linear program solved by HiGHS.
+
+    Variables (q, t_lo, t_hi) minimize t_hi - t_lo subject to
+    t_lo <= u_i - q.x_i <= t_hi.  The width is then read off the samples at
+    HiGHS's optimal slope, so solver tolerances do not blur it.  Independent
+    of the package's simplex.
+    """
+    x = np.asarray(points, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    u = np.asarray(values, dtype=float)
+    count, n = x.shape
+    cost = np.zeros(n + 2)
+    cost[n], cost[n + 1] = -1.0, 1.0
+    ones = np.ones((count, 1))
+    zeros = np.zeros((count, 1))
+    a_ub = np.vstack([np.hstack([-x, zeros, -ones]),   # u_i - q.x_i <= t_hi
+                      np.hstack([x, ones, zeros])])    # t_lo <= u_i - q.x_i
+    b_ub = np.concatenate([-u, u])
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * (n + 2),
+                  method="highs")
+    assert res.status == 0, res.message
+    return affine_residual_width(x, u, res.x[:n])
 
 
 @pytest.fixture

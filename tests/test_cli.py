@@ -86,7 +86,21 @@ def test_solve_quad_exact(tmp_path):
     r = run_cli("solve", "--fixture", "quad", "--res", "33", "--out", str(tmp_path))
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "solution.txt").exists()
-    assert (tmp_path / "solve_report.csv").exists()
+    head, row = (tmp_path / "solve_report.csv").read_text().splitlines()
+    report = dict(zip(head.split(","), row.split(",")))
+    assert int(report["steps"]) >= 1  # a real solve from a zero interior
+    assert float(report["sup_error"]) <= 1e-8
+    man = read_manifest(tmp_path / "run_manifest.txt")
+    assert man["steps"] == report["steps"]
+    assert "tau" not in man
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy loads inside the solves, so importing the package stays light."""
+    code = ("import sys, ellipticlab, ellipticlab.cli; "
+            "sys.exit('scipy' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr or "importing ellipticlab loaded scipy"
 
 
 def test_obstacle_manifest_records_bounds(obstacle_run):

@@ -11,6 +11,7 @@ from ellipticlab import (
     discrete_hessian,
     eval_discrete,
     linear_operator,
+    max_of_linear,
     op_eval,
     operator_margin,
     parse_operator,
@@ -18,7 +19,7 @@ from ellipticlab import (
     pucci_min,
     trace_operator,
 )
-from ellipticlab.stencils import directional_second_difference
+from ellipticlab.stencils import directional_second_difference, policy_stencils
 
 from conftest import field, quadratic_field, unit_square_grid
 
@@ -182,6 +183,56 @@ def test_scheme_monotone_under_nonnegative_bump(seed, height):
         ok[j] = False  # the center coefficient is negative by design
         drop = np.min(after[ok] - before[ok]) if ok.any() else 0.0
         assert drop >= -1e-10 * (1.0 + height), (op.kind, drop)
+
+
+# ---------------------------------------------------------------------------
+# the policy stencils are the scheme
+
+
+def stencil_envelope(op, u):
+    """max (min for pucci_min) over the candidate stencils, on the interior."""
+    grid = u.grid
+    lat = u.lattice().reshape(-1, grid.shape[0])  # 1D grids as one row
+    m = operator_margin(op, None, grid.ndim)
+    my = m if grid.ndim == 2 else 0
+    ny, nx = lat.shape
+    vals = []
+    for cand in policy_stencils(op, grid):
+        acc = np.zeros((ny - 2 * my, nx - 2 * m))
+        for dx, dy, w in cand:
+            acc += w * lat[my + dy : ny - my + dy, m + dx : nx - m + dx]
+        vals.append(acc)
+    pick = np.min if op.kind == "pucci_min" else np.max
+    return pick(vals, axis=0), eval_discrete(op, u).lattice().reshape(ny, nx)[
+        my : ny - my, m : nx - m]
+
+
+ENVELOPE_OPS = [
+    trace_operator(),
+    linear_operator(np.diag([2.0, 0.5])),
+    linear_operator([[2.0, 0.5], [0.5, 1.0]]),
+    max_of_linear([np.diag([1.0, 2.0]), [[2.0, -0.5], [-0.5, 1.0]]]),
+    pucci_max(1.0, 2.0),
+    pucci_min(1.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("op", ENVELOPE_OPS, ids=lambda op: op.kind)
+def test_policy_stencils_reproduce_eval_discrete(op):
+    g = unit_square_grid(33)
+    u = GridFunction(g, np.random.default_rng(5).standard_normal(g.node_count))
+    got, want = stencil_envelope(op, u)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("spec", ["trace", "linear:3", "pucci+:1,2", "pucci-:1,2"])
+def test_policy_stencils_reproduce_eval_discrete_1d(spec):
+    from ellipticlab import Domain, Grid
+
+    g = Grid(Domain((0.0,), (1.0,)), (41,))
+    u = GridFunction(g, np.random.default_rng(6).standard_normal(g.node_count))
+    got, want = stencil_envelope(parse_operator(spec), u)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_eval_discrete_rejects_3d():
