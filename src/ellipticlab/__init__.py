@@ -37,7 +37,6 @@ from .operators import (
 )
 from .stencils import (
     HessianField,
-    StencilConfig,
     discrete_hessian,
     eval_discrete,
     operator_margin,

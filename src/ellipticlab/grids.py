@@ -273,32 +273,6 @@ def sample_bilinear(u: GridFunction, points) -> np.ndarray:
 # -- symmetric matrices -------------------------------------------------------
 
 
-def _jacobi_eigenvalues(a: np.ndarray, tol=1e-12) -> np.ndarray:
-    """Cyclic Jacobi rotations; returns eigenvalues ascending."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(100):
-        off = math.sqrt(sum(a[p, q] ** 2 for p in range(n) for q in range(n) if p != q))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    return np.sort(np.diag(a))
-
-
 class SymMatrix:
     """Exactly symmetric n x n matrix; stores the upper triangle."""
 
@@ -363,7 +337,7 @@ class SymMatrix:
             mean = 0.5 * (a + c)
             rad = math.hypot(0.5 * (a - c), b)
             return np.array([mean - rad, mean + rad])
-        return _jacobi_eigenvalues(self.mat)
+        return np.linalg.eigvalsh(self.mat)
 
     def shifted(self, s: float) -> "SymMatrix":
         return SymMatrix(self.mat + s * np.eye(self.n))

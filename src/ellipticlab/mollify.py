@@ -1,14 +1,15 @@
 """Smoothing lab: discrete mollification, g = div(A grad u_eps) for constant
-PSD A, the pointwise sandwich f1*eta <= g_eps <= f2*eta on the shrunken
+SPD A, the pointwise sandwich f1*eta <= g_eps <= f2*eta on the shrunken
 domain, and L^p Hessian norms tracked across a schedule of smoothing radii.
 
 The kernel is the polynomial bump (1 - |x/eps|^2)^4, sampled on lattice
 offsets and renormalized to unit mass, so constants are exact fixed points
 and affine functions pass through untouched (odd moments cancel by symmetry).
-Because the kernel has constant coefficients, discrete convolution commutes
-with centered differencing wherever both sides are defined; the sandwich
-verdict for operators certified nodewise is therefore exact up to roundoff,
-not up to a consistency error.
+g_eps is the scheme F_h of the linear operator <A, .> (``eval_discrete``)
+applied to u_eps.  Because the kernel has constant coefficients, discrete
+convolution commutes with that constant-coefficient stencil wherever both
+sides are defined; the sandwich verdict for operators certified nodewise is
+therefore exact up to roundoff, not up to a consistency error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .grids import (
     SymMatrix,
     ball_node_mask,
 )
-from .stencils import discrete_hessian
+from .operators import linear_operator
+from .stencils import discrete_hessian, eval_discrete, operator_margin
 
 __all__ = [
     "MollifierKernel",
@@ -133,30 +135,24 @@ def _convolve_valid(lat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
+def _crop(lat: np.ndarray, grid: Grid, trim: int, layers: int) -> GridFunction:
+    """A lattice array over ``grid`` trimmed by ``trim`` node layers, cut down
+    to ``grid`` trimmed by ``trim + layers``."""
+    inner = tuple(slice(layers, s - layers) for s in lat.shape)
+    return GridFunction(_trimmed_grid(grid, trim + layers), lat[inner].ravel())
+
+
 def mollify(u: GridFunction, eps: float) -> GridFunction:
     """eta_eps * u, reported on the shrunken domain only (no boundary
     extension; values outside it would need data the grid does not carry)."""
     kern = MollifierKernel.build(u.grid, eps)
-    conv = _convolve_valid(u.lattice(), kern.weights)
-    sub = ShrunkenDomain(u.grid, eps)
-    inner = tuple(slice(1, s - 1) for s in conv.shape)
-    return GridFunction(sub.grid, conv[inner].ravel())
+    return _crop(_convolve_valid(u.lattice(), kern.weights), u.grid, kern.half_width, 1)
 
 
 def compute_g(u_eps: GridFunction, a: SymMatrix) -> GridFunction:
-    """Sum_ij A_ij d2_ij u_eps by centered differences (constant A passes
-    through div(A grad .)).  NaN on the boundary ring, like eval_discrete."""
-    if a.n != u_eps.grid.ndim:
-        raise ValueError("matrix rank must match the grid dimension")
-    if float(a.eigenvalues().min()) <= 0.0:
-        raise ValueError("diffusion matrix must be positive definite")
-    amat = a.mat
-    hf = discrete_hessian(u_eps)
-    g = None
-    for (i, j), arr in hf.comps.items():
-        factor = amat[i, j] if i == j else 2.0 * amat[i, j]
-        g = factor * arr if g is None else g + factor * arr
-    return GridFunction(u_eps.grid, g.ravel(), allow_non_finite=True)
+    """<A, D^2 u_eps> by the scheme of the linear operator A (constant A
+    passes through div(A grad .)).  NaN on its margin band, like eval_discrete."""
+    return eval_discrete(linear_operator(a.mat), u_eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,14 +169,15 @@ class SandwichReport:
     passed: bool
 
 
-def _as_field(grid: Grid, data, name: str) -> GridFunction:
+def _as_data(grid: Grid, data, name: str):
+    """Node values of a GridFunction or callable; a scalar stays a float."""
     if isinstance(data, GridFunction):
         if data.grid is not grid and data.grid != grid:
             raise ValueError("%s lives on a different grid" % name)
-        return data
+        return data.values
     if callable(data):
-        return GridFunction.from_callable(grid, data)
-    return GridFunction(grid, np.full(grid.node_count, float(data)))
+        return GridFunction.from_callable(grid, data).values
+    return float(data)
 
 
 def sandwich_check(u: GridFunction, a: SymMatrix, f1, f2, eps: float,
@@ -190,30 +187,40 @@ def sandwich_check(u: GridFunction, a: SymMatrix, f1, f2, eps: float,
     Default tolerance 10 h (1 + sup|f2| + |A|_F sup|u|) covers the roundoff
     of the convolution algebra with a wide O(h) consistency allowance.
     """
+    kern = MollifierKernel.build(u.grid, eps)
+    return _sandwich(u, _convolve_valid(u.lattice(), kern.weights), kern, a, f1, f2, tol)
+
+
+def _sandwich(u, conv, kern, a, f1, f2, tol):
+    """sandwich_check given conv = eta_eps * u in valid mode.  The report
+    covers the nodes where g_eps is defined: the shrunken domain when the
+    scheme of A reaches one node layer, fewer nodes when it reaches further."""
     grid = u.grid
-    f1 = _as_field(grid, f1, "f1")
-    f2 = _as_field(grid, f2, "f2")
-    if np.any(f1.values > f2.values):
+    f1 = _as_data(grid, f1, "f1")
+    f2 = _as_data(grid, f2, "f2")
+    if np.any(np.asarray(f1) > f2):
         raise ValueError("sandwich requires f1 <= f2 nodewise")
     if tol is None:
-        tol = 10.0 * grid.h * (1.0 + f2.sup_norm() + a.frobenius() * u.sup_norm())
+        tol = 10.0 * grid.h * (1.0 + float(np.max(np.abs(f2)))
+                               + a.frobenius() * u.sup_norm())
 
-    kern = MollifierKernel.build(grid, eps)
-    conv = _convolve_valid(u.lattice(), kern.weights)
-    mid = GridFunction(_trimmed_grid(grid, kern.half_width), conv.ravel())
-    g_all = compute_g(mid, a).lattice()
-    inner = tuple(slice(1, s - 1) for s in g_all.shape)
-    g = g_all[inner].ravel()  # finite exactly on the shrunken domain
+    op = linear_operator(a.mat)
+    trim, margin = kern.half_width, operator_margin(op, grid.ndim)
+    mid = GridFunction(_trimmed_grid(grid, trim), conv.ravel())
+    g = _crop(eval_discrete(op, mid).lattice(), grid, trim, margin)
 
-    f1_eps = mollify(f1, eps)
-    f2_eps = mollify(f2, eps)
-    sub = f1_eps.grid
-    lower = g - f1_eps.values
-    upper = f2_eps.values - g
+    def mollified(f):  # eta_eps * c = c: the kernel has unit mass
+        if isinstance(f, float):
+            return f
+        return _crop(_convolve_valid(grid.lattice(f), kern.weights), grid, trim, margin).values
+
+    sub = g.grid
+    lower = g.values - mollified(f1)
+    upper = mollified(f2) - g.values
     worst_lower = float(lower.min())
     worst_upper = float(upper.min())
     passed = worst_lower >= -tol and worst_upper >= -tol
-    return SandwichReport(float(eps), float(tol), sub,
+    return SandwichReport(kern.eps, float(tol), sub,
                           GridFunction(sub, lower), GridFunction(sub, upper),
                           worst_lower, worst_upper, bool(passed))
 
@@ -262,8 +269,10 @@ def stability_sweep(u: GridFunction, a: SymMatrix, f1, f2, schedule, p: float,
                    zip(u.grid.domain.lower, u.grid.domain.upper))
     rows = []
     for eps in schedule:
-        report = sandwich_check(u, a, f1, f2, eps)
-        u_eps = mollify(u, eps)
+        kern = MollifierKernel.build(u.grid, eps)
+        conv = _convolve_valid(u.lattice(), kern.weights)  # shared by both columns
+        report = _sandwich(u, conv, kern, a, f1, f2, None)
+        u_eps = _crop(conv, u.grid, kern.half_width, 1)
         norm = hessian_lp_norm(u_eps, p, Ball(center, r))
         rows.append(SweepRow(eps, norm, report.passed))
     if path is not None:

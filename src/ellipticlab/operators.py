@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SymMatrix, _jacobi_eigenvalues
+from .grids import SymMatrix
 
 __all__ = [
     "EllipticityParams",
@@ -58,17 +58,10 @@ def trace_operator() -> EllipticOperator:
     return EllipticOperator("trace", EllipticityParams(1.0, 1.0))
 
 
-def _sym_spectrum(a: np.ndarray) -> np.ndarray:
-    if a.shape[0] <= 2:
-        return SymMatrix(a).eigenvalues()
-    return _jacobi_eigenvalues(a)
-
-
 def linear_operator(a, params: EllipticityParams | None = None) -> EllipticOperator:
     """F(M) = <A, M> for a fixed symmetric positive definite A."""
-    a = np.asarray(a, dtype=float)
-    a = SymMatrix(a).mat
-    eigs = _sym_spectrum(a)
+    sym = SymMatrix(np.asarray(a, dtype=float))
+    a, eigs = sym.mat, sym.eigenvalues()
     if eigs[0] <= 0:
         raise ValueError("linear operator matrix must be positive definite")
     if params is None:
@@ -88,12 +81,13 @@ def pucci_min(lam1: float, lam2: float) -> EllipticOperator:
 
 def max_of_linear(mats, params: EllipticityParams | None = None) -> EllipticOperator:
     """F(M) = max_j <A_j, M> over a finite family of SPD matrices."""
-    mats = tuple(SymMatrix(np.asarray(a, dtype=float)).mat for a in mats)
-    if not mats:
+    syms = [SymMatrix(np.asarray(a, dtype=float)) for a in mats]
+    if not syms:
         raise ValueError("need at least one matrix")
+    mats = tuple(s.mat for s in syms)
     lo, hi = math.inf, -math.inf
-    for a in mats:
-        eigs = _sym_spectrum(a)
+    for s in syms:
+        eigs = s.eigenvalues()
         if eigs[0] <= 0:
             raise ValueError("every matrix in the family must be positive definite")
         lo, hi = min(lo, float(eigs[0])), max(hi, float(eigs[-1]))
@@ -102,15 +96,10 @@ def max_of_linear(mats, params: EllipticityParams | None = None) -> EllipticOper
     return EllipticOperator("max_of_linear", params, mats)
 
 
-def _as_matrix(m) -> np.ndarray:
-    if isinstance(m, SymMatrix):
-        return m.mat
-    return SymMatrix(np.asarray(m, dtype=float)).mat
-
-
 def op_eval(op: EllipticOperator, m) -> float:
     """Evaluate the operator on one symmetric matrix."""
-    a = _as_matrix(m)
+    sym = m if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m, dtype=float))
+    a = sym.mat
     if op.kind == "trace":
         return float(np.trace(a))
     if op.kind == "linear":
@@ -121,7 +110,7 @@ def op_eval(op: EllipticOperator, m) -> float:
         if a.shape != op.mats[0].shape:
             raise ValueError("matrix dimension mismatch")
         return float(max(np.sum(mat * a) for mat in op.mats))
-    eigs = _sym_spectrum(a)
+    eigs = sym.eigenvalues()
     pos = eigs[eigs > 0].sum()
     neg = eigs[eigs < 0].sum()
     lam1, lam2 = op.params.lam1, op.params.lam2

@@ -1,12 +1,13 @@
 """Policy-iteration solvers for F_h(D^2 u) = f with Dirichlet data.
 
 F_h is the pointwise max (the min for pucci_min) of a few linear stencils
-with nonnegative off-centre weights (``stencils.policy_stencils``).  Howard's
+with nonnegative off-centre weights (``stencils.frozen_stencils``).  Howard's
 policy iteration (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009)
-solves F_h(u) = f: every step evaluates the residual with ``eval_discrete``
-and returns once it is within tolerance, otherwise freezes at each interior
-node the stencil attaining F_h(u) and solves that sparse linear system.  The
-returned field therefore solves the very scheme ``eval_discrete`` defines.
+solves F_h(u) = f: every step evaluates the residual and the attaining
+stencil per node with ``eval_policy`` and returns once the residual is within
+tolerance, otherwise freezes those stencils and solves that sparse linear
+system.  The returned field therefore solves the very scheme
+``eval_discrete`` defines.
 
 The obstacle variant runs the same iteration as a primal-dual active-set
 method (Hintermüller, Ito & Kunisch, SIAM J. Optim. 13, 2002) on
@@ -35,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .grids import Grid, GridFunction
-from .operators import EllipticOperator, operator_spec_string
-from .stencils import StencilConfig, eval_discrete, operator_margin, policy_stencils
+from .operators import EllipticOperator
+from .stencils import eval_discrete, eval_policy, frozen_stencils, operator_margin
 
 __all__ = [
     "RelaxationConfig",
@@ -117,68 +118,36 @@ def _pick_grid(*candidates) -> Grid:
     )
 
 
-def residual(op: EllipticOperator, u: GridFunction, f,
-             stencil: StencilConfig | None = None) -> GridFunction:
+def residual(op: EllipticOperator, u: GridFunction, f) -> GridFunction:
     """The field F_h(u) - f; NaN on the margin band where the scheme is undefined."""
     grid = u.grid
-    fh = eval_discrete(op, u, stencil).values
+    fh = eval_discrete(op, u).values
     fv = _node_field(grid, f, "f")
     return GridFunction(grid, fh - fv, allow_non_finite=True)
 
 
-def sup_residual(op: EllipticOperator, u: GridFunction, f,
-                 stencil: StencilConfig | None = None) -> float:
-    return residual(op, u, f, stencil).sup_norm()
+def sup_residual(op: EllipticOperator, u: GridFunction, f) -> float:
+    return residual(op, u, f).sup_norm()
 
 
-class _Policies:
-    """The candidate stencils of one operator as arrays over flat node
-    indices: offsets and weights of shape (candidates, terms), centre first,
-    short candidates padded with zero weights."""
+def _matrix(stencils, policy, nodes, node_count, shift):
+    """CSR matrix of the frozen policy minus diag(shift) over ``nodes``,
+    built row by row with a fixed number of terms per row; couplings to any
+    other node are dropped (its correction is zero)."""
+    from scipy import sparse
 
-    def __init__(self, op, grid, stencil):
-        cands = policy_stencils(op, grid, stencil)
-        nx = grid.shape[0]
-        width = max(len(c) for c in cands)
-        self.offsets = np.zeros((len(cands), width), dtype=np.int32)
-        self.weights = np.zeros((len(cands), width))
-        for i, cand in enumerate(cands):
-            for t, (dx, dy, w) in enumerate(cand):
-                self.offsets[i, t] = dy * nx + dx
-                self.weights[i, t] = w
-        self.op = op
-        self.pick = np.argmin if op.kind == "pucci_min" else np.argmax
-
-    def choose(self, u, nodes):
-        """Per node, the candidate attaining F_h(u) there (None: only one)."""
-        if len(self.weights) == 1:
-            return None
-        vals = np.stack([u[nodes[:, None] + off] @ w
-                         for off, w in zip(self.offsets, self.weights)])
-        return self.pick(vals, axis=0)
-
-    def matrix(self, policy, nodes, node_count, shift):
-        """CSR matrix of the frozen policy minus diag(shift) over ``nodes``,
-        built row by row with a fixed number of terms per row; couplings to
-        any other node are dropped (its correction is zero)."""
-        from scipy import sparse
-
-        chosen = slice(0, 1) if policy is None else policy
-        offsets, weights = self.offsets[chosen], self.weights[chosen]
-        if np.any(weights[:, 1:] < 0.0):
-            raise ValueError(
-                "operator %s: a chosen stencil has a negative off-centre weight,"
-                " so the scheme is not monotone" % operator_spec_string(self.op))
-        index = np.full(node_count, -1, dtype=np.int32)
-        index[nodes] = np.arange(nodes.size, dtype=np.int32)
-        cols = index[nodes[:, None] + offsets]
-        keep = (cols >= 0) & (weights != 0.0)
-        indptr = np.zeros(nodes.size + 1, dtype=np.int32)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        data = np.broadcast_to(weights, cols.shape)[keep]
-        data[indptr[:-1]] -= shift  # the centre term leads every row
-        return sparse.csr_matrix((data, cols[keep], indptr),
-                                 shape=(nodes.size, nodes.size))
+    chosen = slice(0, 1) if policy is None else policy[nodes]
+    offsets, weights = stencils[0][chosen], stencils[1][chosen]
+    index = np.full(node_count, -1, dtype=np.int32)
+    index[nodes] = np.arange(nodes.size, dtype=np.int32)
+    cols = index[nodes[:, None] + offsets]
+    keep = (cols >= 0) & (weights != 0.0)
+    indptr = np.zeros(nodes.size + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    data = np.broadcast_to(weights, cols.shape)[keep]
+    data[indptr[:-1]] -= shift  # the centre term leads every row
+    return sparse.csr_matrix((data, cols[keep], indptr),
+                             shape=(nodes.size, nodes.size))
 
 
 def _correction(matrix, rhs, tol, step, r):
@@ -192,8 +161,8 @@ def _correction(matrix, rhs, tol, step, r):
     return x
 
 
-def _setup(op, grid, stencil, f, initial):
-    margin = operator_margin(op, stencil, grid.ndim)
+def _setup(op, grid, f, initial):
+    margin = operator_margin(op, grid.ndim)
     mask = grid.interior_mask(margin)
     if not mask.any():
         raise ValueError("grid has no interior nodes at this stencil margin")
@@ -211,11 +180,9 @@ def _tolerance(config, fv, mask):
 def solve_dirichlet(op: EllipticOperator, f, boundary,
                     config: RelaxationConfig | None = None,
                     grid: Grid | None = None,
-                    stencil: StencilConfig | None = None,
                     initial: GridFunction | None = None) -> SolveResult:
     """Solve F_h(u) = f on the interior by policy iteration; the whole margin
-    band is pinned to the boundary data (for wide stencils that band is
-    several nodes deep).
+    band is pinned to the boundary data (as deep as the stencils reach).
 
     f and boundary may be scalars, callables over points, or GridFunctions;
     at least one argument must reveal the grid.  The iteration starts from
@@ -223,25 +190,25 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
     after 0 steps.
     """
     config = config or RelaxationConfig()
-    stencil = stencil or StencilConfig()
     grid = grid or _pick_grid(f, boundary, initial)
-    mask, fv = _setup(op, grid, stencil, f, initial)
+    mask, fv = _setup(op, grid, f, initial)
     bv = _node_field(grid, boundary, "boundary")
     u = initial.values.copy() if initial is not None else bv.copy()
     u[~mask] = bv[~mask]
     tol = _tolerance(config, fv, mask)
     nodes = np.flatnonzero(mask).astype(np.int32)
-    policies = _Policies(op, grid, stencil)
+    stencils = frozen_stencils(op, grid)
 
     for step in range(config.max_iterations + 1):
         gf = GridFunction(grid, u)
-        e = eval_discrete(op, gf, stencil).values[nodes] - fv[nodes]
+        fh, policy = eval_policy(op, gf)
+        e = fh.values[nodes] - fv[nodes]
         r = float(np.max(np.abs(e)))
         if r <= tol:
             return SolveResult(gf, step, r)
         if step == config.max_iterations:
             break
-        a = policies.matrix(policies.choose(u, nodes), nodes, grid.node_count, 0.0)
+        a = _matrix(stencils, policy, nodes, grid.node_count, 0.0)
         u[nodes] += _correction(a, -e, tol, step, r)
     raise SolverError(
         "policy iteration failed to converge: residual %.3e after %d steps"
@@ -294,7 +261,6 @@ class ObstacleResult:
 
 def solve_obstacle(problem: ObstacleProblem,
                    config: RelaxationConfig | None = None,
-                   stencil: StencilConfig | None = None,
                    initial: GridFunction | None = None) -> ObstacleResult:
     """Primal-dual active-set solve of min(u - psi, f + g u - F_h(u)) = 0.
 
@@ -309,22 +275,21 @@ def solve_obstacle(problem: ObstacleProblem,
     grid = problem.psi.grid
     op = problem.op
     config = config or RelaxationConfig()
-    stencil = stencil or StencilConfig()
-    mask, fv = _setup(op, grid, stencil, problem.f, initial)
+    mask, fv = _setup(op, grid, problem.f, initial)
     g = problem.g_values
     psi = problem.psi.values
-    bv = problem.boundary_values(operator_margin(op, stencil, grid.ndim))
+    bv = problem.boundary_values(operator_margin(op, grid.ndim))
     u = initial.values.copy() if initial is not None else np.maximum(bv, psi)
     u[~mask] = bv[~mask]
     tol = _tolerance(config, fv, mask)
-    policies = _Policies(op, grid, stencil)
+    stencils = frozen_stencils(op, grid)
 
-    def excess(u):  # F_h(u) - g u - f: zero off contact, <= 0 on it
-        return eval_discrete(op, GridFunction(grid, u), stencil).values - g * u - fv
+    def excess(fh):  # F_h(u) - g u - f at the iterate: zero off contact, <= 0 on it
+        return fh.values - g * u - fv
 
     previous = None
     for step in range(config.max_iterations + 1):
-        e = excess(u)
+        e = excess(eval_discrete(op, GridFunction(grid, u)))
         # a node below the obstacle is pinned whatever its multiplier says
         active = mask & (u - psi < np.maximum(-e, 0.0))
         free = mask & ~active
@@ -340,10 +305,9 @@ def solve_obstacle(problem: ObstacleProblem,
         u[active] = psi[active]
         nodes = np.flatnonzero(free).astype(np.int32)
         if nodes.size:
-            e = excess(u)[nodes]
-            a = policies.matrix(policies.choose(u, nodes), nodes, grid.node_count,
-                                g[nodes])
-            u[nodes] += _correction(a, -e, tol, step, r)
+            fh, policy = eval_policy(op, GridFunction(grid, u))
+            a = _matrix(stencils, policy, nodes, grid.node_count, g[nodes])
+            u[nodes] += _correction(a, -excess(fh)[nodes], tol, step, r)
 
     contact = active
     rhs = fv + g * u
@@ -352,7 +316,7 @@ def solve_obstacle(problem: ObstacleProblem,
     lam_hi = float(np.max(np.abs(rhs[mask]))) + slack
     lo_terms = [float(np.min(rhs[mask]))]
     if contact.any():
-        fh_psi = eval_discrete(op, problem.psi, stencil).values
+        fh_psi = eval_discrete(op, problem.psi).values
         lo_terms.append(float(np.min(fh_psi[contact])))
     lam_lo = min(lo_terms) - slack
     # never report bounds the realized field violates

@@ -1,53 +1,56 @@
-"""Monotone finite-difference discretizations of second-order operators.
+"""The monotone finite-difference scheme F_h, defined once.
 
-Hessian-based kinds (trace / linear / max-of-linear) use central second
-differences, exact on quadratics.  Pucci kinds use a wide stencil: directional
-second differences along K equispaced angles, paired orthogonally, with
-bilinear interpolation at off-grid sample points.  Interpolation weights are
-nonnegative, so the scheme is monotone in the off-node values; its consistency
-error carries an O((h/r)^2) interpolation term at fixed physical stencil
-radius r.
+F_h is built from directional second differences in node units,
 
-``policy_stencils`` lists the same scheme as a few candidate linear stencils
-whose pointwise max (min for pucci_min) is F_h; the solvers freeze one
-candidate per node and assemble it as a sparse matrix.
+    D_e u(x) = u(x + e h) - 2 u(x) + u(x - e h),
+
+as   F_h u(x) = pick_g  sum_{(e, C) in g}  pick_{c in C} c D_e u(x) / h^2,
+
+where pick is the max (the min for pucci_min), g runs over a few candidates
+and every coefficient c is nonnegative.  Each D_e has nonnegative off-centre
+weights, so F_h is monotone (Barles & Souganidis, Asymptotic Anal. 4, 1991).
+
+- Trace, linear and max-of-linear operators: one candidate per matrix A,
+  from Selling's decomposition A = sum rho_i e_i e_i^T with rho_i >= 0 and
+  integer e_i (Fehrenbach & Mirebeau, JMIV 49, 2014).  Exact on quadratics.
+- Pucci operators: PUCCI_ANGLES directions at PUCCI_RADIUS nodes, paired
+  orthogonally; a pair contributes max(lam2 D_e, lam1 D_e) / r^2 per
+  direction (the min for pucci_min).  Off-lattice sample points are
+  bilinearly interpolated, which keeps the weights nonnegative and adds an
+  O((h/r)^2) consistency error.
+- 1D grids: the same structure with the single direction e = 1.
+
+``eval_discrete`` evaluates F_h; ``eval_policy`` also returns, per node, the
+index of the linear stencil attaining the pick, and ``frozen_stencils``
+lists those linear stencils for the solvers' sparse assembly.  The scheme
+reaches ``operator_margin`` node layers, where F_h is undefined (NaN).
+
+``discrete_hessian`` is not the scheme: it estimates D^2 u by central
+differences for the viscosity checks and the Hessian L^p norms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import Grid, GridFunction, SymMatrix
-from .operators import EllipticOperator, op_eval_comps2
+from .operators import EllipticOperator, operator_spec_string
 
 __all__ = [
-    "StencilConfig",
     "HessianField",
     "discrete_hessian",
-    "directional_second_difference",
     "eval_discrete",
+    "eval_policy",
+    "frozen_stencils",
     "operator_margin",
-    "policy_stencils",
 ]
 
-_HESSIAN_KINDS = ("trace", "linear", "max_of_linear")
-
-
-@dataclass(frozen=True)
-class StencilConfig:
-    """Wide-stencil knobs: K direction angles (2D, even) and radius in nodes."""
-
-    angle_count: int = 16
-    stencil_radius: int = 3
-
-    def __post_init__(self):
-        if self.angle_count < 2 or self.angle_count % 2 != 0:
-            raise ValueError("angle_count must be an even integer >= 2")
-        if self.stencil_radius < 1:
-            raise ValueError("stencil_radius must be a positive integer")
+PUCCI_ANGLES = 16  # equispaced directions in [0, pi), paired orthogonally
+PUCCI_RADIUS = 3  # sample distance of the Pucci directions, in nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,15 +104,14 @@ def discrete_hessian(u: GridFunction) -> HessianField:
     return HessianField(grid, comps, margin=1)
 
 
-def _interp_shift_terms(offset_nodes, radius):
-    """Decompose a node-unit offset into lattice shifts + bilinear weights.
+# -- building the scheme ---------------------------------------------------------
 
-    Returns [(dx, dy, weight), ...] with |dx|, |dy| <= radius; exact-integer
-    components produce a single term so the stencil never reaches past the
-    declared radius.
-    """
+
+def _interp_shift_terms(offset):
+    """A node-unit offset (x, y) as lattice shifts with bilinear weights,
+    [(dx, dy, weight), ...]; an integer component gives a single shift."""
     terms = [((), 1.0)]
-    for comp in offset_nodes:  # component order: x, y
+    for comp in offset:
         base = math.floor(comp)
         frac = comp - base
         if frac < 1e-13:
@@ -119,180 +121,188 @@ def _interp_shift_terms(offset_nodes, radius):
         else:
             pieces = [(base, 1.0 - frac), (base + 1, frac)]
         terms = [(loc + (i,), w * pw) for loc, w in terms for i, pw in pieces]
-    if any(abs(i) > radius for loc, _ in terms for i in loc):
-        raise ValueError("stencil exits its declared radius")
     return [(*loc, w) for loc, w in terms]
 
 
-def _directional_terms(theta, radius):
-    """u(x+d) - 2u(x) + u(x-d) with d = radius*(cos, sin) in node units, as
-    (dx, dy, weight) terms, centre first; off-grid points are interpolated."""
-    offset = (radius * math.cos(theta), radius * math.sin(theta))
+def _second_difference(offset):
+    """D_e as (dx, dy, weight) terms, centre first, for e = offset."""
     terms = [(0, 0, -2.0)]
-    for sign in (+1.0, -1.0):
-        terms += _interp_shift_terms((sign * offset[0], sign * offset[1]), radius)
-    return terms
+    for sign in (1.0, -1.0):
+        terms += _interp_shift_terms((sign * offset[0], sign * offset[1]))
+    return tuple(terms)
 
 
-def _directional_dd_lattice(lat, h, theta, radius):
-    """(u(x+d) - 2u(x) + u(x-d))/|d|^2 with d = radius*h*(cos, sin); NaN ring."""
-    ny, nx = lat.shape
-    m = radius
-    if 2 * m >= min(nx, ny):
-        raise ValueError("stencil exits domain: grid too small for this radius")
-    acc = np.zeros((ny - 2 * m, nx - 2 * m))
-    for dx, dy, w in _directional_terms(theta, radius):
-        acc += w * lat[m + dy : ny - m + dy, m + dx : nx - m + dx]
-    out = np.full_like(lat, np.nan)
-    out[m : ny - m, m : nx - m] = acc / (radius * h) ** 2
+def _selling(a):
+    """Selling's decomposition of a 2x2 SPD matrix: [(rho, e)] with rho > 0
+    and integer vectors e such that a = sum rho e e^T.
+
+    Starts from the superbase (1,0), (0,1), (-1,-1) and flips it until it is
+    obtuse, <b_i, a b_j> <= 0 for i != j; then rho_i = -<b_j, a b_k> with
+    e_i the perpendicular of b_i."""
+    b = [np.array(v) for v in ((1, 0), (0, 1), (-1, -1))]
+    triples = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+    for _ in range(100):
+        flip = next(((i, j, k) for i, j, k in triples if b[i] @ a @ b[j] > 0.0), None)
+        if flip is None:
+            break
+        i, j, k = flip
+        b[i], b[k] = -b[i], b[i] - b[j]
+    else:
+        raise ValueError("Selling's algorithm did not reach an obtuse superbase")
+    out = []
+    for j, k, i in triples:
+        rho = -float(b[j] @ a @ b[k])
+        if rho > 0.0:
+            out.append((rho, (-int(b[i][1]), int(b[i][0]))))
     return out
 
 
-def directional_second_difference(u: GridFunction, node, theta: float,
-                                  rho_nodes: int) -> float:
-    """Directional second difference at one node, offset rho_nodes*h*(cos t, sin t).
-
-    Off-grid sample points are bilinearly interpolated; an offset landing
-    outside the domain raises.
-    """
-    grid = u.grid
-    if grid.ndim != 2:
-        raise NotImplementedError("directional differences are 2D")
-    if rho_nodes < 1:
-        raise ValueError("rho_nodes must be a positive integer")
-    ix, iy = int(node[0]), int(node[1])
-    if not (0 <= ix < grid.shape[0] and 0 <= iy < grid.shape[1]):
-        raise IndexError("node index out of range")
-    if min(ix, grid.shape[0] - 1 - ix, iy, grid.shape[1] - 1 - iy) < rho_nodes:
-        raise ValueError("stencil exits domain")
-    lat = u.lattice()
-    val = sum(w * lat[iy + dy, ix + dx] for dx, dy, w in _directional_terms(theta, rho_nodes))
-    return float(val / (rho_nodes * grid.h) ** 2)
-
-
-def operator_margin(op: EllipticOperator, cfg: StencilConfig | None, ndim: int) -> int:
-    """Node layers next to the boundary on which the scheme is undefined."""
-    cfg = cfg or StencilConfig()
-    if ndim == 1 or op.kind in _HESSIAN_KINDS:
-        return 1
-    return cfg.stencil_radius
-
-
-def _merge_terms(pieces):
-    """Sum (dx, dy, weight) terms sharing an offset; the centre comes first."""
-    acc = {(0, 0): 0.0}
-    for dx, dy, w in pieces:
-        acc[(dx, dy)] = acc.get((dx, dy), 0.0) + w
-    return [(dx, dy, w) for (dx, dy), w in acc.items()]
-
-
-def _hessian_stencil(a, h, ndim):
-    """<A, D^2_h u> from central differences and the four-point cross term."""
-    c = 1.0 / (h * h)
+def _linear_candidate(a, ndim):
     if ndim == 1:
-        return _merge_terms([(1, 0, a[0, 0] * c), (-1, 0, a[0, 0] * c),
-                             (0, 0, -2.0 * a[0, 0] * c)])
-    a11, a12, a22 = a[0, 0], a[0, 1], a[1, 1]
-    pieces = [(1, 0, a11 * c), (-1, 0, a11 * c), (0, 1, a22 * c), (0, -1, a22 * c),
-              (0, 0, -2.0 * (a11 + a22) * c)]
-    if a12 != 0.0:
-        x = 0.5 * a12 * c
-        pieces += [(1, 1, x), (-1, -1, x), (-1, 1, -x), (1, -1, -x)]
-    return _merge_terms(pieces)
+        return ((_second_difference((1, 0)), (float(a[0, 0]),)),)
+    return tuple((_second_difference(e), (rho,)) for rho, e in _selling(a))
 
 
-def policy_stencils(op: EllipticOperator, grid: Grid,
-                    cfg: StencilConfig | None = None) -> list:
-    """The candidate linear stencils of F_h on ``grid``.
+@dataclass(frozen=True, eq=False)
+class _Scheme:
+    """F_h of one operator: per candidate, ((terms, coefficients), ...)."""
 
-    Each candidate is a list of (dx, dy, weight) terms, centre first, with
-    F_h u(x) = max over candidates of sum(weight * u(x + (dx, dy))) -- the min
-    for pucci_min.  Trace and linear operators have one candidate,
-    max_of_linear one per matrix, and Pucci four per orthogonal angle pair
-    (lam2 or lam1 along each of the two directions).  On 1D grids dy is 0.
-    """
-    cfg = cfg or StencilConfig()
-    h, ndim = grid.h, grid.ndim
+    candidates: tuple
+    minimize: bool  # pick is the min (pucci_min) rather than the max
+    margin: int  # node layers the stencils reach
+
+    @property
+    def sizes(self):
+        """Linear stencils per candidate: one per choice of coefficients."""
+        return [math.prod(len(coeffs) for _, coeffs in cand) for cand in self.candidates]
+
+
+def _scheme(op: EllipticOperator, ndim: int) -> _Scheme:
     if ndim not in (1, 2):
-        raise NotImplementedError("policy stencils are implemented for 1D and 2D grids")
-    if op.kind == "trace":
-        return [_hessian_stencil(np.eye(ndim), h, ndim)]
-    if op.kind in ("linear", "max_of_linear"):
+        raise NotImplementedError("the scheme is implemented for 1D and 2D grids")
+    if op.kind in ("pucci_max", "pucci_min"):
+        lam = (op.params.lam2, op.params.lam1)
+        if ndim == 1:
+            cands = [((_second_difference((1, 0)), lam),)]
+        else:
+            r = PUCCI_RADIUS
+            coeffs = tuple(c / r**2 for c in lam)
+            cands = []
+            for j in range(PUCCI_ANGLES // 2):
+                theta = j * math.pi / PUCCI_ANGLES
+                cands.append(tuple(
+                    (_second_difference((r * math.cos(t), r * math.sin(t))), coeffs)
+                    for t in (theta, theta + math.pi / 2.0)))
+    elif op.kind == "trace":
+        cands = [_linear_candidate(np.eye(ndim), ndim)]
+    elif op.kind in ("linear", "max_of_linear"):
         if op.mats[0].shape[0] != ndim:
             raise ValueError("operator dimension mismatch")
-        return [_hessian_stencil(a, h, ndim) for a in op.mats]
-    lam1, lam2 = op.params.lam1, op.params.lam2
-    if ndim == 1:
-        dd = _hessian_stencil(np.eye(1), h, 1)
-        return [[(dx, dy, lam * w) for dx, dy, w in dd] for lam in (lam2, lam1)]
-    k, rho = cfg.angle_count, cfg.stencil_radius
-    c = 1.0 / (rho * h) ** 2
-    out = []
-    for j in range(k // 2):
-        theta = j * math.pi / k
-        d1 = _directional_terms(theta, rho)
-        d2 = _directional_terms(theta + math.pi / 2.0, rho)
-        for c1 in (lam2 * c, lam1 * c):
-            for c2 in (lam2 * c, lam1 * c):
-                out.append(_merge_terms([(dx, dy, c1 * w) for dx, dy, w in d1]
-                                        + [(dx, dy, c2 * w) for dx, dy, w in d2]))
-    return out
+        cands = [_linear_candidate(a, ndim) for a in op.mats]
+    else:
+        raise ValueError(f"unknown operator kind {op.kind!r}")
+    parts = [part for cand in cands for part in cand]
+    if any(min(coeffs) < 0.0 or any(w < 0.0 for _, _, w in terms[1:])
+           for terms, coeffs in parts):
+        raise ValueError("operator %s: the scheme has a negative off-centre weight,"
+                         " so it is not monotone" % operator_spec_string(op))
+    margin = max(max(abs(dx), abs(dy)) for terms, _ in parts for dx, dy, _ in terms)
+    return _Scheme(tuple(cands), op.kind == "pucci_min", margin)
 
 
-def _pucci_wide_lattice(op, lat, h, cfg):
-    lam1, lam2 = op.params.lam1, op.params.lam2
-    k = cfg.angle_count
-    rho = cfg.stencil_radius
-    best = None
-    for j in range(k // 2):
-        theta = j * math.pi / k
-        d1 = _directional_dd_lattice(lat, h, theta, rho)
-        d2 = _directional_dd_lattice(lat, h, theta + math.pi / 2.0, rho)
-        if op.kind == "pucci_max":
-            pair = (
-                lam2 * np.maximum(d1, 0.0) + lam1 * np.minimum(d1, 0.0)
-                + lam2 * np.maximum(d2, 0.0) + lam1 * np.minimum(d2, 0.0)
-            )
-            best = pair if best is None else np.fmax(best, pair)
-        else:
-            pair = (
-                lam1 * np.maximum(d1, 0.0) + lam2 * np.minimum(d1, 0.0)
-                + lam1 * np.maximum(d2, 0.0) + lam2 * np.minimum(d2, 0.0)
-            )
-            best = pair if best is None else np.fmin(best, pair)
-    return best
+def operator_margin(op: EllipticOperator, ndim: int) -> int:
+    """Node layers next to the boundary on which the scheme is undefined."""
+    return _scheme(op, ndim).margin
 
 
-def eval_discrete(op: EllipticOperator, u: GridFunction,
-                  cfg: StencilConfig | None = None) -> GridFunction:
-    """Apply the discrete operator; boundary-ring nodes are NaN sentinels."""
-    cfg = cfg or StencilConfig()
+# -- evaluating it -----------------------------------------------------------------
+
+
+def _envelope(op, u, track):
+    """F_h(u) as a flat node array (NaN on the margin band) and, if ``track``
+    and the scheme has more than one linear stencil, the index of the stencil
+    attaining it at every node (0 on the band); otherwise None."""
     grid = u.grid
-    if grid.ndim == 1:
-        xx = discrete_hessian(u).comps[(0, 0)]
-        if op.kind == "trace":
-            vals = xx
-        elif op.kind in ("linear", "max_of_linear"):
-            if op.mats[0].shape[0] != 1:
-                raise ValueError("operator dimension mismatch")
-            vals = op.mats[0][0, 0] * xx
-            for a in op.mats[1:]:
-                vals = np.maximum(vals, a[0, 0] * xx)
+    scheme = _scheme(op, grid.ndim)
+    m = scheme.margin
+    my = m if grid.ndim == 2 else 0
+    lat = u.lattice().reshape(-1, grid.shape[0])  # 1D grids as one row
+    ny, nx = lat.shape
+    if 2 * m >= nx or 2 * my >= ny:
+        raise ValueError("stencil exits domain: grid too small for its reach %d" % m)
+    track = track and sum(scheme.sizes) > 1
+    better = np.less if scheme.minimize else np.greater
+    pick = np.minimum if scheme.minimize else np.maximum
+
+    best = policy = None
+    base = 0
+    for cand, size in zip(scheme.candidates, scheme.sizes):
+        acc, choice, stride = None, 0, size
+        for terms, coeffs in cand:
+            centre = terms[0][2]  # the centre term leads
+            d = centre * lat[my : ny - my, m : nx - m]
+            for dx, dy, w in terms[1:]:
+                shifted = lat[my + dy : ny - my + dy, m + dx : nx - m + dx]
+                d += shifted if w == 1.0 else w * shifted
+            val = coeffs[0] * d
+            stride //= len(coeffs)
+            for k, c in enumerate(coeffs[1:], 1):
+                alt = c * d
+                if track:
+                    choice = choice + k * stride * better(alt, val)
+                val = pick(val, alt)
+            acc = val if acc is None else acc + val
+        if best is None:
+            best = acc
+            policy = np.broadcast_to(base + choice, acc.shape) if track else None
         else:
-            lam1, lam2 = op.params.lam1, op.params.lam2
-            pos, neg = np.maximum(xx, 0.0), np.minimum(xx, 0.0)
-            vals = lam2 * pos + lam1 * neg if op.kind == "pucci_max" \
-                else lam1 * pos + lam2 * neg
-        return GridFunction(grid, vals.ravel(), allow_non_finite=True)
-    if grid.ndim != 2:
-        raise NotImplementedError("discrete evaluation is implemented for 1D and 2D grids")
-    if op.kind in _HESSIAN_KINDS:
-        hf = discrete_hessian(u)
-        vals = op_eval_comps2(op, hf.comps[(0, 0)], hf.comps[(0, 1)], hf.comps[(1, 1)])
-        # the mixed difference alone would survive one node beyond the pure ones
-        vals = np.where(np.isfinite(hf.comps[(0, 0)]) & np.isfinite(hf.comps[(1, 1)]),
-                        vals, np.nan)
-        return GridFunction(grid, vals.ravel(), allow_non_finite=True)
-    lat = u.lattice()
-    vals = _pucci_wide_lattice(op, lat, grid.h, cfg)
-    return GridFunction(grid, vals.ravel(), allow_non_finite=True)
+            if track:
+                policy = np.where(better(acc, best), base + choice, policy)
+            best = pick(best, acc)
+        base += size
+
+    out = np.full((ny, nx), np.nan)
+    out[my : ny - my, m : nx - m] = best / grid.h**2
+    if policy is not None:
+        full = np.zeros((ny, nx), dtype=np.int32)
+        full[my : ny - my, m : nx - m] = policy
+        policy = full.ravel()
+    return out.ravel(), policy
+
+
+def eval_discrete(op: EllipticOperator, u: GridFunction) -> GridFunction:
+    """Apply the discrete operator; nodes on the margin band are NaN sentinels."""
+    vals, _ = _envelope(op, u, False)
+    return GridFunction(u.grid, vals, allow_non_finite=True)
+
+
+def eval_policy(op: EllipticOperator, u: GridFunction):
+    """``eval_discrete`` plus, per node, the index into ``frozen_stencils`` of
+    the linear stencil attaining F_h(u) there (None if there is only one)."""
+    vals, policy = _envelope(op, u, True)
+    return GridFunction(u.grid, vals, allow_non_finite=True), policy
+
+
+def frozen_stencils(op: EllipticOperator, grid: Grid):
+    """Every linear stencil a policy can freeze, as flat node offsets (int32)
+    and weights of shape (stencils, terms), centre first, padded with zero
+    weights.  Applied at a node, stencil ``eval_policy`` picked there gives
+    F_h(u) at that node."""
+    scheme = _scheme(op, grid.ndim)
+    nx, scale = grid.shape[0], 1.0 / grid.h**2
+    stencils = []
+    for cand in scheme.candidates:
+        for choice in itertools.product(*(range(len(coeffs)) for _, coeffs in cand)):
+            acc = {(0, 0): 0.0}
+            for (terms, coeffs), k in zip(cand, choice):
+                for dx, dy, w in terms:
+                    acc[(dx, dy)] = acc.get((dx, dy), 0.0) + coeffs[k] * w * scale
+            stencils.append(acc)
+    width = max(len(s) for s in stencils)
+    offsets = np.zeros((len(stencils), width), dtype=np.int32)
+    weights = np.zeros((len(stencils), width))
+    for i, s in enumerate(stencils):
+        for t, ((dx, dy), w) in enumerate(s.items()):
+            offsets[i, t] = dy * nx + dx
+            weights[i, t] = w
+    return offsets, weights

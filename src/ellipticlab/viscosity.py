@@ -26,7 +26,7 @@ import numpy as np
 from .fileio import write_csv
 from .grids import Ball, GridFunction, SymMatrix, ball_node_mask
 from .operators import EllipticOperator, op_eval, op_eval_comps2
-from .stencils import StencilConfig, discrete_hessian, eval_discrete, operator_margin
+from .stencils import discrete_hessian, eval_discrete, operator_margin
 
 __all__ = [
     "Bounds",
@@ -107,15 +107,14 @@ def _finish(scheme, grid, tol, idx, upper, lower, triggered=0):
 
 
 def check_pointwise(u: GridFunction, op: EllipticOperator, bounds: Bounds,
-                    stencil: StencilConfig | None = None,
                     tol: float | None = None) -> ViscosityReport:
     """Evaluate F_h(u) on interior nodes and check membership in
     [lam_lo - tol, lam_hi + tol]; tol defaults to c0 h."""
     grid = u.grid
     if tol is None:
         tol = default_tolerance(op, u)
-    fh = eval_discrete(op, u, stencil).values
-    mask = grid.interior_mask(operator_margin(op, stencil, grid.ndim))
+    fh = eval_discrete(op, u).values
+    mask = grid.interior_mask(operator_margin(op, grid.ndim))
     idx = np.flatnonzero(mask)
     vals = fh[idx]
     upper = vals - bounds.lam_hi
@@ -386,7 +385,6 @@ class LimitStabilityReport:
 def limit_stability_experiment(generator, k_max: int, op: EllipticOperator,
                                u_limit: GridFunction | None = None,
                                lam_limit: float | None = None,
-                               stencil: StencilConfig | None = None,
                                node_budget: int = 300) -> LimitStabilityReport:
     """Stability of certificates under locally uniform limits.
 
@@ -412,10 +410,10 @@ def limit_stability_experiment(generator, k_max: int, op: EllipticOperator,
     deltas = [max(gaps[k:]) + c0h for k in range(len(gaps))]
 
     self_pass = tuple(
-        check_pointwise(uk, op, Bounds.symmetric(lk), stencil).passed
+        check_pointwise(uk, op, Bounds.symmetric(lk)).passed
         for uk, lk in zip(us, lams)
     )
-    base_pw = check_pointwise(u_inf, op, Bounds.symmetric(lam_inf), stencil)
+    base_pw = check_pointwise(u_inf, op, Bounds.symmetric(lam_inf))
     dictionary = make_touching_dictionary(u_inf, node_budget=node_budget)
     base_tt = check_touching(u_inf, op, Bounds.symmetric(lam_inf), dictionary)
     # widening the bounds by delta shifts every violation down by delta

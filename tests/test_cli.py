@@ -95,6 +95,16 @@ def test_solve_quad_exact(tmp_path):
     assert "tau" not in man
 
 
+def test_solve_non_diagonal_linear(tmp_path):
+    """linear:2,0.5,1 has a monotone scheme (Selling's weights), so it solves."""
+    r = run_cli("solve", "--op", "linear:2,0.5,1", "--fixture", "quad", "--res", "33",
+                "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    head, row = (tmp_path / "solve_report.csv").read_text().splitlines()
+    report = dict(zip(head.split(","), row.split(",")))
+    assert float(report["sup_error"]) <= 1e-8
+
+
 def test_import_leaves_scipy_unloaded():
     """scipy loads inside the solves, so importing the package stays light."""
     code = ("import sys, ellipticlab, ellipticlab.cli; "

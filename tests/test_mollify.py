@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,22 @@ def test_sandwich_commutation_is_exact_for_linear_fields():
     assert rep.passed
 
 
+def test_sandwich_report_shrinks_with_a_wider_stencil():
+    """Selling's decomposition of [[1, 1.9], [1.9, 4]] reaches two node layers:
+    the report covers the nodes where g_eps is defined, and convolution still
+    commutes with the scheme exactly."""
+    from ellipticlab import eval_discrete, linear_operator
+
+    g = unit_square_grid(65)
+    u = GridFunction(g, np.random.default_rng(8).standard_normal(g.node_count))
+    a = np.array([[1.0, 1.9], [1.9, 4.0]])
+    f = GridFunction(g, np.nan_to_num(eval_discrete(linear_operator(a), u).values))
+    rep = sandwich_check(u, SymMatrix(a), f, f, 6 * g.h)
+    assert rep.grid.shape == (65 - 2 * (6 + 2),) * 2
+    scale = 1.0 + np.max(np.abs(f.values))
+    assert min(rep.worst_lower, rep.worst_upper) >= -1e-9 * scale
+
+
 # ---------------------------------------------------------------------------
 # Hessian L^p norms
 
@@ -223,6 +241,27 @@ def test_sweep_kink_norm_blows_up_like_eps():
     assert (norms[-1] / norms[0]) ** 4 >= 4.0
     # bounded claimed f cannot absorb a delta sheet: the sandwich must fail
     assert not any(row.passed for row in rows)
+
+
+def test_sweep_convolves_u_once_per_eps(monkeypatch):
+    """The sandwich and the norm share one convolution of u; the scalar bounds
+    are not convolved at all (the kernel has unit mass)."""
+    # the package re-exports the function mollify under the module's name
+    mollify_module = sys.modules["ellipticlab.mollify"]
+    calls = []
+    original = mollify_module._convolve_valid
+
+    def counting(lat, weights):
+        calls.append(lat.shape)
+        return original(lat, weights)
+
+    monkeypatch.setattr(mollify_module, "_convolve_valid", counting)
+    u = build_fixture("quad", 65)
+    h = u.grid.h
+    rows = stability_sweep(u, SymMatrix.identity(2), 0.0, 4.0,
+                           [12 * h, 10 * h, 8 * h, 6 * h], p=4.0, r=0.2)
+    assert len(calls) == 4
+    assert all(row.passed for row in rows)
 
 
 def test_sweep_csv_deterministic(tmp_path):

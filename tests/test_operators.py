@@ -73,6 +73,11 @@ def test_pucci_max_matches_eigen_oracle(seed, n):
     assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
+def test_pucci_max_on_a_3x3_diagonal():
+    # lam2 (1 + 3) + lam1 (-2)
+    assert op_eval(pucci_max(1.0, 2.0), np.diag([1.0, -2.0, 3.0])) == 6.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(2, 3))
 def test_pucci_min_is_reflected_max(seed, n):

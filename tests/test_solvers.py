@@ -90,23 +90,16 @@ def test_iteration_budget_raises_solver_error():
     pucci_max(1.0, 2.0),
     pucci_min(1.0, 2.0),
     max_of_linear([np.diag([1.0, 2.0]), np.diag([2.0, 1.0])]),
-], ids=["pucci+", "pucci-", "max_of_linear"])
+    linear_operator([[2.0, 0.5], [0.5, 1.0]]),
+], ids=["pucci+", "pucci-", "max_of_linear", "linear"])
 def test_nonlinear_manufactured_quad(op):
-    """Policy iteration recovers the manufactured quadratic from a zero start."""
+    """Policy iteration recovers the manufactured quadratic from a zero start;
+    the non-diagonal linear operator solves through Selling's weights."""
     f, target, zero = manufactured_quad(op)
     r = solve_dirichlet(op, f, target, initial=zero)
     assert 1 <= r.iterations <= 10
     assert np.max(np.abs(r.u.values - target.values)) <= 1e-10
     assert r.residual == sup_residual(op, r.u, f)
-
-
-def test_non_monotone_policy_rejected():
-    """The four-point cross difference gives linear:2,0.5,1 negative
-    off-centre weights; the solve refuses it rather than mis-solving."""
-    op = linear_operator([[2.0, 0.5], [0.5, 1.0]])
-    f, target, zero = manufactured_quad(op, 17)
-    with pytest.raises(ValueError, match=r"linear:2\.0,0\.5,1\.0.*not monotone"):
-        solve_dirichlet(op, f, target, initial=zero)
 
 
 def test_grid_must_be_discoverable():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 
 from ellipticlab import (
     GridFunction,
-    StencilConfig,
     discrete_hessian,
     eval_discrete,
     linear_operator,
@@ -19,7 +16,7 @@ from ellipticlab import (
     pucci_min,
     trace_operator,
 )
-from ellipticlab.stencils import directional_second_difference, policy_stencils
+from ellipticlab.stencils import eval_policy, frozen_stencils
 
 from conftest import field, quadratic_field, unit_square_grid
 
@@ -71,18 +68,31 @@ def test_hessian_1d():
 
 
 def test_operator_margins():
-    cfg = StencilConfig(angle_count=8, stencil_radius=4)
-    assert operator_margin(trace_operator(), cfg, 2) == 1
-    assert operator_margin(linear_operator(np.eye(2)), cfg, 2) == 1
-    assert operator_margin(pucci_max(1.0, 2.0), cfg, 2) == 4
-    assert operator_margin(pucci_max(1.0, 2.0), cfg, 1) == 1
+    """The margin is the reach of the stencils."""
+    assert operator_margin(trace_operator(), 2) == 1
+    assert operator_margin(linear_operator(np.eye(2)), 2) == 1
+    assert operator_margin(linear_operator([[2.0, 0.5], [0.5, 1.0]]), 2) == 1
+    # Selling's decomposition of [[1, 1.9], [1.9, 4]] uses the direction (1, 2)
+    assert operator_margin(linear_operator([[1.0, 1.9], [1.9, 4.0]]), 2) == 2
+    assert operator_margin(pucci_max(1.0, 2.0), 2) == 3
+    assert operator_margin(pucci_max(1.0, 2.0), 1) == 1
 
 
-def test_stencil_config_validation():
-    with pytest.raises(ValueError):
-        StencilConfig(angle_count=3)
-    with pytest.raises(ValueError):
-        StencilConfig(stencil_radius=0)
+@pytest.mark.parametrize("op", [trace_operator(), linear_operator([[1.0, 1.9], [1.9, 4.0]]),
+                                pucci_min(1.0, 2.0)], ids=lambda op: op.kind)
+def test_eval_discrete_is_nan_exactly_on_the_margin_band(op):
+    g = unit_square_grid(17)
+    u = GridFunction(g, np.random.default_rng(3).standard_normal(g.node_count))
+    vals = eval_discrete(op, u).values
+    inside = g.interior_mask(operator_margin(op, 2))
+    assert np.all(np.isfinite(vals[inside])) and np.all(np.isnan(vals[~inside]))
+
+
+def test_eval_discrete_rejects_a_grid_inside_its_reach():
+    g = unit_square_grid(5)
+    u = GridFunction(g, np.zeros(g.node_count))
+    with pytest.raises(ValueError, match="exits domain"):
+        eval_discrete(pucci_max(1.0, 2.0), u)
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +106,14 @@ def test_eval_discrete_trace_is_laplacian(grid33):
 
 
 def test_eval_discrete_linear_matches_matrix_oracle(grid33):
-    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    """Selling's weights make the scheme of any SPD A exact on quadratics."""
     m = np.array([[1.0, -2.0], [-2.0, 0.25]])
     u = quadratic_field(grid33, m)
-    e = eval_discrete(linear_operator(a), u).lattice()
-    np.testing.assert_allclose(interior(e, 1), np.sum(a * m), rtol=0, atol=5e-12)
+    for a in ([[2.0, 0.5], [0.5, 1.0]], [[1.0, 1.9], [1.9, 4.0]], [[3.0, -1.2], [-1.2, 0.6]]):
+        op = linear_operator(a)
+        e = eval_discrete(op, u).lattice()
+        np.testing.assert_allclose(interior(e, operator_margin(op, 2)), np.sum(np.array(a) * m),
+                                   rtol=0, atol=5e-11)
 
 
 def test_eval_discrete_pucci_wide_stencil_consistency(grid65):
@@ -111,7 +124,7 @@ def test_eval_discrete_pucci_wide_stencil_consistency(grid65):
     u = quadratic_field(grid65, m)
     exact = op_eval(op, m)  # = 2 - 1 = 1
     e = eval_discrete(op, u).lattice()
-    vals = interior(e, operator_margin(op, None, 2))
+    vals = interior(e, operator_margin(op, 2))
     assert np.nanmax(np.abs(vals - exact)) <= 0.05 * (1 + abs(exact))
 
 
@@ -123,29 +136,14 @@ def test_eval_discrete_pucci_min_mirrors_max(grid65):
     np.testing.assert_allclose(a[np.isfinite(a)], b[np.isfinite(b)], rtol=0, atol=1e-11)
 
 
-def test_directional_dd_matches_quadratic():
-    g = unit_square_grid(33)
-    u = quadratic_field(g, np.diag([4.0, 1.0]))
-    # along x (theta=0) the offsets are integers: exact second derivative
-    val = directional_second_difference(u, (16, 16), 0.0, 3)
-    assert val == pytest.approx(4.0, abs=1e-10)
-    val = directional_second_difference(u, (16, 16), math.pi / 2, 3)
-    assert val == pytest.approx(1.0, abs=1e-10)
-
-
-def test_directional_dd_boundary_guard():
-    g = unit_square_grid(33)
-    u = quadratic_field(g, np.eye(2))
-    with pytest.raises(ValueError, match="exits domain"):
-        directional_second_difference(u, (1, 16), 0.25, 3)
-
-
 # ---------------------------------------------------------------------------
 # scheme structure: homogeneity and monotonicity
 
 SCHEME_OPS = [
     trace_operator(),
     linear_operator(np.diag([2.0, 0.5])),
+    linear_operator([[2.0, 0.5], [0.5, 1.0]]),
+    max_of_linear([np.diag([1.0, 2.0]), [[2.0, -0.5], [-0.5, 1.0]]]),
     pucci_max(1.0, 2.0),
     pucci_min(1.0, 2.0),
 ]
@@ -186,25 +184,20 @@ def test_scheme_monotone_under_nonnegative_bump(seed, height):
 
 
 # ---------------------------------------------------------------------------
-# the policy stencils are the scheme
+# the frozen stencils are the scheme
 
 
-def stencil_envelope(op, u):
-    """max (min for pucci_min) over the candidate stencils, on the interior."""
+def frozen_envelope(op, u):
+    """At every interior node, the frozen stencil eval_policy picked there,
+    applied to u; and eval_discrete on the same nodes."""
     grid = u.grid
-    lat = u.lattice().reshape(-1, grid.shape[0])  # 1D grids as one row
-    m = operator_margin(op, None, grid.ndim)
-    my = m if grid.ndim == 2 else 0
-    ny, nx = lat.shape
-    vals = []
-    for cand in policy_stencils(op, grid):
-        acc = np.zeros((ny - 2 * my, nx - 2 * m))
-        for dx, dy, w in cand:
-            acc += w * lat[my + dy : ny - my + dy, m + dx : nx - m + dx]
-        vals.append(acc)
-    pick = np.min if op.kind == "pucci_min" else np.max
-    return pick(vals, axis=0), eval_discrete(op, u).lattice().reshape(ny, nx)[
-        my : ny - my, m : nx - m]
+    fh, policy = eval_policy(op, u)
+    offsets, weights = frozen_stencils(op, grid)
+    nodes = np.flatnonzero(grid.interior_mask(operator_margin(op, grid.ndim)))
+    chosen = np.zeros(nodes.size, dtype=int) if policy is None else policy[nodes]
+    got = np.sum(u.values[nodes[:, None] + offsets[chosen]] * weights[chosen], axis=1)
+    np.testing.assert_array_equal(fh.values, eval_discrete(op, u).values)
+    return got, fh.values[nodes]
 
 
 ENVELOPE_OPS = [
@@ -219,9 +212,10 @@ ENVELOPE_OPS = [
 
 @pytest.mark.parametrize("op", ENVELOPE_OPS, ids=lambda op: op.kind)
 def test_policy_stencils_reproduce_eval_discrete(op):
+    """The frozen policy's stencil reproduces eval_discrete."""
     g = unit_square_grid(33)
     u = GridFunction(g, np.random.default_rng(5).standard_normal(g.node_count))
-    got, want = stencil_envelope(op, u)
+    got, want = frozen_envelope(op, u)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -231,7 +225,7 @@ def test_policy_stencils_reproduce_eval_discrete_1d(spec):
 
     g = Grid(Domain((0.0,), (1.0,)), (41,))
     u = GridFunction(g, np.random.default_rng(6).standard_normal(g.node_count))
-    got, want = stencil_envelope(parse_operator(spec), u)
+    got, want = frozen_envelope(parse_operator(spec), u)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
