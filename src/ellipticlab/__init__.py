@@ -37,6 +37,7 @@ from .operators import (
 )
 from .stencils import (
     HessianField,
+    StencilReachError,
     discrete_hessian,
     eval_discrete,
     operator_margin,
@@ -56,7 +57,7 @@ from .simplex import MinimaxFit, minimax_affine
 from .viscosity import (
     Bounds,
     LimitStabilityReport,
-    TouchingTest,
+    TouchingDictionary,
     ViscosityReport,
     check_pointwise,
     check_touching,

@@ -6,7 +6,8 @@ plus the code version) into --out and returns a process exit code:
 
     0   all certifications embedded in the run passed
     1   a certification failed (message names the failing check)
-    2   flag / input parse errors
+    2   flag / input parse errors, and a grid too small for the operator's
+        stencil
     3   anything unexpected
 
 Identical flags + seed produce byte-identical CSV artifacts; the only random
@@ -36,7 +37,7 @@ from .operators import (
     trace_operator,
 )
 from .solvers import RelaxationConfig, solve_dirichlet, solve_obstacle
-from .stencils import eval_discrete
+from .stencils import StencilReachError, eval_discrete
 from .viscosity import (
     Bounds,
     check_pointwise,
@@ -379,7 +380,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, StencilReachError) as exc:
         print("ellipticlab: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:

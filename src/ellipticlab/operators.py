@@ -96,60 +96,57 @@ def max_of_linear(mats, params: EllipticityParams | None = None) -> EllipticOper
     return EllipticOperator("max_of_linear", params, mats)
 
 
-def op_eval(op: EllipticOperator, m) -> float:
-    """Evaluate the operator on one symmetric matrix."""
-    sym = m if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m, dtype=float))
-    a = sym.mat
+def op_eval(op: EllipticOperator, m):
+    """Evaluate the operator on one symmetric matrix (a float) or on a stack
+    of them, shape (..., n, n) (an array of shape (...))."""
+    a = m.mat if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("matrix must be square")
+    scale = 1.0 + np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    if np.any(np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1), initial=0.0)
+              > 1e-12 * scale):
+        raise ValueError("matrix is not symmetric")
     if op.kind == "trace":
-        return float(np.trace(a))
-    if op.kind == "linear":
-        if a.shape != op.mats[0].shape:
+        out = np.trace(a, axis1=-2, axis2=-1)
+    elif op.kind in ("linear", "max_of_linear"):
+        if a.shape[-2:] != op.mats[0].shape:
             raise ValueError("matrix dimension mismatch")
-        return float(np.sum(op.mats[0] * a))
-    if op.kind == "max_of_linear":
-        if a.shape != op.mats[0].shape:
-            raise ValueError("matrix dimension mismatch")
-        return float(max(np.sum(mat * a) for mat in op.mats))
-    eigs = sym.eigenvalues()
-    pos = eigs[eigs > 0].sum()
-    neg = eigs[eigs < 0].sum()
-    lam1, lam2 = op.params.lam1, op.params.lam2
-    if op.kind == "pucci_max":
-        return float(lam2 * pos + lam1 * neg)
-    if op.kind == "pucci_min":
-        return float(lam1 * pos + lam2 * neg)
-    raise ValueError(f"unknown operator kind {op.kind!r}")
+        out = _inner(op.mats[0], a)
+        for mat in op.mats[1:]:
+            out = np.maximum(out, _inner(mat, a))
+    elif op.kind in ("pucci_max", "pucci_min"):
+        lam1, lam2 = op.params.lam1, op.params.lam2
+        up, down = (lam2, lam1) if op.kind == "pucci_max" else (lam1, lam2)
+        eigs = _spectrum(a)
+        out = np.sum(np.where(eigs > 0, up * eigs, down * eigs), axis=-1)
+    else:
+        raise ValueError(f"unknown operator kind {op.kind!r}")
+    return float(out) if a.ndim == 2 else out
 
 
-# -- vectorized 2D evaluation (shared with the finite-difference schemes) -----
+def _inner(a, m):
+    """<A, M> for stacked symmetric M, summed over the upper triangle with the
+    off-diagonal terms doubled."""
+    n = a.shape[0]
+    out = 0.0
+    for i in range(n):
+        for j in range(i, n):
+            out = out + (a[i, j] if i == j else 2.0 * a[i, j]) * m[..., i, j]
+    return out
 
 
-def eig2_arrays(m11, m12, m22):
-    """Closed-form eigenvalues of many 2x2 symmetric matrices; returns (lo, hi)."""
-    mean = 0.5 * (m11 + m22)
-    rad = np.hypot(0.5 * (m11 - m22), m12)
-    return mean - rad, mean + rad
-
-
-def op_eval_comps2(op: EllipticOperator, m11, m12, m22):
-    """Vectorized evaluation on stacked 2x2 symmetric matrices."""
-    if op.kind == "trace":
-        return m11 + m22
-    if op.kind == "linear":
-        a = op.mats[0]
-        return a[0, 0] * m11 + 2.0 * a[0, 1] * m12 + a[1, 1] * m22
-    if op.kind == "max_of_linear":
-        vals = [a[0, 0] * m11 + 2.0 * a[0, 1] * m12 + a[1, 1] * m22 for a in op.mats]
-        return np.max(np.stack(vals), axis=0)
-    lo, hi = eig2_arrays(m11, m12, m22)
-    lam1, lam2 = op.params.lam1, op.params.lam2
-    if op.kind == "pucci_max":
-        return lam2 * np.maximum(hi, 0.0) + lam1 * np.minimum(hi, 0.0) \
-            + lam2 * np.maximum(lo, 0.0) + lam1 * np.minimum(lo, 0.0)
-    if op.kind == "pucci_min":
-        return lam1 * np.maximum(hi, 0.0) + lam2 * np.minimum(hi, 0.0) \
-            + lam1 * np.maximum(lo, 0.0) + lam2 * np.minimum(lo, 0.0)
-    raise ValueError(f"unknown operator kind {op.kind!r}")
+def _spectrum(a):
+    """Ascending eigenvalues of stacked symmetric matrices (..., n, n), read
+    from the upper triangle: closed form for n <= 2, LAPACK otherwise."""
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0, :]
+    if n == 2:
+        m11, m12, m22 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
+        mean = 0.5 * (m11 + m22)
+        rad = np.hypot(0.5 * (m11 - m22), m12)
+        return np.stack([mean - rad, mean + rad], axis=-1)
+    return np.linalg.eigvalsh(a, UPLO="U")
 
 
 # -- randomized property checks ------------------------------------------------
@@ -165,17 +162,31 @@ class PropertyReport:
     seed: int
 
 
-def _op_callable(op, dim):
+def _stacked(op):
+    """The operator as a function of stacked matrices; a bare callable on one
+    matrix is mapped over the stack."""
     if isinstance(op, EllipticOperator):
-        return lambda m: op_eval(op, SymMatrix(m))
+        return lambda ms: op_eval(op, ms)
     if callable(op):
-        return op
+        return lambda ms: np.array([op(m) for m in ms], dtype=float)
     raise TypeError("operator must be an EllipticOperator or a callable on matrices")
 
 
-def _random_symmetric(rng, dim, scale):
-    g = rng.uniform(-scale, scale, size=(dim, dim))
-    return 0.5 * (g + g.T)
+def _symmetrized(g):
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
+def _report(name, violation, scale, sample_count, seed):
+    worst = float(np.max(violation, initial=-math.inf))
+    worst_norm = float(np.max(violation / scale, initial=-math.inf))
+    return PropertyReport(name=name, passed=bool(worst_norm <= 1e-10),
+                          worst_violation=worst, worst_normalized=worst_norm,
+                          samples=sample_count, seed=seed)
+
+
+# Samples are drawn in one block of uniforms on [0, 1) and scaled as
+# low + (high - low) r, numpy's own uniform formula, so each check sees the
+# stream a per-sample rng.uniform loop would see, in the same order.
 
 
 def check_uniform_ellipticity(op, params: EllipticityParams | None = None,
@@ -183,64 +194,38 @@ def check_uniform_ellipticity(op, params: EllipticityParams | None = None,
                               dim: int = 2) -> PropertyReport:
     """Sample (M, N >= 0) pairs and test lam1 tr N <= F(M+N) - F(M) <= lam2 tr N.
 
-    Per-sample tolerance is 1e-10 * (1 + |tr N|); the report carries the worst
-    signed violation and the worst violation normalized by that scale.
+    M has uniform entries on [-3, 3] and N = G'G with G uniform on [-1.5, 1.5],
+    both symmetrized.  Per-sample tolerance is 1e-10 * (1 + |tr N|); the
+    report carries the worst signed violation and the worst violation
+    normalized by that scale.
     """
     if params is None:
         if not isinstance(op, EllipticOperator):
             raise ValueError("params are required for a bare callable")
         params = op.params
-    rng = np.random.default_rng(seed)
-    f = _op_callable(op, dim)
-    worst = -math.inf
-    worst_norm = -math.inf
-    for _ in range(sample_count):
-        m = _random_symmetric(rng, dim, 3.0)
-        g = rng.uniform(-1.5, 1.5, size=(dim, dim))
-        n = g.T @ g
-        n = 0.5 * (n + n.T)
-        trn = float(np.trace(n))
-        df = f(m + n) - f(m)
-        low_viol = params.lam1 * trn - df
-        up_viol = df - params.lam2 * trn
-        v = max(low_viol, up_viol)
-        scale = 1.0 + abs(trn)
-        worst = max(worst, v)
-        worst_norm = max(worst_norm, v / scale)
-    return PropertyReport(
-        name="uniform_ellipticity",
-        passed=bool(worst_norm <= 1e-10),
-        worst_violation=float(worst),
-        worst_normalized=float(worst_norm),
-        samples=sample_count,
-        seed=seed,
-    )
+    f = _stacked(op)
+    r = np.random.default_rng(seed).random((sample_count, 2, dim, dim))
+    m = _symmetrized(-3.0 + 6.0 * r[:, 0])
+    g = -1.5 + 3.0 * r[:, 1]
+    n = _symmetrized(np.swapaxes(g, -1, -2) @ g)
+    trn = np.trace(n, axis1=-2, axis2=-1)
+    df = f(m + n) - f(m)
+    violation = np.maximum(params.lam1 * trn - df, df - params.lam2 * trn)
+    return _report("uniform_ellipticity", violation, 1.0 + np.abs(trn),
+                   sample_count, seed)
 
 
 def check_homogeneity(op, sample_count: int = 10_000, seed: int = 0,
                       dim: int = 2) -> PropertyReport:
     """Test positive 1-homogeneity F(sigma N) = sigma F(N) for sigma in (0, 10]."""
-    rng = np.random.default_rng(seed)
-    f = _op_callable(op, dim)
-    worst = -math.inf
-    worst_norm = -math.inf
-    for _ in range(sample_count):
-        n = _random_symmetric(rng, dim, 3.0)
-        sigma = max(10.0 * rng.random(), 1e-12)
-        lhs = f(sigma * n)
-        rhs = sigma * f(n)
-        v = abs(lhs - rhs)
-        scale = 1.0 + abs(rhs)
-        worst = max(worst, v)
-        worst_norm = max(worst_norm, v / scale)
-    return PropertyReport(
-        name="homogeneity",
-        passed=bool(worst_norm <= 1e-10),
-        worst_violation=float(worst),
-        worst_normalized=float(worst_norm),
-        samples=sample_count,
-        seed=seed,
-    )
+    f = _stacked(op)
+    r = np.random.default_rng(seed).random((sample_count, dim * dim + 1))
+    n = _symmetrized(-3.0 + 6.0 * r[:, :-1].reshape(-1, dim, dim))
+    sigma = np.maximum(10.0 * r[:, -1], 1e-12)
+    lhs = f(sigma[:, None, None] * n)
+    rhs = sigma * f(n)
+    return _report("homogeneity", np.abs(lhs - rhs), 1.0 + np.abs(rhs),
+                   sample_count, seed)
 
 
 # -- operator spec strings ------------------------------------------------------

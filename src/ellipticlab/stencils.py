@@ -42,12 +42,19 @@ from .operators import EllipticOperator, operator_spec_string
 
 __all__ = [
     "HessianField",
+    "StencilReachError",
     "discrete_hessian",
     "eval_discrete",
     "eval_policy",
     "frozen_stencils",
     "operator_margin",
 ]
+
+
+class StencilReachError(ValueError):
+    """The grid is too small for the scheme's stencils: a precondition on the
+    operator/grid pair, not a failed certificate."""
+
 
 PUCCI_ANGLES = 16  # equispaced directions in [0, pi), paired orthogonally
 PUCCI_RADIUS = 3  # sample distance of the Pucci directions, in nodes
@@ -229,7 +236,7 @@ def _envelope(op, u, track):
     lat = u.lattice().reshape(-1, grid.shape[0])  # 1D grids as one row
     ny, nx = lat.shape
     if 2 * m >= nx or 2 * my >= ny:
-        raise ValueError("stencil exits domain: grid too small for its reach %d" % m)
+        raise StencilReachError("stencil exits domain: grid too small for its reach %d" % m)
     track = track and sum(scheme.sizes) > 1
     better = np.less if scheme.minimize else np.greater
     pick = np.minimum if scheme.minimize else np.maximum

@@ -24,13 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_csv
-from .grids import Ball, GridFunction, SymMatrix, ball_node_mask
-from .operators import EllipticOperator, op_eval, op_eval_comps2
+from .grids import Ball, GridFunction, ball_node_mask
+from .operators import EllipticOperator, op_eval
 from .stencils import discrete_hessian, eval_discrete, operator_margin
 
 __all__ = [
     "Bounds",
-    "TouchingTest",
+    "TouchingDictionary",
     "ViscosityReport",
     "default_tolerance",
     "check_pointwise",
@@ -61,20 +61,20 @@ class Bounds:
 
 
 @dataclass(frozen=True, eq=False)
-class TouchingTest:
-    """One candidate quadratic: gradient p, Hessian m, tried at node x0."""
+class TouchingDictionary:
+    """Candidate quadratics as arrays.  At node ``nodes[k]`` every gradient
+    ``grads[k, g]`` meets every Hessian ``hessians[k] -/+ shifts[l] I``, the
+    lower one tried from below (phi - u maximal at the node), the upper one
+    from above; ``len`` counts these K (2n+1) L 2 candidates."""
 
-    node: tuple  # multi-index
-    p: tuple
-    m: SymMatrix
+    nodes: np.ndarray  # (K,) flat node indices
+    grads: np.ndarray  # (K, 2n+1, n): central difference, then +/- h e_i
+    hessians: np.ndarray  # (K, n, n): discrete Hessians
+    shifts: np.ndarray  # (L,): 0, then h, 2h, 4h, ... up through the first >= 1
     rho: float  # neighborhood radius (physical units)
-    side: str  # "below": phi - u max at x0; "above": min at x0
 
-    def __post_init__(self):
-        if self.side not in ("below", "above"):
-            raise ValueError("side must be 'below' or 'above'")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+    def __len__(self):
+        return self.nodes.size * self.grads.shape[1] * self.shifts.size * 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +90,16 @@ class ViscosityReport:
     node_lower: np.ndarray
     verdicts: np.ndarray  # per-node bool
     triggered: int = 0  # touching only: how many candidates fired
+    candidates: int = 0  # touching only: how many candidates were tried
+
+    @property
+    def worst_node(self) -> int:
+        """Flat index of the node with the largest margin, -1 if none has one."""
+        if self.node_indices.size == 0:
+            return -1
+        margin = np.maximum(self.node_upper, self.node_lower)
+        k = int(np.argmax(margin))
+        return int(self.node_indices[k]) if np.isfinite(margin[k]) else -1
 
 
 def default_tolerance(op: EllipticOperator, u: GridFunction) -> float:
@@ -97,13 +107,13 @@ def default_tolerance(op: EllipticOperator, u: GridFunction) -> float:
     return 10.0 * op.params.lam2 * (1.0 + u.sup_norm()) * u.grid.h
 
 
-def _finish(scheme, grid, tol, idx, upper, lower, triggered=0):
+def _finish(scheme, grid, tol, idx, upper, lower, triggered=0, candidates=0):
     verdicts = (upper <= tol) & (lower <= tol)
     w_up = float(np.max(upper)) if idx.size else float("-inf")
     w_lo = float(np.max(lower)) if idx.size else float("-inf")
     passed = bool(w_up <= tol and w_lo <= tol)
     return ViscosityReport(scheme, passed, w_up, w_lo, tol, grid,
-                           idx, upper, lower, verdicts, triggered)
+                           idx, upper, lower, verdicts, triggered, candidates)
 
 
 def check_pointwise(u: GridFunction, op: EllipticOperator, bounds: Bounds,
@@ -122,7 +132,7 @@ def check_pointwise(u: GridFunction, op: EllipticOperator, bounds: Bounds,
     return _finish("pointwise", grid, tol, idx, upper, lower)
 
 
-def _shift_ladder(h: float) -> list:
+def _shift_ladder(h: float) -> np.ndarray:
     """Geometric Hessian shifts {h, 2h, 4h, ...} up through the first >= 1."""
     out = [0.0]
     s = h
@@ -131,7 +141,7 @@ def _shift_ladder(h: float) -> list:
         if s >= 1.0:
             break
         s *= 2.0
-    return out
+    return np.array(out)
 
 
 def _ball_offsets(grid, rho: float) -> np.ndarray:
@@ -144,9 +154,22 @@ def _ball_offsets(grid, rho: float) -> np.ndarray:
     return pts[keep]
 
 
+def _strides(grid) -> np.ndarray:
+    """Flat-index step of one node along each axis."""
+    return np.cumprod((1,) + tuple(grid.shape[:-1]))
+
+
+def _require_inside(grid, nodes, reach):
+    """Every node's reach-ball of nodes must stay inside the grid."""
+    outside = ~grid.interior_mask(reach)[nodes]
+    if outside.any():
+        multi = grid.multi_index(int(nodes[np.argmax(outside)]))
+        raise ValueError("touching ball exits domain at node %r" % (multi,))
+
+
 def make_touching_dictionary(u: GridFunction, rho: float | None = None,
                              node_budget: int = 1500,
-                             nodes=None) -> list:
+                             nodes=None) -> TouchingDictionary:
     """Deterministic test dictionary: at each selected node, gradients from
     the central difference +/- h e_i and Hessians from discrete_hessian
     shifted by +/- s I over a geometric ladder of s.
@@ -162,68 +185,46 @@ def make_touching_dictionary(u: GridFunction, rho: float | None = None,
         rho = max(0.125 * extent, 4.0 * h)
     if rho < 2.0 * h:
         raise ValueError("touching radius under-resolved: need rho >= 2h")
-    reach = int(math.ceil(rho / h - 1e-9))
-    margin = max(reach, 1)
-
-    lat = u.lattice()
-    hess = discrete_hessian(u)
+    margin = max(int(math.ceil(rho / h - 1e-9)), 1)
 
     if nodes is None:
         eligible = np.flatnonzero(grid.interior_mask(margin))
         if eligible.size == 0:
             raise ValueError("no node has its touching ball inside the domain")
-        step = max(1, eligible.size // node_budget)
-        chosen = eligible[::step]
-        nodes = [grid.multi_index(int(i)) for i in chosen]
+        flat = eligible[::max(1, eligible.size // node_budget)]
+    else:
+        multi = np.asarray(nodes, dtype=int).reshape(-1, n)
+        flat = np.ravel_multi_index(tuple(multi.T), grid.shape, order="F")
+    _require_inside(grid, flat, margin)
 
-    ladder = _shift_ladder(h)
-    tests = []
-    for multi in nodes:
-        multi = tuple(int(i) for i in multi)
-        if min(min(multi), min(grid.shape[a] - 1 - multi[a] for a in range(n))) < margin:
-            raise ValueError("touching ball exits domain at node %r" % (multi,))
-        lat_idx = tuple(multi[n - 1 - a] for a in range(n))
-        grad = np.empty(n)
-        for a in range(n):
-            up = list(lat_idx)
-            dn = list(lat_idx)
-            up[n - 1 - a] += 1
-            dn[n - 1 - a] -= 1
-            grad[a] = (lat[tuple(up)] - lat[tuple(dn)]) / (2.0 * h)
-        m0 = hess.matrix_at(multi)
-        p_list = [tuple(grad)]
-        for a in range(n):
-            for sgn in (+1.0, -1.0):
-                q = grad.copy()
-                q[a] += sgn * h
-                p_list.append(tuple(q))
-        for p in p_list:
-            for s in ladder:
-                tests.append(TouchingTest(multi, p, m0.shifted(-s), rho, "below"))
-                tests.append(TouchingTest(multi, p, m0.shifted(+s), rho, "above"))
-    return tests
+    grads = np.empty((flat.size, 2 * n + 1, n))
+    for a, stride in enumerate(_strides(grid)):
+        grads[:, :, a] = ((u.values[flat + stride] - u.values[flat - stride])
+                          / (2.0 * h))[:, None]
+        grads[:, 1 + 2 * a, a] += h
+        grads[:, 2 + 2 * a, a] -= h
+    hessians = np.empty((flat.size, n, n))
+    for (i, j), comp in discrete_hessian(u).comps.items():
+        hessians[:, i, j] = hessians[:, j, i] = comp.ravel()[flat]
+    return TouchingDictionary(flat, grads, hessians, _shift_ladder(h), float(rho))
 
 
-def _eval_candidates(op, mats) -> np.ndarray:
-    """F(M) for a list of SymMatrix, vectorized where it pays off."""
-    if not mats:
-        return np.empty(0)
-    n = mats[0].n
-    if n == 2:
-        m11 = np.array([m.mat[0, 0] for m in mats])
-        m12 = np.array([m.mat[0, 1] for m in mats])
-        m22 = np.array([m.mat[1, 1] for m in mats])
-        return op_eval_comps2(op, m11, m12, m22)
-    return np.array([op_eval(op, m) for m in mats])
+# entries per temporary array in check_touching (2 MB of float64)
+_TOUCH_BLOCK = 1 << 18
 
 
 def check_touching(u: GridFunction, op: EllipticOperator, bounds: Bounds,
-                   dictionary, tol: float | None = None,
-                   chunk: int = 4096) -> ViscosityReport:
+                   dictionary: TouchingDictionary,
+                   tol: float | None = None) -> ViscosityReport:
     """Run every touching candidate; triggered maxima must respect lam_hi,
-    triggered minima lam_lo.  Verdict tolerance defaults to c0 h."""
-    tests = list(dictionary)
-    if not tests:
+    triggered minima lam_lo.  Verdict tolerance defaults to c0 h.
+
+    Relative to the node x0, phi - u at x0 + d is
+    p.d + d'M0 d/2 -/+ s|d|^2/2 - (u(x0 + d) - u(x0)); a candidate fires when
+    that is at most h^2 over the rho-ball (from below), or at least -h^2
+    (from above).  Nodes are processed in blocks of bounded size.
+    """
+    if len(dictionary) == 0:
         raise ValueError("touching dictionary is empty")
     grid = u.grid
     h = grid.h
@@ -231,82 +232,70 @@ def check_touching(u: GridFunction, op: EllipticOperator, bounds: Bounds,
     if tol is None:
         tol = default_tolerance(op, u)
     slack = TRIGGER_SLACK * h * h
+    if dictionary.rho < 2.0 * h * (1 - 1e-12):
+        raise ValueError("touching radius under-resolved: need rho >= 2h")
+    offs = _ball_offsets(grid, dictionary.rho)
+    _require_inside(grid, dictionary.nodes, int(np.max(np.abs(offs))))
+    delta = offs * h  # physical offsets, (B, n)
+    flat_off = offs @ _strides(grid)
+    quad = 0.5 * delta[:, :, None] * delta[:, None, :]  # (B, n, n)
+    bowl = 0.5 * dictionary.shifts[:, None] * np.sum(delta * delta, axis=1)  # (L, B)
 
-    fvals = _eval_candidates(op, [t.m for t in tests])
+    # F on the shifted Hessians, (K, L) from below and from above
+    eye = np.eye(n)
+    shift = dictionary.shifts[None, :, None, None] * eye
+    m0 = dictionary.hessians[:, None]
+    f_below = op_eval(op, m0 - shift)
+    f_above = op_eval(op, m0 + shift)
 
-    # group tests sharing a neighborhood radius so offsets are built once
-    order = sorted(range(len(tests)), key=lambda i: (tests[i].rho, tests[i].side))
-    node_upper: dict = {}
-    node_lower: dict = {}
-    triggered_count = 0
+    k_all, g_count = dictionary.grads.shape[:2]
+    fired_below = np.empty((k_all, dictionary.shifts.size), dtype=bool)
+    fired_above = np.empty_like(fired_below)
+    triggered = 0
+    block = max(1, _TOUCH_BLOCK // (g_count * bowl.size))
+    for start in range(0, k_all, block):
+        part = slice(start, start + block)
+        nodes = dictionary.nodes[part]
+        du = u.values[nodes[:, None] + flat_off[None, :]] - u.values[nodes][:, None]
+        hess = dictionary.hessians[part]
+        curv = sum(hess[:, i, j, None] * quad[None, :, i, j]
+                   for i in range(n) for j in range(n))
+        grads = dictionary.grads[part]
+        slope = sum(grads[:, :, a, None] * delta[None, None, :, a] for a in range(n))
+        base = (slope + (curv - du)[:, None, :])[:, :, None, :]  # (k, G, 1, B)
+        below = (base - bowl).max(axis=-1) <= slack  # (k, G, L)
+        above = (base + bowl).min(axis=-1) >= -slack
+        triggered += int(np.count_nonzero(below)) + int(np.count_nonzero(above))
+        fired_below[part] = below.any(axis=1)
+        fired_above[part] = above.any(axis=1)
 
-    for rho, grp_iter in itertools.groupby(order, key=lambda i: tests[i].rho):
-        grp = list(grp_iter)
-        if rho < 2.0 * h * (1 - 1e-12):
-            raise ValueError("touching radius under-resolved: need rho >= 2h")
-        offs = _ball_offsets(grid, rho)
-        delta = offs * h  # physical offsets, (B, n)
-        flat_off = offs[:, 0].copy()
-        stride = 1
-        for a in range(1, n):
-            stride *= grid.shape[a - 1]
-            flat_off += offs[:, a] * stride
-        reach = int(np.max(np.abs(offs)))
-        for t in grp:
-            multi = tests[t].node
-            if min(min(multi), min(grid.shape[a] - 1 - multi[a] for a in range(n))) < reach:
-                raise ValueError("touching ball exits domain at node %r" % (multi,))
-
-        quad = 0.5 * np.einsum("bi,bj->bij", delta, delta).reshape(len(offs), -1)
-        for start in range(0, len(grp), chunk):
-            part = grp[start:start + chunk]
-            idx = np.array([grid.flat_index(tests[t].node) for t in part])
-            pmat = np.array([tests[t].p for t in part])  # (T, n)
-            mflat = np.array([tests[t].m.mat.reshape(-1) for t in part])
-            below = np.array([tests[t].side == "below" for t in part])
-
-            du = u.values[idx[:, None] + flat_off[None, :]] - u.values[idx][:, None]
-            phi = pmat @ delta.T + mflat @ quad.T  # (T, B): phi(y) - phi(x0)
-            # below: need max(phi - u) at x0  <->  max_y [phi_rel - du] <= slack
-            # above: need min at x0           <->  max_y [du - phi_rel] <= slack
-            gap = np.where(below[:, None], phi - du, du - phi)
-            fired = gap.max(axis=1) <= slack
-            triggered_count += int(np.count_nonzero(fired))
-            for t_local in np.flatnonzero(fired):
-                t = part[t_local]
-                f = float(fvals[t])
-                key = int(idx[t_local])
-                if below[t_local]:
-                    v = f - bounds.lam_hi
-                    node_upper[key] = max(node_upper.get(key, float("-inf")), v)
-                else:
-                    v = bounds.lam_lo - f
-                    node_lower[key] = max(node_lower.get(key, float("-inf")), v)
-
-    all_nodes = sorted({grid.flat_index(t.node) for t in tests})
-    idx_arr = np.array(all_nodes, dtype=int)
-    upper = np.array([node_upper.get(i, float("-inf")) for i in all_nodes])
-    lower = np.array([node_lower.get(i, float("-inf")) for i in all_nodes])
-    return _finish("touching", grid, tol, idx_arr, upper, lower, triggered_count)
+    row_upper = np.where(fired_below, f_below - bounds.lam_hi, -np.inf).max(axis=1)
+    row_lower = np.where(fired_above, bounds.lam_lo - f_above, -np.inf).max(axis=1)
+    idx, row = np.unique(dictionary.nodes, return_inverse=True)
+    upper = np.full(idx.size, -np.inf)
+    lower = np.full(idx.size, -np.inf)
+    np.maximum.at(upper, row, row_upper)
+    np.maximum.at(lower, row, row_lower)
+    return _finish("touching", grid, tol, idx, upper, lower, triggered, len(dictionary))
 
 
 def write_viscosity_report(report: ViscosityReport, path):
     grid = report.grid
     coord_names = ["x", "y", "z"][: grid.ndim]
     header = ["node"] + coord_names + ["scheme", "upper_margin", "lower_margin", "verdict"]
-    rows = []
-    for j, flat in enumerate(report.node_indices):
-        pt = grid.node_point(grid.multi_index(int(flat)))
-        rows.append((int(flat), *[float(c) for c in pt], report.scheme,
-                     float(report.node_upper[j]), float(report.node_lower[j]),
-                     bool(report.verdicts[j])))
+    rows = [(flat, *pt, report.scheme, up, lo, ok) for flat, pt, up, lo, ok in zip(
+        report.node_indices.tolist(), grid.points()[report.node_indices].tolist(),
+        report.node_upper.tolist(), report.node_lower.tolist(), report.verdicts.tolist())]
     footer = [
         ("# worst_upper", report.worst_upper),
         ("# worst_lower", report.worst_lower),
         ("# tolerance", report.tolerance),
         ("# triggered", report.triggered),
-        ("# passed", bool(report.passed)),
     ]
+    if report.scheme == "touching":
+        footer += [("# candidates", report.candidates),
+                   ("# worst_node", report.worst_node)]
+    footer.append(("# passed", bool(report.passed)))
     write_csv(path, header, rows, footer)
 
 

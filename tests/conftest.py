@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -90,6 +92,96 @@ def lp_minimax_width(points, values):
                   method="highs")
     assert res.status == 0, res.message
     return affine_residual_width(x, u, res.x[:n])
+
+
+# ---------------------------------------------------------------------------
+# per-sample oracles for the batched certification layer
+
+
+def loop_op_eval(op, m):
+    """F(M) for one matrix, the textbook way: <A, M> as a full elementwise
+    sum, Pucci from the LAPACK spectrum split into its positive and negative
+    parts."""
+    m = np.asarray(m, dtype=float)
+    if op.kind == "trace":
+        return float(np.trace(m))
+    if op.kind in ("linear", "max_of_linear"):
+        return float(max(np.sum(a * m) for a in op.mats))
+    w = np.linalg.eigvalsh(m)
+    pos, neg = w[w > 0].sum(), w[w < 0].sum()
+    lam1, lam2 = op.params.lam1, op.params.lam2
+    if op.kind == "pucci_max":
+        return float(lam2 * pos + lam1 * neg)
+    return float(lam1 * pos + lam2 * neg)
+
+
+def loop_uniform_ellipticity(op, sample_count, seed, dim=2):
+    """(passed, worst, worst normalized) of the ellipticity check, one
+    rng.uniform draw and one F evaluation per sample."""
+    rng = np.random.default_rng(seed)
+    worst = worst_norm = -math.inf
+    for _ in range(sample_count):
+        g = rng.uniform(-3.0, 3.0, size=(dim, dim))
+        m = 0.5 * (g + g.T)
+        g = rng.uniform(-1.5, 1.5, size=(dim, dim))
+        n = g.T @ g
+        n = 0.5 * (n + n.T)
+        trn = float(np.trace(n))
+        df = loop_op_eval(op, m + n) - loop_op_eval(op, m)
+        v = max(op.params.lam1 * trn - df, df - op.params.lam2 * trn)
+        worst = max(worst, v)
+        worst_norm = max(worst_norm, v / (1.0 + abs(trn)))
+    return worst_norm <= 1e-10, worst, worst_norm
+
+
+def loop_homogeneity(op, sample_count, seed, dim=2):
+    rng = np.random.default_rng(seed)
+    worst = worst_norm = -math.inf
+    for _ in range(sample_count):
+        g = rng.uniform(-3.0, 3.0, size=(dim, dim))
+        n = 0.5 * (g + g.T)
+        sigma = max(10.0 * rng.random(), 1e-12)
+        rhs = sigma * loop_op_eval(op, n)
+        v = abs(loop_op_eval(op, sigma * n) - rhs)
+        worst = max(worst, v)
+        worst_norm = max(worst_norm, v / (1.0 + abs(rhs)))
+    return worst_norm <= 1e-10, worst, worst_norm
+
+
+def loop_touching(u, op, bounds, dictionary):
+    """(triggered, {flat node: (upper margin, lower margin)}) with one
+    quadratic per candidate: phi(x0 + d) - phi(x0) = p.d + d'M d / 2 over
+    the rho-ball, a maximum of phi - u at x0 (within h^2) checking
+    F(M) <= lam_hi for M = M0 - sI, a minimum F(M) >= lam_lo for M0 + sI."""
+    grid = u.grid
+    h, n = grid.h, grid.ndim
+    reach = int(math.floor(dictionary.rho / h + 1e-9))
+    axes = np.meshgrid(*[np.arange(-reach, reach + 1)] * n, indexing="ij")
+    offs = np.stack([a.ravel() for a in axes], axis=-1)
+    d2 = np.sum(offs * offs, axis=1)
+    offs = offs[(d2 > 0) & (d2 <= (dictionary.rho / h) ** 2 * (1 + 1e-12))]
+    strides = [1, grid.shape[0]][:n]
+    delta = offs * h
+    slack = h * h
+    triggered = 0
+    margins = {}
+    for k, node in enumerate(dictionary.nodes):
+        node = int(node)
+        du = u.values[node + offs @ strides] - u.values[node]
+        upper, lower = margins.get(node, (-math.inf, -math.inf))
+        for p in dictionary.grads[k]:
+            for s in dictionary.shifts:
+                for sign in (-1.0, 1.0):
+                    m = dictionary.hessians[k] + sign * s * np.eye(n)
+                    phi = delta @ p + 0.5 * np.einsum("bi,ij,bj->b", delta, m, delta)
+                    if sign < 0 and np.max(phi - du) <= slack:
+                        triggered += 1
+                        upper = max(upper, op(m) - bounds.lam_hi)
+                    if sign > 0 and np.max(du - phi) <= slack:
+                        triggered += 1
+                        lower = max(lower, bounds.lam_lo - op(m))
+        margins[node] = (upper, lower)
+    return triggered, margins
 
 
 @pytest.fixture

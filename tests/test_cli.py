@@ -59,6 +59,15 @@ def test_unknown_command_is_a_usage_error():
     assert run_cli("frobnicate").returncode == 2
 
 
+def test_grid_too_small_for_the_stencil_is_a_usage_error(tmp_path):
+    """Selling's stencil for this anisotropic A reaches 9 nodes: no room on 17^2."""
+    r = run_cli("solve", "--op", "linear:1.01,9,81.01", "--fixture", "quad",
+                "--res", "17", "--out", str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert "reach 9" in r.stderr
+    assert "certification failed" not in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # certification failures -> exit 1
 

@@ -15,7 +15,10 @@ from ellipticlab import (
     pucci_min,
     trace_operator,
 )
-from ellipticlab.operators import eig2_arrays, operator_spec_string
+from ellipticlab import operators
+from ellipticlab.operators import _spectrum, operator_spec_string
+
+from conftest import loop_homogeneity, loop_op_eval, loop_uniform_ellipticity
 
 
 def random_sym(rng, n, scale=3.0):
@@ -45,7 +48,7 @@ def pucci_oracle_max(m, lam1, lam2):
 def test_eig2_matches_lapack(seed):
     rng = np.random.default_rng(seed)
     m = random_sym(rng, 2, scale=10.0)
-    lo, hi = eig2_arrays(np.array(m[0, 0]), np.array(m[0, 1]), np.array(m[1, 1]))
+    lo, hi = _spectrum(m)
     ref = np.linalg.eigvalsh(m)
     assert float(lo) == pytest.approx(ref[0], abs=1e-10 * (1 + abs(ref[0])))
     assert float(hi) == pytest.approx(ref[1], abs=1e-10 * (1 + abs(ref[1])))
@@ -53,10 +56,36 @@ def test_eig2_matches_lapack(seed):
 
 def test_eig2_vectorized_shapes():
     rng = np.random.default_rng(0)
-    a, b, c = rng.standard_normal((3, 50))
-    lo, hi = eig2_arrays(a, b, c)
-    assert lo.shape == hi.shape == (50,)
-    assert np.all(lo <= hi + 1e-15)
+    m = random_sym(rng, 2)[None] + rng.standard_normal((5, 10, 1, 1)) * np.eye(2)
+    eigs = _spectrum(m)
+    assert eigs.shape == (5, 10, 2)
+    assert np.all(eigs[..., 0] <= eigs[..., 1] + 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_op_eval_on_a_stack_matches_one_at_a_time(n):
+    rng = np.random.default_rng(n)
+    stack = np.stack([random_sym(rng, n) for _ in range(24)]).reshape(4, 6, n, n)
+    ops = [trace_operator(), pucci_max(0.5, 2.5), pucci_min(0.5, 2.5),
+           linear_operator(spectrum_in_band(rng, n, 0.5, 2.0)),
+           max_of_linear([spectrum_in_band(rng, n, 0.5, 2.0) for _ in range(3)])]
+    for op in ops:
+        got = op_eval(op, stack)
+        assert got.shape == (4, 6)
+        want = [[loop_op_eval(op, m) for m in row] for row in stack]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert isinstance(op_eval(op, stack[1, 2]), float)
+        assert op_eval(op, stack[1, 2]) == got[1, 2]
+
+
+def test_op_eval_rejects_a_non_symmetric_matrix_in_a_stack():
+    stack = np.stack([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="symmetric"):
+        op_eval(pucci_max(1.0, 2.0), stack)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +192,49 @@ def test_homogeneity_checker_catches_an_offset():
 def test_bare_callable_needs_params():
     with pytest.raises(ValueError, match="params"):
         check_uniform_ellipticity(lambda m: 0.0, sample_count=10)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("op", BUILTINS, ids=lambda o: o.kind)
+def test_batched_checks_match_the_per_sample_loop(op, seed):
+    """Same seeded samples, same verdict, worst values equal up to roundoff."""
+    count = 1000
+    for batched, loop in ((check_uniform_ellipticity(op, sample_count=count, seed=seed),
+                           loop_uniform_ellipticity(op, count, seed)),
+                          (check_homogeneity(op, sample_count=count, seed=seed),
+                           loop_homogeneity(op, count, seed))):
+        assert batched.passed == loop[0]
+        assert batched.worst_violation == pytest.approx(loop[1], abs=1e-12)
+        assert batched.worst_normalized == pytest.approx(loop[2], abs=1e-12)
+        assert (batched.samples, batched.seed) == (count, seed)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("op", [pucci_max(1.0, 2.0), pucci_min(1.0, 2.0)],
+                         ids=lambda o: o.kind)
+def test_batched_checks_match_the_loop_in_other_dimensions(op, dim):
+    for batched, loop in ((check_uniform_ellipticity(op, sample_count=500, seed=2, dim=dim),
+                           loop_uniform_ellipticity(op, 500, 2, dim)),
+                          (check_homogeneity(op, sample_count=500, seed=2, dim=dim),
+                           loop_homogeneity(op, 500, 2, dim))):
+        assert batched.passed and loop[0]
+        assert batched.worst_violation == pytest.approx(loop[1], abs=1e-12)
+        assert batched.worst_normalized == pytest.approx(loop[2], abs=1e-12)
+
+
+def test_property_checks_evaluate_the_operator_on_whole_stacks(monkeypatch):
+    calls = []
+    original = operators.op_eval
+
+    def counting(op, m):
+        calls.append(np.shape(m))
+        return original(op, m)
+
+    monkeypatch.setattr(operators, "op_eval", counting)
+    check_uniform_ellipticity(pucci_max(1.0, 2.0), sample_count=10_000, seed=0)
+    check_homogeneity(pucci_max(1.0, 2.0), sample_count=10_000, seed=0)
+    assert len(calls) == 4
+    assert all(shape == (10_000, 2, 2) for shape in calls)
 
 
 def test_reports_are_reproducible():

@@ -14,12 +14,13 @@ from ellipticlab import (
     limit_families,
     limit_stability_experiment,
     make_touching_dictionary,
+    pucci_max,
     quartic_perturb,
     trace_operator,
     write_viscosity_report,
 )
 
-from conftest import field, quadratic_field, unit_square_grid
+from conftest import field, loop_touching, quadratic_field, unit_square_grid
 
 TRACE = trace_operator()
 
@@ -87,9 +88,58 @@ def test_touching_dictionary_is_deterministic():
     a = make_touching_dictionary(u, node_budget=200)
     b = make_touching_dictionary(u, node_budget=200)
     assert len(a) == len(b) > 0
-    assert all(s.node == t.node and s.side == t.side and np.array_equal(s.m.mat, t.m.mat)
-               for s, t in zip(a, b))
-    assert {t.side for t in a} == {"above", "below"}
+    for name in ("nodes", "grads", "hessians", "shifts"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.rho == b.rho
+    # both sides of every (node, gradient, shift): K (2n+1) L 2 candidates
+    k, g, n = a.grads.shape
+    assert (g, n) == (5, 2) and a.hessians.shape == (k, 2, 2)
+    assert len(a) == k * g * a.shifts.size * 2
+
+
+def test_touching_dictionary_contents():
+    """Central-difference gradient, then +/- h along each axis; exact
+    Hessians on a quadratic; shifts 0, h, 2h, ... up through the first >= 1."""
+    g = unit_square_grid(33)
+    mat = np.array([[2.0, 0.5], [0.5, 1.0]])
+    u = quadratic_field(g, mat, p=np.array([0.3, -0.2]))
+    d = make_touching_dictionary(u, node_budget=50)
+    h = g.h
+    pts = g.points()[d.nodes]
+    grad = pts @ mat + np.array([0.3, -0.2])
+    np.testing.assert_allclose(d.grads[:, 0], grad, atol=1e-12)
+    np.testing.assert_allclose(d.grads[:, 1:] - d.grads[:, :1],
+                               np.broadcast_to([[h, 0], [-h, 0], [0, h], [0, -h]],
+                                               (len(d.nodes), 4, 2)), atol=1e-12)
+    np.testing.assert_allclose(d.hessians, np.broadcast_to(mat, d.hessians.shape),
+                               atol=1e-9)
+    assert d.shifts[0] == 0.0 and d.shifts[1] == h
+    assert d.shifts[-2] < 1.0 <= d.shifts[-1]
+
+
+def test_touching_dictionary_at_given_nodes():
+    u = build_fixture("quad", 33)
+    d = make_touching_dictionary(u, nodes=[(16, 16), (12, 20)])
+    assert d.nodes.tolist() == [16 * 33 + 16, 20 * 33 + 12]
+    with pytest.raises(ValueError, match="exits domain"):
+        make_touching_dictionary(u, nodes=[(1, 16)])
+
+
+@pytest.mark.parametrize("case", ["quad-trace", "quad-pucci", "kink-1d"])
+def test_touching_matches_the_per_candidate_oracle(case):
+    if case == "kink-1d":
+        u, op, budget, bounds = build_fixture("kink", 129, ndim=1), TRACE, 400, Bounds(0.0, 0.0)
+    else:
+        op = TRACE if case == "quad-trace" else pucci_max(1.0, 2.0)
+        u, budget, bounds = build_fixture("quad", 33), 200, Bounds(-1.0, 3.0)
+    d = make_touching_dictionary(u, node_budget=budget)
+    rep = check_touching(u, op, bounds, d)
+    triggered, margins = loop_touching(u, op, bounds, d)
+    assert rep.triggered == triggered > 0
+    assert rep.candidates == len(d)
+    assert rep.node_indices.tolist() == sorted(margins)
+    assert rep.node_upper.tolist() == [margins[i][0] for i in sorted(margins)]
+    assert rep.node_lower.tolist() == [margins[i][1] for i in sorted(margins)]
 
 
 def test_touching_agrees_with_pointwise_on_smooth_data():
@@ -127,6 +177,12 @@ def test_touching_report_round_trip(tmp_path):
     text = p1.read_text()
     assert text.splitlines()[0].startswith("node,")
     assert "# passed" in text
+    footer = dict(line.split(",") for line in text.splitlines() if line.startswith("# "))
+    assert int(footer["# candidates"]) == rep.candidates == len(tests)
+    assert int(footer["# triggered"]) == rep.triggered
+    worst = int(footer["# worst_node"])
+    k = list(rep.node_indices).index(worst)
+    assert max(rep.node_upper[k], rep.node_lower[k]) == max(rep.worst_upper, rep.worst_lower)
 
 
 # ---------------------------------------------------------------------------
