@@ -28,6 +28,8 @@ def main():
                           Bounds(result.lam_lo, result.lam_hi))
     print("resolution      : %d^2" % args.res)
     print("steps           : %d  (residual %.2e)" % (result.iterations, result.residual))
+    print("steps per level : %s" % "  ".join("%d^2: %d" % level
+                                             for level in result.level_steps))
     print("realized bounds : [%.6g, %.6g]" % (result.lam_lo, result.lam_hi))
     print("contact fraction: %.2f%%" % (100.0 * result.contact_fraction))
     print("certified       : %s  (worst margins %.2e / %.2e)"

@@ -36,7 +36,6 @@ from .operators import (
     trace_operator,
 )
 from .stencils import (
-    HessianField,
     StencilReachError,
     discrete_hessian,
     eval_discrete,
@@ -45,7 +44,7 @@ from .stencils import (
 from .solvers import (
     ObstacleProblem,
     ObstacleResult,
-    RelaxationConfig,
+    SolverConfig,
     SolverError,
     SolveResult,
     residual,

@@ -8,7 +8,8 @@ plus the code version) into --out and returns a process exit code:
     1   a certification failed (message names the failing check)
     2   flag / input parse errors, and a grid too small for the operator's
         stencil
-    3   anything unexpected
+    3   a solve that did not converge (message names the grid it failed on),
+        and anything unexpected
 
 Identical flags + seed produce byte-identical CSV artifacts; the only random
 number generator in the package is the seeded one inside the operator
@@ -36,7 +37,7 @@ from .operators import (
     parse_operator,
     trace_operator,
 )
-from .solvers import RelaxationConfig, solve_dirichlet, solve_obstacle
+from .solvers import SolverConfig, SolverError, solve_dirichlet, solve_obstacle
 from .stencils import StencilReachError, eval_discrete
 from .viscosity import (
     Bounds,
@@ -152,7 +153,7 @@ def cmd_solve(args) -> int:
     # start from zero inside: the solver pins the margin band to the target
     zero = GridFunction(target.grid, np.zeros(target.grid.node_count))
     result = solve_dirichlet(op, f, target, grid=target.grid, initial=zero,
-                             config=RelaxationConfig(residual_tolerance=tol))
+                             config=SolverConfig(residual_tolerance=tol))
     sup_error = float(np.max(np.abs(result.u.values - target.values)))
     write_grid_function(result.u, os.path.join(out, "solution.txt"))
     write_csv(os.path.join(out, "solve_report.csv"),
@@ -175,7 +176,7 @@ def cmd_obstacle(args) -> int:
     res = _resolution(args)
     tol = _tol_scale(args) * 1e-9
     result = solve_obstacle(disc_problem(res),
-                            config=RelaxationConfig(residual_tolerance=tol))
+                            config=SolverConfig(residual_tolerance=tol))
     write_grid_function(result.u, os.path.join(out, "solution.txt"))
     write_csv(os.path.join(out, "obstacle_report.csv"),
               ["contact_fraction", "lam_lo", "lam_hi", "steps", "residual"],
@@ -184,6 +185,7 @@ def cmd_obstacle(args) -> int:
     _write_run_manifest(out, "obstacle", {
         "fixture": "disc", "res": res, "op": "trace", "g_weight": 1.0,
         "residual_tolerance": tol, "steps": result.iterations,
+        "level_steps": " ".join("%d:%d" % level for level in result.level_steps),
         "lam_lo": result.lam_lo, "lam_hi": result.lam_hi,
         "contact_fraction": result.contact_fraction,
     })
@@ -387,13 +389,10 @@ def main(argv=None) -> int:
         # failed preconditions and unattained certifications land here
         print("ellipticlab: certification failed: %s" % exc, file=sys.stderr)
         return 1
-    except RuntimeError as exc:
-        if type(exc) is RuntimeError:
-            print("ellipticlab: internal error: %s" % exc, file=sys.stderr)
-            return 3
-        # SolverError and friends: the run itself failed its contract
-        print("ellipticlab: certification failed: %s" % exc, file=sys.stderr)
-        return 1
+    except SolverError as exc:
+        # no certificate was attempted: the solve itself did not converge
+        print("ellipticlab: solver failed: %s" % exc, file=sys.stderr)
+        return 3
     except Exception as exc:  # pragma: no cover - defensive
         print("ellipticlab: internal error: %s" % exc, file=sys.stderr)
         return 3

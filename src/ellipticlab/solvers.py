@@ -21,6 +21,19 @@ equality off the contact set, and on contact F_h(u) >= F_h(psi) by
 monotonicity of the scheme, which is what lets us manufacture two-sided
 inequality bounds for the certificate checks.
 
+From the cold start max(boundary, psi) the active set loses about one node
+layer per step, so the step count grows like 1/h.  Unless given an initial
+iterate, the obstacle solve therefore starts coarse to fine, in the spirit of
+projected full multigrid (Brandt & Cryer, SIAM J. Sci. Stat. Comput. 4,
+1983): it first solves the same problem, restricted by injection, on the grid
+of every other node (recursively, while every axis has an even number of
+cells, the coarse grid keeps MIN_LEVEL_NODES per axis and the boundary data
+still dominate psi on its margin band).  The finer level's first active set
+is the nodes whose surrounding coarse nodes are all in contact, its first
+iterate the bilinear interpolation of the coarse solution, pinned to psi on
+that set; from there the loop is the single-level one, so it stops at the
+same discrete fixed point, a few steps per level on every grid.
+
 Each step solves for the correction to the current iterate with BiCGSTAB
 (the same as warm-starting at the iterate); the correction vanishes on the
 boundary band and on pinned nodes, so only the free interior nodes are
@@ -40,7 +53,7 @@ from .operators import EllipticOperator
 from .stencils import eval_discrete, eval_policy, frozen_stencils, operator_margin
 
 __all__ = [
-    "RelaxationConfig",
+    "SolverConfig",
     "SolverError",
     "SolveResult",
     "ObstacleProblem",
@@ -67,7 +80,7 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RelaxationConfig:
+class SolverConfig:
     """Step budget and stopping rule.
 
     max_iterations bounds the policy (or active-set) steps, each one sparse
@@ -150,14 +163,14 @@ def _matrix(stencils, policy, nodes, node_count, shift):
                              shape=(nodes.size, nodes.size))
 
 
-def _correction(matrix, rhs, tol, step, r):
+def _correction(matrix, rhs, tol, where, r):
     """Solve matrix @ x = rhs by BiCGSTAB from x = 0."""
     from scipy.sparse.linalg import bicgstab
 
     x, info = bicgstab(matrix, rhs, rtol=_INNER_RTOL, atol=_INNER_ATOL * tol)
     if info != 0:
-        raise SolverError("linear solve of step %d broke down (BiCGSTAB info %d);"
-                          " residual %.3e" % (step, info, r), r)
+        raise SolverError("linear solve of %s broke down (BiCGSTAB info %d);"
+                          " residual %.3e" % (where, info, r), r)
     return x
 
 
@@ -178,7 +191,7 @@ def _tolerance(config, fv, mask):
 
 
 def solve_dirichlet(op: EllipticOperator, f, boundary,
-                    config: RelaxationConfig | None = None,
+                    config: SolverConfig | None = None,
                     grid: Grid | None = None,
                     initial: GridFunction | None = None) -> SolveResult:
     """Solve F_h(u) = f on the interior by policy iteration; the whole margin
@@ -189,7 +202,7 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
     ``initial`` (default: the boundary field), and an exact start returns
     after 0 steps.
     """
-    config = config or RelaxationConfig()
+    config = config or SolverConfig()
     grid = grid or _pick_grid(f, boundary, initial)
     mask, fv = _setup(op, grid, f, initial)
     bv = _node_field(grid, boundary, "boundary")
@@ -209,7 +222,7 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
         if step == config.max_iterations:
             break
         a = _matrix(stencils, policy, nodes, grid.node_count, 0.0)
-        u[nodes] += _correction(a, -e, tol, step, r)
+        u[nodes] += _correction(a, -e, tol, "step %d" % step, r)
     raise SolverError(
         "policy iteration failed to converge: residual %.3e after %d steps"
         " (tolerance %.3e)" % (r, config.max_iterations, tol), r
@@ -255,12 +268,114 @@ class ObstacleResult:
     contact_fraction: float  # share of interior nodes in contact
     lam_lo: float
     lam_hi: float
-    iterations: int  # active-set steps, one linear solve each
+    iterations: int  # active-set steps, one linear solve each, over all levels
     residual: float  # sup-norm of F_h(u) - g u - f off contact at return
+    level_steps: tuple  # (nodes along the first axis, steps) per level, coarse to fine
+
+
+# the coarse-to-fine start stops coarsening before a level drops below this
+# many nodes on an axis (the CLI's smallest --res)
+MIN_LEVEL_NODES = 17
+
+
+def _inject(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Every other node of every axis, as a flat array on the coarser grid."""
+    return grid.lattice(values)[(slice(None, None, 2),) * grid.ndim].ravel()
+
+
+def _prolong(grid: Grid, coarse: np.ndarray, between) -> np.ndarray:
+    """Flat values on ``grid`` from those on the grid of every other node:
+    coarse nodes are copied, and each node between two of them along an axis
+    gets ``between(left, right)``, axis by axis (the mean gives bilinear
+    interpolation, logical and says whether all surrounding nodes agree)."""
+    lat = coarse.reshape(tuple((n + 1) // 2 for n in grid.shape[::-1]))
+    for ax in range(lat.ndim):
+        a = np.moveaxis(lat, ax, 0)
+        fine = np.empty((2 * a.shape[0] - 1,) + a.shape[1:], dtype=a.dtype)
+        fine[::2] = a
+        fine[1::2] = between(a[:-1], a[1:])
+        lat = np.moveaxis(fine, 0, ax)
+    return lat.ravel()
+
+
+def _coarser(grid: Grid, psi, bv, margin: int) -> Grid | None:
+    """The grid of every other node, if the coarse start may use it: every
+    axis has an even number of cells, the coarse grid keeps MIN_LEVEL_NODES
+    per axis and some interior, and the boundary data still dominate the
+    obstacle on its margin band."""
+    if any((n - 1) % 2 or (n + 1) // 2 < MIN_LEVEL_NODES for n in grid.shape):
+        return None
+    coarse = Grid(grid.domain, tuple((n + 1) // 2 for n in grid.shape))
+    band = ~coarse.interior_mask(margin)
+    if band.all() or np.min(_inject(grid, bv)[band] - _inject(grid, psi)[band]) < -1e-12:
+        return None
+    return coarse
+
+
+def _active_set(op, grid, psi, bv, fv, g, tol, config, u, seed):
+    """The primal-dual active-set loop on one level, from the iterate ``u``.
+
+    A ``seed`` is taken as the first active set; otherwise, and on every
+    later step, a node is active where u - psi falls below its multiplier.
+    Returns (u, active set, excess F_h(u) - g u - f, free residual, steps).
+    """
+    mask = grid.interior_mask(operator_margin(op, grid.ndim))
+    u[~mask] = bv[~mask]
+    stencils = frozen_stencils(op, grid)
+    level = "x".join(str(n) for n in grid.shape)
+
+    def excess(fh):  # F_h(u) - g u - f at the iterate: zero off contact, <= 0 on it
+        return fh.values - g * u - fv
+
+    previous = None
+    for step in range(config.max_iterations + 1):
+        e = excess(eval_discrete(op, GridFunction(grid, u)))
+        if step == 0 and seed is not None:
+            active = seed
+        else:
+            # a node below the obstacle is pinned whatever its multiplier says
+            active = mask & (u - psi < np.maximum(-e, 0.0))
+        free = mask & ~active
+        r = float(np.max(np.abs(e[free]))) if free.any() else 0.0
+        if previous is not None and np.array_equal(active, previous) and r <= tol:
+            return u, active, e, r, step
+        if step == config.max_iterations:
+            break
+        previous = active
+        u[active] = psi[active]
+        nodes = np.flatnonzero(free).astype(np.int32)
+        if nodes.size:
+            fh, policy = eval_policy(op, GridFunction(grid, u))
+            a = _matrix(stencils, policy, nodes, grid.node_count, g[nodes])
+            u[nodes] += _correction(a, -excess(fh)[nodes], tol,
+                                    "step %d on the %s grid" % (step, level), r)
+    raise SolverError(
+        "active-set iteration on the %s grid failed to converge: residual %.3e"
+        " after %d steps (tolerance %.3e)" % (level, r, config.max_iterations, tol), r
+    )
+
+
+def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, config):
+    """Solve on the grid of every other node first (recursively), then start
+    this level from its bilinearly interpolated solution, pinned to psi on the
+    nodes whose surrounding coarse nodes are all in contact; without a usable
+    coarser grid, start cold from max(boundary, psi).  Returns u, the active
+    set, the excess, the residual and the (nodes, steps) of every level."""
+    coarse = _coarser(grid, psi, bv, operator_margin(op, grid.ndim))
+    if coarse is None:
+        u, seed, levels = np.maximum(bv, psi), None, ()
+    else:
+        cu, ccontact, _, _, levels = _coarse_to_fine(
+            op, coarse, *(_inject(grid, a) for a in (psi, bv, fv, g)), tol, config)
+        u = _prolong(grid, cu, lambda a, b: 0.5 * (a + b))
+        seed = _prolong(grid, ccontact, np.logical_and)
+        u[seed] = psi[seed]
+    u, active, e, r, steps = _active_set(op, grid, psi, bv, fv, g, tol, config, u, seed)
+    return u, active, e, r, levels + ((grid.shape[0], steps),)
 
 
 def solve_obstacle(problem: ObstacleProblem,
-                   config: RelaxationConfig | None = None,
+                   config: SolverConfig | None = None,
                    initial: GridFunction | None = None) -> ObstacleResult:
     """Primal-dual active-set solve of min(u - psi, f + g u - F_h(u)) = 0.
 
@@ -271,45 +386,26 @@ def solve_obstacle(problem: ObstacleProblem,
     the upper one from complementarity (F_h(u) <= f + g u + tol), the lower
     one from monotonicity on the contact set, both cross-checked against the
     realized field before being reported.
+
+    Without ``initial`` the solve starts coarse to fine (module docstring);
+    with it, a single level runs from that iterate.
     """
     grid = problem.psi.grid
     op = problem.op
-    config = config or RelaxationConfig()
+    config = config or SolverConfig()
     mask, fv = _setup(op, grid, problem.f, initial)
     g = problem.g_values
     psi = problem.psi.values
     bv = problem.boundary_values(operator_margin(op, grid.ndim))
-    u = initial.values.copy() if initial is not None else np.maximum(bv, psi)
-    u[~mask] = bv[~mask]
     tol = _tolerance(config, fv, mask)
-    stencils = frozen_stencils(op, grid)
+    if initial is None:
+        u, contact, e, r, levels = _coarse_to_fine(op, grid, psi, bv, fv, g,
+                                                   tol, config)
+    else:
+        u, contact, e, r, steps = _active_set(op, grid, psi, bv, fv, g, tol, config,
+                                              initial.values.copy(), None)
+        levels = ((grid.shape[0], steps),)
 
-    def excess(fh):  # F_h(u) - g u - f at the iterate: zero off contact, <= 0 on it
-        return fh.values - g * u - fv
-
-    previous = None
-    for step in range(config.max_iterations + 1):
-        e = excess(eval_discrete(op, GridFunction(grid, u)))
-        # a node below the obstacle is pinned whatever its multiplier says
-        active = mask & (u - psi < np.maximum(-e, 0.0))
-        free = mask & ~active
-        r = float(np.max(np.abs(e[free]))) if free.any() else 0.0
-        if previous is not None and np.array_equal(active, previous) and r <= tol:
-            break
-        if step == config.max_iterations:
-            raise SolverError(
-                "active-set iteration failed to converge: residual %.3e after %d"
-                " steps (tolerance %.3e)" % (r, config.max_iterations, tol), r
-            )
-        previous = active
-        u[active] = psi[active]
-        nodes = np.flatnonzero(free).astype(np.int32)
-        if nodes.size:
-            fh, policy = eval_policy(op, GridFunction(grid, u))
-            a = _matrix(stencils, policy, nodes, grid.node_count, g[nodes])
-            u[nodes] += _correction(a, -excess(fh)[nodes], tol, step, r)
-
-    contact = active
     rhs = fv + g * u
     fh = e + rhs  # the realized field F_h(u) at the returned iterate
     slack = tol * (1.0 + float(np.max(np.abs(rhs[mask]))))
@@ -323,4 +419,5 @@ def solve_obstacle(problem: ObstacleProblem,
     lam_lo = min(lam_lo, float(np.min(fh[mask])) - slack)
     lam_hi = max(lam_hi, float(np.max(fh[mask])) + slack)
     frac = float(np.count_nonzero(contact)) / float(np.count_nonzero(mask))
-    return ObstacleResult(GridFunction(grid, u), contact, frac, lam_lo, lam_hi, step, r)
+    return ObstacleResult(GridFunction(grid, u), contact, frac, lam_lo, lam_hi,
+                          sum(steps for _, steps in levels), r, levels)

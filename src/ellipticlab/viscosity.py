@@ -174,8 +174,9 @@ def make_touching_dictionary(u: GridFunction, rho: float | None = None,
     the central difference +/- h e_i and Hessians from discrete_hessian
     shifted by +/- s I over a geometric ladder of s.
 
-    Nodes come either from ``nodes`` (multi-indices) or a deterministic
-    stride over all nodes whose rho-ball stays inside the domain.
+    Nodes come either from ``nodes`` (multi-indices) or are at most
+    ``node_budget`` nodes spread evenly, first to last, over all nodes whose
+    rho-ball stays inside the domain.
     """
     grid = u.grid
     h = grid.h
@@ -191,7 +192,8 @@ def make_touching_dictionary(u: GridFunction, rho: float | None = None,
         eligible = np.flatnonzero(grid.interior_mask(margin))
         if eligible.size == 0:
             raise ValueError("no node has its touching ball inside the domain")
-        flat = eligible[::max(1, eligible.size // node_budget)]
+        k = min(node_budget, eligible.size)
+        flat = eligible[np.arange(k) * (eligible.size - 1) // max(k - 1, 1)]
     else:
         multi = np.asarray(nodes, dtype=int).reshape(-1, n)
         flat = np.ravel_multi_index(tuple(multi.T), grid.shape, order="F")

@@ -1,5 +1,6 @@
 """End-to-end command-line runs, exercised the way a shell user would:
-exit code 0 = certified, 1 = certification failure, 2 = usage error."""
+exit code 0 = certified, 1 = certification failure, 2 = usage error,
+3 = a solve that did not converge, or anything unexpected."""
 
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from ellipticlab import GridFunction, write_grid_function
+from ellipticlab import GridFunction, SolverConfig, write_grid_function
+from ellipticlab import cli
 from ellipticlab.fileio import read_manifest
 
 from conftest import field, unit_square_grid
@@ -79,6 +81,23 @@ def test_affine_input_fails_campanato(affine_file, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# solver failures -> exit 3
+
+
+def test_solver_failure_is_not_a_certification_failure(monkeypatch, capsys, tmp_path):
+    """A one-step budget stops the coarse-to-fine solve on its coarsest level;
+    no certificate was attempted, so the exit code is 3, and the message
+    names the grid that failed."""
+    monkeypatch.setattr(cli, "SolverConfig",
+                        lambda **kw: SolverConfig(max_iterations=1, **kw))
+    code = cli.main(["obstacle", "--res", "65", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "17x17 grid" in err
+    assert "certification failed" not in err
+
+
+# ---------------------------------------------------------------------------
 # happy paths -> exit 0 plus artifacts
 
 
@@ -124,6 +143,9 @@ def test_import_leaves_scipy_unloaded():
 
 def test_obstacle_manifest_records_bounds(obstacle_run):
     man = read_manifest(obstacle_run / "run_manifest.txt")
+    levels = [level.split(":") for level in man["level_steps"].split()]
+    assert [n for n, _ in levels] == ["17", "33"]
+    assert sum(int(steps) for _, steps in levels) == int(man["steps"])
     assert float(man["lam_hi"]) == pytest.approx(0.25, abs=1e-6)
     assert float(man["lam_lo"]) == pytest.approx(-4.0, abs=1e-6)
     assert 0.05 <= float(man["contact_fraction"]) <= 0.30

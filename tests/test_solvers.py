@@ -5,7 +5,7 @@ from ellipticlab import (
     Ball,
     GridFunction,
     ObstacleProblem,
-    RelaxationConfig,
+    SolverConfig,
     SolverError,
     build_fixture,
     disc_problem,
@@ -15,6 +15,7 @@ from ellipticlab import (
     pucci_max,
     pucci_min,
     residual,
+    square_grid,
     solve_dirichlet,
     solve_obstacle,
     sup_residual,
@@ -82,7 +83,7 @@ def test_iteration_budget_raises_solver_error():
     assert solve_dirichlet(op, f, target, initial=zero).iterations >= 2
     with pytest.raises(SolverError, match="failed to converge") as err:
         solve_dirichlet(op, f, target, initial=zero,
-                        config=RelaxationConfig(max_iterations=1))
+                        config=SolverConfig(max_iterations=1))
     assert err.value.last_residual > 0
 
 
@@ -199,4 +200,86 @@ def test_obstacle_determinism():
     a = solve_obstacle(disc_problem(33))
     b = solve_obstacle(disc_problem(33))
     np.testing.assert_array_equal(a.u.values, b.u.values)
-    assert (a.lam_lo, a.lam_hi, a.iterations) == (b.lam_lo, b.lam_hi, b.iterations)
+    assert (a.lam_lo, a.lam_hi, a.iterations, a.level_steps) == \
+        (b.lam_lo, b.lam_hi, b.iterations, b.level_steps)
+
+
+# ---------------------------------------------------------------------------
+# coarse-to-fine start
+
+
+def cold_start(problem):
+    """The single-level solve from max(boundary, psi) (the boundary data are
+    0 in every problem here), as an explicit start."""
+    psi = problem.psi
+    return solve_obstacle(problem, initial=psi.with_values(np.maximum(0.0, psi.values)))
+
+
+def assert_same_fixed_point(a, b):
+    """Same contact set bit for bit and the same bounds; u apart by no more
+    than the comparison principle allows for the two returned residuals (every
+    operator here lowers F_h by at least 1 under the barrier (0.75^2 - x^2)/2,
+    whose sup is 0.28125, and g >= 0 only helps)."""
+    np.testing.assert_array_equal(a.contact, b.contact)
+    assert (a.lam_lo, a.lam_hi) == (b.lam_lo, b.lam_hi)
+    gap = np.max(np.abs(a.u.values - b.u.values))
+    assert gap <= 0.28125 * (a.residual + b.residual) * (1 + 1e-6) + 1e-14
+
+
+@pytest.mark.parametrize("op", [
+    TRACE,
+    linear_operator([[2.0, 0.5], [0.5, 1.0]]),
+    pucci_max(1.0, 2.0),
+    max_of_linear([np.diag([1.0, 2.0]), np.diag([2.0, 1.0])]),
+], ids=["trace", "linear", "pucci+", "max_of_linear"])
+def test_coarse_to_fine_matches_the_cold_start(op):
+    disc = disc_problem(65)
+    problem = ObstacleProblem(op, disc.psi, disc.boundary, disc.f, disc.g_weight)
+    fast, cold = solve_obstacle(problem), cold_start(problem)
+    assert [n for n, _ in fast.level_steps] == [17, 33, 65]
+    assert cold.level_steps == ((65, cold.iterations),)
+    assert fast.iterations == sum(steps for _, steps in fast.level_steps)
+    assert_same_fixed_point(fast, cold)
+
+
+@pytest.mark.parametrize("res", [129, 257])
+def test_coarse_to_fine_step_count_is_mesh_independent(res):
+    """From the cold start the finest level took 22 and 44 steps, releasing
+    about one node layer per step; seeded from the coarse contact set it
+    takes a few."""
+    result = solve_obstacle(disc_problem(res))
+    levels = [n for n, _ in result.level_steps]
+    assert levels == [17, 33, 65, 129, 257][:len(levels)] and levels[-1] == res
+    assert result.level_steps[-1][1] <= 6
+    assert result.residual <= 1e-9
+
+
+def fallback_problem(case):
+    """Obstacle problems whose first coarsening is refused."""
+    if case == "odd-cells":  # 33 cells per axis
+        op, res, top = TRACE, 34, 0.25
+    elif case == "coarse-band":
+        # Pucci's stencils reach 3 nodes: psi = 0.46 - |x|^2 stays below the
+        # zero boundary data on the band of 65^2 (|x| >= 0.703) but not on
+        # that of 33^2, which reaches in to |x| = 0.656
+        op, res, top = pucci_max(1.0, 2.0), 65, 0.46
+    else:  # this stencil reaches 9 nodes: 17^2 would have no interior
+        op, res, top = linear_operator([[1.01, 9.0], [9.0, 81.01]]), 33, -0.1
+    grid = square_grid(res, 0.75)
+    psi = GridFunction.from_callable(grid, lambda p: top - np.sum(p**2, axis=1))
+    return ObstacleProblem(op, psi, 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("case", ["odd-cells", "coarse-band", "no-coarse-interior"])
+def test_refused_coarsening_starts_cold(case):
+    problem = fallback_problem(case)
+    result = solve_obstacle(problem)
+    res = problem.psi.grid.shape[0]
+    assert result.level_steps == ((res, result.iterations),)
+    assert result.contact.any() == (case != "no-coarse-interior")
+    assert_same_fixed_point(result, cold_start(problem))
+
+
+def test_coarse_level_failure_names_its_grid():
+    with pytest.raises(SolverError, match="on the 17x17 grid failed to converge"):
+        solve_obstacle(disc_problem(65), config=SolverConfig(max_iterations=1))

@@ -9,6 +9,7 @@ from ellipticlab import (
     check_pointwise,
     check_touching,
     default_tolerance,
+    disc_problem,
     discrete_hessian,
     holder_seminorm,
     limit_families,
@@ -16,6 +17,7 @@ from ellipticlab import (
     make_touching_dictionary,
     pucci_max,
     quartic_perturb,
+    solve_obstacle,
     trace_operator,
     write_viscosity_report,
 )
@@ -115,6 +117,19 @@ def test_touching_dictionary_contents():
                                atol=1e-9)
     assert d.shifts[0] == 0.0 and d.shifts[1] == h
     assert d.shifts[-2] < 1.0 <= d.shifts[-1]
+
+
+@pytest.mark.parametrize("res", [33, 65, 129])
+def test_touching_dictionary_keeps_to_its_node_budget(res):
+    """At most node_budget nodes, spread from the first eligible node to the
+    last; a stride of eligible // budget took 625 nodes for 400 at 33^2."""
+    u = solve_obstacle(disc_problem(res)).u
+    d = make_touching_dictionary(u, node_budget=400)
+    margin = int(np.ceil(d.rho / u.grid.h - 1e-9))
+    eligible = np.flatnonzero(u.grid.interior_mask(margin))
+    assert len(d.nodes) == min(400, eligible.size)
+    assert d.nodes[0] == eligible[0] and d.nodes[-1] == eligible[-1]
+    assert np.all(np.diff(d.nodes) > 0) and np.isin(d.nodes, eligible).all()
 
 
 def test_touching_dictionary_at_given_nodes():
