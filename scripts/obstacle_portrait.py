@@ -30,6 +30,12 @@ def main():
     print("steps           : %d  (residual %.2e)" % (result.iterations, result.residual))
     print("steps per level : %s" % "  ".join("%d^2: %d" % level
                                              for level in result.level_steps))
+    start, krylov = 0, []
+    for n, steps in result.level_steps:
+        rows = result.history[start:start + steps]
+        krylov.append("%d^2: %d" % (n, sum(row[2] for row in rows)))
+        start += steps
+    print("Krylov per level: %s" % "  ".join(krylov))
     print("realized bounds : [%.6g, %.6g]" % (result.lam_lo, result.lam_hi))
     print("contact fraction: %.2f%%" % (100.0 * result.contact_fraction))
     print("certified       : %s  (worst margins %.2e / %.2e)"

@@ -161,7 +161,8 @@ def cmd_solve(args) -> int:
               [(result.iterations, result.residual, sup_error)])
     entries = _subject_keys(args, target)
     entries.update({"op": operator_spec_string(op), "residual_tolerance": tol,
-                    "steps": result.iterations})
+                    "steps": result.iterations,
+                    "krylov_iterations": sum(row[2] for row in result.history)})
     _write_run_manifest(out, "solve", entries)
     print("solve: residual %.3e after %d steps, sup error %.3e"
           % (result.residual, result.iterations, sup_error))
@@ -186,6 +187,7 @@ def cmd_obstacle(args) -> int:
         "fixture": "disc", "res": res, "op": "trace", "g_weight": 1.0,
         "residual_tolerance": tol, "steps": result.iterations,
         "level_steps": " ".join("%d:%d" % level for level in result.level_steps),
+        "krylov_iterations": sum(row[2] for row in result.history),
         "lam_lo": result.lam_lo, "lam_hi": result.lam_hi,
         "contact_fraction": result.contact_fraction,
     })

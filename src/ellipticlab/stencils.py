@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +185,18 @@ class _Scheme:
         return [math.prod(len(coeffs) for _, coeffs in cand) for cand in self.candidates]
 
 
+# built schemes per operator object (operators hash by identity) and ndim
+_SCHEMES = weakref.WeakKeyDictionary()
+
+
 def _scheme(op: EllipticOperator, ndim: int) -> _Scheme:
+    cached = _SCHEMES.setdefault(op, {})
+    if ndim not in cached:
+        cached[ndim] = _build_scheme(op, ndim)
+    return cached[ndim]
+
+
+def _build_scheme(op: EllipticOperator, ndim: int) -> _Scheme:
     if ndim not in (1, 2):
         raise NotImplementedError("the scheme is implemented for 1D and 2D grids")
     if op.kind in ("pucci_max", "pucci_min"):

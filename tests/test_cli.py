@@ -120,6 +120,7 @@ def test_solve_quad_exact(tmp_path):
     assert float(report["sup_error"]) <= 1e-8
     man = read_manifest(tmp_path / "run_manifest.txt")
     assert man["steps"] == report["steps"]
+    assert int(man["krylov_iterations"]) >= int(report["steps"])
     assert "tau" not in man
 
 
@@ -146,6 +147,7 @@ def test_obstacle_manifest_records_bounds(obstacle_run):
     levels = [level.split(":") for level in man["level_steps"].split()]
     assert [n for n, _ in levels] == ["17", "33"]
     assert sum(int(steps) for _, steps in levels) == int(man["steps"])
+    assert int(man["krylov_iterations"]) >= 1
     assert float(man["lam_hi"]) == pytest.approx(0.25, abs=1e-6)
     assert float(man["lam_lo"]) == pytest.approx(-4.0, abs=1e-6)
     assert 0.05 <= float(man["contact_fraction"]) <= 0.30

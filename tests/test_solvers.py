@@ -283,3 +283,117 @@ def test_refused_coarsening_starts_cold(case):
 def test_coarse_level_failure_names_its_grid():
     with pytest.raises(SolverError, match="on the 17x17 grid failed to converge"):
         solve_obstacle(disc_problem(65), config=SolverConfig(max_iterations=1))
+
+
+# ---------------------------------------------------------------------------
+# multigrid-preconditioned linear solves and solver histories
+
+
+def frozen_system(op, res, ndim, seed=0):
+    """A frozen-policy matrix (shifted by g = 1, as in the obstacle solve)
+    over the interior nodes of a random field, less a contact hole |x| < 0.3."""
+    from ellipticlab.solvers import _matrix
+    from ellipticlab.stencils import eval_policy, frozen_stencils
+
+    grid = unit_square_grid(res, ndim=ndim)
+    rng = np.random.default_rng(seed)
+    u = GridFunction(grid, rng.standard_normal(grid.node_count))
+    _, policy = eval_policy(op, u)
+    hole = np.sum(grid.points() ** 2, axis=1) < 0.3**2
+    nodes = np.flatnonzero(grid.interior_mask(1) & ~hole).astype(np.int32)
+    a = _matrix(frozen_stencils(op, grid), policy, nodes, grid.node_count, 1.0)
+    return a, nodes, grid.shape, rng.standard_normal(nodes.size)
+
+
+MAX_OF_DIAGONALS = max_of_linear([np.diag([1.0, 2.0]), np.diag([2.0, 1.0])])
+
+
+@pytest.mark.parametrize("op, res, ndim", [
+    (TRACE, 65, 2),
+    (linear_operator([[2.0, 0.5], [0.5, 1.0]]), 65, 2),
+    (MAX_OF_DIAGONALS, 65, 2),
+    # 82 cells: coarsening stops at 42^2, which has 41 cells and is factorized
+    (TRACE, 83, 2),
+    (linear_operator([[2.0, 0.5], [0.5, 1.0]]), 83, 2),
+    (MAX_OF_DIAGONALS, 83, 2),
+    # 202 cells: one coarse level of 102 nodes
+    (TRACE, 203, 1),
+    (max_of_linear([[[1.0]], [[3.0]]]), 203, 1),
+], ids=["trace", "linear", "max_of_linear", "trace-stops", "linear-stops",
+        "max_of_linear-stops", "trace-1d", "max_of_linear-1d"])
+def test_preconditioned_correction_matches_spsolve(op, res, ndim):
+    from scipy.sparse.linalg import spsolve
+    from ellipticlab.solvers import _INNER_ATOL, _INNER_RTOL, _correction, _vcycle
+
+    a, nodes, shape, rhs = frozen_system(op, res, ndim)
+    assert _vcycle(a, nodes, shape) is not None
+    tol = 1e-9
+    x, krylov = _correction(a, rhs, tol, "test", 0.0, nodes, shape)
+    exact = spsolve(a.tocsc(), rhs)
+    bound = max(_INNER_RTOL * np.linalg.norm(rhs), _INNER_ATOL * tol)
+    assert np.linalg.norm(a @ (x - exact)) <= 1.01 * bound
+    assert np.max(np.abs(x - exact)) <= 1e-4 * np.max(np.abs(exact))
+    assert 1 <= krylov <= 6
+
+
+def test_unpreconditioned_when_coarsening_is_impossible():
+    """33 cells per axis: no coarse grid, so the plain iteration runs."""
+    from ellipticlab.solvers import _vcycle
+
+    a, nodes, shape, _ = frozen_system(TRACE, 34, 2)
+    assert _vcycle(a, nodes, shape) is None
+
+
+@pytest.mark.parametrize("res", [65, 129, 257])
+def test_preconditioned_krylov_iterations_stay_flat(res):
+    """Unpreconditioned BiCGSTAB took 50-125 iterations per step here; one
+    V-cycle per iteration keeps every step at a few on every level."""
+    result = solve_obstacle(disc_problem(res))
+    krylov = [row[2] for row in result.history]
+    assert len(krylov) == result.iterations
+    assert 1 <= max(krylov) <= 4
+
+
+def test_pucci_policies_are_not_preconditioned(monkeypatch):
+    """Pucci's stencils reach 3 nodes, where a Galerkin V-cycle costs more
+    than it saves: the gate keeps the plain iteration for them."""
+    from ellipticlab import solvers
+
+    built = []
+    real = solvers._vcycle
+    monkeypatch.setattr(solvers, "_vcycle",
+                        lambda *args: built.append(args[2]) or real(*args))
+    op = pucci_max(1.0, 2.0)
+    f, target, zero = manufactured_quad(op)
+    assert solve_dirichlet(op, f, target, initial=zero).iterations >= 1
+    disc = disc_problem(33)
+    solve_obstacle(ObstacleProblem(op, disc.psi, disc.boundary, disc.f, disc.g_weight))
+    assert built == []
+    f, target, zero = manufactured_quad(TRACE)
+    solve_dirichlet(TRACE, f, target, initial=zero)
+    assert built and set(built) == {(33, 33)}
+
+
+def test_histories_have_one_row_per_step():
+    op = pucci_max(1.0, 2.0)
+    f, target, zero = manufactured_quad(op)
+    r = solve_dirichlet(op, f, target, initial=zero)
+    assert len(r.history) == r.iterations
+    assert all(active == 0 and krylov >= 1 for _, active, krylov in r.history)
+    assert r.history[0][0] > r.history[-1][0] > r.residual
+
+    o = solve_obstacle(disc_problem(65))
+    assert len(o.history) == o.iterations == sum(s for _, s in o.level_steps)
+    interior = np.count_nonzero(disc_problem(65).psi.grid.interior_mask(1))
+    assert o.history[-1][1] == np.count_nonzero(o.contact) < interior
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError,
+                   reason="F_h a min over policies makes the obstacle problem an"
+                          " Isaacs system, on which plain policy/active-set"
+                          " iteration cycles; needs nested policy iteration")
+def test_pucci_min_obstacle_converges():
+    disc = disc_problem(33)
+    problem = ObstacleProblem(pucci_min(1.0, 2.0), disc.psi, disc.boundary,
+                              disc.f, disc.g_weight)
+    assert solve_obstacle(problem).residual <= 1e-9
