@@ -101,7 +101,13 @@ def _load_field(args) -> GridFunction:
 
 
 def _write_run_manifest(out, command, entries: dict):
-    data = {"command": command, "version": __version__}
+    import platform
+
+    import scipy
+
+    data = {"command": command, "version": __version__,
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
     data.update(entries)
     write_manifest(os.path.join(out, "run_manifest.txt"), data)
 

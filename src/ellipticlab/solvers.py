@@ -44,10 +44,21 @@ interpolation from the grid of every other node restricted to the free
 nodes, Galerkin coarse operators P^T A P, damped Jacobi smoothing and a
 direct factorization of the coarsest level.  It takes a few iterations per
 step on every grid, where the plain iteration needs more as h shrinks.
-Pucci's wide interpolated 2D stencils keep the plain iteration.  Every step
-records its residual, active-set size and BiCGSTAB iteration count in the
-result's ``history``.  scipy is imported inside the solves, which keeps
-importing the package light.
+Pucci's wide interpolated 2D stencils keep the plain iteration.
+
+The system and its V-cycle belong to one grid's step loop
+(``_FrozenSystem``), as in truncated monotone multigrid (Kornhuber, Numer.
+Math. 69, 1994), which adapts only the finest level to the active set.  A
+step whose free nodes and policy repeat the previous step's (for the trace,
+the closing step of every obstacle level and the second step of a Dirichlet
+solve) reuses the matrix and V-cycle as they are; any other step drops them,
+assembles its matrix and rebuilds only the finest level of the V-cycle over
+the coarse levels and factorization of the grid's first step.  Nothing
+outlives the loop.
+
+Every step records its residual, active-set size and BiCGSTAB iteration
+count in the result's ``history``.  scipy is imported inside the solves,
+which keeps importing the package light.
 """
 
 from __future__ import annotations
@@ -214,9 +225,36 @@ def _interpolation(shape):
     return p
 
 
-def _vcycle(matrix, nodes, shape):
+def _coarse_free(nodes, shape):
+    """Which nodes of the grid of every other node sit on one of the free
+    ``nodes`` of a grid of ``shape``, as a flat mask."""
+    free = np.zeros(math.prod(shape), dtype=bool)
+    free[nodes] = True
+    return free.reshape(shape[::-1])[(slice(None, None, 2),) * len(shape)].ravel()
+
+
+def _level(a, nodes, shape, kept):
+    """One level of a V-cycle for ``a``, a system over the free ``nodes`` of
+    a grid of ``shape``: (A, P, P^T, damped Jacobi weights).  P is
+    ``_interpolation`` with its rows on the free nodes and its columns on the
+    ``kept`` coarse nodes, renumbered in order; the column of a kept coarse
+    node that no longer sits on a free node stays empty, so the coarse
+    correction still vanishes on contact."""
+    from scipy import sparse
+
+    p = _interpolation(shape)[nodes]
+    on = (kept & _coarse_free(nodes, shape))[p.indices]
+    renumber = np.cumsum(kept) - 1
+    indptr = np.concatenate([[0], np.cumsum(on)])[p.indptr]
+    p = sparse.csr_matrix((p.data[on], renumber[p.indices[on]], indptr),
+                          shape=(nodes.size, int(renumber[-1]) + 1))
+    return a, p, p.T.tocsr(), _JACOBI_WEIGHT / a.diagonal()
+
+
+def _vcycle(matrix, nodes, shape, coarse=None):
     """One multigrid V-cycle for ``matrix``, a system over the free ``nodes``
-    of a grid of ``shape``, as a scipy LinearOperator.
+    of a grid of ``shape``: a scipy LinearOperator and the cycle's coarse
+    part, or None.
 
     A level interpolates from the grid of every other node: the rows of
     ``_interpolation`` on its free nodes, the columns on the coarse nodes that
@@ -229,37 +267,44 @@ def _vcycle(matrix, nodes, shape):
     on every axis; the coarsest level is factorized by SuperLU.  None if the
     system cannot be coarsened at all, which keeps the plain solve, or if the
     coarsest factorization fails.
+
+    The coarse part is the finest level's kept coarse nodes, the coarser
+    levels and the coarsest factor.  Given one built for another system on
+    the same grid, only the finest level is built, on those kept coarse
+    nodes; a free node that interpolates from none of them is only smoothed.
+    The cycle is then no longer the Galerkin one for ``matrix``, but it stays
+    a fixed linear preconditioner, which is all BiCGSTAB needs.
     """
-    from scipy import sparse
     from scipy.sparse.linalg import LinearOperator, splu
 
-    levels, a = [], matrix
-    coarse_shape = _coarse_shape(shape)
-    while coarse_shape is not None and (not levels or a.shape[0] > _COARSEST):
-        free = np.zeros(math.prod(shape), dtype=bool)
-        free[nodes] = True
-        kept = free.reshape(shape[::-1])[(slice(None, None, 2),) * len(shape)].ravel()
-        if not kept.any():
-            break
-        p = _interpolation(shape)[nodes].tocoo()
-        on = kept[p.col]
-        renumber = np.cumsum(kept) - 1
-        p = sparse.csr_matrix((p.data[on], (p.row[on], renumber[p.col[on]])),
-                              shape=(nodes.size, int(renumber[-1]) + 1))
-        pt = p.T.tocsr()
-        levels.append((a, p, pt, _JACOBI_WEIGHT / a.diagonal()))
-        a = (pt @ a @ p).tocsr()
-        nodes, shape = np.flatnonzero(kept), coarse_shape
+    if coarse is not None:
+        kept, below, coarsest = coarse
+        levels = [_level(matrix, nodes, shape, kept)] + below
+    else:
+        levels, a = [], matrix
         coarse_shape = _coarse_shape(shape)
-    if not levels:
-        return None
-    try:
-        coarsest = splu(a.tocsc())
-    except RuntimeError:  # an exactly singular coarse operator
-        return None
+        while coarse_shape is not None and (not levels or a.shape[0] > _COARSEST):
+            kept = _coarse_free(nodes, shape)
+            if not kept.any():
+                break
+            if not levels:
+                first_kept = kept
+            levels.append(_level(a, nodes, shape, kept))
+            _, p, pt, _ = levels[-1]
+            a = (pt @ a @ p).tocsr()
+            nodes, shape = np.flatnonzero(kept), coarse_shape
+            coarse_shape = _coarse_shape(shape)
+        if not levels:
+            return None
+        try:
+            coarsest = splu(a.tocsc())
+        except RuntimeError:  # an exactly singular coarse operator
+            return None
+        coarse = first_kept, levels[1:], coarsest
 
-    return LinearOperator(matrix.shape, dtype=float,
-                          matvec=lambda b: _cycle(levels, coarsest, b, 0))
+    cycle = LinearOperator(matrix.shape, dtype=float,
+                           matvec=lambda b: _cycle(levels, coarsest, b, 0))
+    return cycle, coarse
 
 
 def _cycle(levels, coarsest, b, k):
@@ -278,22 +323,13 @@ def _cycle(levels, coarsest, b, k):
     return x
 
 
-def _correction(matrix, rhs, tol, where, r, nodes, shape):
-    """Solve matrix @ x = rhs by BiCGSTAB from x = 0; returns x and the
-    number of BiCGSTAB iterations.
-
-    ``matrix`` is a frozen policy over the free ``nodes`` of a grid of
-    ``shape``.  When that policy is compact, that is the scheme reaches one
-    node layer (Selling's stencils for trace, linear and max-of-linear
-    operators, and every 1D scheme), the caller passes the shape and
-    BiCGSTAB is preconditioned with one V-cycle (``_vcycle``); with
-    ``shape`` None (Pucci's wide interpolated stencils, on which a Galerkin
-    V-cycle costs more than it saves) it runs unpreconditioned.  The
-    stopping rule is the same either way.
-    """
+def _correction(matrix, rhs, tol, where, r, precondition):
+    """Solve matrix @ x = rhs by BiCGSTAB from x = 0, preconditioned by
+    ``precondition`` (a V-cycle from ``_vcycle``, or None for the plain
+    iteration); returns x and the number of BiCGSTAB iterations.  The
+    stopping rule is the same either way."""
     from scipy.sparse.linalg import bicgstab
 
-    precondition = None if shape is None else _vcycle(matrix, nodes, shape)
     count = [0]
 
     def tally(_):
@@ -307,9 +343,37 @@ def _correction(matrix, rhs, tol, where, r, nodes, shape):
     return x, count[0]
 
 
+class _FrozenSystem:
+    """The frozen-policy system of one grid's step loop, minus diag(g), and
+    its V-cycle, reused across the loop's steps as the module docstring
+    describes; it lives as long as that loop.  With ``shape`` None (Pucci's
+    wide stencils, on which a Galerkin V-cycle costs more than it saves)
+    BiCGSTAB runs unpreconditioned."""
+
+    def __init__(self, stencils, g, shape):
+        self.stencils, self.g, self.shape = stencils, g, shape
+        self.key = self.matrix = self.precondition = self.coarse = None
+
+    def solve(self, policy, nodes, rhs, tol, where, r):
+        """The correction on the free ``nodes`` under ``policy`` (None for a
+        single stencil) and its BiCGSTAB iteration count, as ``_correction``."""
+        chosen = None if policy is None else policy[nodes]
+        if not (self.key is not None and np.array_equal(self.key[0], nodes)
+                and (chosen is None or np.array_equal(self.key[1], chosen))):
+            self.key = self.matrix = self.precondition = None
+            self.matrix = _matrix(self.stencils, policy, nodes, self.g.size,
+                                  self.g[nodes])
+            built = None if self.shape is None else _vcycle(
+                self.matrix, nodes, self.shape, self.coarse)
+            if built is not None:
+                self.precondition, self.coarse = built
+            self.key = nodes, chosen
+        return _correction(self.matrix, rhs, tol, where, r, self.precondition)
+
+
 def _compact_shape(op, grid: Grid):
     """The grid shape when the scheme reaches one node layer, so that
-    ``_correction`` preconditions its frozen policies; otherwise None."""
+    ``_FrozenSystem`` preconditions its frozen policies; otherwise None."""
     return grid.shape if operator_margin(op, grid.ndim) == 1 else None
 
 
@@ -349,8 +413,8 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
     u[~mask] = bv[~mask]
     tol = _tolerance(config, fv, mask)
     nodes = np.flatnonzero(mask).astype(np.int32)
-    stencils = frozen_stencils(op, grid)
-    shape = _compact_shape(op, grid)
+    system = _FrozenSystem(frozen_stencils(op, grid), np.zeros(grid.node_count),
+                           _compact_shape(op, grid))
     history = []
 
     for step in range(config.max_iterations + 1):
@@ -362,8 +426,7 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
             return SolveResult(gf, step, r, tuple(history))
         if step == config.max_iterations:
             break
-        a = _matrix(stencils, policy, nodes, grid.node_count, 0.0)
-        x, krylov = _correction(a, -e, tol, "step %d" % step, r, nodes, shape)
+        x, krylov = system.solve(policy, nodes, -e, tol, "step %d" % step, r)
         u[nodes] += x
         history.append((r, 0, krylov))
     raise SolverError(
@@ -454,8 +517,7 @@ def _active_set(op, grid, psi, bv, fv, g, tol, config, u, seed):
     """
     mask = grid.interior_mask(operator_margin(op, grid.ndim))
     u[~mask] = bv[~mask]
-    stencils = frozen_stencils(op, grid)
-    shape = _compact_shape(op, grid)
+    system = _FrozenSystem(frozen_stencils(op, grid), g, _compact_shape(op, grid))
     level = "x".join(str(n) for n in grid.shape)
     history = []
 
@@ -482,10 +544,8 @@ def _active_set(op, grid, psi, bv, fv, g, tol, config, u, seed):
         krylov = 0
         if nodes.size:
             fh, policy = eval_policy(op, GridFunction(grid, u))
-            a = _matrix(stencils, policy, nodes, grid.node_count, g[nodes])
-            x, krylov = _correction(a, -excess(fh)[nodes], tol,
-                                    "step %d on the %s grid" % (step, level), r,
-                                    nodes, shape)
+            x, krylov = system.solve(policy, nodes, -excess(fh)[nodes], tol,
+                                     "step %d on the %s grid" % (step, level), r)
             u[nodes] += x
         history.append((r, int(np.count_nonzero(active)), krylov))
     raise SolverError(

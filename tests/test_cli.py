@@ -2,11 +2,13 @@
 exit code 0 = certified, 1 = certification failure, 2 = usage error,
 3 = a solve that did not converge, or anything unexpected."""
 
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from ellipticlab import GridFunction, SolverConfig, write_grid_function
 from ellipticlab import cli
@@ -151,6 +153,8 @@ def test_obstacle_manifest_records_bounds(obstacle_run):
     assert float(man["lam_hi"]) == pytest.approx(0.25, abs=1e-6)
     assert float(man["lam_lo"]) == pytest.approx(-4.0, abs=1e-6)
     assert 0.05 <= float(man["contact_fraction"]) <= 0.30
+    assert (man["python"], man["numpy"], man["scipy"]) == \
+        (platform.python_version(), np.__version__, scipy.__version__)
 
 
 def test_visc_reads_sibling_manifest(obstacle_run, tmp_path):

@@ -289,9 +289,9 @@ def test_coarse_level_failure_names_its_grid():
 # multigrid-preconditioned linear solves and solver histories
 
 
-def frozen_system(op, res, ndim, seed=0):
+def frozen_system(op, res, ndim, seed=0, hole=0.3):
     """A frozen-policy matrix (shifted by g = 1, as in the obstacle solve)
-    over the interior nodes of a random field, less a contact hole |x| < 0.3."""
+    over the interior nodes of a random field, less a contact hole |x| < hole."""
     from ellipticlab.solvers import _matrix
     from ellipticlab.stencils import eval_policy, frozen_stencils
 
@@ -299,41 +299,68 @@ def frozen_system(op, res, ndim, seed=0):
     rng = np.random.default_rng(seed)
     u = GridFunction(grid, rng.standard_normal(grid.node_count))
     _, policy = eval_policy(op, u)
-    hole = np.sum(grid.points() ** 2, axis=1) < 0.3**2
-    nodes = np.flatnonzero(grid.interior_mask(1) & ~hole).astype(np.int32)
+    inside = np.sum(grid.points() ** 2, axis=1) < hole**2
+    nodes = np.flatnonzero(grid.interior_mask(1) & ~inside).astype(np.int32)
     a = _matrix(frozen_stencils(op, grid), policy, nodes, grid.node_count, 1.0)
     return a, nodes, grid.shape, rng.standard_normal(nodes.size)
 
 
 MAX_OF_DIAGONALS = max_of_linear([np.diag([1.0, 2.0]), np.diag([2.0, 1.0])])
 
-
-@pytest.mark.parametrize("op, res, ndim", [
-    (TRACE, 65, 2),
-    (linear_operator([[2.0, 0.5], [0.5, 1.0]]), 65, 2),
-    (MAX_OF_DIAGONALS, 65, 2),
+COMPACT_SYSTEMS = [
+    pytest.param(TRACE, 65, 2, id="trace"),
+    pytest.param(linear_operator([[2.0, 0.5], [0.5, 1.0]]), 65, 2, id="linear"),
+    pytest.param(MAX_OF_DIAGONALS, 65, 2, id="max_of_linear"),
     # 82 cells: coarsening stops at 42^2, which has 41 cells and is factorized
-    (TRACE, 83, 2),
-    (linear_operator([[2.0, 0.5], [0.5, 1.0]]), 83, 2),
-    (MAX_OF_DIAGONALS, 83, 2),
+    pytest.param(TRACE, 83, 2, id="trace-stops"),
+    pytest.param(linear_operator([[2.0, 0.5], [0.5, 1.0]]), 83, 2, id="linear-stops"),
+    pytest.param(MAX_OF_DIAGONALS, 83, 2, id="max_of_linear-stops"),
     # 202 cells: one coarse level of 102 nodes
-    (TRACE, 203, 1),
-    (max_of_linear([[[1.0]], [[3.0]]]), 203, 1),
-], ids=["trace", "linear", "max_of_linear", "trace-stops", "linear-stops",
-        "max_of_linear-stops", "trace-1d", "max_of_linear-1d"])
-def test_preconditioned_correction_matches_spsolve(op, res, ndim):
-    from scipy.sparse.linalg import spsolve
-    from ellipticlab.solvers import _INNER_ATOL, _INNER_RTOL, _correction, _vcycle
+    pytest.param(TRACE, 203, 1, id="trace-1d"),
+    pytest.param(max_of_linear([[[1.0]], [[3.0]]]), 203, 1, id="max_of_linear-1d"),
+]
 
-    a, nodes, shape, rhs = frozen_system(op, res, ndim)
-    assert _vcycle(a, nodes, shape) is not None
+
+def assert_matches_spsolve(a, rhs, cycle):
+    from scipy.sparse.linalg import spsolve
+    from ellipticlab.solvers import _INNER_ATOL, _INNER_RTOL, _correction
+
     tol = 1e-9
-    x, krylov = _correction(a, rhs, tol, "test", 0.0, nodes, shape)
+    x, krylov = _correction(a, rhs, tol, "test", 0.0, cycle)
     exact = spsolve(a.tocsc(), rhs)
     bound = max(_INNER_RTOL * np.linalg.norm(rhs), _INNER_ATOL * tol)
     assert np.linalg.norm(a @ (x - exact)) <= 1.01 * bound
     assert np.max(np.abs(x - exact)) <= 1e-4 * np.max(np.abs(exact))
     assert 1 <= krylov <= 6
+
+
+@pytest.mark.parametrize("op, res, ndim", COMPACT_SYSTEMS)
+def test_preconditioned_correction_matches_spsolve(op, res, ndim):
+    from ellipticlab.solvers import _vcycle
+
+    a, nodes, shape, rhs = frozen_system(op, res, ndim)
+    built = _vcycle(a, nodes, shape)
+    assert built is not None
+    assert_matches_spsolve(a, rhs, built[0])
+
+
+# the 1D max-of-linear system picks a coefficient of 1 or 3 at random per
+# node; on a coarse part built for another hole it takes 7 iterations (5
+# when built in full), the worst case of these systems, and is left out
+@pytest.mark.parametrize("op, res, ndim", COMPACT_SYSTEMS[:-1])
+def test_reused_coarse_levels_still_match_spsolve(op, res, ndim):
+    """The coarse part of a V-cycle built on one contact hole preconditions
+    the system of a larger hole: only the finest level is rebuilt, and the
+    correction still meets the spsolve test's bounds."""
+    from ellipticlab.solvers import _vcycle
+
+    first, first_nodes, shape, _ = frozen_system(op, res, ndim, hole=0.25)
+    _, coarse = _vcycle(first, first_nodes, shape)
+    a, nodes, _, rhs = frozen_system(op, res, ndim)
+    assert not np.array_equal(nodes, first_nodes)
+    cycle, reused = _vcycle(a, nodes, shape, coarse)
+    assert reused is coarse
+    assert_matches_spsolve(a, rhs, cycle)
 
 
 def test_unpreconditioned_when_coarsening_is_impossible():
@@ -342,6 +369,17 @@ def test_unpreconditioned_when_coarsening_is_impossible():
 
     a, nodes, shape, _ = frozen_system(TRACE, 34, 2)
     assert _vcycle(a, nodes, shape) is None
+
+
+def count_calls(monkeypatch, name, record):
+    """Wrap ``solvers.<name>``; every call appends ``record(*args)`` to the
+    returned list."""
+    from ellipticlab import solvers
+
+    calls, real = [], getattr(solvers, name)
+    monkeypatch.setattr(solvers, name,
+                        lambda *args: calls.append(record(*args)) or real(*args))
+    return calls
 
 
 @pytest.mark.parametrize("res", [65, 129, 257])
@@ -357,12 +395,7 @@ def test_preconditioned_krylov_iterations_stay_flat(res):
 def test_pucci_policies_are_not_preconditioned(monkeypatch):
     """Pucci's stencils reach 3 nodes, where a Galerkin V-cycle costs more
     than it saves: the gate keeps the plain iteration for them."""
-    from ellipticlab import solvers
-
-    built = []
-    real = solvers._vcycle
-    monkeypatch.setattr(solvers, "_vcycle",
-                        lambda *args: built.append(args[2]) or real(*args))
+    built = count_calls(monkeypatch, "_vcycle", lambda *args: args[2])
     op = pucci_max(1.0, 2.0)
     f, target, zero = manufactured_quad(op)
     assert solve_dirichlet(op, f, target, initial=zero).iterations >= 1
@@ -372,6 +405,89 @@ def test_pucci_policies_are_not_preconditioned(monkeypatch):
     f, target, zero = manufactured_quad(TRACE)
     solve_dirichlet(TRACE, f, target, initial=zero)
     assert built and set(built) == {(33, 33)}
+
+
+def test_obstacle_builds_one_hierarchy_per_level(monkeypatch):
+    """The first V-cycle on a level is built in full; later steps rebuild
+    only its finest level, or nothing when the system repeats."""
+    full = count_calls(monkeypatch, "_vcycle",
+                       lambda a, nodes, shape, coarse=None: (shape, coarse is None))
+    result = solve_obstacle(disc_problem(129))
+    assert result.level_steps == ((17, 4), (33, 4), (65, 4), (129, 4))
+    assert [shape for shape, first in full if first] == \
+        [(17, 17), (33, 33), (65, 65), (129, 129)]
+    assert len(full) < result.iterations
+
+
+@pytest.mark.parametrize("op", [TRACE, MAX_OF_DIAGONALS], ids=["trace", "max_of_linear"])
+def test_matrix_is_assembled_once_per_system(monkeypatch, op):
+    """A step whose free nodes and chosen policy repeat the previous step's
+    reuses its matrix.  The trace's last step on every level repeats the
+    one before; max-of-linear's policy still moves at a few nodes there."""
+    keys = count_calls(monkeypatch, "_matrix", lambda stencils, policy, nodes, n, shift: (
+        n, nodes.tobytes(), None if policy is None else policy[nodes].tobytes()))
+    disc = disc_problem(129)
+    result = solve_obstacle(ObstacleProblem(op, disc.psi, disc.boundary, disc.f,
+                                            disc.g_weight))
+    assert len(keys) == len(set(keys))
+    assert len(keys) == result.iterations - (4 if op is TRACE else 0)
+
+
+def test_dirichlet_solve_builds_once_for_a_repeated_system(monkeypatch):
+    """The trace's policy never changes, so both steps of the 65^2 solve
+    share one matrix and one V-cycle."""
+    built = count_calls(monkeypatch, "_vcycle", lambda *args: args[2])
+    assembled = count_calls(monkeypatch, "_matrix", lambda *args: args[3])
+    f, target, zero = manufactured_quad(TRACE, 65)
+    assert solve_dirichlet(TRACE, f, target, initial=zero).iterations == 2
+    assert built == [(65, 65)] and assembled == [65 * 65]
+
+
+def test_a_repeated_system_gives_the_rebuilt_correction(monkeypatch):
+    """Reusing the previous step's system is bit for bit the same as
+    assembling it and building its V-cycle (on the same coarse part) again."""
+    from ellipticlab.solvers import _FrozenSystem, _correction, _matrix, _vcycle
+    from ellipticlab.stencils import eval_policy, frozen_stencils
+
+    op = MAX_OF_DIAGONALS
+    _, first, shape, first_rhs = frozen_system(op, 65, 2, hole=0.25)
+    _, nodes, _, rhs = frozen_system(op, 65, 2)
+    grid = unit_square_grid(65)
+    _, policy = eval_policy(op, GridFunction(
+        grid, np.random.default_rng(0).standard_normal(grid.node_count)))
+    stencils, g = frozen_stencils(op, grid), np.ones(grid.node_count)
+    system = _FrozenSystem(stencils, g, shape)
+    system.solve(policy, first, first_rhs, 1e-9, "test", 0.0)
+    system.solve(policy, nodes, -rhs, 1e-9, "test", 0.0)
+    assembled = count_calls(monkeypatch, "_matrix", lambda *args: None)
+    x, krylov = system.solve(policy, nodes, rhs, 1e-9, "test", 0.0)
+    assert assembled == []
+    a = _matrix(stencils, policy, nodes, grid.node_count, g[nodes])
+    cycle, _ = _vcycle(a, nodes, shape, system.coarse)
+    y, again = _correction(a, rhs, 1e-9, "test", 0.0, cycle)
+    np.testing.assert_array_equal(x, y)
+    assert krylov == again
+
+
+def test_solves_retain_no_memory():
+    """Each step's system is dropped before the next is assembled, and
+    nothing outlives a solve, not even in a reference cycle."""
+    import gc
+    import tracemalloc
+
+    solve_obstacle(disc_problem(129))  # load modules and fill per-shape caches
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        current = []
+        for _ in range(5):
+            solve_obstacle(disc_problem(129))
+            current.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert current[-1] - current[0] < 0.5e6
 
 
 def test_histories_have_one_row_per_step():
