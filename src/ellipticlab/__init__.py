@@ -17,6 +17,7 @@ from .grids import (
     ball_node_mask,
     oscillation,
     read_grid_function,
+    resample,
     restrict,
     sample_bilinear,
     write_grid_function,

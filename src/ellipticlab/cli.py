@@ -271,7 +271,7 @@ def cmd_campanato(args) -> int:
     ok = all(step[3] for step in chain)
     entries.update({"beta_hat": profile.beta_hat, "slope": profile.slope,
                     "sigma": profile.sigma, "spread": profile.spread,
-                    "chain_ok": int(ok)})
+                    "simplex_pivots": sum(profile.pivots), "chain_ok": int(ok)})
     _write_run_manifest(out, "campanato", entries)
     print("campanato: beta_hat %.4f (spread %.2g), chain %s"
           % (profile.beta_hat, profile.spread, "pass" if ok else "FAIL"))

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .fileio import write_csv
-from .grids import Ball, Domain, Grid, GridFunction, ball_node_mask, oscillation, sample_bilinear
+from .grids import Ball, Domain, Grid, GridFunction, ball_node_mask, oscillation, resample
 from .simplex import minimax_affine
 
 __all__ = [
@@ -54,6 +54,7 @@ class AffineFit:
     osc_value: float
     intercept: float  # midpoint of the residual band; q . x + intercept is the
     # Chebyshev fit with uniform error osc_value / 2
+    iterations: int  # simplex pivots of the minimax fit
 
     def __call__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -68,10 +69,10 @@ def best_affine(u: GridFunction, ball: Ball) -> AffineFit:
     remainder.
     """
     mask = ball_node_mask(u.grid, ball)
-    pts = u.grid.points()[mask]
+    pts = u.grid.points_at(np.flatnonzero(mask))
     fit = minimax_affine(pts, u.values[mask])
     return AffineFit(tuple(float(s) for s in fit.slope), fit.width,
-                     0.5 * (fit.lower + fit.upper))
+                     0.5 * (fit.lower + fit.upper), fit.iterations)
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,7 @@ class DecayProfile:
     beta_hat: float  # slope - 1
     sigma: float  # log 2 / (-log lam)
     spread: float  # max deviation of leave-one-level-out slopes
+    pivots: tuple  # simplex pivots of each level's affine fit
 
     @property
     def usable_count(self) -> int:
@@ -155,13 +157,14 @@ def decay_profile(u: GridFunction, center, cfg: DecayConfig,
             "resolution floor violated: lam^K radius0 < %d h" % cfg.min_radius_nodes
         )
     tiny = 100.0 * np.finfo(float).eps * u.sup_norm()
-    radii, psis, usable = [], [], []
+    radii, psis, usable, pivots = [], [], [], []
     for k in range(cfg.levels + 1):
         r = radius0 * cfg.lam**k
-        val = best_affine(u, Ball(center, r)).osc_value
+        fit = best_affine(u, Ball(center, r))
         radii.append(r)
-        psis.append(val)
-        usable.append(val > tiny)
+        psis.append(fit.osc_value)
+        usable.append(fit.osc_value > tiny)
+        pivots.append(fit.iterations)
     good = [k for k, f in enumerate(usable) if f]
     if len(good) < 3:
         raise ValueError("fewer than 3 usable levels")
@@ -174,7 +177,7 @@ def decay_profile(u: GridFunction, center, cfg: DecayConfig,
     phis = [p / r ** (1.0 + cfg.beta) for p, r in zip(psis, radii)]
     return DecayProfile(center, cfg.lam, cfg.beta, radius0, tuple(radii),
                         tuple(psis), tuple(phis), tuple(bool(f) for f in usable),
-                        slope, slope - 1.0, cfg.sigma, float(spread))
+                        slope, slope - 1.0, cfg.sigma, float(spread), tuple(pivots))
 
 
 def write_decay_profile(profile: DecayProfile, path):
@@ -230,6 +233,8 @@ def rescale_sequence(u: GridFunction, cfg: DecayConfig,
     run ``normalize`` first.  Every level resamples the *original* u
     (bilinear), never the previous zoom, so interpolation error does not
     compound; the previous zoom is used only to fit the slope correction.
+    The zoom is the lattice lam^k * unit, so it goes through ``resample``:
+    the values equal ``sample_bilinear(u, lam^k * unit.points())`` bit for bit.
     Levels the grid cannot resolve (lam^k < min_radius_nodes h) are not
     fabricated: the list truncates and says so.
     """
@@ -253,8 +258,7 @@ def rescale_sequence(u: GridFunction, cfg: DecayConfig,
             truncated = True
             break
         amp = 2.0**k * cfg.lam ** (-k * (1.0 + cfg.beta))
-        phys = r * unit_pts
-        vals = amp * (sample_bilinear(u, phys) - phys @ q)
+        vals = amp * (resample(u, unit, r) - (r * unit_pts) @ q)
         uk = GridFunction(unit, vals)
         states.append(RescaleState(k, tuple(q.tolist()), uk,
                                    float(oscillation(uk, unit_ball))))
@@ -275,6 +279,8 @@ def normalize(u: GridFunction, radius: float, lam: float, eps: float,
     By construction osc_{B(0,1)} of the result is < 1, and for an operator
     that is 1-homogeneous, bounds |F_h(u)| <= lam turn into
     |F_h(u_scaled)| <= radius^2 lam / kappa <= eps whenever radius <= 1.
+    u(radius x) is sampled on the unit lattice through ``resample``, which
+    equals ``sample_bilinear(u, radius * unit.points())`` bit for bit.
     """
     if eps <= 0 or radius <= 0:
         raise ValueError("radius and eps must be positive")
@@ -285,7 +291,7 @@ def normalize(u: GridFunction, radius: float, lam: float, eps: float,
     osc0 = oscillation(u, Ball((0.0,) * n, radius))
     kappa = lam / eps + radius**2 + osc0 + 1.0
     unit = unit_ball_grid(n, unit_nodes)
-    vals = sample_bilinear(u, radius * unit.points()) / kappa
+    vals = resample(u, unit, radius) / kappa
     return GridFunction(unit, vals), float(kappa)
 
 

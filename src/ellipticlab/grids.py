@@ -23,6 +23,7 @@ __all__ = [
     "SymMatrix",
     "ball_node_mask",
     "oscillation",
+    "resample",
     "restrict",
     "sample_bilinear",
     "read_grid_function",
@@ -105,6 +106,12 @@ class Grid:
         mesh = np.meshgrid(*axes[::-1], indexing="ij")[::-1]
         return np.stack([m.ravel() for m in mesh], axis=1)
 
+    def points_at(self, flat_indices) -> np.ndarray:
+        """Coordinates of the given nodes, shape (len(flat_indices), ndim):
+        ``points()[flat_indices]`` looked up per axis, without the full cloud."""
+        multi = np.unravel_index(flat_indices, self.shape, order="F")
+        return np.stack([self.coords(a)[multi[a]] for a in range(self.ndim)], axis=1)
+
     def flat_index(self, multi) -> int:
         multi = tuple(int(i) for i in multi)
         if len(multi) != self.ndim:
@@ -124,9 +131,6 @@ class Grid:
             out.append(flat % self.shape[axis])
             flat //= self.shape[axis]
         return tuple(out)
-
-    def node_point(self, multi) -> tuple:
-        return tuple(self.coords(a)[multi[a]] for a in range(self.ndim))
 
     def lattice(self, flat_values: np.ndarray) -> np.ndarray:
         """View flat storage as the (…, ny, nx) C-ordered lattice array."""
@@ -233,41 +237,72 @@ def oscillation(u: GridFunction, ball: Ball) -> float:
 def restrict(u: GridFunction, ball: Ball):
     """List of (point, value) pairs over the discrete ball, storage order."""
     mask = ball_node_mask(u.grid, ball)
-    pts = u.grid.points()[mask]
+    pts = u.grid.points_at(np.flatnonzero(mask))
     vals = u.values[mask]
     return [(tuple(p), float(v)) for p, v in zip(pts, vals)]
 
 
+def _cells(grid: Grid, axis: int, x: np.ndarray):
+    """Lower cell index and fraction along one axis for coordinates x, which
+    must lie in the domain box (up to a 1e-9 h grace)."""
+    slack = 1e-9 * grid.h
+    lo, hi = grid.domain.lower[axis], grid.domain.upper[axis]
+    if np.any(x < lo - slack) or np.any(x > hi + slack):
+        raise ValueError("interpolation point exits domain")
+    t = (x - lo) / grid.h
+    i0 = np.clip(np.floor(t).astype(np.int64), 0, grid.shape[axis] - 2)
+    return i0, np.clip(t - i0, 0.0, 1.0)
+
+
 def sample_bilinear(u: GridFunction, points) -> np.ndarray:
-    """Multilinear interpolation of u at arbitrary points inside the domain box."""
+    """Multilinear interpolation of u at scattered points inside the domain box.
+
+    Points on a lattice go through ``resample``, which evaluates the same
+    formula, bit for bit, from per-axis arrays.
+    """
     grid = u.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != grid.ndim:
         raise ValueError("point rank mismatch")
-    slack = 1e-9 * grid.h
-    idx = []
-    frac = []
-    for a in range(grid.ndim):
-        x = pts[:, a]
-        lo, hi = grid.domain.lower[a], grid.domain.upper[a]
-        if np.any(x < lo - slack) or np.any(x > hi + slack):
-            raise ValueError("interpolation point exits domain")
-        t = (x - lo) / grid.h
-        i0 = np.floor(t).astype(np.int64)
-        i0 = np.clip(i0, 0, grid.shape[a] - 2)
-        idx.append(i0)
-        frac.append(np.clip(t - i0, 0.0, 1.0))
+    cells = [_cells(grid, a, pts[:, a]) for a in range(grid.ndim)]
     lattice = u.lattice()
     out = np.zeros(pts.shape[0])
     for corner in range(1 << grid.ndim):
         weight = np.ones(pts.shape[0])
         loc = [None] * grid.ndim
-        for a in range(grid.ndim):
+        for a, (i0, frac) in enumerate(cells):
             bit = (corner >> a) & 1
-            weight = weight * (frac[a] if bit else 1.0 - frac[a])
-            loc[grid.ndim - 1 - a] = idx[a] + bit
+            weight = weight * (frac if bit else 1.0 - frac)
+            loc[grid.ndim - 1 - a] = i0 + bit
         out += weight * lattice[tuple(loc)]
     return out
+
+
+def resample(u: GridFunction, target: Grid, scale: float) -> np.ndarray:
+    """u at the nodes of ``target`` scaled by ``scale``, in target storage order:
+    ``sample_bilinear(u, scale * target.points())`` bit for bit.
+
+    The cell indices and fractions are computed once per axis; each corner's
+    weight is their broadcast product in the same order, and its values are
+    gathered with one ``take`` per lattice axis.
+    """
+    grid = u.grid
+    n = grid.ndim
+    if target.ndim != n:
+        raise ValueError("target rank mismatch")
+    cells = [_cells(grid, a, scale * target.coords(a)) for a in range(n)]
+    lattice = u.lattice()
+    out = np.zeros(target.shape[::-1])
+    for corner in range(1 << n):
+        weight = 1.0
+        block = lattice
+        for a, (i0, frac) in enumerate(cells):
+            bit = (corner >> a) & 1
+            # coordinate axis a is lattice axis n-1-a: weights get a trailing unit axes
+            weight = weight * (frac if bit else 1.0 - frac).reshape((-1,) + (1,) * a)
+            block = block.take(i0 + bit, axis=n - 1 - a)
+        out += weight * block
+    return out.ravel()
 
 
 # -- symmetric matrices -------------------------------------------------------

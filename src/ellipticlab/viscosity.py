@@ -286,7 +286,7 @@ def write_viscosity_report(report: ViscosityReport, path):
     coord_names = ["x", "y", "z"][: grid.ndim]
     header = ["node"] + coord_names + ["scheme", "upper_margin", "lower_margin", "verdict"]
     rows = [(flat, *pt, report.scheme, up, lo, ok) for flat, pt, up, lo, ok in zip(
-        report.node_indices.tolist(), grid.points()[report.node_indices].tolist(),
+        report.node_indices.tolist(), grid.points_at(report.node_indices).tolist(),
         report.node_upper.tolist(), report.node_lower.tolist(), report.verdicts.tolist())]
     footer = [
         ("# worst_upper", report.worst_upper),
@@ -321,8 +321,6 @@ def holder_seminorm(u: GridFunction, gamma: float, region: Ball,
     idx = np.flatnonzero(mask)
     if idx.size < 2:
         raise ValueError("region has fewer than 2 nodes")
-    pts = grid.points()[idx]
-    vals = u.values[idx]
 
     best = 0.0
     # short-range: every pair within 4h, via half-space lattice offsets
@@ -331,7 +329,7 @@ def holder_seminorm(u: GridFunction, gamma: float, region: Ball,
         if grid.ndim > 1 else offs[offs[:, 0] > 0]
     in_ball = np.zeros(grid.node_count, dtype=bool)
     in_ball[idx] = True
-    multis = np.stack([np.asarray(grid.multi_index(int(i))) for i in idx])
+    multis = np.stack(np.unravel_index(idx, grid.shape, order="F"), axis=1)
     for d in half:
         target = multis + d[None, :]
         ok = np.all((target >= 0) & (target < np.asarray(grid.shape)[None, :]), axis=1)
@@ -353,7 +351,7 @@ def holder_seminorm(u: GridFunction, gamma: float, region: Ball,
     # long-range: evenly spaced node subset, all cross pairs
     m = max(2, int(math.isqrt(pair_budget)))
     sub = idx[np.unique(np.linspace(0, idx.size - 1, m).astype(int))]
-    spts = grid.points()[sub]
+    spts = grid.points_at(sub)
     svals = u.values[sub]
     dmat = np.sqrt(np.sum((spts[:, None, :] - spts[None, :, :]) ** 2, axis=-1))
     vmat = np.abs(svals[:, None] - svals[None, :])

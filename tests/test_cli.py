@@ -170,6 +170,7 @@ def test_campanato_default_run(tmp_path):
     assert r.returncode == 0, r.stderr
     man = read_manifest(tmp_path / "run_manifest.txt")
     assert float(man["beta_hat"]) == pytest.approx(1.0, abs=1e-9)
+    assert int(man["simplex_pivots"]) >= 0
     chain = (tmp_path / "chain.csv").read_text().splitlines()
     assert chain[0] == "k,phi,bound,ok"
     assert all(line.endswith(",1") for line in chain[1:])

@@ -17,6 +17,7 @@ from ellipticlab import (
     normalize,
     oscillation,
     rescale_sequence,
+    sample_bilinear,
     unit_ball_grid,
     verify_decay_chain,
     write_decay_profile,
@@ -132,6 +133,13 @@ def test_profile_recovers_quadratic_exponent():
         prof.phi, np.asarray(prof.psi) / np.asarray(prof.radii) ** 1.5, rtol=1e-12)
 
 
+def test_profile_reports_pivots_per_level():
+    prof = decay_profile(build_fixture("quad", 257), (0.0, 0.0),
+                         DecayConfig(lam=0.25, beta=0.5, levels=2), radius0=1.0)
+    assert len(prof.pivots) == len(prof.radii)
+    assert all(isinstance(p, int) and p >= 0 for p in prof.pivots)
+
+
 def test_profile_recovers_holder_exponent():
     u = build_fixture("radial-holder:0.5", 257)
     cfg = DecayConfig(lam=0.25, beta=0.5, levels=2)
@@ -204,6 +212,26 @@ def test_normalize_epsilon_postcondition():
             w, kappa = normalize(u, radius=radius, lam=lam, eps=0.5)
             assert radius ** 2 * lam / kappa <= 0.5 + 1e-15
             assert oscillation(w, Ball((0.0, 0.0), 1.0)) < 1.0
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.7])
+@pytest.mark.parametrize("name, res, unit_nodes", [
+    ("harmonic", 257, 257), ("quad", 129, 65), ("radial-holder:0.5", 257, 65)])
+def test_lattice_sampling_is_the_sample_bilinear_formula(name, res, unit_nodes, radius):
+    """normalize and rescale_sequence sample lattices through resample; their
+    values equal the point-cloud formulas bit for bit."""
+    u = build_fixture(name, res)
+    w, kappa = normalize(u, radius=radius, lam=0.0, eps=0.5, unit_nodes=unit_nodes)
+    unit = unit_ball_grid(2, unit_nodes)
+    assert np.array_equal(w.values, sample_bilinear(u, radius * unit.points()) / kappa)
+    cfg = DecayConfig(lam=0.25, beta=0.5)
+    seq = rescale_sequence(w, cfg, levels=8)
+    pts = unit_ball_grid(2).points()
+    for s in seq.states:
+        phys = cfg.lam**s.level * pts
+        amp = 2.0**s.level * cfg.lam ** (-s.level * (1.0 + cfg.beta))
+        want = amp * (sample_bilinear(w, phys) - phys @ np.asarray(s.q))
+        assert np.array_equal(s.u.values, want)
 
 
 def test_rescale_requires_unit_oscillation():

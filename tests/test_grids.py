@@ -11,6 +11,7 @@ from ellipticlab import (
     SymMatrix,
     ball_node_mask,
     oscillation,
+    resample,
     restrict,
     sample_bilinear,
     read_grid_function,
@@ -94,6 +95,15 @@ def test_values_are_write_locked(grid33):
 # balls, oscillation, restriction
 
 
+@pytest.mark.parametrize("ndim, res", [(1, 33), (2, 33), (3, 9)])
+def test_points_at_matches_point_cloud(ndim, res):
+    g = unit_square_grid(res, ndim=ndim)
+    ball = np.flatnonzero(ball_node_mask(g, Ball((0.1,) * ndim, 0.6)))
+    unsorted = np.random.default_rng(5).permutation(g.node_count)[:50]
+    for idx in (ball, unsorted):
+        assert np.array_equal(g.points_at(idx), g.points()[idx])
+
+
 def test_ball_mask_counts_nodes_inside_closed_ball():
     g = unit_square_grid(65)
     mask = ball_node_mask(g, Ball((0.0, 0.0), 0.5))
@@ -167,6 +177,27 @@ def test_sample_bilinear_rejects_exterior_points(grid33):
     u = random_field(grid33, 0)
     with pytest.raises(ValueError, match="exits domain"):
         sample_bilinear(u, np.array([[1.5, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.25, 0.37])
+@pytest.mark.parametrize("ndim, source, target, half", [
+    (1, 33, 33, 1.0), (1, 33, 20, 1.0),
+    (2, 33, 33, 1.0), (2, 33, 17, 1.0), (2, 17, 40, 1.0), (2, 33, 21, 0.5),
+    (3, 9, 9, 1.0), (3, 9, 6, 1.0),
+])
+def test_resample_is_sample_bilinear_bitwise(ndim, source, target, half, scale):
+    u = random_field(unit_square_grid(source, ndim=ndim), source + target)
+    lattice = unit_square_grid(target, half, ndim)
+    want = sample_bilinear(u, scale * lattice.points())
+    assert np.array_equal(resample(u, lattice, scale), want)
+
+
+def test_resample_rejects_lattice_leaving_domain(grid33):
+    u = random_field(grid33, 0)
+    with pytest.raises(ValueError, match="exits domain"):
+        resample(u, unit_square_grid(17), 1.5)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        resample(u, unit_square_grid(17, ndim=3), 1.0)
 
 
 # ---------------------------------------------------------------------------
