@@ -180,6 +180,9 @@ class GridFunction:
         return self.grid.lattice(self.values)
 
     def sup_norm(self) -> float:
+        """max |u| over the finite values (0.0 if there are none)."""
+        if not self.allow_non_finite:  # every value was checked finite
+            return float(np.max(np.abs(self.values)))
         finite = self.values[np.isfinite(self.values)]
         if finite.size == 0:
             return 0.0
@@ -400,7 +403,7 @@ def write_grid_function(u: GridFunction, path):
     if not np.all(np.isfinite(u.values)):
         raise ValueError("refusing to serialize non-finite values")
     lines = [" ".join(head)]
-    lines.extend(FLOAT_FMT % v for v in u.values)
+    lines.extend(map(FLOAT_FMT.__mod__, u.values.tolist()))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -8,6 +8,7 @@ randomized checkers below verify both properties sample-wise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,9 +103,13 @@ def op_eval(op: EllipticOperator, m):
     a = m.mat if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    scale = 1.0 + np.max(np.abs(a), axis=(-2, -1), initial=0.0)
-    if np.any(np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1), initial=0.0)
-              > 1e-12 * scale):
+    # |a_ij - a_ji| against 1e-12 (1 + max |a_ij|), entry slice by entry slice
+    n = a.shape[-1]
+    size = functools.reduce(np.maximum, (np.abs(a[..., i, j])
+                                         for i in range(n) for j in range(n)), 0.0)
+    skew = functools.reduce(np.maximum, (np.abs(a[..., i, j] - a[..., j, i])
+                                         for i in range(n) for j in range(i + 1, n)), 0.0)
+    if np.any(skew > 1e-12 * (1.0 + size)):
         raise ValueError("matrix is not symmetric")
     if op.kind == "trace":
         out = np.trace(a, axis1=-2, axis2=-1)
@@ -207,7 +212,10 @@ def check_uniform_ellipticity(op, params: EllipticityParams | None = None,
     r = np.random.default_rng(seed).random((sample_count, 2, dim, dim))
     m = _symmetrized(-3.0 + 6.0 * r[:, 0])
     g = -1.5 + 3.0 * r[:, 1]
-    n = _symmetrized(np.swapaxes(g, -1, -2) @ g)
+    n = np.empty_like(g)  # G'G, symmetric as built: (G'G)_ij = sum_k g_ki g_kj
+    for i in range(dim):
+        for j in range(i, dim):
+            n[:, i, j] = n[:, j, i] = sum(g[:, k, i] * g[:, k, j] for k in range(dim))
     trn = np.trace(n, axis1=-2, axis2=-1)
     df = f(m + n) - f(m)
     violation = np.maximum(params.lam1 * trn - df, df - params.lam2 * trn)

@@ -24,6 +24,11 @@ weights, so F_h is monotone (Barles & Souganidis, Asymptotic Anal. 4, 1991).
 index of the linear stencil attaining the pick, and ``frozen_stencils``
 lists those linear stencils for the solvers' sparse assembly.  The scheme
 reaches ``operator_margin`` node layers, where F_h is undefined (NaN).
+Both walk the interior in strips of whole rows, about ``_STRIP`` nodes
+each, through a few strip-sized buffers that stay in cache, rather than
+making whole-grid temporaries per term.  Every node gets the same
+operations in the same order as in a whole-grid evaluation, so the values
+and the policy do not depend on the strip size, bit for bit.
 
 ``discrete_hessian`` is not the scheme: it estimates D^2 u by central
 differences for the viscosity checks and the Hessian L^p norms.
@@ -31,6 +36,7 @@ differences for the viscosity checks and the Hessian L^p norms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
@@ -179,10 +185,21 @@ class _Scheme:
     minimize: bool  # pick is the min (pucci_min) rather than the max
     margin: int  # node layers the stencils reach
 
-    @property
+    @functools.cached_property
     def sizes(self):
         """Linear stencils per candidate: one per choice of coefficients."""
         return [math.prod(len(coeffs) for _, coeffs in cand) for cand in self.candidates]
+
+    @functools.cached_property
+    def weighted(self):
+        """Whether some off-centre weight differs from 1."""
+        return any(w != 1.0 for cand in self.candidates for terms, _ in cand
+                   for _, _, w in terms[1:])
+
+    @functools.cached_property
+    def choosing(self):
+        """Whether some part has a choice of coefficients."""
+        return any(len(coeffs) > 1 for cand in self.candidates for _, coeffs in cand)
 
 
 # built schemes per operator object (operators hash by identity) and ndim
@@ -236,11 +253,29 @@ def operator_margin(op: EllipticOperator, ndim: int) -> int:
 
 # -- evaluating it -----------------------------------------------------------------
 
+# nodes per strip in _envelope: a strip's float64 buffers are 256 kB each, so
+# they stay in cache while every term of the scheme streams through them
+_STRIP = 1 << 15
+
 
 def _envelope(op, u, track):
     """F_h(u) as a flat node array (NaN on the margin band) and, if ``track``
     and the scheme has more than one linear stencil, the index of the stencil
-    attaining it at every node (0 on the band); otherwise None."""
+    attaining it at every node (0 on the band); otherwise None.
+
+    The interior is walked in strips of whole rows, about ``_STRIP`` nodes
+    each.  A strip is one contiguous run of the flat lattice, from the first
+    interior node of its top row to the last interior node of its bottom
+    row, so a term is a shifted slice of the lattice and every operation
+    runs on contiguous memory.  The run's nodes on the margin columns get
+    stencils that wrap into the next row; they are blanked at the end.
+    Within a strip every term goes into a few reused buffers, each made only
+    if the scheme needs it: ``tmp`` for an off-centre weight other than 1,
+    ``val`` and ``alt`` for a choice of coefficients, ``acc`` for more than
+    one candidate.  Each node sees the same operations in the same order
+    whatever the strip (centre first, then the terms in order; ``coeffs[0]``,
+    then each alternative; candidates in order), so the values and the
+    policy are those of a whole-grid evaluation, bit for bit."""
     grid = u.grid
     scheme = _scheme(op, grid.ndim)
     m = scheme.margin
@@ -252,41 +287,66 @@ def _envelope(op, u, track):
     track = track and sum(scheme.sizes) > 1
     better = np.less if scheme.minimize else np.greater
     pick = np.minimum if scheme.minimize else np.maximum
+    rows = min(max(1, _STRIP // (nx - 2 * m)), ny - 2 * my)
 
-    best = policy = None
-    base = 0
-    for cand, size in zip(scheme.candidates, scheme.sizes):
-        acc, choice, stride = None, 0, size
-        for terms, coeffs in cand:
-            centre = terms[0][2]  # the centre term leads
-            d = centre * lat[my : ny - my, m : nx - m]
-            for dx, dy, w in terms[1:]:
-                shifted = lat[my + dy : ny - my + dy, m + dx : nx - m + dx]
-                d += shifted if w == 1.0 else w * shifted
-            val = coeffs[0] * d
-            stride //= len(coeffs)
-            for k, c in enumerate(coeffs[1:], 1):
-                alt = c * d
-                if track:
-                    choice = choice + k * stride * better(alt, val)
-                val = pick(val, alt)
-            acc = val if acc is None else acc + val
-        if best is None:
-            best = acc
-            policy = np.broadcast_to(base + choice, acc.shape) if track else None
-        else:
-            if track:
-                policy = np.where(better(acc, best), base + choice, policy)
-            best = pick(best, acc)
-        base += size
+    def buffer(needed, dtype=float):
+        return np.empty(rows * nx - 2 * m, dtype) if needed else None
 
-    out = np.full((ny, nx), np.nan)
-    out[my : ny - my, m : nx - m] = best / grid.h**2
+    buffers = (buffer(True), buffer(scheme.weighted),
+               buffer(scheme.choosing), buffer(scheme.choosing),
+               buffer(len(scheme.candidates) > 1),
+               buffer(track, bool), buffer(track, np.int32),
+               buffer(track and max(scheme.sizes[1:], default=1) > 1, np.int32))
+    nodes = lat.ravel()
+    out = np.full(ny * nx, np.nan)
+    policy = np.zeros(ny * nx, dtype=np.int32) if track else None
+    h2 = grid.h**2
+    for top in range(my, ny - my, rows):
+        start, stop = top * nx + m, min(top + rows, ny - my) * nx - m
+        d, tmp, val, alt, acc, mask, step, choices = (
+            None if b is None else b[: stop - start] for b in buffers)
+        best = out[start:stop]
+        held = None if policy is None else policy[start:stop]
+        base = 0
+        for j, (cand, size) in enumerate(zip(scheme.candidates, scheme.sizes)):
+            target = best if j == 0 else acc
+            if not track or size == 1:
+                choice = base
+            elif j == 0:
+                choice = held
+            else:
+                choice = choices
+                choice.fill(base)
+            stride = size
+            for i, (terms, coeffs) in enumerate(cand):
+                _, _, centre = terms[0]  # the centre term leads
+                np.multiply(nodes[start:stop], centre, out=d)
+                for dx, dy, w in terms[1:]:
+                    shifted = nodes[start + dy * nx + dx : stop + dy * nx + dx]
+                    d += shifted if w == 1.0 else np.multiply(shifted, w, out=tmp)
+                v = target if i == 0 else d if len(coeffs) == 1 else val
+                np.multiply(d, coeffs[0], out=v)
+                stride //= len(coeffs)
+                for k, c in enumerate(coeffs[1:], 1):
+                    np.multiply(d, c, out=alt)
+                    if track:  # choice += k * stride * better(alt, v)
+                        choice += np.multiply(better(alt, v, out=mask), k * stride, out=step)
+                    pick(v, alt, out=v)
+                if i:
+                    target += v
+            if j:
+                if track:  # where better(target, best), the policy becomes choice
+                    diff = np.subtract(choice, held, out=step)
+                    held += np.multiply(diff, better(target, best, out=mask), out=diff)
+                pick(best, target, out=best)
+            base += size
+        best /= h2
+    band = out.reshape(ny, nx)
+    band[:, :m] = band[:, nx - m :] = np.nan
     if policy is not None:
-        full = np.zeros((ny, nx), dtype=np.int32)
-        full[my : ny - my, m : nx - m] = policy
-        policy = full.ravel()
-    return out.ravel(), policy
+        band = policy.reshape(ny, nx)
+        band[:, :m] = band[:, nx - m :] = 0
+    return out, policy
 
 
 def eval_discrete(op: EllipticOperator, u: GridFunction) -> GridFunction:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import write_csv
+from .fileio import FLOAT_FMT, write_csv
 from .grids import Ball, GridFunction, ball_node_mask
 from .operators import EllipticOperator, op_eval
 from .stencils import discrete_hessian, eval_discrete, operator_margin
@@ -123,10 +123,15 @@ def check_pointwise(u: GridFunction, op: EllipticOperator, bounds: Bounds,
     grid = u.grid
     if tol is None:
         tol = default_tolerance(op, u)
-    fh = eval_discrete(op, u).values
-    mask = grid.interior_mask(operator_margin(op, grid.ndim))
-    idx = np.flatnonzero(mask)
-    vals = fh[idx]
+    fh = eval_discrete(op, u).lattice()
+    m = operator_margin(op, grid.ndim)
+    # the interior block of the lattice and its nodes' flat indices, in order
+    vals = fh[tuple(slice(m, s - m) for s in fh.shape)].ravel()
+    ranges = np.ix_(*(np.arange(m, s - m) for s in fh.shape))
+    idx = ranges[0]
+    for r, s in zip(ranges[1:], fh.shape[1:]):
+        idx = idx * s + r
+    idx = idx.ravel()
     upper = vals - bounds.lam_hi
     lower = bounds.lam_lo - vals
     return _finish("pointwise", grid, tol, idx, upper, lower)
@@ -285,9 +290,12 @@ def write_viscosity_report(report: ViscosityReport, path):
     grid = report.grid
     coord_names = ["x", "y", "z"][: grid.ndim]
     header = ["node"] + coord_names + ["scheme", "upper_margin", "lower_margin", "verdict"]
-    rows = [(flat, *pt, report.scheme, up, lo, ok) for flat, pt, up, lo, ok in zip(
-        report.node_indices.tolist(), grid.points_at(report.node_indices).tolist(),
-        report.node_upper.tolist(), report.node_lower.tolist(), report.verdicts.tolist())]
+    # one format string for every row: the text write_csv gives each cell
+    row_format = ",".join(["%d"] + [FLOAT_FMT] * grid.ndim
+                          + [report.scheme, FLOAT_FMT, FLOAT_FMT, "%d"])
+    lines = map(row_format.__mod__, zip(
+        report.node_indices.tolist(), *grid.points_at(report.node_indices).T.tolist(),
+        report.node_upper.tolist(), report.node_lower.tolist(), report.verdicts.tolist()))
     footer = [
         ("# worst_upper", report.worst_upper),
         ("# worst_lower", report.worst_lower),
@@ -298,7 +306,7 @@ def write_viscosity_report(report: ViscosityReport, path):
         footer += [("# candidates", report.candidates),
                    ("# worst_node", report.worst_node)]
     footer.append(("# passed", bool(report.passed)))
-    write_csv(path, header, rows, footer)
+    write_csv(path, header, (), footer, lines)
 
 
 def quartic_perturb(phi: GridFunction, x0) -> GridFunction:

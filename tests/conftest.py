@@ -184,6 +184,16 @@ def loop_touching(u, op, bounds, dictionary):
     return triggered, margins
 
 
+def csv_cell(v):
+    """One CSV cell in the file format, formatted value by value: booleans
+    as 1/0, floats with 17 significant digits, anything else by str."""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return "%.17g" % v
+    return str(v)
+
+
 @pytest.fixture
 def grid33():
     return unit_square_grid(33)
@@ -192,3 +202,52 @@ def grid33():
 @pytest.fixture
 def grid65():
     return unit_square_grid(65)
+
+
+def whole_grid_envelope(op, u, track):
+    """F_h(u) and its policy the way ``stencils._envelope`` computed them
+    before it walked the grid in strips: one whole-grid temporary per term,
+    the same arithmetic in the same order."""
+    from ellipticlab.stencils import _scheme
+
+    grid = u.grid
+    scheme = _scheme(op, grid.ndim)
+    m = scheme.margin
+    my = m if grid.ndim == 2 else 0
+    lat = u.lattice().reshape(-1, grid.shape[0])
+    ny, nx = lat.shape
+    track = track and sum(scheme.sizes) > 1
+    better = np.less if scheme.minimize else np.greater
+    pick = np.minimum if scheme.minimize else np.maximum
+    best = policy = None
+    base = 0
+    for cand, size in zip(scheme.candidates, scheme.sizes):
+        acc, choice, stride = None, 0, size
+        for terms, coeffs in cand:
+            d = terms[0][2] * lat[my : ny - my, m : nx - m]
+            for dx, dy, w in terms[1:]:
+                shifted = lat[my + dy : ny - my + dy, m + dx : nx - m + dx]
+                d += shifted if w == 1.0 else w * shifted
+            val = coeffs[0] * d
+            stride //= len(coeffs)
+            for k, c in enumerate(coeffs[1:], 1):
+                alt = c * d
+                if track:
+                    choice = choice + k * stride * better(alt, val)
+                val = pick(val, alt)
+            acc = val if acc is None else acc + val
+        if best is None:
+            best = acc
+            policy = np.broadcast_to(base + choice, acc.shape) if track else None
+        else:
+            if track:
+                policy = np.where(better(acc, best), base + choice, policy)
+            best = pick(best, acc)
+        base += size
+    out = np.full((ny, nx), np.nan)
+    out[my : ny - my, m : nx - m] = best / grid.h**2
+    if policy is not None:
+        full = np.zeros((ny, nx), dtype=np.int32)
+        full[my : ny - my, m : nx - m] = policy
+        policy = full.ravel()
+    return out.ravel(), policy

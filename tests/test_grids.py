@@ -85,6 +85,12 @@ def test_sup_norm_ignores_nan(grid33):
     assert GridFunction(grid33, vals, allow_non_finite=True).sup_norm() == 0.25
 
 
+def test_sup_norm_of_a_finite_function(grid33):
+    vals = np.linspace(-3.0, 2.0, grid33.node_count)
+    assert GridFunction(grid33, vals).sup_norm() == 3.0
+    assert GridFunction(grid33, vals, allow_non_finite=True).sup_norm() == 3.0
+
+
 def test_values_are_write_locked(grid33):
     u = random_field(grid33, 0)
     with pytest.raises(ValueError):
@@ -240,6 +246,19 @@ def test_grid_function_round_trip_is_bit_exact(tmp_path, grid33):
     v = read_grid_function(p)
     assert v.grid == grid33
     np.testing.assert_array_equal(v.values, u.values)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_grid_function_text_is_formatted_value_by_value(tmp_path, ndim):
+    g = Grid(Domain((-0.5,) * ndim, (1.0,) * ndim), (13,) * ndim)
+    vals = np.pi * np.random.default_rng(3).standard_normal(g.node_count)
+    vals[:6] = [0.1, -0.0, 3.0, 1e-300, -1e22, 2.0 / 3.0]
+    u = GridFunction(g, vals)
+    p = tmp_path / "u.txt"
+    write_grid_function(u, p)
+    head = [str(ndim)] + ["13"] * ndim + ["%.17g" % b for b in (-0.5, 1.0) * ndim]
+    lines = [" ".join(head)] + ["%.17g" % v for v in u.values]
+    assert p.read_text() == "\n".join(lines) + "\n"
 
 
 def test_write_is_deterministic(tmp_path, grid33):

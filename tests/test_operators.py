@@ -88,6 +88,24 @@ def test_op_eval_rejects_a_non_symmetric_matrix_in_a_stack():
         op_eval(pucci_max(1.0, 2.0), stack)
 
 
+def test_op_eval_symmetry_tolerance_scales_with_the_largest_entry():
+    """Each matrix is judged by 1e-12 (1 + its largest |entry|), over every
+    off-diagonal pair: here the skew sits in the (0, 2) pair of a 3x3."""
+    stack = np.stack([np.diag([1.0, 2.0, 3.0e6])] * 3)
+    stack[1, 0, 2] += 1e-7  # within 1e-12 (1 + 3e6)
+    assert op_eval(trace_operator(), stack).shape == (3,)
+    stack[2, 2, 0] += 1e-5
+    with pytest.raises(ValueError, match="not symmetric"):
+        op_eval(trace_operator(), stack)
+
+
+def test_op_eval_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="square"):
+        op_eval(trace_operator(), np.zeros((4, 2, 3)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        op_eval(linear_operator(np.eye(2)), np.eye(3))
+
+
 # ---------------------------------------------------------------------------
 # Pucci envelopes
 

@@ -16,9 +16,10 @@ from ellipticlab import (
     pucci_min,
     trace_operator,
 )
+from ellipticlab import stencils
 from ellipticlab.stencils import eval_policy, frozen_stencils
 
-from conftest import field, quadratic_field, unit_square_grid
+from conftest import field, quadratic_field, unit_square_grid, whole_grid_envelope
 
 
 def interior(values_lattice, margin):
@@ -236,3 +237,76 @@ def test_eval_discrete_rejects_3d():
     u = GridFunction(g, np.zeros(g.node_count))
     with pytest.raises(NotImplementedError):
         eval_discrete(parse_operator("trace"), u)
+
+
+# ---------------------------------------------------------------------------
+# strips: the same values and policy as one whole-grid pass, bit for bit
+
+STRIP_OPS = ENVELOPE_OPS + [linear_operator([[1.0, 1.9], [1.9, 4.0]])]  # margins 1, 2, 3
+
+
+def assert_whole_grid_envelope(op, u):
+    for track in (False, True):
+        want, want_policy = whole_grid_envelope(op, u, track)
+        fh, policy = eval_policy(op, u) if track else (eval_discrete(op, u), None)
+        np.testing.assert_array_equal(fh.values, want)
+        if want_policy is None:
+            assert policy is None
+        else:
+            assert policy.dtype == want_policy.dtype
+            np.testing.assert_array_equal(policy, want_policy)
+
+
+@pytest.mark.parametrize("shape", [(33, 33), (41, 33), (33, 41)])
+@pytest.mark.parametrize("op", STRIP_OPS, ids=lambda op: op.kind)
+def test_strips_are_the_whole_grid_evaluation(op, shape, monkeypatch):
+    """With 64-node strips a 33-wide field goes two rows at a time over an odd
+    number of interior rows, so its last strip is ragged; a 41-wide one goes
+    a row at a time."""
+    from ellipticlab import Domain, Grid
+
+    monkeypatch.setattr(stencils, "_STRIP", 64)
+    g = Grid(Domain((0.0, 0.0), ((shape[0] - 1) / 32, (shape[1] - 1) / 32)), shape)
+    u = GridFunction(g, np.random.default_rng(11).standard_normal(g.node_count))
+    assert_whole_grid_envelope(op, u)
+
+
+@pytest.mark.parametrize("op", [trace_operator(), max_of_linear([np.diag([1.0, 2.0]),
+                                                                 np.diag([2.0, 1.0])]),
+                                pucci_max(1.0, 2.0), pucci_min(1.0, 2.0)],
+                         ids=lambda op: op.kind)
+def test_default_strips_are_the_whole_grid_evaluation(op):
+    """A 301^2 field spans three strips of the default size."""
+    g = unit_square_grid(301)
+    u = GridFunction(g, np.random.default_rng(12).standard_normal(g.node_count))
+    assert_whole_grid_envelope(op, u)
+
+
+@pytest.mark.parametrize("strip", [64, stencils._STRIP])
+@pytest.mark.parametrize("spec", ["trace", "linear:3", "pucci+:1,2", "pucci-:1,2"])
+def test_strips_on_a_line_are_the_whole_grid_evaluation(spec, strip, monkeypatch):
+    from ellipticlab import Domain, Grid
+
+    monkeypatch.setattr(stencils, "_STRIP", strip)
+    g = Grid(Domain((0.0,), (1.0,)), (1001,))
+    u = GridFunction(g, np.random.default_rng(13).standard_normal(g.node_count))
+    assert_whole_grid_envelope(parse_operator(spec), u)
+
+
+def test_trace_evaluation_makes_no_whole_grid_temporaries():
+    """A 129^2 trace evaluation is one strip; at its peak it holds the output,
+    one strip buffer and the returned function's copy, where one temporary
+    per term would hold five interior-sized arrays."""
+    import tracemalloc
+
+    g = unit_square_grid(129)
+    u = GridFunction(g, np.random.default_rng(14).standard_normal(g.node_count))
+    op = trace_operator()
+    eval_discrete(op, u)  # builds the scheme
+    tracemalloc.start()
+    try:
+        eval_discrete(op, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 127 * 127 * 8

@@ -11,10 +11,13 @@ from ellipticlab import (
     default_tolerance,
     disc_problem,
     discrete_hessian,
+    eval_discrete,
     holder_seminorm,
     limit_families,
     limit_stability_experiment,
     make_touching_dictionary,
+    operator_margin,
+    parse_operator,
     pucci_max,
     quartic_perturb,
     solve_obstacle,
@@ -22,7 +25,7 @@ from ellipticlab import (
     write_viscosity_report,
 )
 
-from conftest import field, loop_touching, quadratic_field, unit_square_grid
+from conftest import csv_cell, field, loop_touching, quadratic_field, unit_square_grid
 
 TRACE = trace_operator()
 
@@ -54,6 +57,21 @@ def test_pointwise_rejects_wrong_bounds():
     rep = check_pointwise(u, TRACE, Bounds(0.0, 0.0))
     assert not rep.passed
     assert rep.worst_upper == pytest.approx(2.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("spec", ["trace", "linear:1,1.9,4", "pucci+:1,2", "linear:3"])
+def test_pointwise_checks_the_interior_nodes_in_storage_order(spec):
+    """Margins 1, 2 and 3 on 2D grids, and a line."""
+    op = parse_operator(spec)
+    ndim = 1 if spec == "linear:3" else 2
+    u = build_fixture("radial-holder:0.5", 33, ndim=ndim)
+    rep = check_pointwise(u, op, Bounds(-1.0, 1.0))
+    idx = np.flatnonzero(u.grid.interior_mask(operator_margin(op, ndim)))
+    assert rep.node_indices.dtype == idx.dtype
+    np.testing.assert_array_equal(rep.node_indices, idx)
+    vals = eval_discrete(op, u).values[idx]
+    np.testing.assert_array_equal(rep.node_upper, vals - 1.0)
+    np.testing.assert_array_equal(rep.node_lower, -1.0 - vals)
 
 
 def test_pointwise_affine_invariance(grid33):
@@ -278,3 +296,40 @@ def test_limit_stability_ripple_family():
     deltas = np.asarray(rep.deltas)
     assert np.all(np.diff(deltas) <= 1e-15)  # tail sup is nonincreasing
     assert deltas[-1] > 0  # the c0 h floor never vanishes at finite h
+
+
+def per_cell_report_text(report):
+    """A viscosity report's CSV text, one row tuple per node and each value
+    formatted on its own."""
+    grid = report.grid
+    header = ["node"] + ["x", "y", "z"][: grid.ndim] + [
+        "scheme", "upper_margin", "lower_margin", "verdict"]
+    rows = [(int(k), *map(float, grid.points()[k]), report.scheme, float(up), float(lo),
+             bool(ok)) for k, up, lo, ok in zip(report.node_indices, report.node_upper,
+                                                 report.node_lower, report.verdicts)]
+    rows += [("# worst_upper", report.worst_upper), ("# worst_lower", report.worst_lower),
+             ("# tolerance", report.tolerance), ("# triggered", report.triggered)]
+    if report.scheme == "touching":
+        rows += [("# candidates", report.candidates), ("# worst_node", report.worst_node)]
+    rows.append(("# passed", bool(report.passed)))
+    return "\n".join([",".join(header)] + [",".join(map(csv_cell, r)) for r in rows]) + "\n"
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("scheme", ["pointwise", "touching"])
+def test_report_rows_are_formatted_cell_by_cell(scheme, ndim, tmp_path):
+    """Failing reports on the kink, which is flat away from its crease, for
+    bounds that exclude 0; touching leaves -inf margins on nodes where no
+    candidate fired."""
+    u = build_fixture("kink", 65 if ndim == 1 else 33, ndim=ndim)
+    bounds = Bounds(0.5, 0.5)
+    if scheme == "pointwise":
+        rep = check_pointwise(u, TRACE, bounds, tol=0.1)
+    else:
+        rep = check_touching(u, TRACE, bounds, make_touching_dictionary(u, node_budget=40),
+                             tol=0.1)
+        assert np.isneginf(rep.node_upper).any() and np.isneginf(rep.node_lower).any()
+    assert not rep.passed
+    path = tmp_path / "report.csv"
+    write_viscosity_report(rep, path)
+    assert path.read_text() == per_cell_report_text(rep)
