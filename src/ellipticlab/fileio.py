@@ -33,24 +33,26 @@ def atomic_write_text(path, text):
         raise
 
 
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return fmt_float(v)
-    return str(v)
-
-
-def write_csv(path, header, rows, footer_rows=(), lines=()):
+def write_csv(path, header, rows, footer_rows=(), formatted_rows=()):
     """Write a CSV file deterministically; numeric cells get the 17-digit format.
 
-    ``lines`` are body rows already formatted, written after ``rows``: a
-    caller with many rows of one shape formats them with one format string."""
-    out = [",".join(header)]
-    out.extend(",".join(map(_cell, row)) for row in rows)
-    out.extend(lines)
-    out.extend(",".join(map(_cell, row)) for row in footer_rows)
-    atomic_write_text(path, "\n".join(out) + "\n")
+    ``formatted_rows`` are body lines the caller formatted itself, written
+    after ``rows``: for many rows of one shape, one format string per row is
+    cheaper than formatting cell by cell."""
+    def cell(v):
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        if isinstance(v, float):
+            return fmt_float(v)
+        return str(v)
+
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cell(v) for v in row))
+    lines.extend(formatted_rows)
+    for row in footer_rows:
+        lines.append(",".join(cell(v) for v in row))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_manifest(path, entries: dict):

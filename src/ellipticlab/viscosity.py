@@ -293,7 +293,7 @@ def write_viscosity_report(report: ViscosityReport, path):
     # one format string for every row: the text write_csv gives each cell
     row_format = ",".join(["%d"] + [FLOAT_FMT] * grid.ndim
                           + [report.scheme, FLOAT_FMT, FLOAT_FMT, "%d"])
-    lines = map(row_format.__mod__, zip(
+    rows = map(row_format.__mod__, zip(
         report.node_indices.tolist(), *grid.points_at(report.node_indices).T.tolist(),
         report.node_upper.tolist(), report.node_lower.tolist(), report.verdicts.tolist()))
     footer = [
@@ -306,7 +306,7 @@ def write_viscosity_report(report: ViscosityReport, path):
         footer += [("# candidates", report.candidates),
                    ("# worst_node", report.worst_node)]
     footer.append(("# passed", bool(report.passed)))
-    write_csv(path, header, (), footer, lines)
+    write_csv(path, header, (), footer, rows)
 
 
 def quartic_perturb(phi: GridFunction, x0) -> GridFunction:

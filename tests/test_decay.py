@@ -23,7 +23,7 @@ from ellipticlab import (
     write_decay_profile,
 )
 
-from conftest import dense_minimax_width, field, unit_square_grid
+from conftest import field, lp_minimax_width, unit_square_grid
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +95,8 @@ def test_best_affine_equivariant_under_affine_shifts(seed, c, p0, p1):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_best_affine_matches_dense_search(seed):
+    """Against the exact minimax width (HiGHS): the dense grid search misses
+    it by more than 1e-9 on about one seed in 300 (406640: 4.1e-9)."""
     g = unit_square_grid(21)
     rng = np.random.default_rng(seed)
     u = GridFunction(g, rng.standard_normal(g.node_count))
@@ -102,8 +104,7 @@ def test_best_affine_matches_dense_search(seed):
     fit = best_affine(u, ball)
     pts = np.array([p for p, _ in __import__("ellipticlab").restrict(u, ball)])
     vals = np.array([v for _, v in __import__("ellipticlab").restrict(u, ball)])
-    _, brute = dense_minimax_width(pts, vals)
-    assert abs(fit.osc_value - brute) <= 1e-9
+    assert abs(fit.osc_value - lp_minimax_width(pts, vals)) <= 1e-9
 
 
 @settings(max_examples=20, deadline=None)

@@ -298,8 +298,8 @@ def test_limit_stability_ripple_family():
     assert deltas[-1] > 0  # the c0 h floor never vanishes at finite h
 
 
-def per_cell_report_text(report):
-    """A viscosity report's CSV text, one row tuple per node and each value
+def per_cell_report_lines(report):
+    """A viscosity report's CSV lines, one row tuple per node and each value
     formatted on its own."""
     grid = report.grid
     header = ["node"] + ["x", "y", "z"][: grid.ndim] + [
@@ -312,7 +312,7 @@ def per_cell_report_text(report):
     if report.scheme == "touching":
         rows += [("# candidates", report.candidates), ("# worst_node", report.worst_node)]
     rows.append(("# passed", bool(report.passed)))
-    return "\n".join([",".join(header)] + [",".join(map(csv_cell, r)) for r in rows]) + "\n"
+    return [",".join(header)] + [",".join(map(csv_cell, r)) for r in rows]
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -332,4 +332,6 @@ def test_report_rows_are_formatted_cell_by_cell(scheme, ndim, tmp_path):
     assert not rep.passed
     path = tmp_path / "report.csv"
     write_viscosity_report(rep, path)
-    assert path.read_text() == per_cell_report_text(rep)
+    text = path.read_text()
+    assert text.endswith("\n")
+    assert text.splitlines() == per_cell_report_lines(rep)
