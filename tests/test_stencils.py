@@ -282,12 +282,11 @@ def test_default_strips_are_the_whole_grid_evaluation(op):
     assert_whole_grid_envelope(op, u)
 
 
-@pytest.mark.parametrize("strip", [64, stencils._STRIP])
 @pytest.mark.parametrize("spec", ["trace", "linear:3", "pucci+:1,2", "pucci-:1,2"])
-def test_strips_on_a_line_are_the_whole_grid_evaluation(spec, strip, monkeypatch):
+def test_strips_on_a_line_are_the_whole_grid_evaluation(spec):
+    """A line is one row, so one strip whatever its length."""
     from ellipticlab import Domain, Grid
 
-    monkeypatch.setattr(stencils, "_STRIP", strip)
     g = Grid(Domain((0.0,), (1.0,)), (1001,))
     u = GridFunction(g, np.random.default_rng(13).standard_normal(g.node_count))
     assert_whole_grid_envelope(parse_operator(spec), u)
