@@ -19,6 +19,7 @@ property checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -361,7 +362,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="ellipticlab",
         description="Experiments with discrete elliptic differential inequalities.")

@@ -128,10 +128,6 @@ class DecayProfile:
     spread: float  # max deviation of leave-one-level-out slopes
     pivots: tuple  # simplex pivots of each level's affine fit
 
-    @property
-    def usable_count(self) -> int:
-        return sum(1 for f in self.usable if f)
-
 
 def _slope_fit(log_r, log_psi) -> float:
     a = np.column_stack([log_r, np.ones_like(log_r)])

@@ -112,18 +112,6 @@ class Grid:
         multi = np.unravel_index(flat_indices, self.shape, order="F")
         return np.stack([self.coords(a)[multi[a]] for a in range(self.ndim)], axis=1)
 
-    def flat_index(self, multi) -> int:
-        multi = tuple(int(i) for i in multi)
-        if len(multi) != self.ndim:
-            raise ValueError("multi-index rank mismatch")
-        idx = 0
-        for axis in reversed(range(self.ndim)):
-            i = multi[axis]
-            if not 0 <= i < self.shape[axis]:
-                raise IndexError("node index out of range")
-            idx = idx * self.shape[axis] + i
-        return idx
-
     def multi_index(self, flat: int) -> tuple:
         flat = int(flat)
         out = []
@@ -325,17 +313,6 @@ class SymMatrix:
             raise ValueError("matrix is not symmetric")
         self.n = m.shape[0]
         self._upper = tuple(float(m[i, j]) for i in range(self.n) for j in range(i, self.n))
-
-    @classmethod
-    def from_upper(cls, n, entries):
-        m = np.zeros((n, n))
-        it = iter(entries)
-        for i in range(n):
-            for j in range(i, n):
-                v = float(next(it))
-                m[i, j] = v
-                m[j, i] = v
-        return cls(m)
 
     @classmethod
     def diag(cls, *entries):

@@ -37,14 +37,14 @@ same discrete fixed point, a few steps per level on every grid.
 Each step solves for the correction to the current iterate with BiCGSTAB
 (the same as warm-starting at the iterate); the correction vanishes on the
 boundary band and on pinned nodes, so only the free interior nodes are
-unknowns.  When the scheme reaches one node layer (Selling's stencils for
-trace, linear and max-of-linear operators), BiCGSTAB is preconditioned with
+unknowns.  When the scheme reaches one node layer (every operator of
+moderate anisotropy), BiCGSTAB is preconditioned with
 one geometric multigrid V-cycle built on that free-node system: bilinear
 interpolation from the grid of every other node restricted to the free
 nodes, Galerkin coarse operators P^T A P, damped Jacobi smoothing and a
 direct factorization of the coarsest level.  It takes a few iterations per
 step on every grid, where the plain iteration needs more as h shrinks.
-Pucci's wide interpolated 2D stencils keep the plain iteration.
+Stencils that reach further keep the plain iteration.
 
 The system and its V-cycle belong to one grid's step loop
 (``_FrozenSystem``), as in truncated monotone multigrid (Kornhuber, Numer.
@@ -346,9 +346,9 @@ def _correction(matrix, rhs, tol, where, r, precondition):
 class _FrozenSystem:
     """The frozen-policy system of one grid's step loop, minus diag(g), and
     its V-cycle, reused across the loop's steps as the module docstring
-    describes; it lives as long as that loop.  With ``shape`` None (Pucci's
-    wide stencils, on which a Galerkin V-cycle costs more than it saves)
-    BiCGSTAB runs unpreconditioned."""
+    describes; it lives as long as that loop.  With ``shape`` None (stencils
+    reaching more than one node layer, on which a Galerkin V-cycle costs
+    more than it saves) BiCGSTAB runs unpreconditioned."""
 
     def __init__(self, stencils, g, shape):
         self.stencils, self.g, self.shape = stencils, g, shape

@@ -4,29 +4,33 @@ F_h is built from directional second differences in node units,
 
     D_e u(x) = u(x + e h) - 2 u(x) + u(x - e h),
 
-as   F_h u(x) = pick_g  sum_{(e, C) in g}  pick_{c in C} c D_e u(x) / h^2,
+as   F_h u(x) = pick_A  sum_{(e, c) in S(A)}  c D_e u(x) / h^2,
 
-where pick is the max (the min for pucci_min), g runs over a few candidates
-and every coefficient c is nonnegative.  Each D_e has nonnegative off-centre
+where pick is the max (the min for pucci_min) over a few candidate matrices
+A and S(A) is Selling's decomposition A = sum c e e^T, with coefficients
+c > 0 and integer lattice vectors e (Fehrenbach & Mirebeau, JMIV 49, 2014).
+Each candidate is exact on quadratics and has nonnegative off-centre
 weights, so F_h is monotone (Barles & Souganidis, Asymptotic Anal. 4, 1991).
 
-- Trace, linear and max-of-linear operators: one candidate per matrix A,
-  from Selling's decomposition A = sum rho_i e_i e_i^T with rho_i >= 0 and
-  integer e_i (Fehrenbach & Mirebeau, JMIV 49, 2014).  Exact on quadratics.
-- Pucci operators: PUCCI_ANGLES directions at PUCCI_RADIUS nodes, paired
-  orthogonally; a pair contributes max(lam2 D_e, lam1 D_e) / r^2 per
-  direction (the min for pucci_min).  Off-lattice sample points are
-  bilinearly interpolated, which keeps the weights nonnegative and adds an
-  O((h/r)^2) consistency error.
-- 1D grids: the same structure with the single direction e = 1.
+- Trace, linear and max-of-linear operators: one candidate per matrix.
+- Pucci operators: M+(X) = sup tr(A X) over lam1 <= A <= lam2 is attained
+  at lam2 I, at lam1 I or at A_t = lam2 e_t e_t^T + lam1 e_t' e_t'^T with
+  e_t = (cos t, sin t) and e_t' its perpendicular; M- is the inf over the
+  same set.  The candidates are lam2 I, lam1 I and A_t for t = k pi / K,
+  k < K = _PUCCI_FRAMES.  On a quadratic whose Hessian has eigenvalues
+  mu1 >= mu2, F_h is exact when its top eigenvector is at a frame angle and
+  otherwise misses F by (lam2 - lam1)(mu1 - mu2) sin^2(delta), below M+ and
+  above M-, where delta <= pi / 2K is the angle to the nearest frame.
+- 1D grids: the candidates [lam2] and [lam1] for Pucci, a[0, 0] otherwise,
+  with the single direction e = 1.
 
 ``eval_discrete`` evaluates F_h; ``eval_policy`` also returns, per node, the
-index of the linear stencil attaining the pick, and ``frozen_stencils``
-lists those linear stencils for the solvers' sparse assembly.  The scheme
+index of the candidate attaining the pick, and ``frozen_stencils`` lists the
+candidates as linear stencils for the solvers' sparse assembly.  The scheme
 reaches ``operator_margin`` node layers, where F_h is undefined (NaN).
-Both walk the interior in strips of whole rows, about ``_STRIP`` nodes
-each, through a few strip-sized buffers that stay in cache, rather than
-making whole-grid temporaries per term.  Every node gets the same
+Both walk the interior in strips of whole rows through a few strip-sized
+buffers, about ``_STRIP`` nodes between them, that stay in cache, rather
+than making whole-grid temporaries per term.  Every node gets the same
 operations in the same order as in a whole-grid evaluation, so the values
 and the policy do not depend on the strip size, bit for bit.
 
@@ -36,16 +40,14 @@ differences for the viscosity checks and the Hessian L^p norms.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridFunction, SymMatrix
-from .operators import EllipticOperator, operator_spec_string
+from .grids import Grid, GridFunction
+from .operators import EllipticOperator
 
 __all__ = [
     "HessianField",
@@ -63,8 +65,7 @@ class StencilReachError(ValueError):
     operator/grid pair, not a failed certificate."""
 
 
-PUCCI_ANGLES = 16  # equispaced directions in [0, pi), paired orthogonally
-PUCCI_RADIUS = 3  # sample distance of the Pucci directions, in nodes
+_PUCCI_FRAMES = 16  # frame angles k pi / K, k < K, of Pucci's 2D candidates
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,18 +75,6 @@ class HessianField:
     grid: Grid
     comps: dict  # (i, j) -> lattice array
     margin: int = 1
-
-    def matrix_at(self, multi) -> SymMatrix:
-        n = self.grid.ndim
-        m = np.zeros((n, n))
-        idx = tuple(multi[n - 1 - a] for a in range(n))  # lattice order
-        for (i, j), arr in self.comps.items():
-            v = arr[idx]
-            if not np.isfinite(v):
-                raise ValueError("Hessian is undefined on the boundary ring")
-            m[i, j] = v
-            m[j, i] = v
-        return SymMatrix(m)
 
 
 def discrete_hessian(u: GridFunction) -> HessianField:
@@ -121,31 +110,6 @@ def discrete_hessian(u: GridFunction) -> HessianField:
 # -- building the scheme ---------------------------------------------------------
 
 
-def _interp_shift_terms(offset):
-    """A node-unit offset (x, y) as lattice shifts with bilinear weights,
-    [(dx, dy, weight), ...]; an integer component gives a single shift."""
-    terms = [((), 1.0)]
-    for comp in offset:
-        base = math.floor(comp)
-        frac = comp - base
-        if frac < 1e-13:
-            pieces = [(base, 1.0)]
-        elif frac > 1.0 - 1e-13:
-            pieces = [(base + 1, 1.0)]
-        else:
-            pieces = [(base, 1.0 - frac), (base + 1, frac)]
-        terms = [(loc + (i,), w * pw) for loc, w in terms for i, pw in pieces]
-    return [(*loc, w) for loc, w in terms]
-
-
-def _second_difference(offset):
-    """D_e as (dx, dy, weight) terms, centre first, for e = offset."""
-    terms = [(0, 0, -2.0)]
-    for sign in (1.0, -1.0):
-        terms += _interp_shift_terms((sign * offset[0], sign * offset[1]))
-    return tuple(terms)
-
-
 def _selling(a):
     """Selling's decomposition of a 2x2 SPD matrix: [(rho, e)] with rho > 0
     and integer vectors e such that a = sum rho e e^T.
@@ -171,35 +135,36 @@ def _selling(a):
     return out
 
 
-def _linear_candidate(a, ndim):
-    if ndim == 1:
-        return ((_second_difference((1, 0)), (float(a[0, 0]),)),)
-    return tuple((_second_difference(e), (rho,)) for rho, e in _selling(a))
+def _candidate_matrices(op: EllipticOperator, ndim: int):
+    """The matrices A whose tr(A X) F takes the max (min) of: the operator's
+    own, or the extreme points of Pucci's lam1 <= A <= lam2 up to the frame
+    angles (exactly all of them in 1D)."""
+    if op.kind in ("pucci_max", "pucci_min"):
+        lam1, lam2 = op.params.lam1, op.params.lam2
+        mats = [lam2 * np.eye(ndim), lam1 * np.eye(ndim)]
+        if ndim == 2:
+            for k in range(_PUCCI_FRAMES):
+                t = k * math.pi / _PUCCI_FRAMES
+                e, p = np.array([math.cos(t), math.sin(t)]), np.array([-math.sin(t), math.cos(t)])
+                mats.append(lam2 * np.outer(e, e) + lam1 * np.outer(p, p))
+        return mats
+    if op.kind == "trace":
+        return [np.eye(ndim)]
+    if op.kind in ("linear", "max_of_linear"):
+        if op.mats[0].shape[0] != ndim:
+            raise ValueError("operator dimension mismatch")
+        return list(op.mats)
+    raise ValueError(f"unknown operator kind {op.kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class _Scheme:
-    """F_h of one operator: per candidate, ((terms, coefficients), ...)."""
+    """F_h of one operator: the pick over ``rows`` of sum c D_e u / h^2."""
 
-    candidates: tuple
+    directions: tuple  # integer lattice vectors e as (dx, dy); (1, 0) in 1D
+    rows: tuple  # per candidate matrix ((index into directions, c > 0), ...)
     minimize: bool  # pick is the min (pucci_min) rather than the max
     margin: int  # node layers the stencils reach
-
-    @functools.cached_property
-    def sizes(self):
-        """Linear stencils per candidate: one per choice of coefficients."""
-        return [math.prod(len(coeffs) for _, coeffs in cand) for cand in self.candidates]
-
-    @functools.cached_property
-    def weighted(self):
-        """Whether some off-centre weight differs from 1."""
-        return any(w != 1.0 for cand in self.candidates for terms, _ in cand
-                   for _, _, w in terms[1:])
-
-    @functools.cached_property
-    def choosing(self):
-        """Whether some part has a choice of coefficients."""
-        return any(len(coeffs) > 1 for cand in self.candidates for _, coeffs in cand)
 
 
 # built schemes per operator object (operators hash by identity) and ndim
@@ -216,34 +181,13 @@ def _scheme(op: EllipticOperator, ndim: int) -> _Scheme:
 def _build_scheme(op: EllipticOperator, ndim: int) -> _Scheme:
     if ndim not in (1, 2):
         raise NotImplementedError("the scheme is implemented for 1D and 2D grids")
-    if op.kind in ("pucci_max", "pucci_min"):
-        lam = (op.params.lam2, op.params.lam1)
-        if ndim == 1:
-            cands = [((_second_difference((1, 0)), lam),)]
-        else:
-            r = PUCCI_RADIUS
-            coeffs = tuple(c / r**2 for c in lam)
-            cands = []
-            for j in range(PUCCI_ANGLES // 2):
-                theta = j * math.pi / PUCCI_ANGLES
-                cands.append(tuple(
-                    (_second_difference((r * math.cos(t), r * math.sin(t))), coeffs)
-                    for t in (theta, theta + math.pi / 2.0)))
-    elif op.kind == "trace":
-        cands = [_linear_candidate(np.eye(ndim), ndim)]
-    elif op.kind in ("linear", "max_of_linear"):
-        if op.mats[0].shape[0] != ndim:
-            raise ValueError("operator dimension mismatch")
-        cands = [_linear_candidate(a, ndim) for a in op.mats]
-    else:
-        raise ValueError(f"unknown operator kind {op.kind!r}")
-    parts = [part for cand in cands for part in cand]
-    if any(min(coeffs) < 0.0 or any(w < 0.0 for _, _, w in terms[1:])
-           for terms, coeffs in parts):
-        raise ValueError("operator %s: the scheme has a negative off-centre weight,"
-                         " so it is not monotone" % operator_spec_string(op))
-    margin = max(max(abs(dx), abs(dy)) for terms, _ in parts for dx, dy, _ in terms)
-    return _Scheme(tuple(cands), op.kind == "pucci_min", margin)
+    directions, rows = {}, []
+    for a in _candidate_matrices(op, ndim):
+        parts = _selling(a) if ndim == 2 else [(float(a[0, 0]), (1, 0))]
+        rows.append(tuple((directions.setdefault(e, len(directions)), rho)
+                          for rho, e in parts))
+    margin = max(max(abs(dx), abs(dy)) for dx, dy in directions)
+    return _Scheme(tuple(directions), tuple(rows), op.kind == "pucci_min", margin)
 
 
 def operator_margin(op: EllipticOperator, ndim: int) -> int:
@@ -253,29 +197,32 @@ def operator_margin(op: EllipticOperator, ndim: int) -> int:
 
 # -- evaluating it -----------------------------------------------------------------
 
-# nodes per strip in _envelope: a strip's float64 buffers are 256 kB each, so
-# they stay in cache while every term of the scheme streams through them
-_STRIP = 1 << 15
+# nodes in all of a strip's float buffers together in _envelope: 1 MB, so
+# they stay in a core's L2 cache (2 MB on the Xeon it was tuned on) while
+# every term of the scheme streams through them; smaller strips cost more in
+# per-call overhead than they save
+_STRIP = 1 << 17
 
 
 def _envelope(op, u, track):
     """F_h(u) as a flat node array (NaN on the margin band) and, if ``track``
-    and the scheme has more than one linear stencil, the index of the stencil
+    and the scheme has more than one candidate, the index of the candidate
     attaining it at every node (0 on the band); otherwise None.
 
-    The interior is walked in strips of whole rows, about ``_STRIP`` nodes
-    each.  A strip is one contiguous run of the flat lattice, from the first
-    interior node of its top row to the last interior node of its bottom
-    row, so a term is a shifted slice of the lattice and every operation
-    runs on contiguous memory.  The run's nodes on the margin columns get
-    stencils that wrap into the next row; they are blanked at the end.
-    Within a strip every term goes into a few reused buffers, each made only
-    if the scheme needs it: ``tmp`` for an off-centre weight other than 1,
-    ``val`` and ``alt`` for a choice of coefficients, ``acc`` for more than
-    one candidate.  Each node sees the same operations in the same order
-    whatever the strip (centre first, then the terms in order; ``coeffs[0]``,
-    then each alternative; candidates in order), so the values and the
-    policy are those of a whole-grid evaluation, bit for bit."""
+    The interior is walked in strips of whole rows, so that the strip's
+    buffers hold about ``_STRIP`` nodes between them.  A strip is one
+    contiguous run of the flat lattice, from the first interior node of its
+    top row to the last interior node of its bottom row, so a term is a
+    shifted slice of the lattice and every operation runs on contiguous
+    memory.  The run's nodes on the margin columns get stencils that wrap
+    into the next row; they are blanked at the end.  Per strip, every D_e u
+    goes into a buffer of its own (centre first, then x + e, then x - e);
+    each candidate then sums c D_e u in its row's order, in place of the
+    best value for the first candidate and in ``acc`` for the others, with
+    ``tmp`` holding c D_e u for a coefficient other than 1 after the first.
+    Each node sees the same operations in the same order whatever the
+    strip, so the values and the policy are those of a whole-grid
+    evaluation, bit for bit."""
     grid = u.grid
     scheme = _scheme(op, grid.ndim)
     m = scheme.margin
@@ -284,62 +231,44 @@ def _envelope(op, u, track):
     ny, nx = lat.shape
     if 2 * m >= nx or 2 * my >= ny:
         raise StencilReachError("stencil exits domain: grid too small for its reach %d" % m)
-    track = track and sum(scheme.sizes) > 1
+    several = len(scheme.rows) > 1
+    track = track and several
+    scaled = any(c != 1.0 for row in scheme.rows for _, c in row[1:])
     better = np.less if scheme.minimize else np.greater
     pick = np.minimum if scheme.minimize else np.maximum
-    rows = min(max(1, _STRIP // (nx - 2 * m)), ny - 2 * my)
-
-    def buffer(needed, dtype=float):
-        return np.empty(rows * nx - 2 * m, dtype) if needed else None
-
-    buffers = (buffer(True), buffer(scheme.weighted),
-               buffer(scheme.choosing), buffer(scheme.choosing),
-               buffer(len(scheme.candidates) > 1),
-               buffer(track, bool), buffer(track, np.int32),
-               buffer(track and max(scheme.sizes[1:], default=1) > 1, np.int32))
+    floats = len(scheme.directions) + scaled + several  # strip buffers sharing _STRIP
+    rows = min(max(1, _STRIP // (floats * (nx - 2 * m))), ny - 2 * my)
+    size = rows * nx - 2 * m
+    diffs = np.empty((len(scheme.directions), size))
+    buffers = (np.empty(size) if scaled else None, np.empty(size) if several else None,
+               np.empty(size, bool) if track else None,
+               np.empty(size, np.int32) if track else None)
+    shifts = [dy * nx + dx for dx, dy in scheme.directions]
     nodes = lat.ravel()
     out = np.full(ny * nx, np.nan)
     policy = np.zeros(ny * nx, dtype=np.int32) if track else None
     h2 = grid.h**2
     for top in range(my, ny - my, rows):
         start, stop = top * nx + m, min(top + rows, ny - my) * nx - m
-        d, tmp, val, alt, acc, mask, step, choices = (
-            None if b is None else b[: stop - start] for b in buffers)
+        d = diffs[:, : stop - start]
+        tmp, acc, mask, step = (None if b is None else b[: stop - start] for b in buffers)
+        for dk, s in zip(d, shifts):
+            np.multiply(nodes[start:stop], -2.0, out=dk)
+            dk += nodes[start + s : stop + s]
+            dk += nodes[start - s : stop - s]
         best = out[start:stop]
         held = None if policy is None else policy[start:stop]
-        base = 0
-        for j, (cand, size) in enumerate(zip(scheme.candidates, scheme.sizes)):
-            target = best if j == 0 else acc
-            if not track or size == 1:
-                choice = base
-            elif j == 0:
-                choice = held
-            else:
-                choice = choices
-                choice.fill(base)
-            stride = size
-            for i, (terms, coeffs) in enumerate(cand):
-                _, _, centre = terms[0]  # the centre term leads
-                np.multiply(nodes[start:stop], centre, out=d)
-                for dx, dy, w in terms[1:]:
-                    shifted = nodes[start + dy * nx + dx : stop + dy * nx + dx]
-                    d += shifted if w == 1.0 else np.multiply(shifted, w, out=tmp)
-                v = target if i == 0 else d if len(coeffs) == 1 else val
-                np.multiply(d, coeffs[0], out=v)
-                stride //= len(coeffs)
-                for k, c in enumerate(coeffs[1:], 1):
-                    np.multiply(d, c, out=alt)
-                    if track:  # choice += k * stride * better(alt, v)
-                        choice += np.multiply(better(alt, v, out=mask), k * stride, out=step)
-                    pick(v, alt, out=v)
-                if i:
-                    target += v
+        for j, row in enumerate(scheme.rows):
+            target = acc if j else best
+            (k, c), *rest = row
+            np.multiply(d[k], c, out=target)
+            for k, c in rest:
+                target += d[k] if c == 1.0 else np.multiply(d[k], c, out=tmp)
             if j:
-                if track:  # where better(target, best), the policy becomes choice
-                    diff = np.subtract(choice, held, out=step)
-                    held += np.multiply(diff, better(target, best, out=mask), out=diff)
+                if track:  # where better(target, best), the policy becomes j
+                    np.subtract(j, held, out=step)
+                    held += np.multiply(step, better(target, best, out=mask), out=step)
                 pick(best, target, out=best)
-            base += size
         best /= h2
     band = out.reshape(ny, nx)
     band[:, :m] = band[:, nx - m :] = np.nan
@@ -363,20 +292,20 @@ def eval_policy(op: EllipticOperator, u: GridFunction):
 
 
 def frozen_stencils(op: EllipticOperator, grid: Grid):
-    """Every linear stencil a policy can freeze, as flat node offsets (int32)
-    and weights of shape (stencils, terms), centre first, padded with zero
-    weights.  Applied at a node, stencil ``eval_policy`` picked there gives
-    F_h(u) at that node."""
+    """Every linear stencil a policy can freeze, one per candidate, as flat
+    node offsets (int32) and weights of shape (stencils, terms), centre
+    first, padded with zero weights.  Applied at a node, stencil
+    ``eval_policy`` picked there gives F_h(u) at that node."""
     scheme = _scheme(op, grid.ndim)
     nx, scale = grid.shape[0], 1.0 / grid.h**2
     stencils = []
-    for cand in scheme.candidates:
-        for choice in itertools.product(*(range(len(coeffs)) for _, coeffs in cand)):
-            acc = {(0, 0): 0.0}
-            for (terms, coeffs), k in zip(cand, choice):
-                for dx, dy, w in terms:
-                    acc[(dx, dy)] = acc.get((dx, dy), 0.0) + coeffs[k] * w * scale
-            stencils.append(acc)
+    for row in scheme.rows:
+        acc = {(0, 0): 0.0}
+        for k, c in row:
+            dx, dy = scheme.directions[k]
+            for offset, w in (((0, 0), -2.0), ((dx, dy), 1.0), ((-dx, -dy), 1.0)):
+                acc[offset] = acc.get(offset, 0.0) + c * w * scale
+        stencils.append(acc)
     width = max(len(s) for s in stencils)
     offsets = np.zeros((len(stencils), width), dtype=np.int32)
     weights = np.zeros((len(stencils), width))

@@ -205,9 +205,9 @@ def grid65():
 
 
 def whole_grid_envelope(op, u, track):
-    """F_h(u) and its policy the way ``stencils._envelope`` computed them
-    before it walked the grid in strips: one whole-grid temporary per term,
-    the same arithmetic in the same order."""
+    """F_h(u) and its policy the way ``stencils._envelope`` computes them but
+    in one whole-grid pass: one whole-grid temporary per term, the same
+    arithmetic in the same order."""
     from ellipticlab.stencils import _scheme
 
     grid = u.grid
@@ -216,38 +216,29 @@ def whole_grid_envelope(op, u, track):
     my = m if grid.ndim == 2 else 0
     lat = u.lattice().reshape(-1, grid.shape[0])
     ny, nx = lat.shape
-    track = track and sum(scheme.sizes) > 1
+    track = track and len(scheme.rows) > 1
     better = np.less if scheme.minimize else np.greater
     pick = np.minimum if scheme.minimize else np.maximum
+    diffs = [-2.0 * lat[my : ny - my, m : nx - m]
+             + lat[my + dy : ny - my + dy, m + dx : nx - m + dx]
+             + lat[my - dy : ny - my - dy, m - dx : nx - m - dx]
+             for dx, dy in scheme.directions]
     best = policy = None
-    base = 0
-    for cand, size in zip(scheme.candidates, scheme.sizes):
-        acc, choice, stride = None, 0, size
-        for terms, coeffs in cand:
-            d = terms[0][2] * lat[my : ny - my, m : nx - m]
-            for dx, dy, w in terms[1:]:
-                shifted = lat[my + dy : ny - my + dy, m + dx : nx - m + dx]
-                d += shifted if w == 1.0 else w * shifted
-            val = coeffs[0] * d
-            stride //= len(coeffs)
-            for k, c in enumerate(coeffs[1:], 1):
-                alt = c * d
-                if track:
-                    choice = choice + k * stride * better(alt, val)
-                val = pick(val, alt)
-            acc = val if acc is None else acc + val
+    for j, row in enumerate(scheme.rows):
+        acc = None
+        for k, c in row:
+            acc = c * diffs[k] if acc is None else acc + c * diffs[k]
         if best is None:
-            best = acc
-            policy = np.broadcast_to(base + choice, acc.shape) if track else None
+            best, policy = acc, np.zeros(acc.shape, dtype=np.int32)
         else:
-            if track:
-                policy = np.where(better(acc, best), base + choice, policy)
+            policy = np.where(better(acc, best), j, policy)
             best = pick(best, acc)
-        base += size
     out = np.full((ny, nx), np.nan)
     out[my : ny - my, m : nx - m] = best / grid.h**2
-    if policy is not None:
+    if track:
         full = np.zeros((ny, nx), dtype=np.int32)
         full[my : ny - my, m : nx - m] = policy
         policy = full.ravel()
+    else:
+        policy = None
     return out.ravel(), policy

@@ -229,12 +229,6 @@ def test_symmatrix_trace_frobenius_and_shift():
     assert m.scaled(2.0).trace() == pytest.approx(5.0)
 
 
-def test_symmatrix_from_upper_round_trip():
-    m = SymMatrix.from_upper(2, [1.0, 0.25, -3.0])
-    assert m.mat[0, 1] == m.mat[1, 0] == 0.25
-    assert m.mat[1, 1] == -3.0
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -259,10 +259,10 @@ def fallback_problem(case):
     if case == "odd-cells":  # 33 cells per axis
         op, res, top = TRACE, 34, 0.25
     elif case == "coarse-band":
-        # Pucci's stencils reach 3 nodes: psi = 0.46 - |x|^2 stays below the
-        # zero boundary data on the band of 65^2 (|x| >= 0.703) but not on
-        # that of 33^2, which reaches in to |x| = 0.656
-        op, res, top = pucci_max(1.0, 2.0), 65, 0.46
+        # this stencil reaches 2 nodes: psi = 0.51 - |x|^2 stays below the
+        # zero boundary data on the band of 65^2 (|x| >= 0.727) but not on
+        # that of 33^2, which reaches in to |x| = 0.703
+        op, res, top = linear_operator([[1.0, 1.9], [1.9, 4.0]]), 65, 0.51
     else:  # this stencil reaches 9 nodes: 17^2 would have no interior
         op, res, top = linear_operator([[1.01, 9.0], [9.0, 81.01]]), 33, -0.1
     grid = square_grid(res, 0.75)
@@ -392,19 +392,17 @@ def test_preconditioned_krylov_iterations_stay_flat(res):
     assert 1 <= max(krylov) <= 4
 
 
-def test_pucci_policies_are_not_preconditioned(monkeypatch):
-    """Pucci's stencils reach 3 nodes, where a Galerkin V-cycle costs more
-    than it saves: the gate keeps the plain iteration for them."""
+def test_pucci_policies_are_preconditioned(monkeypatch):
+    """Pucci's Selling stencils reach one node layer, so its frozen policies
+    get the V-cycle like the trace's."""
     built = count_calls(monkeypatch, "_vcycle", lambda *args: args[2])
     op = pucci_max(1.0, 2.0)
     f, target, zero = manufactured_quad(op)
     assert solve_dirichlet(op, f, target, initial=zero).iterations >= 1
+    assert built and set(built) == {(33, 33)}
     disc = disc_problem(33)
     solve_obstacle(ObstacleProblem(op, disc.psi, disc.boundary, disc.f, disc.g_weight))
-    assert built == []
-    f, target, zero = manufactured_quad(TRACE)
-    solve_dirichlet(TRACE, f, target, initial=zero)
-    assert built and set(built) == {(33, 33)}
+    assert set(built) == {(17, 17), (33, 33)}
 
 
 def test_obstacle_builds_one_hierarchy_per_level(monkeypatch):

@@ -40,18 +40,17 @@ def test_hessian_exact_on_quadratic(grid33):
 
 def test_hessian_nan_ring(grid33):
     hf = discrete_hessian(quadratic_field(grid33, np.eye(2)))
-    xx = hf.comps[(0, 0)]
-    assert np.isnan(xx[0]).all() and np.isnan(xx[-1]).all()
-    assert np.isnan(xx[:, 0]).all() and np.isnan(xx[:, -1]).all()
-    with pytest.raises(ValueError, match="boundary ring"):
-        hf.matrix_at((0, 5))
+    for comp in hf.comps.values():
+        assert np.isnan(comp[0]).all() and np.isnan(comp[-1]).all()
+        assert np.isnan(comp[:, 0]).all() and np.isnan(comp[:, -1]).all()
+        assert np.isfinite(interior(comp, 1)).all()
 
 
 def test_hessian_matrix_at_interior(grid33):
     m = np.array([[1.0, -0.5], [-0.5, 3.0]])
     hf = discrete_hessian(quadratic_field(grid33, m))
-    got = hf.matrix_at((16, 16)).mat
-    np.testing.assert_allclose(got, m, rtol=0, atol=5e-12)
+    for (i, j), comp in hf.comps.items():
+        assert comp[16, 16] == pytest.approx(m[i, j], rel=0, abs=5e-12)
 
 
 def test_hessian_1d():
@@ -75,7 +74,8 @@ def test_operator_margins():
     assert operator_margin(linear_operator([[2.0, 0.5], [0.5, 1.0]]), 2) == 1
     # Selling's decomposition of [[1, 1.9], [1.9, 4]] uses the direction (1, 2)
     assert operator_margin(linear_operator([[1.0, 1.9], [1.9, 4.0]]), 2) == 2
-    assert operator_margin(pucci_max(1.0, 2.0), 2) == 3
+    assert operator_margin(pucci_max(1.0, 2.0), 2) == 1
+    assert operator_margin(pucci_min(1.0, 10.0), 2) == 2
     assert operator_margin(pucci_max(1.0, 2.0), 1) == 1
 
 
@@ -90,10 +90,12 @@ def test_eval_discrete_is_nan_exactly_on_the_margin_band(op):
 
 
 def test_eval_discrete_rejects_a_grid_inside_its_reach():
-    g = unit_square_grid(5)
+    """The direction (1, 2) leaves no interior node on a 4^2 grid."""
+    op = linear_operator([[1.0, 1.9], [1.9, 4.0]])
+    g = unit_square_grid(4)
     u = GridFunction(g, np.zeros(g.node_count))
     with pytest.raises(ValueError, match="exits domain"):
-        eval_discrete(pucci_max(1.0, 2.0), u)
+        eval_discrete(op, u)
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +119,42 @@ def test_eval_discrete_linear_matches_matrix_oracle(grid33):
                                    rtol=0, atol=5e-11)
 
 
+def rotated(mu1, mu2, phi):
+    """The symmetric matrix with eigenvalues mu1 >= mu2, mu1's eigenvector at
+    angle phi."""
+    r = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    return r @ np.diag([mu1, mu2]) @ r.T
+
+
 def test_eval_discrete_pucci_wide_stencil_consistency(grid65):
-    """Wide-stencil Pucci on an axis-aligned quadratic: directions 0 and pi/2
-    are interpolation-free, so the envelope is within the O((h/r)^2) slack."""
-    op = pucci_max(1.0, 2.0)
-    m = np.diag([1.0, -1.0])
-    u = quadratic_field(grid65, m)
-    exact = op_eval(op, m)  # = 2 - 1 = 1
-    e = eval_discrete(op, u).lattice()
-    vals = interior(e, operator_margin(op, 2))
-    assert np.nanmax(np.abs(vals - exact)) <= 0.05 * (1 + abs(exact))
+    """Pucci's scheme takes the max (min) of tr(A X) over lam2 I, lam1 I and
+    the extreme matrices framed at the angles k pi / 16, each exact on
+    quadratics.  It reproduces a quadratic whose eigenvectors are at frame
+    angles; otherwise it errs on one side, by at most (lam2 - lam1)(mu1 -
+    mu2) sin^2(delta), delta the angle from mu1's eigenvector to the nearest
+    frame angle."""
+    for k, (mu1, mu2) in zip((0, 3, 8, 13), ((1.0, -1.0), (2.0, 0.5), (-0.5, -2.0),
+                                             (3.0, -0.25))):
+        m = rotated(mu1, mu2, k * np.pi / 16)
+        u = quadratic_field(grid65, m)
+        for op in (pucci_max(1.0, 2.0), pucci_min(1.0, 2.0)):
+            vals = interior(eval_discrete(op, u).lattice(), operator_margin(op, 2))
+            np.testing.assert_allclose(vals, op_eval(op, m), rtol=0, atol=1e-10)
+
+    g = unit_square_grid(9)
+    rng = np.random.default_rng(21)
+    for ratio in (2.0, 4.0):
+        ops = pucci_max(1.0, ratio), pucci_min(1.0, ratio)
+        for _ in range(200):
+            mu1, mu2 = np.sort(rng.uniform(-3.0, 3.0, 2))[::-1]
+            phi = rng.uniform(0.0, np.pi)
+            off = phi % (np.pi / 16)
+            bound = (ratio - 1.0) * (mu1 - mu2) * np.sin(min(off, np.pi / 16 - off)) ** 2
+            m = rotated(mu1, mu2, phi)
+            u = quadratic_field(g, m)
+            for op, sign in zip(ops, (1.0, -1.0)):
+                miss = sign * (op_eval(op, m) - interior(eval_discrete(op, u).lattice(), 1))
+                assert -1e-10 <= miss.min() and miss.max() <= bound + 1e-10, (op.kind, miss)
 
 
 def test_eval_discrete_pucci_min_mirrors_max(grid65):
@@ -147,6 +175,8 @@ SCHEME_OPS = [
     max_of_linear([np.diag([1.0, 2.0]), [[2.0, -0.5], [-0.5, 1.0]]]),
     pucci_max(1.0, 2.0),
     pucci_min(1.0, 2.0),
+    pucci_max(1.0, 10.0),
+    pucci_min(1.0, 10.0),
 ]
 
 
@@ -242,7 +272,8 @@ def test_eval_discrete_rejects_3d():
 # ---------------------------------------------------------------------------
 # strips: the same values and policy as one whole-grid pass, bit for bit
 
-STRIP_OPS = ENVELOPE_OPS + [linear_operator([[1.0, 1.9], [1.9, 4.0]])]  # margins 1, 2, 3
+STRIP_OPS = ENVELOPE_OPS + [linear_operator([[1.0, 1.9], [1.9, 4.0]]),  # margins 1, 2, 3
+                             linear_operator([[1.0, 2.9], [2.9, 9.0]])]
 
 
 def assert_whole_grid_envelope(op, u):
@@ -260,15 +291,16 @@ def assert_whole_grid_envelope(op, u):
 @pytest.mark.parametrize("shape", [(33, 33), (41, 33), (33, 41)])
 @pytest.mark.parametrize("op", STRIP_OPS, ids=lambda op: op.kind)
 def test_strips_are_the_whole_grid_evaluation(op, shape, monkeypatch):
-    """With 64-node strips a 33-wide field goes two rows at a time over an odd
-    number of interior rows, so its last strip is ragged; a 41-wide one goes
-    a row at a time."""
+    """The strip budget is shared by 2 to 7 buffers: 64 nodes make every strip
+    one row, 1000 a few rows, with a ragged last strip where they do not
+    divide the interior rows."""
     from ellipticlab import Domain, Grid
 
-    monkeypatch.setattr(stencils, "_STRIP", 64)
     g = Grid(Domain((0.0, 0.0), ((shape[0] - 1) / 32, (shape[1] - 1) / 32)), shape)
     u = GridFunction(g, np.random.default_rng(11).standard_normal(g.node_count))
-    assert_whole_grid_envelope(op, u)
+    for strip in (64, 1000):
+        monkeypatch.setattr(stencils, "_STRIP", strip)
+        assert_whole_grid_envelope(op, u)
 
 
 @pytest.mark.parametrize("op", [trace_operator(), max_of_linear([np.diag([1.0, 2.0]),
@@ -276,7 +308,7 @@ def test_strips_are_the_whole_grid_evaluation(op, shape, monkeypatch):
                                 pucci_max(1.0, 2.0), pucci_min(1.0, 2.0)],
                          ids=lambda op: op.kind)
 def test_default_strips_are_the_whole_grid_evaluation(op):
-    """A 301^2 field spans three strips of the default size."""
+    """A 301^2 field spans 2 (trace) to 5 (Pucci) strips of the default size."""
     g = unit_square_grid(301)
     u = GridFunction(g, np.random.default_rng(12).standard_normal(g.node_count))
     assert_whole_grid_envelope(op, u)
@@ -293,9 +325,9 @@ def test_strips_on_a_line_are_the_whole_grid_evaluation(spec):
 
 
 def test_trace_evaluation_makes_no_whole_grid_temporaries():
-    """A 129^2 trace evaluation is one strip; at its peak it holds the output,
-    one strip buffer and the returned function's copy, where one temporary
-    per term would hold five interior-sized arrays."""
+    """A 129^2 trace evaluation is one strip; at its peak it holds the output
+    and one strip buffer per direction, where one temporary per term would
+    hold five interior-sized arrays."""
     import tracemalloc
 
     g = unit_square_grid(129)

@@ -238,9 +238,9 @@ def test_quartic_perturb_hessian_is_negligible_at_center():
     g = unit_square_grid(33)
     u = quadratic_field(g, np.array([[2.0, 0.5], [0.5, 1.0]]))
     w = quartic_perturb(u, (0.0, 0.0))
-    hu = discrete_hessian(u).matrix_at((16, 16)).mat
-    hw = discrete_hessian(w).matrix_at((16, 16)).mat
-    assert np.max(np.abs(hw - hu)) <= 2.0 * g.h ** 2 + 1e-12
+    hu, hw = discrete_hessian(u).comps, discrete_hessian(w).comps
+    for key, comp in hu.items():
+        assert abs(hw[key][16, 16] - comp[16, 16]) <= 2.0 * g.h ** 2 + 1e-12
 
 
 # ---------------------------------------------------------------------------
