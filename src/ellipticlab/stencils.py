@@ -144,8 +144,11 @@ def _candidate_matrices(op: EllipticOperator, ndim: int):
         mats = [lam2 * np.eye(ndim), lam1 * np.eye(ndim)]
         if ndim == 2:
             for k in range(_PUCCI_FRAMES):
-                t = k * math.pi / _PUCCI_FRAMES
-                e, p = np.array([math.cos(t), math.sin(t)]), np.array([-math.sin(t), math.cos(t)])
+                # cos t as sin(pi/2 - t), so the frame at t = pi/2 is exactly
+                # the lattice's and its matrix has no roundoff off the diagonal
+                c = math.sin((_PUCCI_FRAMES / 2 - k) * math.pi / _PUCCI_FRAMES)
+                s = math.sin(k * math.pi / _PUCCI_FRAMES)
+                e, p = np.array([c, s]), np.array([-s, c])
                 mats.append(lam2 * np.outer(e, e) + lam1 * np.outer(p, p))
         return mats
     if op.kind == "trace":
@@ -161,7 +164,7 @@ def _candidate_matrices(op: EllipticOperator, ndim: int):
 class _Scheme:
     """F_h of one operator: the pick over ``rows`` of sum c D_e u / h^2."""
 
-    directions: tuple  # integer lattice vectors e as (dx, dy); (1, 0) in 1D
+    directions: tuple  # integer lattice vectors e as (dx, dy), one per line; (1, 0) in 1D
     rows: tuple  # per candidate matrix ((index into directions, c > 0), ...)
     minimize: bool  # pick is the min (pucci_min) rather than the max
     margin: int  # node layers the stencils reach
@@ -181,13 +184,16 @@ def _scheme(op: EllipticOperator, ndim: int) -> _Scheme:
 def _build_scheme(op: EllipticOperator, ndim: int) -> _Scheme:
     if ndim not in (1, 2):
         raise NotImplementedError("the scheme is implemented for 1D and 2D grids")
-    directions, rows = {}, []
+    # D_e = D_-e: one buffer per lattice line, oriented as first met, so the
+    # schemes that never meet both orientations keep their order of additions
+    lines, rows = {}, []
     for a in _candidate_matrices(op, ndim):
         parts = _selling(a) if ndim == 2 else [(float(a[0, 0]), (1, 0))]
-        rows.append(tuple((directions.setdefault(e, len(directions)), rho)
+        rows.append(tuple((lines.setdefault(max(e, (-e[0], -e[1])), (len(lines), e))[0], rho)
                           for rho, e in parts))
+    directions = tuple(e for _, e in lines.values())
     margin = max(max(abs(dx), abs(dy)) for dx, dy in directions)
-    return _Scheme(tuple(directions), tuple(rows), op.kind == "pucci_min", margin)
+    return _Scheme(directions, tuple(rows), op.kind == "pucci_min", margin)
 
 
 def operator_margin(op: EllipticOperator, ndim: int) -> int:

@@ -242,3 +242,19 @@ def whole_grid_envelope(op, u, track):
     else:
         policy = None
     return out.ravel(), policy
+
+
+def shift_add_convolve(lat, weights):
+    """Valid-mode correlation sum_d w(d) lat(x + d) the direct way, one
+    whole-array shifted add per nonzero weight; the reference for
+    ``mollify._convolve_valid``."""
+    out_shape = tuple(n - m + 1 for n, m in zip(lat.shape, weights.shape))
+    if any(s < 1 for s in out_shape):
+        raise ValueError("mollified domain is empty: the margin removes every interior node")
+    out = np.zeros(out_shape)
+    for idx in np.ndindex(weights.shape):
+        wv = weights[idx]
+        if wv == 0.0:
+            continue
+        out += wv * lat[tuple(slice(i, i + s) for i, s in zip(idx, out_shape))]
+    return out

@@ -144,6 +144,18 @@ def test_import_leaves_scipy_unloaded():
     assert r.returncode == 0, r.stderr or "importing ellipticlab loaded scipy"
 
 
+def test_mollification_leaves_scipy_unloaded():
+    """The mollifier convolves by numpy's FFT: a sweep never loads scipy."""
+    code = ("import sys; import ellipticlab as el; "
+            "u = el.build_fixture('quad', 33); h = u.grid.h; "
+            "el.mollify(u, 4 * h); "
+            "el.stability_sweep(u, el.SymMatrix.identity(2), 0.0, 4.0, [4 * h, 3 * h], "
+            "p=4.0, r=0.2); "
+            "sys.exit('scipy' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr or "mollification loaded scipy"
+
+
 def test_obstacle_manifest_records_bounds(obstacle_run):
     man = read_manifest(obstacle_run / "run_manifest.txt")
     levels = [level.split(":") for level in man["level_steps"].split()]

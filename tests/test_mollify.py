@@ -19,7 +19,9 @@ from ellipticlab import (
     stability_sweep,
 )
 
-from conftest import field, quadratic_field, unit_square_grid
+from conftest import field, quadratic_field, shift_add_convolve, unit_square_grid
+
+mollify_module = sys.modules["ellipticlab.mollify"]  # ellipticlab.mollify is the function
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +61,83 @@ def test_shrunken_domain_empty():
     g = unit_square_grid(17)
     with pytest.raises(ValueError, match="margin removes every interior node"):
         ShrunkenDomain(g, 7 * g.h)
+
+
+# ---------------------------------------------------------------------------
+# the FFT convolution against the shift-and-add oracle
+
+
+def _assert_matches_oracle(lat, weights):
+    got = mollify_module._convolve_valid(lat, weights)
+    want = shift_add_convolve(lat, weights)
+    assert got.shape == want.shape
+    tol = 1e-13 * np.max(np.abs(lat)) * np.sum(np.abs(weights))
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+def _zero_bordered(rng, shape):
+    w = np.zeros(shape)
+    w[(slice(1, -1),) * len(shape)] = rng.random(tuple(s - 2 for s in shape))
+    return w
+
+
+@pytest.mark.parametrize("lat_shape, w_shape, border", [
+    ((301,), (17,), False),
+    ((301,), (9,), True),
+    ((33, 33), (7, 7), False),
+    ((33, 33), (9, 5), True),
+    ((41, 33), (5, 11), False),
+    ((41, 33), (13, 7), True),
+    ((301,), (301,), False),        # one output node left
+    ((41, 33), (41, 33), False),    # one output node per axis left
+])
+def test_convolve_matches_shift_and_add(lat_shape, w_shape, border):
+    """Random lattices and asymmetric (or zero-bordered) weights: the FFT
+    product equals the direct sum to 1e-13 |lat|_inf |w|_1."""
+    rng = np.random.default_rng(sum(lat_shape) * 31 + sum(w_shape))
+    lat = rng.standard_normal(lat_shape)
+    weights = _zero_bordered(rng, w_shape) if border else rng.random(w_shape) - 0.3
+    _assert_matches_oracle(lat, weights)
+
+
+@pytest.mark.parametrize("keps", [24, 16, 12, 8])
+def test_convolve_matches_shift_and_add_on_the_sweep_kernels(keps):
+    u = build_fixture("kink", 129)
+    kern = MollifierKernel.build(u.grid, keps * u.grid.h)
+    _assert_matches_oracle(u.lattice(), kern.weights)
+
+
+def test_convolve_rejects_an_empty_output():
+    with pytest.raises(ValueError, match="margin removes every interior node"):
+        mollify_module._convolve_valid(np.zeros((17, 17)), np.ones((19, 19)))
+    g = unit_square_grid(17)
+    with pytest.raises(ValueError, match="margin removes every interior node"):
+        mollify(field(g, lambda p: p[:, 0]), 9 * g.h)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mollify_rejects_non_finite_values(bad):
+    """The FFT would spread one bad value over every output node."""
+    g = unit_square_grid(33)
+    vals = np.zeros(g.node_count)
+    vals[g.node_count // 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        mollify(GridFunction(g, vals, allow_non_finite=True), 4 * g.h)
+
+
+@pytest.mark.parametrize("name, f1, f2, r", [("quad", 0.0, 4.0, 0.25),
+                                             ("kink", -1.0, 1.0, 0.3)])
+def test_sweep_matches_the_shift_and_add_sweep(monkeypatch, name, f1, f2, r):
+    u = build_fixture(name, 129)
+    h = u.grid.h
+    args = (u, SymMatrix.identity(2), f1, f2, [24 * h, 16 * h, 12 * h, 8 * h])
+    rows = stability_sweep(*args, p=4.0, r=r)
+    monkeypatch.setattr(mollify_module, "_convolve_valid", shift_add_convolve)
+    want = stability_sweep(*args, p=4.0, r=r)
+    assert [row.passed for row in rows] == [row.passed for row in want]
+    for row, ref in zip(rows, want):
+        assert row.eps == ref.eps
+        assert row.norm_p == pytest.approx(ref.norm_p, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +325,6 @@ def test_sweep_kink_norm_blows_up_like_eps():
 def test_sweep_convolves_u_once_per_eps(monkeypatch):
     """The sandwich and the norm share one convolution of u; the scalar bounds
     are not convolved at all (the kernel has unit mass)."""
-    # the package re-exports the function mollify under the module's name
-    mollify_module = sys.modules["ellipticlab.mollify"]
     calls = []
     original = mollify_module._convolve_valid
 

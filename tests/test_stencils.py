@@ -79,6 +79,21 @@ def test_operator_margins():
     assert operator_margin(pucci_max(1.0, 2.0), 1) == 1
 
 
+@pytest.mark.parametrize("op", [pucci_max(1.0, 2.0), pucci_min(1.0, 2.0)],
+                         ids=lambda op: op.kind)
+def test_pucci_scheme_has_one_buffer_per_line(op):
+    """The 18 candidates of pucci+-:1,2 use the four lines of the 3x3
+    neighbourhood once each, whatever the orientation Selling gives them.
+    The frame at pi/2 is the lattice's, so lam2 I, lam1 I and the extreme
+    matrices at t = 0 and pi/2 have two terms each, the other 14 three."""
+    scheme = stencils._scheme(op, 2)
+    lines = {max(e, (-e[0], -e[1])) for e in scheme.directions}
+    assert len(scheme.directions) == len(lines) == 4
+    assert len(scheme.rows) == 18
+    assert sum(len(row) for row in scheme.rows) == 50
+    assert scheme.margin == 1
+
+
 @pytest.mark.parametrize("op", [trace_operator(), linear_operator([[1.0, 1.9], [1.9, 4.0]]),
                                 pucci_min(1.0, 2.0)], ids=lambda op: op.kind)
 def test_eval_discrete_is_nan_exactly_on_the_margin_band(op):
