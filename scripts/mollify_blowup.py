@@ -26,6 +26,9 @@ def main():
     for name, lo, hi, r in cases:
         u = build_fixture(name, args.res)
         h = u.grid.h
+        # the norm ball must fit in the domain shrunk by the widest kernel,
+        # so at most the mollify command's radius 0.5 (1 - 24h)
+        r = min(r, 0.5 * (1.0 - 24 * h))
         rows = stability_sweep(u, eye, lo, hi, [24 * h, 16 * h, 12 * h, 8 * h],
                                p=args.p, r=r)
         print("%s  (bounds [%g, %g], ball r=%g)" % (name, lo, hi, r))

@@ -70,6 +70,7 @@ from .viscosity import (
 )
 from .decay import (
     AffineFit,
+    CertificationError,
     DecayConfig,
     DecayProfile,
     RescaleSequence,

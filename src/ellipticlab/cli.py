@@ -5,9 +5,11 @@ reports, a flat key=value run manifest carrying every parameter and tolerance
 plus the code version) into --out and returns a process exit code:
 
     0   all certifications embedded in the run passed
-    1   a certification failed (message names the failing check)
-    2   flag / input parse errors, and a grid too small for the operator's
-        stencil
+    1   a certification failed (message names the failing check), or the
+        data failed a certificate outright (``CertificationError``)
+    2   flag / input parse errors and every other failed precondition
+        (``ValueError``), e.g. a grid too small for the operator's stencil,
+        for the touching balls or for the decay ladder's resolution floor
     3   a solve that did not converge (message names the grid it failed on),
         and anything unexpected
 
@@ -26,7 +28,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .decay import DecayConfig, decay_profile, verify_decay_chain, write_decay_profile
+from .decay import (
+    CertificationError,
+    DecayConfig,
+    decay_profile,
+    verify_decay_chain,
+    write_decay_profile,
+)
 from .fileio import read_manifest, write_csv, write_manifest
 from .fixtures import build_fixture, disc_problem, limit_families
 from .grids import GridFunction, SymMatrix, read_grid_function, write_grid_function
@@ -39,7 +47,7 @@ from .operators import (
     trace_operator,
 )
 from .solvers import SolverConfig, SolverError, solve_dirichlet, solve_obstacle
-from .stencils import StencilReachError, eval_discrete
+from .stencils import eval_discrete
 from .viscosity import (
     Bounds,
     check_pointwise,
@@ -78,13 +86,6 @@ def _resolution(args, default=65) -> int:
     return int(res)
 
 
-def _operator(spec):
-    try:
-        return parse_operator(spec)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
 def _load_field(args) -> GridFunction:
     """The subject of the experiment: --input file, else a named fixture."""
     if args.input:
@@ -94,11 +95,7 @@ def _load_field(args) -> GridFunction:
             return read_grid_function(args.input)
         except Exception as exc:
             raise CliError("cannot parse %r: %s" % (args.input, exc))
-    name = args.fixture or "harmonic"
-    try:
-        return build_fixture(name, _resolution(args))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return build_fixture(args.fixture or "harmonic", _resolution(args))
 
 
 def _write_run_manifest(out, command, entries: dict):
@@ -129,7 +126,7 @@ def cmd_props(args) -> int:
     out = _out_dir(args)
     if args.seed is None:
         raise CliError("--seed is required for randomized property checks")
-    op = _operator(args.op or "pucci+:1,2")
+    op = parse_operator(args.op or "pucci+:1,2")
     ell = check_uniform_ellipticity(op, seed=args.seed)
     hom = check_homogeneity(op, seed=args.seed)
     write_csv(
@@ -151,7 +148,7 @@ def cmd_props(args) -> int:
 
 def cmd_solve(args) -> int:
     out = _out_dir(args)
-    op = _operator(args.op or "trace")
+    op = parse_operator(args.op or "trace")
     target = _load_field(args)
     # manufacture data so the exact discrete solution is known
     f = GridFunction(target.grid,
@@ -221,7 +218,7 @@ def cmd_visc(args) -> int:
         raise CliError(
             "no bounds available: pass --lambda or keep the input next to the "
             "run manifest that produced it")
-    op = _operator(args.op or manifest.get("op", "trace"))
+    op = parse_operator(args.op or manifest.get("op", "trace"))
     tol = _tol_scale(args) * default_tolerance(op, u)
     node_budget = 400
     pointwise = check_pointwise(u, op, bounds, tol=tol)
@@ -252,10 +249,7 @@ def cmd_campanato(args) -> int:
     beta = args.beta if args.beta is not None else 0.5
     eps = args.eps if args.eps is not None else 0.5
     levels = args.levels if args.levels is not None else 2
-    try:
-        cfg = DecayConfig(lam=lam, beta=beta, eps=eps, levels=levels)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    cfg = DecayConfig(lam=lam, beta=beta, eps=eps, levels=levels)
     grid = u.grid
     center = tuple(0.5 * (lo + hi) for lo, hi in
                    zip(grid.domain.lower, grid.domain.upper))
@@ -292,7 +286,7 @@ def cmd_mollify(args) -> int:
     if args.lam is not None:
         f1, f2 = -float(args.lam), float(args.lam)
     else:
-        op = _operator(args.op or "trace")
+        op = parse_operator(args.op or "trace")
         realized = eval_discrete(op, u).values
         finite = realized[np.isfinite(realized)]
         f1, f2 = float(finite.min()), float(finite.max())
@@ -394,13 +388,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, StencilReachError) as exc:
-        print("ellipticlab: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # failed preconditions and unattained certifications land here
+    except CertificationError as exc:
         print("ellipticlab: certification failed: %s" % exc, file=sys.stderr)
         return 1
+    except (CliError, ValueError) as exc:
+        # failed preconditions, StencilReachError among them: nothing was certified
+        print("ellipticlab: %s" % exc, file=sys.stderr)
+        return 2
     except SolverError as exc:
         # no certificate was attempted: the solve itself did not converge
         print("ellipticlab: solver failed: %s" % exc, file=sys.stderr)

@@ -31,6 +31,7 @@ from .simplex import minimax_affine
 
 __all__ = [
     "AffineFit",
+    "CertificationError",
     "best_affine",
     "DecayConfig",
     "DecayProfile",
@@ -44,6 +45,11 @@ __all__ = [
     "campanato_sup",
     "unit_ball_grid",
 ]
+
+
+class CertificationError(ValueError):
+    """The input was measured and failed a certificate: a verdict on the
+    data, not a precondition on how it was called."""
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ def decay_profile(u: GridFunction, center, cfg: DecayConfig,
         pivots.append(fit.iterations)
     good = [k for k, f in enumerate(usable) if f]
     if len(good) < 3:
-        raise ValueError("fewer than 3 usable levels")
+        raise CertificationError("fewer than 3 usable levels")
     lr = np.log(np.asarray(radii)[good])
     lp = np.log(np.asarray(psis)[good])
     slope = _slope_fit(lr, lp)

@@ -2,14 +2,18 @@
 balls, and small symmetric matrices.
 
 Storage convention: values are flat, row-major with the x index fastest, i.e.
-node (ix, iy) of an (nx, ny) grid sits at flat index ``iy*nx + ix``.  The text
-format serializes with 17 significant digits so values round-trip exactly.
+node (i_0, ..., i_{n-1}) sits at flat index ``sum_a i_a * Grid.strides[a]``.
+``Grid.strides`` is the one place where lattice offsets become flat indices;
+the lattice view reverses the axes, so coordinate axis a is its axis n-1-a.
+The text format serializes with 17 significant digits so values round-trip
+exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +99,12 @@ class Grid:
     def node_count(self) -> int:
         return int(np.prod(self.shape))
 
+    @cached_property
+    def strides(self) -> tuple:
+        """Flat-index step of one node along each coordinate axis, x first:
+        an integer offset d moves a node's flat index by ``d @ strides``."""
+        return tuple(math.prod(self.shape[:a]) for a in range(self.ndim))
+
     def coords(self, axis: int) -> np.ndarray:
         n = self.shape[axis]
         return self.domain.lower[axis] + np.arange(n) * (self.domain.extent(axis) / (n - 1))
@@ -111,14 +121,6 @@ class Grid:
         ``points()[flat_indices]`` looked up per axis, without the full cloud."""
         multi = np.unravel_index(flat_indices, self.shape, order="F")
         return np.stack([self.coords(a)[multi[a]] for a in range(self.ndim)], axis=1)
-
-    def multi_index(self, flat: int) -> tuple:
-        flat = int(flat)
-        out = []
-        for axis in range(self.ndim):
-            out.append(flat % self.shape[axis])
-            flat //= self.shape[axis]
-        return tuple(out)
 
     def lattice(self, flat_values: np.ndarray) -> np.ndarray:
         """View flat storage as the (…, ny, nx) C-ordered lattice array."""
@@ -315,10 +317,6 @@ class SymMatrix:
         self._upper = tuple(float(m[i, j]) for i in range(self.n) for j in range(i, self.n))
 
     @classmethod
-    def diag(cls, *entries):
-        return cls(np.diag(np.asarray(entries, dtype=float)))
-
-    @classmethod
     def identity(cls, n):
         return cls(np.eye(n))
 
@@ -333,14 +331,6 @@ class SymMatrix:
                 k += 1
         return _lock(m)
 
-    def trace(self) -> float:
-        # diagonal entries sit at the start of each upper-triangle row block
-        t, k = 0.0, 0
-        for i in range(self.n):
-            t += self._upper[k]
-            k += self.n - i
-        return t
-
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.mat))
 
@@ -353,15 +343,6 @@ class SymMatrix:
             rad = math.hypot(0.5 * (a - c), b)
             return np.array([mean - rad, mean + rad])
         return np.linalg.eigvalsh(self.mat)
-
-    def shifted(self, s: float) -> "SymMatrix":
-        return SymMatrix(self.mat + s * np.eye(self.n))
-
-    def scaled(self, s: float) -> "SymMatrix":
-        return SymMatrix(s * self.mat)
-
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        return SymMatrix(self.mat + other.mat)
 
     def __repr__(self):
         return f"SymMatrix({self.mat.tolist()})"

@@ -22,13 +22,16 @@ weights, so F_h is monotone (Barles & Souganidis, Asymptotic Anal. 4, 1991).
   otherwise misses F by (lam2 - lam1)(mu1 - mu2) sin^2(delta), below M+ and
   above M-, where delta <= pi / 2K is the angle to the nearest frame.
 - 1D grids: the candidates [lam2] and [lam1] for Pucci, a[0, 0] otherwise,
-  with the single direction e = 1.
+  with the single direction e = (1,).
 
-``eval_discrete`` evaluates F_h; ``eval_policy`` also returns, per node, the
-index of the candidate attaining the pick, and ``frozen_stencils`` lists the
-candidates as linear stencils for the solvers' sparse assembly.  The scheme
-reaches ``operator_margin`` node layers, where F_h is undefined (NaN).
-Both walk the interior in strips of whole rows through a few strip-sized
+A direction e is an integer n-tuple in coordinate order; it moves a node's
+flat index by the shift ``sum_a e_a * Grid.strides[a]``, so no code here
+knows the storage layout.  ``eval_discrete`` evaluates F_h; ``eval_policy``
+also returns, per node, the index of the candidate attaining the pick, and
+``frozen_stencils`` lists the candidates as linear stencils of flat shifts
+for the solvers' sparse assembly.  The scheme reaches ``operator_margin``
+node layers, where F_h is undefined (NaN).  Both walk the interior in strips
+of whole slabs of the slowest axis (rows in 2D) through a few strip-sized
 buffers, about ``_STRIP`` nodes between them, that stay in cache, rather
 than making whole-grid temporaries per term.  Every node gets the same
 operations in the same order as in a whole-grid evaluation, so the values
@@ -73,38 +76,37 @@ class HessianField:
     """Central-difference Hessian entries on interior nodes (NaN on the ring)."""
 
     grid: Grid
-    comps: dict  # (i, j) -> lattice array
-    margin: int = 1
+    comps: dict  # (i, j), i <= j -> lattice array
 
 
 def discrete_hessian(u: GridFunction) -> HessianField:
-    """Second differences (u(x+he) - 2u(x) + u(x-he))/h^2 and the mixed
-    four-point cross difference; exact on quadratics."""
+    """Second differences (u(x+he_i) - 2u(x) + u(x-he_i))/h^2 and the mixed
+    four-point cross differences (u(x+he_i+he_j) - u(x-he_i+he_j)
+    - u(x+he_i-he_j) + u(x-he_i-he_j))/(4h^2) on the interior block, in any
+    dimension; exact on quadratics."""
     grid = u.grid
-    h = grid.h
     lat = u.lattice()
+    inner = (slice(1, -1),) * grid.ndim
+
+    def at(*steps):
+        """u on the interior block, moved one node along axis a by the sign s
+        of each (a, s); coordinate axis a is lattice axis ndim-1-a."""
+        block = list(inner)
+        for a, sign in steps:
+            block[grid.ndim - 1 - a] = slice(2, None) if sign > 0 else slice(None, -2)
+        return lat[tuple(block)]
+
     comps = {}
-    if grid.ndim == 1:
-        xx = np.full_like(lat, np.nan)
-        xx[1:-1] = (lat[2:] - 2.0 * lat[1:-1] + lat[:-2]) / h**2
-        comps[(0, 0)] = xx
-    elif grid.ndim == 2:
-        xx = np.full_like(lat, np.nan)
-        yy = np.full_like(lat, np.nan)
-        xy = np.full_like(lat, np.nan)
-        xx[:, 1:-1] = (lat[:, 2:] - 2.0 * lat[:, 1:-1] + lat[:, :-2]) / h**2
-        yy[1:-1, :] = (lat[2:, :] - 2.0 * lat[1:-1, :] + lat[:-2, :]) / h**2
-        xy[1:-1, 1:-1] = (
-            lat[2:, 2:] - lat[2:, :-2] - lat[:-2, 2:] + lat[:-2, :-2]
-        ) / (4.0 * h**2)
-        xx[0, :] = xx[-1, :] = np.nan
-        yy[:, 0] = yy[:, -1] = np.nan
-        comps[(0, 0)] = xx
-        comps[(0, 1)] = xy
-        comps[(1, 1)] = yy
-    else:
-        raise NotImplementedError("discrete Hessians are implemented for 1D and 2D grids")
-    return HessianField(grid, comps, margin=1)
+    for i in range(grid.ndim):
+        for j in range(i, grid.ndim):
+            comp = np.full_like(lat, np.nan)
+            if i == j:
+                comp[inner] = (at((i, 1)) - 2.0 * at() + at((i, -1))) / grid.h**2
+            else:
+                comp[inner] = (at((i, 1), (j, 1)) - at((i, -1), (j, 1))
+                               - at((i, 1), (j, -1)) + at((i, -1), (j, -1))) / (4.0 * grid.h**2)
+            comps[(i, j)] = comp
+    return HessianField(grid, comps)
 
 
 # -- building the scheme ---------------------------------------------------------
@@ -162,9 +164,13 @@ def _candidate_matrices(op: EllipticOperator, ndim: int):
 
 @dataclass(frozen=True, eq=False)
 class _Scheme:
-    """F_h of one operator: the pick over ``rows`` of sum c D_e u / h^2."""
+    """F_h of one operator: the pick over ``rows`` of sum c D_e u / h^2.
 
-    directions: tuple  # integer lattice vectors e as (dx, dy), one per line; (1, 0) in 1D
+    A direction is an integer n-tuple e in coordinate order, (1,) in 1D; it
+    stands for its whole lattice line, since D_e = D_-e, and the margin is
+    the largest |e_a| over the directions."""
+
+    directions: tuple  # integer n-tuples e, one per lattice line
     rows: tuple  # per candidate matrix ((index into directions, c > 0), ...)
     minimize: bool  # pick is the min (pucci_min) rather than the max
     margin: int  # node layers the stencils reach
@@ -188,12 +194,18 @@ def _build_scheme(op: EllipticOperator, ndim: int) -> _Scheme:
     # schemes that never meet both orientations keep their order of additions
     lines, rows = {}, []
     for a in _candidate_matrices(op, ndim):
-        parts = _selling(a) if ndim == 2 else [(float(a[0, 0]), (1, 0))]
-        rows.append(tuple((lines.setdefault(max(e, (-e[0], -e[1])), (len(lines), e))[0], rho)
+        parts = _selling(a) if ndim == 2 else [(float(a[0, 0]), (1,))]
+        rows.append(tuple((lines.setdefault(max(e, tuple(-x for x in e)), (len(lines), e))[0], rho)
                           for rho, e in parts))
     directions = tuple(e for _, e in lines.values())
-    margin = max(max(abs(dx), abs(dy)) for dx, dy in directions)
+    margin = max(abs(x) for e in directions for x in e)
     return _Scheme(directions, tuple(rows), op.kind == "pucci_min", margin)
+
+
+def _shifts(scheme: _Scheme, grid: Grid) -> list:
+    """Each direction's flat-index shift ``e @ Grid.strides``."""
+    return [sum(e_a * stride for e_a, stride in zip(e, grid.strides))
+            for e in scheme.directions]
 
 
 def operator_margin(op: EllipticOperator, ndim: int) -> int:
@@ -215,47 +227,49 @@ def _envelope(op, u, track):
     and the scheme has more than one candidate, the index of the candidate
     attaining it at every node (0 on the band); otherwise None.
 
-    The interior is walked in strips of whole rows, so that the strip's
-    buffers hold about ``_STRIP`` nodes between them.  A strip is one
-    contiguous run of the flat lattice, from the first interior node of its
-    top row to the last interior node of its bottom row, so a term is a
-    shifted slice of the lattice and every operation runs on contiguous
-    memory.  The run's nodes on the margin columns get stencils that wrap
-    into the next row; they are blanked at the end.  Per strip, every D_e u
-    goes into a buffer of its own (centre first, then x + e, then x - e);
-    each candidate then sums c D_e u in its row's order, in place of the
-    best value for the first candidate and in ``acc`` for the others, with
-    ``tmp`` holding c D_e u for a coefficient other than 1 after the first.
-    Each node sees the same operations in the same order whatever the
-    strip, so the values and the policy are those of a whole-grid
-    evaluation, bit for bit."""
+    The interior is walked in strips of whole slabs of the slowest axis
+    (rows in 2D, the whole line in 1D), so that the strip's buffers hold
+    about ``_STRIP`` nodes between them.  A strip is one contiguous run of
+    the flat lattice, from the first interior node of its first slab to the
+    last interior node of its last slab, so a term is the lattice shifted by
+    ``e @ Grid.strides`` and every operation runs on contiguous memory.  The
+    run's nodes on the margin band of the other axes get stencils that wrap
+    into the neighbouring line; they are blanked at the end.  Per strip,
+    every D_e u goes into a buffer of its own (centre first, then x + e,
+    then x - e); each candidate then sums c D_e u in its row's order, in
+    place of the best value for the first candidate and in ``acc`` for the
+    others, with ``tmp`` holding c D_e u for a coefficient other than 1
+    after the first.  Each node sees the same operations in the same order
+    whatever the strip, so the values and the policy are those of a
+    whole-grid evaluation, bit for bit."""
     grid = u.grid
     scheme = _scheme(op, grid.ndim)
     m = scheme.margin
-    my = m if grid.ndim == 2 else 0
-    lat = u.lattice().reshape(-1, grid.shape[0])  # 1D grids as one row
-    ny, nx = lat.shape
-    if 2 * m >= nx or 2 * my >= ny:
+    if any(2 * m >= n for n in grid.shape):
         raise StencilReachError("stencil exits domain: grid too small for its reach %d" % m)
+    *faster, slabs = grid.shape
+    *steps, slab = grid.strides
+    edge = m * sum(steps)  # from a slab's first node to its first interior one
     several = len(scheme.rows) > 1
     track = track and several
     scaled = any(c != 1.0 for row in scheme.rows for _, c in row[1:])
     better = np.less if scheme.minimize else np.greater
     pick = np.minimum if scheme.minimize else np.maximum
     floats = len(scheme.directions) + scaled + several  # strip buffers sharing _STRIP
-    rows = min(max(1, _STRIP // (floats * (nx - 2 * m))), ny - 2 * my)
-    size = rows * nx - 2 * m
+    inner = math.prod(n - 2 * m for n in faster)  # interior nodes per slab
+    depth = min(max(1, _STRIP // (floats * inner)), slabs - 2 * m)  # slabs per strip
+    size = depth * slab - 2 * edge
     diffs = np.empty((len(scheme.directions), size))
     buffers = (np.empty(size) if scaled else None, np.empty(size) if several else None,
                np.empty(size, bool) if track else None,
                np.empty(size, np.int32) if track else None)
-    shifts = [dy * nx + dx for dx, dy in scheme.directions]
-    nodes = lat.ravel()
-    out = np.full(ny * nx, np.nan)
-    policy = np.zeros(ny * nx, dtype=np.int32) if track else None
+    shifts = _shifts(scheme, grid)
+    nodes = u.values
+    out = np.full(nodes.size, np.nan)
+    policy = np.zeros(nodes.size, dtype=np.int32) if track else None
     h2 = grid.h**2
-    for top in range(my, ny - my, rows):
-        start, stop = top * nx + m, min(top + rows, ny - my) * nx - m
+    for top in range(m, slabs - m, depth):
+        start, stop = top * slab + edge, min(top + depth, slabs - m) * slab - edge
         d = diffs[:, : stop - start]
         tmp, acc, mask, step = (None if b is None else b[: stop - start] for b in buffers)
         for dk, s in zip(d, shifts):
@@ -276,11 +290,13 @@ def _envelope(op, u, track):
                     held += np.multiply(step, better(target, best, out=mask), out=step)
                 pick(best, target, out=best)
         best /= h2
-    band = out.reshape(ny, nx)
-    band[:, :m] = band[:, nx - m :] = np.nan
-    if policy is not None:
-        band = policy.reshape(ny, nx)
-        band[:, :m] = band[:, nx - m :] = 0
+    # no strip starts on the slowest axis's band; the other axes' bands got
+    # wrapped stencils
+    for flat, fill in ((out, np.nan), (policy, 0))[: 1 + track]:
+        band = grid.lattice(flat)
+        for ax in range(1, grid.ndim):
+            lead = (slice(None),) * ax
+            band[lead + (slice(0, m),)] = band[lead + (slice(band.shape[ax] - m, None),)] = fill
     return out, policy
 
 
@@ -303,20 +319,18 @@ def frozen_stencils(op: EllipticOperator, grid: Grid):
     first, padded with zero weights.  Applied at a node, stencil
     ``eval_policy`` picked there gives F_h(u) at that node."""
     scheme = _scheme(op, grid.ndim)
-    nx, scale = grid.shape[0], 1.0 / grid.h**2
+    shifts, scale = _shifts(scheme, grid), 1.0 / grid.h**2
     stencils = []
     for row in scheme.rows:
-        acc = {(0, 0): 0.0}
+        acc = {0: 0.0}
         for k, c in row:
-            dx, dy = scheme.directions[k]
-            for offset, w in (((0, 0), -2.0), ((dx, dy), 1.0), ((-dx, -dy), 1.0)):
+            for offset, w in ((0, -2.0), (shifts[k], 1.0), (-shifts[k], 1.0)):
                 acc[offset] = acc.get(offset, 0.0) + c * w * scale
         stencils.append(acc)
     width = max(len(s) for s in stencils)
     offsets = np.zeros((len(stencils), width), dtype=np.int32)
     weights = np.zeros((len(stencils), width))
     for i, s in enumerate(stencils):
-        for t, ((dx, dy), w) in enumerate(s.items()):
-            offsets[i, t] = dy * nx + dx
-            weights[i, t] = w
+        offsets[i, : len(s)] = list(s)
+        weights[i, : len(s)] = list(s.values())
     return offsets, weights

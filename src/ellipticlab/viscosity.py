@@ -123,15 +123,8 @@ def check_pointwise(u: GridFunction, op: EllipticOperator, bounds: Bounds,
     grid = u.grid
     if tol is None:
         tol = default_tolerance(op, u)
-    fh = eval_discrete(op, u).lattice()
-    m = operator_margin(op, grid.ndim)
-    # the interior block of the lattice and its nodes' flat indices, in order
-    vals = fh[tuple(slice(m, s - m) for s in fh.shape)].ravel()
-    ranges = np.ix_(*(np.arange(m, s - m) for s in fh.shape))
-    idx = ranges[0]
-    for r, s in zip(ranges[1:], fh.shape[1:]):
-        idx = idx * s + r
-    idx = idx.ravel()
+    idx = np.flatnonzero(grid.interior_mask(operator_margin(op, grid.ndim)))
+    vals = eval_discrete(op, u).values[idx]
     upper = vals - bounds.lam_hi
     lower = bounds.lam_lo - vals
     return _finish("pointwise", grid, tol, idx, upper, lower)
@@ -159,16 +152,12 @@ def _ball_offsets(grid, rho: float) -> np.ndarray:
     return pts[keep]
 
 
-def _strides(grid) -> np.ndarray:
-    """Flat-index step of one node along each axis."""
-    return np.cumprod((1,) + tuple(grid.shape[:-1]))
-
-
 def _require_inside(grid, nodes, reach):
     """Every node's reach-ball of nodes must stay inside the grid."""
     outside = ~grid.interior_mask(reach)[nodes]
     if outside.any():
-        multi = grid.multi_index(int(nodes[np.argmax(outside)]))
+        flat = nodes[np.argmax(outside)]
+        multi = tuple(int(i) for i in np.unravel_index(flat, grid.shape, order="F"))
         raise ValueError("touching ball exits domain at node %r" % (multi,))
 
 
@@ -205,7 +194,7 @@ def make_touching_dictionary(u: GridFunction, rho: float | None = None,
     _require_inside(grid, flat, margin)
 
     grads = np.empty((flat.size, 2 * n + 1, n))
-    for a, stride in enumerate(_strides(grid)):
+    for a, stride in enumerate(grid.strides):
         grads[:, :, a] = ((u.values[flat + stride] - u.values[flat - stride])
                           / (2.0 * h))[:, None]
         grads[:, 1 + 2 * a, a] += h
@@ -244,7 +233,7 @@ def check_touching(u: GridFunction, op: EllipticOperator, bounds: Bounds,
     offs = _ball_offsets(grid, dictionary.rho)
     _require_inside(grid, dictionary.nodes, int(np.max(np.abs(offs))))
     delta = offs * h  # physical offsets, (B, n)
-    flat_off = offs @ _strides(grid)
+    flat_off = offs @ grid.strides
     quad = 0.5 * delta[:, :, None] * delta[:, None, :]  # (B, n, n)
     bowl = 0.5 * dictionary.shifts[:, None] * np.sum(delta * delta, axis=1)  # (L, B)
 
@@ -331,10 +320,11 @@ def holder_seminorm(u: GridFunction, gamma: float, region: Ball,
         raise ValueError("region has fewer than 2 nodes")
 
     best = 0.0
-    # short-range: every pair within 4h, via half-space lattice offsets
+    # short-range: every pair within 4h, via half-space lattice offsets;
+    # _ball_offsets lists a set closed under d -> -d, without 0, in storage
+    # order, so its second half holds one of each pair +/-d
     offs = _ball_offsets(grid, 4.0 * grid.h)
-    half = offs[(offs[:, -1] > 0) | ((offs[:, -1] == 0) & (offs[:, 0] > 0))] \
-        if grid.ndim > 1 else offs[offs[:, 0] > 0]
+    half = offs[offs.shape[0] // 2 :]
     in_ball = np.zeros(grid.node_count, dtype=bool)
     in_ball[idx] = True
     multis = np.stack(np.unravel_index(idx, grid.shape, order="F"), axis=1)
@@ -343,12 +333,7 @@ def holder_seminorm(u: GridFunction, gamma: float, region: Ball,
         ok = np.all((target >= 0) & (target < np.asarray(grid.shape)[None, :]), axis=1)
         if not ok.any():
             continue
-        tflat = np.zeros(len(target), dtype=int)
-        stride = 1
-        for a in range(grid.ndim):
-            tflat += target[:, a] * stride
-            stride *= grid.shape[a]
-        tflat = np.clip(tflat, 0, grid.node_count - 1)
+        tflat = np.clip(target @ grid.strides, 0, grid.node_count - 1)
         ok &= in_ball[tflat]
         if not ok.any():
             continue

@@ -222,7 +222,7 @@ def whole_grid_envelope(op, u, track):
     diffs = [-2.0 * lat[my : ny - my, m : nx - m]
              + lat[my + dy : ny - my + dy, m + dx : nx - m + dx]
              + lat[my - dy : ny - my - dy, m - dx : nx - m - dx]
-             for dx, dy in scheme.directions]
+             for dx, dy in ((e + (0,))[:2] for e in scheme.directions)]  # (1,) in 1D
     best = policy = None
     for j, row in enumerate(scheme.rows):
         acc = None

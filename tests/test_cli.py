@@ -32,6 +32,15 @@ def affine_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def tiny_file(tmp_path_factory):
+    """A 5x5 grid function: no touching ball fits inside its domain."""
+    g = unit_square_grid(5)
+    path = tmp_path_factory.mktemp("inputs") / "tiny.txt"
+    write_grid_function(field(g, lambda p: p[:, 0] ** 2), path)
+    return path
+
+
+@pytest.fixture(scope="module")
 def obstacle_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("obstacle")
     r = run_cli("obstacle", "--fixture", "disc", "--res", "33", "--out", str(out))
@@ -52,11 +61,16 @@ def obstacle_run(tmp_path_factory):
     ("obstacle", "--fixture", "harmonic"),        # only disc has an obstacle
     ("campanato", "--lambda", "0.5"),             # induction cannot close
     ("mollify", "--eps", "0.001"),                # under-resolved kernel
+    ("campanato", "--fixture", "quad", "--res", "33",
+     "--out", "{tmp}"),                           # resolution floor violated
+    ("visc", "--input", "{tiny}", "--lambda", "1",
+     "--out", "{tmp}"),                           # no touching ball fits
 ])
-def test_usage_errors(args):
-    r = run_cli(*args)
+def test_usage_errors(args, tiny_file, tmp_path):
+    r = run_cli(*(a.format(tiny=tiny_file, tmp=tmp_path) for a in args))
     assert r.returncode == 2, (args, r.stderr)
     assert r.stderr.strip()
+    assert "certification failed" not in r.stderr
 
 
 def test_unknown_command_is_a_usage_error():

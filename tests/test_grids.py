@@ -62,6 +62,19 @@ def test_points_storage_order_x_fastest():
     assert pts[3][1] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("domain, shape", [
+    (Domain((0.0,), (1.0,)), (7,)),
+    (Domain((0.0, 0.0), (1.0, 1.5)), (5, 7)),
+    (Domain((0.0, 0.0, 0.0), (1.0, 2.0, 0.5)), (5, 9, 3)),
+])
+def test_strides_step_flat_indices(domain, shape):
+    g = Grid(domain, shape)
+    multi = np.stack(np.unravel_index(np.arange(g.node_count), shape, order="F"), axis=1)
+    flat = np.ravel_multi_index(tuple(multi.T), shape, order="F")
+    assert np.array_equal(multi @ g.strides, flat)
+    assert all(isinstance(s, int) for s in g.strides)
+
+
 # ---------------------------------------------------------------------------
 # grid functions
 
@@ -221,12 +234,9 @@ def test_symmatrix_eigenvalues_match_lapack(seed, n):
     np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-10 * (1 + np.abs(ref).max()))
 
 
-def test_symmatrix_trace_frobenius_and_shift():
+def test_symmatrix_frobenius():
     m = SymMatrix([[2.0, -1.0], [-1.0, 0.5]])
-    assert m.trace() == pytest.approx(2.5)
     assert m.frobenius() == pytest.approx(np.sqrt(4 + 1 + 1 + 0.25))
-    assert m.shifted(1.0).trace() == pytest.approx(4.5)
-    assert m.scaled(2.0).trace() == pytest.approx(5.0)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,18 @@ def test_hessian_1d():
     assert np.isnan(xx[0]) and np.isnan(xx[-1])
 
 
+def test_hessian_3d():
+    m = np.array([[2.0, 0.75, -0.5], [0.75, -1.0, 0.25], [-0.5, 0.25, 3.0]])
+    hf = discrete_hessian(quadratic_field(unit_square_grid(9, ndim=3), m, p=(0.3, -0.2, 0.1)))
+    assert sorted(hf.comps) == [(i, j) for i in range(3) for j in range(i, 3)]
+    inner = (slice(1, -1),) * 3
+    for (i, j), comp in hf.comps.items():
+        np.testing.assert_allclose(comp[inner], m[i, j], rtol=0, atol=5e-12)
+        ring = np.ones(comp.shape, bool)
+        ring[inner] = False
+        assert np.isnan(comp[ring]).all()
+
+
 # ---------------------------------------------------------------------------
 # margins
 
@@ -286,6 +298,44 @@ def test_eval_discrete_rejects_3d():
 
 # ---------------------------------------------------------------------------
 # strips: the same values and policy as one whole-grid pass, bit for bit
+
+
+@pytest.mark.parametrize("strip", [1 << 17, 200])
+def test_envelope_walks_3d_slabs(monkeypatch, strip):
+    """The strip walk and the band blanking are n-dimensional although no 3D
+    scheme is built yet: a hand-made two-candidate scheme of margin 2 on a
+    non-cubic grid, in one strip and in strips of one slab, against a
+    whole-lattice pass with the same arithmetic."""
+    from ellipticlab import Domain, Grid
+
+    scheme = stencils._Scheme(directions=((1, 0, 0), (0, 1, 0), (0, 0, 1), (-2, 2, 2)),
+                              rows=(((0, 1.0), (1, 1.0), (2, 1.0)), ((3, 0.5), (1, 2.0))),
+                              minimize=False, margin=2)
+    monkeypatch.setattr(stencils, "_scheme", lambda op, ndim: scheme)
+    monkeypatch.setattr(stencils, "_STRIP", strip)
+    g = Grid(Domain((0.0, 0.0, 0.0), (1.0, 1.5, 0.75)), (9, 13, 7))
+    u = GridFunction(g, np.random.default_rng(3).standard_normal(g.node_count))
+
+    lat = u.lattice()
+    core = tuple(slice(2, n - 2) for n in lat.shape)
+
+    def moved(e, sign):
+        return lat[tuple(slice(2 + sign * k, n - 2 + sign * k)
+                         for k, n in zip(e[::-1], lat.shape))]
+
+    d = [-2.0 * lat[core] + moved(e, 1) + moved(e, -1) for e in scheme.directions]
+    first, second = d[0] + d[1] + d[2], 0.5 * d[3] + 2.0 * d[1]
+    want = np.full(lat.shape, np.nan)
+    want[core] = np.maximum(first, second) / g.h**2
+    want_policy = np.zeros(lat.shape, dtype=np.int32)
+    want_policy[core] = second > first
+
+    fh, policy = eval_policy(trace_operator(), u)
+    np.testing.assert_array_equal(fh.values, want.ravel())
+    np.testing.assert_array_equal(policy, want_policy.ravel())
+    offsets, _ = frozen_stencils(trace_operator(), g)
+    assert offsets[1, :3].tolist() == [0, -2 + 2 * 9 + 2 * 9 * 13, 2 - 2 * 9 - 2 * 9 * 13]
+
 
 STRIP_OPS = ENVELOPE_OPS + [linear_operator([[1.0, 1.9], [1.9, 4.0]]),  # margins 1, 2, 3
                              linear_operator([[1.0, 2.9], [2.9, 9.0]])]

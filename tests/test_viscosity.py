@@ -276,6 +276,16 @@ def test_holder_seminorm_detects_missing_regularity():
     assert vals[1] / vals[0] == pytest.approx(2.0 ** 0.25, rel=0.05)
 
 
+def test_holder_seminorm_sees_every_axis_in_3d():
+    """(-1)^iy jumps by 2 only between nodes one h apart along y; the
+    diagonal pairs see it at distance sqrt(2) h or more."""
+    g = unit_square_grid(9, ndim=3)
+    iy = np.unravel_index(np.arange(g.node_count), g.shape, order="F")[1]
+    u = GridFunction(g, (-1.0) ** iy)
+    got = holder_seminorm(u, 0.5, Ball((0.0,) * 3, 0.5), pair_budget=4)
+    assert got == 2.0 / g.h**0.5
+
+
 def test_holder_seminorm_validates_gamma(grid33):
     u = GridFunction(grid33, np.zeros(grid33.node_count))
     with pytest.raises(ValueError, match="gamma"):
