@@ -237,6 +237,10 @@ def rescale_sequence(u: GridFunction, cfg: DecayConfig,
     compound; the previous zoom is used only to fit the slope correction.
     The zoom is the lattice lam^k * unit, so it goes through ``resample``:
     the values equal ``sample_bilinear(u, lam^k * unit.points())`` bit for bit.
+    Along an axis where that lattice steps through u's nodes by an integral
+    stride (u finite, as ``normalize`` returns it; on [-1, 1]^2 with 1025
+    source and 65 unit nodes and lam = 1/4, strides 16, 4 and 1 at k = 0, 1,
+    2), ``resample`` gathers those nodes instead of interpolating them.
     Levels the grid cannot resolve (lam^k < min_radius_nodes h) are not
     fabricated: the list truncates and says so.
     """
@@ -282,7 +286,10 @@ def normalize(u: GridFunction, radius: float, lam: float, eps: float,
     that is 1-homogeneous, bounds |F_h(u)| <= lam turn into
     |F_h(u_scaled)| <= radius^2 lam / kappa <= eps whenever radius <= 1.
     u(radius x) is sampled on the unit lattice through ``resample``, which
-    equals ``sample_bilinear(u, radius * unit.points())`` bit for bit.
+    equals ``sample_bilinear(u, radius * unit.points())`` bit for bit.  When
+    radius * unit lands on u's nodes along an axis and u is finite (radius
+    = 1 with the unit lattice u's own, say), that axis is a gather of those
+    nodes, not an interpolation: the identity zoom is a copy.
     """
     if eps <= 0 or radius <= 0:
         raise ValueError("radius and eps must be positive")

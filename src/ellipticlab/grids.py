@@ -11,6 +11,7 @@ exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -97,7 +98,7 @@ class Grid:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @cached_property
     def strides(self) -> tuple:
@@ -209,7 +210,7 @@ def ball_node_mask(grid: Grid, ball: Ball) -> np.ndarray:
         if ball.center[a] - ball.radius < grid.domain.lower[a] - slack or \
            ball.center[a] + ball.radius > grid.domain.upper[a] + slack:
             raise ValueError("ball exits domain")
-    d2 = np.zeros(grid.shape[::-1])
+    d2 = 0.0  # grows to the whole lattice by broadcasting, one axis at a time
     for a in range(grid.ndim):
         diff = grid.coords(a) - ball.center[a]
         shape = [1] * grid.ndim
@@ -271,30 +272,58 @@ def sample_bilinear(u: GridFunction, points) -> np.ndarray:
     return out
 
 
+def _taps(grid: Grid, axis: int, x: np.ndarray, finite: bool):
+    """(weight, index) per corner bit along one axis for coordinates x; a
+    node-aligned axis of a finite field gets one unweighted tap (``resample``)."""
+    i0, frac = _cells(grid, axis, x)
+    if finite and np.all((frac == 0.0) | (frac == 1.0)):
+        idx = i0 + (frac == 1.0)
+        step = int(idx[1] - idx[0])
+        if step > 0 and np.all(np.diff(idx) == step):
+            idx = slice(int(idx[0]), int(idx[-1]) + 1, step)
+        return ((None, idx),)
+    return ((1.0 - frac, i0), (frac, i0 + 1))
+
+
 def resample(u: GridFunction, target: Grid, scale: float) -> np.ndarray:
     """u at the nodes of ``target`` scaled by ``scale``, in target storage order:
-    ``sample_bilinear(u, scale * target.points())`` bit for bit.
+    ``sample_bilinear(u, scale * target.points())`` bit for bit, on finite and
+    non-finite fields alike.
 
     The cell indices and fractions are computed once per axis; each corner's
     weight is their broadcast product in the same order, and its values are
-    gathered with one ``take`` per lattice axis.
+    gathered with one ``take`` per lattice axis.  An axis whose target nodes
+    all sit on source nodes (every fraction exactly 0, or 1 at the top node,
+    as in a zoom by an integral stride) is gathered from those nodes alone
+    when u was built finite (``not u.allow_non_finite``): a basic slice when
+    they step evenly, no weight, and no corner on its far side.  Each term so
+    skipped is 0.0 times a finite value, a signed zero that leaves the sum,
+    started at +0.0, unchanged.  With NaN or inf allowed, 0.0 times a value
+    need not be zero, so every axis keeps both corners.
     """
     grid = u.grid
     n = grid.ndim
     if target.ndim != n:
         raise ValueError("target rank mismatch")
-    cells = [_cells(grid, a, scale * target.coords(a)) for a in range(n)]
+    taps = [_taps(grid, a, scale * target.coords(a), not u.allow_non_finite)
+            for a in range(n)]
     lattice = u.lattice()
     out = np.zeros(target.shape[::-1])
-    for corner in range(1 << n):
-        weight = 1.0
+    # the taps taken in lattice-axis order vary coordinate axis 0 fastest,
+    # which is the corner order of sample_bilinear
+    for corner in itertools.product(*taps[::-1]):
+        weight = None  # no factor yet: 1.0, which is never multiplied in
         block = lattice
-        for a, (i0, frac) in enumerate(cells):
-            bit = (corner >> a) & 1
-            # coordinate axis a is lattice axis n-1-a: weights get a trailing unit axes
-            weight = weight * (frac if bit else 1.0 - frac).reshape((-1,) + (1,) * a)
-            block = block.take(i0 + bit, axis=n - 1 - a)
-        out += weight * block
+        for a, (w, idx) in enumerate(reversed(corner)):
+            ax = n - 1 - a  # coordinate axis a is lattice axis n-1-a
+            if w is not None:  # shaped to broadcast along lattice axis ax
+                w = w.reshape((-1,) + (1,) * a)
+                weight = w if weight is None else weight * w
+            if isinstance(idx, slice):
+                block = block[(slice(None),) * ax + (idx,)]
+            else:
+                block = block.take(idx, axis=ax)
+        out += block if weight is None else weight * block
     return out.ravel()
 
 

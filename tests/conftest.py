@@ -258,3 +258,16 @@ def shift_add_convolve(lat, weights):
             continue
         out += wv * lat[tuple(slice(i, i + s) for i, s in zip(idx, out_shape))]
     return out
+
+
+def zeros_ball_mask(grid, ball):
+    """The nodes of a closed ball the way ``grids.ball_node_mask`` selects
+    them but from a whole-grid ``zeros`` to which each axis's squared
+    distances are added in turn; the reference for its broadcast sum."""
+    d2 = np.zeros(grid.shape[::-1])
+    for a in range(grid.ndim):
+        diff = grid.coords(a) - ball.center[a]
+        shape = [1] * grid.ndim
+        shape[grid.ndim - 1 - a] = grid.shape[a]
+        d2 = d2 + (diff ** 2).reshape(shape)
+    return (d2 <= ball.radius ** 2 * (1.0 + 1e-12)).ravel()

@@ -17,9 +17,10 @@ from ellipticlab import (
     read_grid_function,
     write_grid_function,
 )
+from ellipticlab import grids
 from ellipticlab.fileio import read_manifest, write_manifest
 
-from conftest import field, unit_square_grid
+from conftest import field, unit_square_grid, zeros_ball_mask
 
 
 def random_field(grid, seed, scale=1.0):
@@ -144,6 +145,23 @@ def test_ball_too_small_resolves_to_no_nodes():
         ball_node_mask(g, Ball((g.h / 2, g.h / 2), g.h / 4))
 
 
+@pytest.mark.parametrize("grid, ball", [
+    (unit_square_grid(41, ndim=1), Ball((0.3,), 0.55)),
+    (unit_square_grid(41, ndim=1), Ball((-0.25,), 0.5)),
+    (unit_square_grid(33), Ball((0.1, -0.3), 0.6)),
+    (unit_square_grid(33), Ball((0.25, -0.125), 0.625)),
+    (Grid(Domain((-1.0, -0.5), (1.0, 0.5)), (33, 17)), Ball((-0.4, 0.05), 0.41)),
+    (unit_square_grid(17, ndim=3), Ball((0.2, -0.1, 0.35), 0.6)),
+    (unit_square_grid(17, ndim=3), Ball((0.25, -0.125, 0.0), 0.5)),
+])
+def test_ball_mask_is_the_whole_grid_zeros_sum(grid, ball):
+    """Off-centre balls, some with nodes exactly at distance r (node-aligned
+    centres, radii a whole number of h): same mask as the zeros oracle."""
+    mask = ball_node_mask(grid, ball)
+    assert mask.dtype == bool and mask.shape == (grid.node_count,)
+    assert np.array_equal(mask, zeros_ball_mask(grid, ball))
+
+
 def test_oscillation_exact_on_known_field():
     g = unit_square_grid(65)
     u = field(g, lambda p: p[:, 0])
@@ -209,6 +227,80 @@ def test_resample_is_sample_bilinear_bitwise(ndim, source, target, half, scale):
     lattice = unit_square_grid(target, half, ndim)
     want = sample_bilinear(u, scale * lattice.points())
     assert np.array_equal(resample(u, lattice, scale), want)
+
+
+def _gathers(u, target, scale):
+    """How resample gathers each coordinate axis: 'slice' or 'take' for one
+    node-aligned tap, 'corners' for the two weighted ones."""
+    kinds = []
+    for a in range(u.grid.ndim):
+        taps = grids._taps(u.grid, a, scale * target.coords(a), not u.allow_non_finite)
+        if len(taps) == 2:
+            kinds.append("corners")
+        else:
+            kinds.append("slice" if isinstance(taps[0][1], slice) else "take")
+    return kinds
+
+
+def signed_zero_field(grid, seed):
+    """Random values with a sprinkling of -0.0 and +0.0."""
+    vals = random_field(grid, seed).values.copy()
+    rng = np.random.default_rng(seed + 1)
+    vals[rng.random(vals.size) < 0.2] = -0.0
+    vals[rng.random(vals.size) < 0.1] = 0.0
+    return GridFunction(grid, vals)
+
+
+@pytest.mark.parametrize("source, target, scale, gathers", [
+    # x on source nodes, y a fraction 0.16 off them, and the transpose
+    (unit_square_grid(33), Grid(Domain((-1.0, -0.49), (1.0, 0.51)), (17, 9)), 1.0,
+     ["slice", "corners"]),
+    (unit_square_grid(33), Grid(Domain((-0.49, -1.0), (0.51, 1.0)), (9, 17)), 1.0,
+     ["corners", "slice"]),
+    (unit_square_grid(33), unit_square_grid(33), 1.0, ["slice", "slice"]),
+    (unit_square_grid(65), unit_square_grid(17), 1.0, ["slice", "slice"]),  # stride 4
+    (unit_square_grid(65), unit_square_grid(17), 0.25, ["slice", "slice"]),  # stride 1
+    # aligned but not ascending: reflected (step -1), collapsed (step 0)
+    (unit_square_grid(33), unit_square_grid(17), -1.0, ["take", "take"]),
+    (unit_square_grid(33), unit_square_grid(17), 0.0, ["take", "take"]),
+    (unit_square_grid(33, ndim=1), unit_square_grid(9, ndim=1), 0.5, ["slice"]),
+    (unit_square_grid(33, ndim=1), unit_square_grid(9, ndim=1), 0.3, ["corners"]),
+    (unit_square_grid(9, ndim=3), unit_square_grid(5, ndim=3), 1.0, ["slice"] * 3),
+    (unit_square_grid(9, ndim=3), Grid(Domain((-1.0, -1.0, -0.95), (0.0, 0.0, 0.05)), (5, 5, 5)),
+     1.0, ["slice", "slice", "corners"]),
+])
+def test_resample_node_aligned_axes_are_sample_bilinear_bytewise(source, target, scale, gathers):
+    """Node-aligned axes are gathered, not interpolated, with the same bytes
+    as sample_bilinear, signed zeros included."""
+    for u in (random_field(source, 11), signed_zero_field(source, 12)):
+        assert _gathers(u, target, scale) == gathers
+        got = resample(u, target, scale)
+        assert got.tobytes() == sample_bilinear(u, scale * target.points()).tobytes()
+
+
+def test_resample_reaches_the_top_node_with_fraction_one():
+    """The last node of an aligned axis is cell n-2 at fraction 1: it is
+    gathered as node n-1, and the identity zoom returns u with -0.0 as +0.0."""
+    u = signed_zero_field(unit_square_grid(33), 3)
+    assert np.array_equal(grids._cells(u.grid, 0, u.grid.coords(0))[1][[0, -1]], [0.0, 1.0])
+    got = resample(u, u.grid, 1.0)
+    assert got.tobytes() == (u.values + 0.0).tobytes()
+    assert np.signbit(u.values).any() and not np.signbit(got[u.values == 0.0]).any()
+
+
+def test_resample_non_finite_field_keeps_every_corner():
+    """With NaN allowed, 0.0 * NaN is NaN, so an aligned axis keeps both
+    corners and the NaN spreads exactly as in sample_bilinear."""
+    g = unit_square_grid(33)
+    vals = signed_zero_field(g, 5).values.copy()
+    vals[[40, 300, 301, 1000]] = np.nan
+    u = GridFunction(g, vals, allow_non_finite=True)
+    for target, scale in ((g, 1.0), (unit_square_grid(17), 1.0),
+                          (Grid(Domain((-1.0, -0.49), (1.0, 0.51)), (17, 9)), 1.0)):
+        assert "slice" not in _gathers(u, target, scale)
+        got = resample(u, target, scale)
+        assert got.tobytes() == sample_bilinear(u, scale * target.points()).tobytes()
+    assert np.isnan(resample(u, g, 1.0)).sum() > 4  # the neighbours of each NaN
 
 
 def test_resample_rejects_lattice_leaving_domain(grid33):
