@@ -48,10 +48,8 @@ from .solvers import (
     SolverConfig,
     SolverError,
     SolveResult,
-    residual,
     solve_dirichlet,
     solve_obstacle,
-    sup_residual,
 )
 from .simplex import MinimaxFit, minimax_affine
 from .viscosity import (

@@ -238,10 +238,10 @@ def restrict(u: GridFunction, ball: Ball):
 
 def _cells(grid: Grid, axis: int, x: np.ndarray):
     """Lower cell index and fraction along one axis for coordinates x, which
-    must lie in the domain box (up to a 1e-9 h grace)."""
+    must lie in the domain box (up to a 1e-9 h grace); NaN lies in none."""
     slack = 1e-9 * grid.h
     lo, hi = grid.domain.lower[axis], grid.domain.upper[axis]
-    if np.any(x < lo - slack) or np.any(x > hi + slack):
+    if not np.all((x >= lo - slack) & (x <= hi + slack)):
         raise ValueError("interpolation point exits domain")
     t = (x - lo) / grid.h
     i0 = np.clip(np.floor(t).astype(np.int64), 0, grid.shape[axis] - 2)

@@ -1,25 +1,26 @@
-"""Policy-iteration solvers for F_h(D^2 u) = f with Dirichlet data.
+"""Policy iteration for F_h(D^2 u) = f and its obstacle problem, with
+Dirichlet data.
 
 F_h is the pointwise max (the min for pucci_min) of a few linear stencils
-with nonnegative off-centre weights (``stencils.frozen_stencils``).  Howard's
-policy iteration (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009)
-solves F_h(u) = f: every step evaluates the residual and the attaining
-stencil per node with ``eval_policy`` and returns once the residual is within
-tolerance, otherwise freezes those stencils and solves that sparse linear
-system.  The returned field therefore solves the very scheme
-``eval_discrete`` defines.
+with nonnegative off-centre weights (``stencils.frozen_stencils``).  One step
+loop solves
 
-The obstacle variant runs the same iteration as a primal-dual active-set
-method (Hintermüller, Ito & Kunisch, SIAM J. Optim. 13, 2002) on
+    min(u - psi, f + g u - F_h(u)) = 0  on the interior
 
-    min(u - psi, f + g u - F_h(u)) = 0  on the interior,
-
-pinning u = psi exactly where u - psi falls below the multiplier
-f + g u - F_h(u) and solving the equation on the remaining nodes, until the
-active set repeats.  Its solutions satisfy F_h(u) - g u <= f everywhere, with
-equality off the contact set, and on contact F_h(u) >= F_h(psi) by
-monotonicity of the scheme, which is what lets us manufacture two-sided
-inequality bounds for the certificate checks.
+as a primal-dual active-set method (Hintermüller, Ito & Kunisch, SIAM J.
+Optim. 13, 2002).  Every step evaluates F_h and the attaining stencil per
+node once, at the iterate (``eval_policy``); pins u = psi where u - psi falls
+below the multiplier f + g u - F_h(u), evaluating again only if that moved a
+node; and solves the sparse linear system of the frozen stencils on the other
+nodes.  The loop returns once the active set is the one the iterate is
+pinned on and the residual off it is within tolerance.  The Dirichlet solve
+of F_h(u) = f is this loop with no obstacle (psi = -inf, g = 0): no node is
+ever active, and the loop is Howard's policy iteration (Bokanowski, Maroso &
+Zidani, SIAM J. Numer. Anal. 47, 2009).  Either way the returned field
+solves the very scheme ``eval_discrete`` defines.  Obstacle solutions
+satisfy F_h(u) - g u <= f everywhere, with equality off the contact set, and
+on contact F_h(u) >= F_h(psi) by monotonicity of the scheme, which is what
+lets us manufacture two-sided inequality bounds for the certificate checks.
 
 From the cold start max(boundary, psi) the active set loses about one node
 layer per step, so the step count grows like 1/h.  Unless given an initial
@@ -32,7 +33,8 @@ still dominate psi on its margin band).  The finer level's first active set
 is the nodes whose surrounding coarse nodes are all in contact, its first
 iterate the bilinear interpolation of the coarse solution, pinned to psi on
 that set; from there the loop is the single-level one, so it stops at the
-same discrete fixed point, a few steps per level on every grid.
+same discrete fixed point, a few steps per level on every grid (none when the
+interpolated start already meets the stopping rule).
 
 Each step solves for the correction to the current iterate with BiCGSTAB
 (the same as warm-starting at the iterate); the correction vanishes on the
@@ -82,8 +84,6 @@ __all__ = [
     "ObstacleResult",
     "solve_dirichlet",
     "solve_obstacle",
-    "residual",
-    "sup_residual",
 ]
 
 # inner Krylov solves stop at this fraction of the outer tolerance, or at
@@ -155,18 +155,6 @@ def _pick_grid(*candidates) -> Grid:
     raise ValueError(
         "no grid in sight: pass grid= or provide f/boundary as a GridFunction"
     )
-
-
-def residual(op: EllipticOperator, u: GridFunction, f) -> GridFunction:
-    """The field F_h(u) - f; NaN on the margin band where the scheme is undefined."""
-    grid = u.grid
-    fh = eval_discrete(op, u).values
-    fv = _node_field(grid, f, "f")
-    return GridFunction(grid, fh - fv, allow_non_finite=True)
-
-
-def sup_residual(op: EllipticOperator, u: GridFunction, f) -> float:
-    return residual(op, u, f).sup_norm()
 
 
 def _matrix(stencils, policy, nodes, node_count, shift):
@@ -371,12 +359,6 @@ class _FrozenSystem:
         return _correction(self.matrix, rhs, tol, where, r, self.precondition)
 
 
-def _compact_shape(op, grid: Grid):
-    """The grid shape when the scheme reaches one node layer, so that
-    ``_FrozenSystem`` preconditions its frozen policies; otherwise None."""
-    return grid.shape if operator_margin(op, grid.ndim) == 1 else None
-
-
 def _setup(op, grid, f, initial):
     margin = operator_margin(op, grid.ndim)
     mask = grid.interior_mask(margin)
@@ -391,6 +373,59 @@ def _tolerance(config, fv, mask):
     if config.residual_tolerance is not None:
         return config.residual_tolerance
     return 1e-9 * (1.0 + float(np.max(np.abs(fv[mask]))))
+
+
+def _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed):
+    """The step loop on one grid, from the iterate ``u`` (module docstring).
+
+    A ``seed`` replaces the first step's active set, and ``u`` counts as
+    pinned on it; without one, the first step cannot return.  Returns (u,
+    active set, excess F_h(u) - g u - f, free residual, history), one history
+    row per step.
+    """
+    margin = operator_margin(op, grid.ndim)
+    mask = grid.interior_mask(margin)
+    u[~mask] = bv[~mask]
+    # a scheme reaching one node layer gets the V-cycle (_FrozenSystem)
+    system = _FrozenSystem(frozen_stencils(op, grid), g,
+                           grid.shape if margin == 1 else None)
+    level = "x".join(str(n) for n in grid.shape)
+    history = []
+
+    def evaluate():  # the excess at the iterate and the attaining policy
+        fh, policy = eval_policy(op, GridFunction(grid, u))
+        return fh.values - g * u - fv, policy
+
+    pinned = seed
+    for step in range(config.max_iterations + 1):
+        e, policy = evaluate()
+        # a node below the obstacle is pinned whatever its multiplier says
+        active = mask & (u - psi < np.maximum(-e, 0.0))
+        settled = pinned is not None and np.array_equal(active, pinned)
+        if step == 0 and seed is not None:
+            active = seed
+        free = mask & ~active
+        r = float(np.max(np.abs(e[free]))) if free.any() else 0.0
+        if settled and r <= tol:
+            return u, active, e, r, tuple(history)
+        if step == config.max_iterations:
+            break
+        pinned = active
+        moved = active & (u != psi)
+        if moved.any():
+            u[moved] = psi[moved]
+            e, policy = evaluate()
+        nodes = np.flatnonzero(free).astype(np.int32)
+        krylov = 0
+        if nodes.size:
+            x, krylov = system.solve(policy, nodes, -e[nodes], tol,
+                                     "step %d on the %s grid" % (step, level), r)
+            u[nodes] += x
+        history.append((r, int(np.count_nonzero(active)), krylov))
+    raise SolverError(
+        "policy iteration on the %s grid failed to converge: residual %.3e"
+        " after %d steps (tolerance %.3e)" % (level, r, config.max_iterations, tol), r
+    )
 
 
 def solve_dirichlet(op: EllipticOperator, f, boundary,
@@ -410,29 +445,11 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
     mask, fv = _setup(op, grid, f, initial)
     bv = _node_field(grid, boundary, "boundary")
     u = initial.values.copy() if initial is not None else bv.copy()
-    u[~mask] = bv[~mask]
-    tol = _tolerance(config, fv, mask)
-    nodes = np.flatnonzero(mask).astype(np.int32)
-    system = _FrozenSystem(frozen_stencils(op, grid), np.zeros(grid.node_count),
-                           _compact_shape(op, grid))
-    history = []
-
-    for step in range(config.max_iterations + 1):
-        gf = GridFunction(grid, u)
-        fh, policy = eval_policy(op, gf)
-        e = fh.values[nodes] - fv[nodes]
-        r = float(np.max(np.abs(e)))
-        if r <= tol:
-            return SolveResult(gf, step, r, tuple(history))
-        if step == config.max_iterations:
-            break
-        x, krylov = system.solve(policy, nodes, -e, tol, "step %d" % step, r)
-        u[nodes] += x
-        history.append((r, 0, krylov))
-    raise SolverError(
-        "policy iteration failed to converge: residual %.3e after %d steps"
-        " (tolerance %.3e)" % (r, config.max_iterations, tol), r
-    )
+    n = grid.node_count  # the obstacle loop with no obstacle, psi = -inf and g = 0
+    u, _, _, r, history = _iterate(op, grid, np.full(n, -np.inf), bv, fv, np.zeros(n),
+                                   _tolerance(config, fv, mask), config, u,
+                                   np.zeros(n, dtype=bool))
+    return SolveResult(GridFunction(grid, u), len(history), r, history)
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,63 +524,19 @@ def _coarser(grid: Grid, psi, bv, margin: int) -> Grid | None:
     return coarse
 
 
-def _active_set(op, grid, psi, bv, fv, g, tol, config, u, seed):
-    """The primal-dual active-set loop on one level, from the iterate ``u``.
-
-    A ``seed`` is taken as the first active set; otherwise, and on every
-    later step, a node is active where u - psi falls below its multiplier.
-    Returns (u, active set, excess F_h(u) - g u - f, free residual, history),
-    one history row per step.
-    """
-    mask = grid.interior_mask(operator_margin(op, grid.ndim))
-    u[~mask] = bv[~mask]
-    system = _FrozenSystem(frozen_stencils(op, grid), g, _compact_shape(op, grid))
-    level = "x".join(str(n) for n in grid.shape)
-    history = []
-
-    def excess(fh):  # F_h(u) - g u - f at the iterate: zero off contact, <= 0 on it
-        return fh.values - g * u - fv
-
-    previous = None
-    for step in range(config.max_iterations + 1):
-        e = excess(eval_discrete(op, GridFunction(grid, u)))
-        if step == 0 and seed is not None:
-            active = seed
-        else:
-            # a node below the obstacle is pinned whatever its multiplier says
-            active = mask & (u - psi < np.maximum(-e, 0.0))
-        free = mask & ~active
-        r = float(np.max(np.abs(e[free]))) if free.any() else 0.0
-        if previous is not None and np.array_equal(active, previous) and r <= tol:
-            return u, active, e, r, tuple(history)
-        if step == config.max_iterations:
-            break
-        previous = active
-        u[active] = psi[active]
-        nodes = np.flatnonzero(free).astype(np.int32)
-        krylov = 0
-        if nodes.size:
-            fh, policy = eval_policy(op, GridFunction(grid, u))
-            x, krylov = system.solve(policy, nodes, -excess(fh)[nodes], tol,
-                                     "step %d on the %s grid" % (step, level), r)
-            u[nodes] += x
-        history.append((r, int(np.count_nonzero(active)), krylov))
-    raise SolverError(
-        "active-set iteration on the %s grid failed to converge: residual %.3e"
-        " after %d steps (tolerance %.3e)" % (level, r, config.max_iterations, tol), r
-    )
-
-
-def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, config):
+def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, config, initial=None):
     """Solve on the grid of every other node first (recursively), then start
     this level from its bilinearly interpolated solution, pinned to psi on the
     nodes whose surrounding coarse nodes are all in contact; without a usable
-    coarser grid, start cold from max(boundary, psi).  Returns u, the active
-    set, the excess, the residual, the (nodes, steps) of every level and the
-    history rows of all levels."""
-    coarse = _coarser(grid, psi, bv, operator_margin(op, grid.ndim))
+    coarser grid, start cold from max(boundary, psi).  An ``initial`` iterate
+    (flat node values) means that this level runs alone, from it.  Returns u,
+    the active set, the excess, the residual, the (nodes, steps) of every
+    level and the history rows of all levels."""
+    coarse = None if initial is not None else _coarser(
+        grid, psi, bv, operator_margin(op, grid.ndim))
     if coarse is None:
-        u, seed, levels, history = np.maximum(bv, psi), None, (), ()
+        u = np.maximum(bv, psi) if initial is None else initial.copy()
+        seed, levels, history = None, (), ()
     else:
         cu, ccontact, _, _, levels, history = _coarse_to_fine(
             op, coarse, *(_inject(grid, a) for a in (psi, bv, fv, g)), tol, config)
@@ -572,7 +545,7 @@ def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, config):
         # the weights of a row are exact binary fractions summing to 1
         seed = interpolate @ ccontact.astype(float) == 1.0
         u[seed] = psi[seed]
-    u, active, e, r, rows = _active_set(op, grid, psi, bv, fv, g, tol, config, u, seed)
+    u, active, e, r, rows = _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed)
     return u, active, e, r, levels + ((grid.shape[0], len(rows)),), history + rows
 
 
@@ -600,13 +573,9 @@ def solve_obstacle(problem: ObstacleProblem,
     psi = problem.psi.values
     bv = problem.boundary_values(operator_margin(op, grid.ndim))
     tol = _tolerance(config, fv, mask)
-    if initial is None:
-        u, contact, e, r, levels, history = _coarse_to_fine(op, grid, psi, bv, fv, g,
-                                                            tol, config)
-    else:
-        u, contact, e, r, history = _active_set(op, grid, psi, bv, fv, g, tol, config,
-                                                initial.values.copy(), None)
-        levels = ((grid.shape[0], len(history)),)
+    u, contact, e, r, levels, history = _coarse_to_fine(
+        op, grid, psi, bv, fv, g, tol, config,
+        None if initial is None else initial.values)
 
     rhs = fv + g * u
     fh = e + rhs  # the realized field F_h(u) at the returned iterate

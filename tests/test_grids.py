@@ -216,6 +216,13 @@ def test_sample_bilinear_rejects_exterior_points(grid33):
         sample_bilinear(u, np.array([[1.5, 0.0]]))
 
 
+def test_sample_bilinear_rejects_nan_points():
+    """A NaN coordinate lies in no cell; it must not be cast to an index."""
+    u = random_field(unit_square_grid(9), 0)
+    with pytest.raises(ValueError, match="interpolation point exits domain"):
+        sample_bilinear(u, [[np.nan, 0.0]])
+
+
 @pytest.mark.parametrize("scale", [1.0, 0.25, 0.37])
 @pytest.mark.parametrize("ndim, source, target, half", [
     (1, 33, 33, 1.0), (1, 33, 20, 1.0),
@@ -309,6 +316,12 @@ def test_resample_rejects_lattice_leaving_domain(grid33):
         resample(u, unit_square_grid(17), 1.5)
     with pytest.raises(ValueError, match="rank mismatch"):
         resample(u, unit_square_grid(17, ndim=3), 1.0)
+
+
+def test_resample_rejects_nan_scale():
+    u = random_field(unit_square_grid(9), 0)
+    with pytest.raises(ValueError, match="interpolation point exits domain"):
+        resample(u, u.grid, np.nan)
 
 
 # ---------------------------------------------------------------------------
