@@ -60,7 +60,6 @@ from .viscosity import (
     check_pointwise,
     check_touching,
     default_tolerance,
-    holder_seminorm,
     limit_stability_experiment,
     make_touching_dictionary,
     quartic_perturb,
@@ -74,7 +73,6 @@ from .decay import (
     RescaleSequence,
     RescaleState,
     best_affine,
-    campanato_sup,
     decay_profile,
     normalize,
     rescale_sequence,
@@ -85,9 +83,7 @@ from .decay import (
 from .mollify import (
     MollifierKernel,
     SandwichReport,
-    ShrunkenDomain,
     SweepRow,
-    compute_g,
     hessian_lp_norm,
     mollify,
     sandwich_check,

@@ -42,7 +42,6 @@ __all__ = [
     "RescaleSequence",
     "rescale_sequence",
     "normalize",
-    "campanato_sup",
     "unit_ball_grid",
 ]
 
@@ -302,36 +301,3 @@ def normalize(u: GridFunction, radius: float, lam: float, eps: float,
     unit = unit_ball_grid(n, unit_nodes)
     vals = resample(u, unit, radius) / kappa
     return GridFunction(unit, vals), float(kappa)
-
-
-def campanato_sup(u: GridFunction, box: Domain, beta: float,
-                  radius_levels: int = 4, centers_per_axis: int = 3,
-                  min_radius_nodes: int = 4) -> float:
-    """sup over a deterministic net of centers in the box and dyadic radii of
-    r^(-1-beta) inf_q osc_{B(center,r)}(u - q . x).
-
-    Radii start just inside dist(center, domain boundary) and halve for
-    radius_levels steps, floored at min_radius_nodes h.
-    """
-    grid = u.grid
-    n = grid.ndim
-    if not (0.0 < beta < 1.0):
-        raise ValueError("beta must lie in (0, 1)")
-    axes = [np.linspace(box.lower[a], box.upper[a], centers_per_axis) for a in range(n)]
-    mesh = np.meshgrid(*axes[::-1], indexing="ij")[::-1]
-    centers = np.stack([m.ravel() for m in mesh], axis=-1)
-    floor = min_radius_nodes * grid.h
-    best = None
-    for c in centers:
-        dist = min(min(c[a] - grid.domain.lower[a], grid.domain.upper[a] - c[a])
-                   for a in range(n))
-        r = 0.999 * dist
-        for _ in range(radius_levels):
-            if r < floor:
-                break
-            val = best_affine(u, Ball(tuple(c), r)).osc_value / r ** (1.0 + beta)
-            best = val if best is None else max(best, val)
-            r *= 0.5
-    if best is None:
-        raise ValueError("net empty: no (center, radius) pair is resolvable")
-    return float(best)

@@ -37,11 +37,9 @@ from .stencils import discrete_hessian, eval_discrete, operator_margin
 
 __all__ = [
     "MollifierKernel",
-    "ShrunkenDomain",
     "SandwichReport",
     "SweepRow",
     "mollify",
-    "compute_g",
     "sandwich_check",
     "hessian_lp_norm",
     "stability_sweep",
@@ -101,28 +99,6 @@ def _trimmed_grid(grid: Grid, trim: int) -> Grid:
     return Grid(Domain(lower, upper), shape)
 
 
-@dataclass(frozen=True, eq=False)
-class ShrunkenDomain:
-    """Nodes of the parent grid strictly farther than eps from its boundary."""
-
-    parent: Grid
-    eps: float
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("margin must be positive")
-        self.grid  # validate emptiness eagerly
-
-    @property
-    def trim(self) -> int:
-        # dist > eps strictly; the node at distance exactly eps is excluded
-        return _half_width(self.eps, self.parent.h) + 1
-
-    @property
-    def grid(self) -> Grid:
-        return _trimmed_grid(self.parent, self.trim)
-
-
 def _convolve_valid(lat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Valid-mode correlation sum_d w(d) lat(x + d) by FFT, as the circular
     product with the flipped weights at the lattice's own size: wrap-around
@@ -154,12 +130,6 @@ def mollify(u: GridFunction, eps: float) -> GridFunction:
     extension; values outside it would need data the grid does not carry)."""
     kern = MollifierKernel.build(u.grid, eps)
     return _crop(_convolve_valid(u.lattice(), kern.weights), u.grid, kern.half_width, 1)
-
-
-def compute_g(u_eps: GridFunction, a: SymMatrix) -> GridFunction:
-    """<A, D^2 u_eps> by the scheme of the linear operator A (constant A
-    passes through div(A grad .)).  NaN on its margin band, like eval_discrete."""
-    return eval_discrete(linear_operator(a.mat), u_eps)
 
 
 @dataclass(frozen=True, eq=False)

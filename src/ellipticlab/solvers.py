@@ -1,23 +1,29 @@
 """Policy iteration for F_h(D^2 u) = f and its obstacle problem, with
 Dirichlet data.
 
-F_h is the pointwise max (the min for pucci_min) of a few linear stencils
-with nonnegative off-centre weights (``stencils.frozen_stencils``).  One step
-loop solves
+F_h is the pointwise max (the min for pucci_min) of linear stencils with
+nonnegative off-centre weights; a policy is, per node, the attaining
+matrix's weights on the scheme's lines (``stencils.eval_policy``).  One
+step loop solves
 
     min(u - psi, f + g u - F_h(u)) = 0  on the interior
 
 as a primal-dual active-set method (Hintermüller, Ito & Kunisch, SIAM J.
-Optim. 13, 2002).  Every step evaluates F_h and the attaining stencil per
-node once, at the iterate (``eval_policy``); pins u = psi where u - psi falls
-below the multiplier f + g u - F_h(u), evaluating again only if that moved a
-node; and solves the sparse linear system of the frozen stencils on the other
-nodes.  The loop returns once the active set is the one the iterate is
-pinned on and the residual off it is within tolerance.  The Dirichlet solve
-of F_h(u) = f is this loop with no obstacle (psi = -inf, g = 0): no node is
-ever active, and the loop is Howard's policy iteration (Bokanowski, Maroso &
-Zidani, SIAM J. Numer. Anal. 47, 2009).  Either way the returned field
-solves the very scheme ``eval_discrete`` defines.  Obstacle solutions
+Optim. 13, 2002).  Every step evaluates F_h and the policy once, at the
+iterate; pins u = psi where u - psi falls below the multiplier f + g u -
+F_h(u), evaluating again only if that moved a node; and solves the sparse
+linear system of the frozen policy on the other nodes.  The loop returns
+once the active set is the one the iterate is pinned on (the seed, or
+where u = psi, at the start) and the residual off it is within tolerance.
+The Dirichlet solve of F_h(u) = f is this loop with no obstacle (psi =
+-inf, g = 0): no node is ever active, and the loop is Howard's policy
+iteration (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).
+With F_h a min, the obstacle problem is an Isaacs system, on which moving
+the set and the policy together cycles; so a step keeps the set while the
+policy on its free nodes moved since the last solve and the residual there
+is above tolerance: nested policy iteration (Hoffman & Karp, Management
+Sci. 12, 1966).  Either way the returned field solves
+the very scheme ``eval_discrete`` defines.  Obstacle solutions
 satisfy F_h(u) - g u <= f everywhere, with equality off the contact set, and
 on contact F_h(u) >= F_h(psi) by monotonicity of the scheme, which is what
 lets us manufacture two-sided inequality bounds for the certificate checks.
@@ -74,7 +80,7 @@ import numpy as np
 
 from .grids import Grid, GridFunction
 from .operators import EllipticOperator
-from .stencils import eval_discrete, eval_policy, frozen_stencils, operator_margin
+from .stencils import eval_discrete, eval_policy, operator_margin, policy_lines
 
 __all__ = [
     "SolverConfig",
@@ -157,21 +163,23 @@ def _pick_grid(*candidates) -> Grid:
     )
 
 
-def _matrix(stencils, policy, nodes, node_count, shift):
-    """CSR matrix of the frozen policy minus diag(shift) over ``nodes``,
-    built row by row with a fixed number of terms per row; couplings to any
-    other node are dropped (its correction is zero)."""
+def _matrix(weights, shifts, scale, nodes, node_count, shift):
+    """CSR matrix of scale * sum c D_e minus diag(shift) over ``nodes``, with
+    c the line weights (``weights``, shape (lines, nodes)) on the lines of
+    ``shifts``; zero weights and couplings to any other node are dropped
+    (its correction is zero)."""
     from scipy import sparse
 
-    chosen = slice(0, 1) if policy is None else policy[nodes]
-    offsets, weights = stencils[0][chosen], stencils[1][chosen]
+    c = (weights * scale).T  # per node: the centre, -2 sum c, then c at x + e and x - e
+    terms = np.column_stack([-2.0 * functools.reduce(np.add, c.T, 0.0), np.repeat(c, 2, 1)])
+    offsets = np.array([0] + [o for s in shifts for o in (s, -s)])
     index = np.full(node_count, -1, dtype=np.int32)
     index[nodes] = np.arange(nodes.size, dtype=np.int32)
     cols = index[nodes[:, None] + offsets]
-    keep = (cols >= 0) & (weights != 0.0)
+    keep = (cols >= 0) & (terms != 0.0)
     indptr = np.zeros(nodes.size + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    data = np.broadcast_to(weights, cols.shape)[keep]
+    data = terms[keep]
     data[indptr[:-1]] -= shift  # the centre term leads every row
     return sparse.csr_matrix((data, cols[keep], indptr),
                              shape=(nodes.size, nodes.size))
@@ -338,18 +346,22 @@ class _FrozenSystem:
     reaching more than one node layer, on which a Galerkin V-cycle costs
     more than it saves) BiCGSTAB runs unpreconditioned."""
 
-    def __init__(self, stencils, g, shape):
-        self.stencils, self.g, self.shape = stencils, g, shape
+    def __init__(self, shifts, scale, g, shape):
+        self.shifts, self.scale, self.g, self.shape = shifts, scale, g, shape
         self.key = self.matrix = self.precondition = self.coarse = None
 
+    def current(self, policy, nodes):
+        """Whether the last solve's system is ``policy``'s on ``nodes``."""
+        return (self.key is not None and np.array_equal(self.key[0], nodes)
+                and np.array_equal(self.key[1], policy[:, nodes]))
+
     def solve(self, policy, nodes, rhs, tol, where, r):
-        """The correction on the free ``nodes`` under ``policy`` (None for a
-        single stencil) and its BiCGSTAB iteration count, as ``_correction``."""
-        chosen = None if policy is None else policy[nodes]
-        if not (self.key is not None and np.array_equal(self.key[0], nodes)
-                and (chosen is None or np.array_equal(self.key[1], chosen))):
+        """The correction on the free ``nodes`` under ``policy`` and its
+        BiCGSTAB iteration count, as ``_correction``."""
+        if not self.current(policy, nodes):
+            chosen = policy[:, nodes]
             self.key = self.matrix = self.precondition = None
-            self.matrix = _matrix(self.stencils, policy, nodes, self.g.size,
+            self.matrix = _matrix(chosen, self.shifts, self.scale, nodes, self.g.size,
                                   self.g[nodes])
             built = None if self.shape is None else _vcycle(
                 self.matrix, nodes, self.shape, self.coarse)
@@ -379,16 +391,16 @@ def _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed):
     """The step loop on one grid, from the iterate ``u`` (module docstring).
 
     A ``seed`` replaces the first step's active set, and ``u`` counts as
-    pinned on it; without one, the first step cannot return.  Returns (u,
-    active set, excess F_h(u) - g u - f, free residual, history), one history
-    row per step.
+    pinned on it; without one, ``u`` counts as pinned where it equals psi.
+    Returns (u, active set, excess F_h(u) - g u - f, free residual,
+    history), one history row per step.
     """
     margin = operator_margin(op, grid.ndim)
     mask = grid.interior_mask(margin)
     u[~mask] = bv[~mask]
+    shifts, minimize = policy_lines(op, grid)
     # a scheme reaching one node layer gets the V-cycle (_FrozenSystem)
-    system = _FrozenSystem(frozen_stencils(op, grid), g,
-                           grid.shape if margin == 1 else None)
+    system = _FrozenSystem(shifts, 1.0 / grid.h**2, g, grid.shape if margin == 1 else None)
     level = "x".join(str(n) for n in grid.shape)
     history = []
 
@@ -396,16 +408,21 @@ def _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed):
         fh, policy = eval_policy(op, GridFunction(grid, u))
         return fh.values - g * u - fv, policy
 
-    pinned = seed
+    pinned = mask & (u == psi) if seed is None else seed
     for step in range(config.max_iterations + 1):
         e, policy = evaluate()
         # a node below the obstacle is pinned whatever its multiplier says
         active = mask & (u - psi < np.maximum(-e, 0.0))
-        settled = pinned is not None and np.array_equal(active, pinned)
+        settled = np.array_equal(active, pinned)
         if step == 0 and seed is not None:
             active = seed
         free = mask & ~active
         r = float(np.max(np.abs(e[free]))) if free.any() else 0.0
+        if minimize and step and not settled:  # nested policy iteration
+            held = mask & ~pinned
+            r_held = float(np.max(np.abs(e[held]))) if held.any() else 0.0
+            if r_held > tol and not system.current(policy, np.flatnonzero(held)):
+                active, free, r = pinned, held, r_held
         if settled and r <= tol:
             return u, active, e, r, tuple(history)
         if step == config.max_iterations:
@@ -447,8 +464,7 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
     u = initial.values.copy() if initial is not None else bv.copy()
     n = grid.node_count  # the obstacle loop with no obstacle, psi = -inf and g = 0
     u, _, _, r, history = _iterate(op, grid, np.full(n, -np.inf), bv, fv, np.zeros(n),
-                                   _tolerance(config, fv, mask), config, u,
-                                   np.zeros(n, dtype=bool))
+                                   _tolerance(config, fv, mask), config, u, None)
     return SolveResult(GridFunction(grid, u), len(history), r, history)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import FLOAT_FMT, write_csv
-from .grids import Ball, GridFunction, ball_node_mask
+from .grids import GridFunction
 from .operators import EllipticOperator, op_eval
 from .stencils import discrete_hessian, eval_discrete, operator_margin
 
@@ -38,7 +38,6 @@ __all__ = [
     "make_touching_dictionary",
     "write_viscosity_report",
     "quartic_perturb",
-    "holder_seminorm",
     "LimitStabilityReport",
     "limit_stability_experiment",
 ]
@@ -305,52 +304,6 @@ def quartic_perturb(phi: GridFunction, x0) -> GridFunction:
     d = phi.grid.points() - x0[None, :]
     r2 = np.einsum("ij,ij->i", d, d)
     return phi.with_values(phi.values - r2 * r2)
-
-
-def holder_seminorm(u: GridFunction, gamma: float, region: Ball,
-                    pair_budget: int = 20000) -> float:
-    """max |u(x)-u(y)| / |x-y|^gamma over all node pairs at distance <= 4h
-    plus a deterministic stratified sample of about pair_budget pairs."""
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
-    grid = u.grid
-    mask = ball_node_mask(grid, region)
-    idx = np.flatnonzero(mask)
-    if idx.size < 2:
-        raise ValueError("region has fewer than 2 nodes")
-
-    best = 0.0
-    # short-range: every pair within 4h, via half-space lattice offsets;
-    # _ball_offsets lists a set closed under d -> -d, without 0, in storage
-    # order, so its second half holds one of each pair +/-d
-    offs = _ball_offsets(grid, 4.0 * grid.h)
-    half = offs[offs.shape[0] // 2 :]
-    in_ball = np.zeros(grid.node_count, dtype=bool)
-    in_ball[idx] = True
-    multis = np.stack(np.unravel_index(idx, grid.shape, order="F"), axis=1)
-    for d in half:
-        target = multis + d[None, :]
-        ok = np.all((target >= 0) & (target < np.asarray(grid.shape)[None, :]), axis=1)
-        if not ok.any():
-            continue
-        tflat = np.clip(target @ grid.strides, 0, grid.node_count - 1)
-        ok &= in_ball[tflat]
-        if not ok.any():
-            continue
-        dist = float(np.sqrt(np.sum(d.astype(float) ** 2))) * grid.h
-        diff = np.abs(u.values[tflat] - u.values[idx])
-        best = max(best, float(np.max(diff[ok])) / dist**gamma)
-
-    # long-range: evenly spaced node subset, all cross pairs
-    m = max(2, int(math.isqrt(pair_budget)))
-    sub = idx[np.unique(np.linspace(0, idx.size - 1, m).astype(int))]
-    spts = grid.points_at(sub)
-    svals = u.values[sub]
-    dmat = np.sqrt(np.sum((spts[:, None, :] - spts[None, :, :]) ** 2, axis=-1))
-    vmat = np.abs(svals[:, None] - svals[None, :])
-    np.fill_diagonal(dmat, np.inf)
-    best = max(best, float(np.max(vmat / dmat**gamma)))
-    return best
 
 
 @dataclass(frozen=True, eq=False)

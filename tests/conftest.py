@@ -205,9 +205,10 @@ def grid65():
 
 
 def whole_grid_envelope(op, u, track):
-    """F_h(u) and its policy the way ``stencils._envelope`` computes them but
-    in one whole-grid pass: one whole-grid temporary per term, the same
-    arithmetic in the same order."""
+    """F_h(u) and its policy (line weights per node, shape (lines, nodes), 0
+    on the margin band; None unless ``track``) the way ``stencils._envelope``
+    computes them but in one whole-grid pass: one whole-grid temporary per
+    term, the same arithmetic in the same order."""
     from ellipticlab.stencils import _scheme
 
     grid = u.grid
@@ -216,32 +217,84 @@ def whole_grid_envelope(op, u, track):
     my = m if grid.ndim == 2 else 0
     lat = u.lattice().reshape(-1, grid.shape[0])
     ny, nx = lat.shape
-    track = track and len(scheme.rows) > 1
     better = np.less if scheme.minimize else np.greater
     pick = np.minimum if scheme.minimize else np.maximum
     diffs = [-2.0 * lat[my : ny - my, m : nx - m]
              + lat[my + dy : ny - my + dy, m + dx : nx - m + dx]
              + lat[my - dy : ny - my - dy, m - dx : nx - m - dx]
              for dx, dy in ((e + (0,))[:2] for e in scheme.directions)]  # (1,) in 1D
-    best = policy = None
-    for j, row in enumerate(scheme.rows):
+
+    def combine(terms):
         acc = None
-        for k, c in row:
+        for k, c in terms:
             acc = c * diffs[k] if acc is None else acc + c * diffs[k]
-        if best is None:
-            best, policy = acc, np.zeros(acc.shape, dtype=np.int32)
-        else:
-            policy = np.where(better(acc, best), j, policy)
-            best = pick(best, acc)
+        return acc
+
+    def column(terms):  # one coefficient per line
+        out = np.zeros(len(diffs))
+        for k, c in terms:
+            out[k] = c
+        return out
+
+    weights = np.zeros((len(diffs),) + diffs[0].shape)
+    best = None
+    for row in scheme.rows:
+        val = combine(row)
+        win = np.ones(val.shape, bool) if best is None else better(val, best)
+        weights[:, win] = column(row)[:, None]
+        best = val if best is None else pick(best, val)
+    sign = -1.0 if scheme.minimize else 1.0
+    for arc in scheme.arcs:
+        s_mid, a, b = (combine(terms) for terms in arc.terms)
+        cw, sw = arc.half
+        hyp = np.sqrt(a * a + b * b)
+        den = np.maximum(a + hyp, hyp * (1.0 + cw) + np.finfo(float).tiny)
+        gain = np.maximum(np.abs(b) * sw + a * (cw - 1.0),
+                          np.minimum(b * b / den, hyp * (1.0 - cw)))
+        val = s_mid - gain if scheme.minimize else s_mid + gain
+        inside = a >= hyp * cw
+        cs, sn = np.where(inside, 1.0, cw), np.where(inside, 0.0, np.copysign(sw, b))
+        on = inside & (hyp > 0.0)
+        cs[on], sn[on] = a[on] / hyp[on], b[on] / hyp[on]
+        win = better(val, best)
+        for k, (c_mid, c_a, c_b) in enumerate(zip(*(column(t) for t in arc.terms))):
+            weights[k][win] = np.maximum(c_mid + sign * (c_a * (cs - 1.0) + c_b * sn), 0.0)[win]
+        best = pick(best, val)
     out = np.full((ny, nx), np.nan)
     out[my : ny - my, m : nx - m] = best / grid.h**2
-    if track:
-        full = np.zeros((ny, nx), dtype=np.int32)
-        full[my : ny - my, m : nx - m] = policy
-        policy = full.ravel()
-    else:
-        policy = None
-    return out.ravel(), policy
+    if not track:
+        return out.ravel(), None
+    full = np.zeros((len(diffs), ny, nx))
+    full[:, my : ny - my, m : nx - m] = weights
+    return out.ravel(), full.reshape(len(diffs), -1)
+
+
+def dense_rim_envelope(op, u, count=2048):
+    """Pucci's F_h sampled: the max (min for pucci_min) of Selling's
+    tr(A D^2_h u) over lam2 I, lam1 I and the rim matrices A_t = m I + d R(t)
+    at t = 2 pi k / count, on the nodes inside the scheme's margin (flat
+    node indices, returned with it)."""
+    from ellipticlab.stencils import _selling, operator_margin
+
+    grid = u.grid
+    nodes = np.flatnonzero(grid.interior_mask(operator_margin(op, 2)))
+    lam1, lam2 = op.params.lam1, op.params.lam2
+    m, d = (lam2 + lam1) / 2.0, (lam2 - lam1) / 2.0
+    mats = [lam2 * np.eye(2), lam1 * np.eye(2)]
+    for t in 2.0 * np.pi * np.arange(count) / count:
+        mats.append(m * np.eye(2) + d * np.array([[np.cos(t), np.sin(t)],
+                                                  [np.sin(t), -np.cos(t)]]))
+    seconds = {}
+
+    def second(e):  # D_e u at the nodes, in node units
+        if e not in seconds:
+            s = e[0] * grid.strides[0] + e[1] * grid.strides[1]
+            seconds[e] = u.values[nodes + s] - 2.0 * u.values[nodes] + u.values[nodes - s]
+        return seconds[e]
+
+    vals = np.array([sum(rho * second(e) for rho, e in _selling(a)) for a in mats])
+    pick = vals.min(axis=0) if op.kind == "pucci_min" else vals.max(axis=0)
+    return pick / grid.h**2, nodes
 
 
 def shift_add_convolve(lat, weights):

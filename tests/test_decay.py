@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from ellipticlab import (
     Ball,
     DecayConfig,
-    Domain,
     GridFunction,
     best_affine,
     build_fixture,
-    campanato_sup,
     decay_profile,
     normalize,
     oscillation,
@@ -268,21 +266,3 @@ def test_unit_ball_grid_shape():
     g = unit_ball_grid(2, nodes=65)
     assert g.shape == (65, 65)
     assert g.domain.lower == (-1.0, -1.0) and g.domain.upper == (1.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Campanato sup over a net
-
-
-def test_campanato_sup_harmonic_matches_closed_form():
-    # psi(r) = 2 r^2 so Phi = 2 sqrt(r): the sup sits at the largest net radius
-    u = build_fixture("harmonic", 129)
-    got = campanato_sup(u, u.grid.domain, beta=0.5, radius_levels=3)
-    assert 1.8 <= got <= 2.0
-    assert got == campanato_sup(u, u.grid.domain, beta=0.5, radius_levels=3)
-
-
-def test_campanato_sup_empty_net():
-    u = build_fixture("quad", 33)
-    with pytest.raises(ValueError, match="net empty"):
-        campanato_sup(u, u.grid.domain, beta=0.5, min_radius_nodes=10 ** 6)

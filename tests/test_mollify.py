@@ -9,17 +9,15 @@ from ellipticlab import (
     Ball,
     GridFunction,
     MollifierKernel,
-    ShrunkenDomain,
     SymMatrix,
     build_fixture,
-    compute_g,
     hessian_lp_norm,
     mollify,
     sandwich_check,
     stability_sweep,
 )
 
-from conftest import field, quadratic_field, shift_add_convolve, unit_square_grid
+from conftest import field, shift_add_convolve, unit_square_grid
 
 mollify_module = sys.modules["ellipticlab.mollify"]  # ellipticlab.mollify is the function
 
@@ -52,15 +50,18 @@ def test_kernel_second_moment_positive(grid65):
 
 
 def test_shrunken_domain_geometry(grid65):
-    sd = ShrunkenDomain(grid65, 8 * grid65.h)
-    # strict interior distance > eps: trim is half_width + 1
-    assert sd.grid.shape == (65 - 2 * 9, 65 - 2 * 9)
+    """mollify reports on the nodes strictly farther than eps from the
+    boundary: trim is half_width + 1."""
+    u = GridFunction(grid65, np.zeros(grid65.node_count))
+    grid = mollify(u, 8 * grid65.h).grid
+    assert grid.shape == (65 - 2 * 9, 65 - 2 * 9)
+    assert grid.domain.lower == (grid65.domain.lower[0] + 9 * grid65.h,) * 2
 
 
 def test_shrunken_domain_empty():
     g = unit_square_grid(17)
     with pytest.raises(ValueError, match="margin removes every interior node"):
-        ShrunkenDomain(g, 7 * g.h)
+        mollify(GridFunction(g, np.zeros(g.node_count)), 7 * g.h)
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +173,6 @@ def test_mollified_parabola_shift_is_the_second_moment():
     shift = ue.values - field(ue.grid, lambda p: p[:, 0] ** 2).values
     assert np.max(shift) - np.min(shift) <= 1e-13
     assert np.mean(shift) == pytest.approx(m2, abs=1e-10)
-
-
-def test_compute_g_on_quadratic_is_exact():
-    g = unit_square_grid(65)
-    m = np.array([[2.0, 0.5], [0.5, -1.0]])
-    a = SymMatrix([[1.0, 0.25], [0.25, 2.0]])
-    u_eps = mollify(quadratic_field(g, m), 6 * g.h)
-    ga = compute_g(u_eps, a)
-    want = float(np.sum(a.mat * m))
-    vals = ga.values[np.isfinite(ga.values)]
-    np.testing.assert_allclose(vals, want, rtol=0, atol=1e-10)
-
-
-def test_compute_g_requires_positive_definite(grid65):
-    u_eps = mollify(build_fixture("quad", 65), 6 * grid65.h)
-    with pytest.raises(ValueError, match="positive definite"):
-        compute_g(u_eps, SymMatrix([[1.0, 2.0], [2.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,13 @@ def test_bare_callable_needs_params():
         check_uniform_ellipticity(lambda m: 0.0, sample_count=10)
 
 
+def test_linear_operator_requires_positive_definite():
+    with pytest.raises(ValueError, match="positive definite"):
+        linear_operator([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(ValueError, match="positive definite"):
+        max_of_linear([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("op", BUILTINS, ids=lambda o: o.kind)
 def test_batched_checks_match_the_per_sample_loop(op, seed):

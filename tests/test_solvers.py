@@ -272,14 +272,14 @@ def test_refused_coarsening_starts_cold(case):
 
 def test_exact_start_returns_after_0_steps_on_every_seeded_level():
     """An affine boundary with f = g = 0 and psi far below it: the coarsest
-    level starts cold and takes its one step, and every finer level, whose
-    interpolated start is already exact and pinned on its (empty) seed,
-    returns at once."""
+    level's cold start max(boundary, psi) is already exact and pinned where
+    it equals psi (nowhere), and every finer level's interpolated start is
+    exact and pinned on its (empty) seed, so every level returns at once."""
     grid = square_grid(65, 0.75)
     affine = GridFunction.from_callable(grid, lambda p: 1.0 + 0.5 * p[:, 0] - 0.25 * p[:, 1])
     psi = affine.with_values(np.full(grid.node_count, -10.0))
     result = solve_obstacle(ObstacleProblem(TRACE, psi, affine, 0.0, 0.0))
-    assert result.level_steps == ((17, 1), (33, 0), (65, 0))
+    assert result.level_steps == ((17, 0), (33, 0), (65, 0))
     assert not result.contact.any()
     assert np.max(np.abs(result.u.values - affine.values)) <= 1e-15
 
@@ -310,7 +310,7 @@ def frozen_system(op, res, ndim, seed=0, hole=0.3):
     """A frozen-policy matrix (shifted by g = 1, as in the obstacle solve)
     over the interior nodes of a random field, less a contact hole |x| < hole."""
     from ellipticlab.solvers import _matrix
-    from ellipticlab.stencils import eval_policy, frozen_stencils
+    from ellipticlab.stencils import eval_policy, policy_lines
 
     grid = unit_square_grid(res, ndim=ndim)
     rng = np.random.default_rng(seed)
@@ -318,7 +318,8 @@ def frozen_system(op, res, ndim, seed=0, hole=0.3):
     _, policy = eval_policy(op, u)
     inside = np.sum(grid.points() ** 2, axis=1) < hole**2
     nodes = np.flatnonzero(grid.interior_mask(1) & ~inside).astype(np.int32)
-    a = _matrix(frozen_stencils(op, grid), policy, nodes, grid.node_count, 1.0)
+    a = _matrix(policy[:, nodes], policy_lines(op, grid)[0], 1.0 / grid.h**2, nodes,
+                grid.node_count, 1.0)
     return a, nodes, grid.shape, rng.standard_normal(nodes.size)
 
 
@@ -439,8 +440,8 @@ def test_matrix_is_assembled_once_per_system(monkeypatch, op):
     """A step whose free nodes and chosen policy repeat the previous step's
     reuses its matrix.  The trace's last step on every level repeats the
     one before; max-of-linear's policy still moves at a few nodes there."""
-    keys = count_calls(monkeypatch, "_matrix", lambda stencils, policy, nodes, n, shift: (
-        n, nodes.tobytes(), None if policy is None else policy[nodes].tobytes()))
+    keys = count_calls(monkeypatch, "_matrix", lambda weights, shifts, scale, nodes, n, shift: (
+        n, nodes.tobytes(), weights.tobytes()))
     disc = disc_problem(129)
     result = solve_obstacle(ObstacleProblem(op, disc.psi, disc.boundary, disc.f,
                                             disc.g_weight))
@@ -452,7 +453,7 @@ def test_dirichlet_solve_builds_once_for_a_repeated_system(monkeypatch):
     """The trace's policy never changes, so both steps of the 65^2 solve
     share one matrix and one V-cycle."""
     built = count_calls(monkeypatch, "_vcycle", lambda *args: args[2])
-    assembled = count_calls(monkeypatch, "_matrix", lambda *args: args[3])
+    assembled = count_calls(monkeypatch, "_matrix", lambda *args: args[4])
     f, target, zero = manufactured_quad(TRACE, 65)
     assert solve_dirichlet(TRACE, f, target, initial=zero).iterations == 2
     assert built == [(65, 65)] and assembled == [65 * 65]
@@ -462,7 +463,7 @@ def test_a_repeated_system_gives_the_rebuilt_correction(monkeypatch):
     """Reusing the previous step's system is bit for bit the same as
     assembling it and building its V-cycle (on the same coarse part) again."""
     from ellipticlab.solvers import _FrozenSystem, _correction, _matrix, _vcycle
-    from ellipticlab.stencils import eval_policy, frozen_stencils
+    from ellipticlab.stencils import eval_policy, policy_lines
 
     op = MAX_OF_DIAGONALS
     _, first, shape, first_rhs = frozen_system(op, 65, 2, hole=0.25)
@@ -470,14 +471,14 @@ def test_a_repeated_system_gives_the_rebuilt_correction(monkeypatch):
     grid = unit_square_grid(65)
     _, policy = eval_policy(op, GridFunction(
         grid, np.random.default_rng(0).standard_normal(grid.node_count)))
-    stencils, g = frozen_stencils(op, grid), np.ones(grid.node_count)
-    system = _FrozenSystem(stencils, g, shape)
+    shifts, scale, g = policy_lines(op, grid)[0], 1.0 / grid.h**2, np.ones(grid.node_count)
+    system = _FrozenSystem(shifts, scale, g, shape)
     system.solve(policy, first, first_rhs, 1e-9, "test", 0.0)
     system.solve(policy, nodes, -rhs, 1e-9, "test", 0.0)
     assembled = count_calls(monkeypatch, "_matrix", lambda *args: None)
     x, krylov = system.solve(policy, nodes, rhs, 1e-9, "test", 0.0)
     assert assembled == []
-    a = _matrix(stencils, policy, nodes, grid.node_count, g[nodes])
+    a = _matrix(policy[:, nodes], shifts, scale, nodes, grid.node_count, g[nodes])
     cycle, _ = _vcycle(a, nodes, shape, system.coarse)
     y, again = _correction(a, rhs, 1e-9, "test", 0.0, cycle)
     np.testing.assert_array_equal(x, y)
@@ -519,12 +520,25 @@ def test_histories_have_one_row_per_step():
     assert o.history[-1][1] == np.count_nonzero(o.contact) < interior
 
 
-@pytest.mark.xfail(strict=True, raises=SolverError,
-                   reason="F_h a min over policies makes the obstacle problem an"
-                          " Isaacs system, on which plain policy/active-set"
-                          " iteration cycles; needs nested policy iteration")
 def test_pucci_min_obstacle_converges():
+    """F_h a min over policies makes the obstacle problem an Isaacs system,
+    on which moving the active set and the policy together cycles; holding
+    the set through an inner policy iteration converges."""
     disc = disc_problem(33)
     problem = ObstacleProblem(pucci_min(1.0, 2.0), disc.psi, disc.boundary,
                               disc.f, disc.g_weight)
     assert solve_obstacle(problem).residual <= 1e-9
+
+
+def test_pucci_min_obstacle_steps_coarse_to_fine():
+    disc = disc_problem(129)
+    problem = ObstacleProblem(pucci_min(1.0, 2.0), disc.psi, disc.boundary,
+                              disc.f, disc.g_weight)
+    result = solve_obstacle(problem)
+    assert result.level_steps == ((17, 10), (33, 10), (65, 10), (129, 13))
+    assert result.residual <= 1e-9
+    assert round(result.contact_fraction, 4) == 0.1709
+    assert np.array_equal(result.u.values[result.contact], disc.psi.values[result.contact])
+    fh = eval_discrete(problem.op, result.u).values
+    off = disc.psi.grid.interior_mask(1) & ~result.contact
+    assert np.max(np.abs(fh[off] - result.u.values[off])) <= 1e-9

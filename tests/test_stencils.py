@@ -17,9 +17,15 @@ from ellipticlab import (
     trace_operator,
 )
 from ellipticlab import stencils
-from ellipticlab.stencils import eval_policy, frozen_stencils
+from ellipticlab.stencils import eval_policy, policy_lines
 
-from conftest import field, quadratic_field, unit_square_grid, whole_grid_envelope
+from conftest import (
+    dense_rim_envelope,
+    field,
+    quadratic_field,
+    unit_square_grid,
+    whole_grid_envelope,
+)
 
 
 def interior(values_lattice, margin):
@@ -94,16 +100,22 @@ def test_operator_margins():
 @pytest.mark.parametrize("op", [pucci_max(1.0, 2.0), pucci_min(1.0, 2.0)],
                          ids=lambda op: op.kind)
 def test_pucci_scheme_has_one_buffer_per_line(op):
-    """The 18 candidates of pucci+-:1,2 use the four lines of the 3x3
-    neighbourhood once each, whatever the orientation Selling gives them.
-    The frame at pi/2 is the lattice's, so lam2 I, lam1 I and the extreme
-    matrices at t = 0 and pi/2 have two terms each, the other 14 three."""
+    """pucci+-:1,2 uses the four lines of the 3x3 neighbourhood once each,
+    whatever the orientation Selling gives them: lam2 I and lam1 I on the
+    axes, and two arcs of the rim, t in [0, pi] with (1, 1) and t in [pi,
+    2 pi] with (1, -1).  At 1,10 the rim needs lines reaching two nodes."""
     scheme = stencils._scheme(op, 2)
     lines = {max(e, (-e[0], -e[1])) for e in scheme.directions}
     assert len(scheme.directions) == len(lines) == 4
-    assert len(scheme.rows) == 18
-    assert sum(len(row) for row in scheme.rows) == 50
+    assert [len(row) for row in scheme.rows] == [2, 2]
+    assert len(scheme.arcs) == 2
+    assert [arc.half for arc in scheme.arcs] == [(0.0, 1.0), (0.0, 1.0)]  # each is pi long
+    diagonals = [{scheme.directions[k] for k, _ in arc.terms[0]} - {(-1, 0), (0, 1)}
+                 for arc in scheme.arcs]
+    assert diagonals == [{(1, 1)}, {(1, -1)}]
     assert scheme.margin == 1
+    wide = stencils._scheme((pucci_max if op.kind == "pucci_max" else pucci_min)(1.0, 10.0), 2)
+    assert (len(wide.arcs), len(wide.directions), wide.margin) == (10, 8, 2)
 
 
 @pytest.mark.parametrize("op", [trace_operator(), linear_operator([[1.0, 1.9], [1.9, 4.0]]),
@@ -153,35 +165,53 @@ def rotated(mu1, mu2, phi):
     return r @ np.diag([mu1, mu2]) @ r.T
 
 
-def test_eval_discrete_pucci_wide_stencil_consistency(grid65):
+def test_eval_discrete_pucci_wide_stencil_consistency():
     """Pucci's scheme takes the max (min) of tr(A X) over lam2 I, lam1 I and
-    the extreme matrices framed at the angles k pi / 16, each exact on
-    quadratics.  It reproduces a quadratic whose eigenvectors are at frame
-    angles; otherwise it errs on one side, by at most (lam2 - lam1)(mu1 -
-    mu2) sin^2(delta), delta the angle from mu1's eigenvector to the nearest
-    frame angle."""
-    for k, (mu1, mu2) in zip((0, 3, 8, 13), ((1.0, -1.0), (2.0, 0.5), (-0.5, -2.0),
-                                             (3.0, -0.25))):
-        m = rotated(mu1, mu2, k * np.pi / 16)
-        u = quadratic_field(grid65, m)
-        for op in (pucci_max(1.0, 2.0), pucci_min(1.0, 2.0)):
-            vals = interior(eval_discrete(op, u).lattice(), operator_margin(op, 2))
-            np.testing.assert_allclose(vals, op_eval(op, m), rtol=0, atol=1e-10)
-
+    the whole rim, each exact on quadratics, so it reproduces every
+    quadratic, whatever the angle of its eigenvectors (margin 2 at 1,10)."""
     g = unit_square_grid(9)
     rng = np.random.default_rng(21)
-    for ratio in (2.0, 4.0):
+    for ratio in (2.0, 4.0, 10.0):
         ops = pucci_max(1.0, ratio), pucci_min(1.0, ratio)
         for _ in range(200):
             mu1, mu2 = np.sort(rng.uniform(-3.0, 3.0, 2))[::-1]
-            phi = rng.uniform(0.0, np.pi)
-            off = phi % (np.pi / 16)
-            bound = (ratio - 1.0) * (mu1 - mu2) * np.sin(min(off, np.pi / 16 - off)) ** 2
-            m = rotated(mu1, mu2, phi)
+            m = rotated(mu1, mu2, rng.uniform(0.0, np.pi))
             u = quadratic_field(g, m)
-            for op, sign in zip(ops, (1.0, -1.0)):
-                miss = sign * (op_eval(op, m) - interior(eval_discrete(op, u).lattice(), 1))
-                assert -1e-10 <= miss.min() and miss.max() <= bound + 1e-10, (op.kind, miss)
+            for op in ops:
+                vals = interior(eval_discrete(op, u).lattice(), operator_margin(op, 2))
+                np.testing.assert_allclose(vals, op_eval(op, m), rtol=0, atol=1e-10)
+
+
+SMOOTH_GAP, KINK_GAP = 1.0 - np.cos(np.pi / 2048), np.pi / 2048
+
+
+@pytest.mark.parametrize("op, gap", [(pucci_max(1.0, 2.0), SMOOTH_GAP),
+                                     (pucci_min(1.0, 2.0), SMOOTH_GAP),
+                                     (pucci_max(1.0, 10.0), KINK_GAP),
+                                     (pucci_min(1.0, 10.0), KINK_GAP)],
+                         ids=["pucci+:1,2", "pucci-:1,2", "pucci+:1,10", "pucci-:1,10"])
+def test_closed_form_is_the_pick_over_the_dense_rim(op, gap):
+    """On a random field the closed form never falls short of the pick over
+    2048 rim angles (beyond roundoff), and passes it by at most the sampling
+    gap.  An arc's stencil is S0 + hypot(P, Q) cos(t - t*).  At 1,2 the arcs
+    end at t = 0 and pi, which are sampled, so the pick lies within pi / 2048
+    of a sample on its own arc and the gap is hypot(P, Q)(1 - cos(pi /
+    2048)).  At 1,10 arcs end between samples, where the rim's stencil has a
+    kink, so the gap is its Lipschitz bound, hypot(P, Q) pi / 2048."""
+    g = unit_square_grid(17, half=8.0)  # h = 1
+    u = GridFunction(g, np.random.default_rng(4).standard_normal(g.node_count))
+    want, nodes = dense_rim_envelope(op, u)
+    got = eval_discrete(op, u).values[nodes]
+    scheme = stencils._scheme(op, 2)
+    d = [u.values[nodes + s] - 2.0 * u.values[nodes] + u.values[nodes - s]
+         for s in policy_lines(op, g)[0]]
+    radius = np.max([np.hypot(sum(c * d[k] for k, c in arc.terms[1]),
+                              sum(c * d[k] for k, c in arc.terms[2])) for arc in scheme.arcs],
+                    axis=0)
+    excess = (want - got) if scheme.minimize else (got - want)
+    assert excess.min() >= -1e-12
+    assert np.all(excess <= gap * radius + 1e-12)
+    assert excess.max() > 0.0  # the sampled rim misses some argmax
 
 
 def test_eval_discrete_pucci_min_mirrors_max(grid65):
@@ -242,18 +272,19 @@ def test_scheme_monotone_under_nonnegative_bump(seed, height):
 
 
 # ---------------------------------------------------------------------------
-# the frozen stencils are the scheme
+# the policy's line weights are the scheme
 
 
 def frozen_envelope(op, u):
-    """At every interior node, the frozen stencil eval_policy picked there,
-    applied to u; and eval_discrete on the same nodes."""
+    """At every interior node, the line weights eval_policy picked there,
+    applied to u as sum c D_e u / h^2; and eval_discrete on the same nodes."""
     grid = u.grid
     fh, policy = eval_policy(op, u)
-    offsets, weights = frozen_stencils(op, grid)
+    shifts, _ = policy_lines(op, grid)
+    assert policy.shape == (len(shifts), grid.node_count) and policy.min() >= 0.0
     nodes = np.flatnonzero(grid.interior_mask(operator_margin(op, grid.ndim)))
-    chosen = np.zeros(nodes.size, dtype=int) if policy is None else policy[nodes]
-    got = np.sum(u.values[nodes[:, None] + offsets[chosen]] * weights[chosen], axis=1)
+    got = sum(c[nodes] * (u.values[nodes + s] - 2.0 * u.values[nodes] + u.values[nodes - s])
+              for c, s in zip(policy, shifts)) / grid.h**2
     np.testing.assert_array_equal(fh.values, eval_discrete(op, u).values)
     return got, fh.values[nodes]
 
@@ -266,11 +297,14 @@ ENVELOPE_OPS = [
     pucci_max(1.0, 2.0),
     pucci_min(1.0, 2.0),
 ]
+# ten arcs on eight lines reaching two nodes
+WIDE_PUCCI = [pytest.param(pucci_max(1.0, 10.0), id="pucci_max-1,10"),
+              pytest.param(pucci_min(1.0, 10.0), id="pucci_min-1,10")]
 
 
-@pytest.mark.parametrize("op", ENVELOPE_OPS, ids=lambda op: op.kind)
+@pytest.mark.parametrize("op", ENVELOPE_OPS + WIDE_PUCCI, ids=lambda op: op.kind)
 def test_policy_stencils_reproduce_eval_discrete(op):
-    """The frozen policy's stencil reproduces eval_discrete."""
+    """The policy's line weights reproduce eval_discrete."""
     g = unit_square_grid(33)
     u = GridFunction(g, np.random.default_rng(5).standard_normal(g.node_count))
     got, want = frozen_envelope(op, u)
@@ -285,6 +319,19 @@ def test_policy_stencils_reproduce_eval_discrete_1d(spec):
     u = GridFunction(g, np.random.default_rng(6).standard_normal(g.node_count))
     got, want = frozen_envelope(parse_operator(spec), u)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("spec", ["pucci+:1,2", "pucci-:1,2", "pucci+:1,10"])
+def test_policy_of_an_affine_field_is_finite(spec):
+    """An integer-valued affine field on a unit lattice has D_e u = 0 exactly,
+    so P = Q = 0 on every arc: every angle attains the arc's value, and the
+    weights are those of its middle, without a 0 / 0."""
+    g = unit_square_grid(17, half=8.0)
+    u = field(g, lambda p: 3.0 + 2.0 * p[:, 0] - 5.0 * p[:, 1])
+    got, want = frozen_envelope(parse_operator(spec), u)
+    assert np.all(want == 0.0) and np.all(got == 0.0)
+    _, policy = eval_policy(parse_operator(spec), u)
+    assert np.all(np.isfinite(policy))
 
 
 def test_eval_discrete_rejects_3d():
@@ -310,7 +357,7 @@ def test_envelope_walks_3d_slabs(monkeypatch, strip):
 
     scheme = stencils._Scheme(directions=((1, 0, 0), (0, 1, 0), (0, 0, 1), (-2, 2, 2)),
                               rows=(((0, 1.0), (1, 1.0), (2, 1.0)), ((3, 0.5), (1, 2.0))),
-                              minimize=False, margin=2)
+                              arcs=(), minimize=False, margin=2)
     monkeypatch.setattr(stencils, "_scheme", lambda op, ndim: scheme)
     monkeypatch.setattr(stencils, "_STRIP", strip)
     g = Grid(Domain((0.0, 0.0, 0.0), (1.0, 1.5, 0.75)), (9, 13, 7))
@@ -327,14 +374,15 @@ def test_envelope_walks_3d_slabs(monkeypatch, strip):
     first, second = d[0] + d[1] + d[2], 0.5 * d[3] + 2.0 * d[1]
     want = np.full(lat.shape, np.nan)
     want[core] = np.maximum(first, second) / g.h**2
-    want_policy = np.zeros(lat.shape, dtype=np.int32)
-    want_policy[core] = second > first
+    want_policy = np.zeros((4,) + lat.shape)
+    for k, (one, two) in enumerate(((1.0, 0.0), (1.0, 2.0), (1.0, 0.0), (0.0, 0.5))):
+        want_policy[k][core] = np.where(second > first, two, one)
 
     fh, policy = eval_policy(trace_operator(), u)
     np.testing.assert_array_equal(fh.values, want.ravel())
-    np.testing.assert_array_equal(policy, want_policy.ravel())
-    offsets, _ = frozen_stencils(trace_operator(), g)
-    assert offsets[1, :3].tolist() == [0, -2 + 2 * 9 + 2 * 9 * 13, 2 - 2 * 9 - 2 * 9 * 13]
+    np.testing.assert_array_equal(policy, want_policy.reshape(4, -1))
+    shifts, _ = policy_lines(trace_operator(), g)
+    assert shifts == [1, 9, 9 * 13, -2 + 2 * 9 + 2 * 9 * 13]
 
 
 STRIP_OPS = ENVELOPE_OPS + [linear_operator([[1.0, 1.9], [1.9, 4.0]]),  # margins 1, 2, 3
@@ -346,19 +394,17 @@ def assert_whole_grid_envelope(op, u):
         want, want_policy = whole_grid_envelope(op, u, track)
         fh, policy = eval_policy(op, u) if track else (eval_discrete(op, u), None)
         np.testing.assert_array_equal(fh.values, want)
-        if want_policy is None:
-            assert policy is None
-        else:
+        if want_policy is not None:
             assert policy.dtype == want_policy.dtype
             np.testing.assert_array_equal(policy, want_policy)
 
 
 @pytest.mark.parametrize("shape", [(33, 33), (41, 33), (33, 41)])
-@pytest.mark.parametrize("op", STRIP_OPS, ids=lambda op: op.kind)
+@pytest.mark.parametrize("op", STRIP_OPS + WIDE_PUCCI, ids=lambda op: op.kind)
 def test_strips_are_the_whole_grid_evaluation(op, shape, monkeypatch):
-    """The strip budget is shared by 2 to 7 buffers: 64 nodes make every strip
-    one row, 1000 a few rows, with a ragged last strip where they do not
-    divide the interior rows."""
+    """The strip budget is shared by 2 to 14 buffers: 64 nodes make every
+    strip one row, 1000 a few rows, with a ragged last strip where they do
+    not divide the interior rows."""
     from ellipticlab import Domain, Grid
 
     g = Grid(Domain((0.0, 0.0), ((shape[0] - 1) / 32, (shape[1] - 1) / 32)), shape)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ellipticlab import (
-    Ball,
     Bounds,
     GridFunction,
     build_fixture,
@@ -12,7 +11,6 @@ from ellipticlab import (
     disc_problem,
     discrete_hessian,
     eval_discrete,
-    holder_seminorm,
     limit_families,
     limit_stability_experiment,
     make_touching_dictionary,
@@ -241,55 +239,6 @@ def test_quartic_perturb_hessian_is_negligible_at_center():
     hu, hw = discrete_hessian(u).comps, discrete_hessian(w).comps
     for key, comp in hu.items():
         assert abs(hw[key][16, 16] - comp[16, 16]) <= 2.0 * g.h ** 2 + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Holder seminorms
-
-
-def test_holder_seminorm_constants_and_affine():
-    g = unit_square_grid(65)
-    ball = Ball((0.0, 0.0), 0.9)
-    c = GridFunction(g, np.full(g.node_count, 5.0))
-    assert holder_seminorm(c, 0.5, ball) == 0.0
-    q = np.array([0.6, -0.8])  # unit length, away from lattice directions
-    aff = field(g, lambda p: p @ q)
-    assert holder_seminorm(aff, 1.0, ball) == pytest.approx(1.0, rel=1.5e-2)
-
-
-def sqrt_cusp(res):
-    g = unit_square_grid(res)
-    return field(g, lambda p: np.einsum("ij,ij->i", p, p) ** 0.25)
-
-
-def test_holder_seminorm_sqrt_cusp_is_unit():
-    # |x|^(1/2) is exactly C^(0,1/2); the pair (0, y) attains ratio 1
-    got = holder_seminorm(sqrt_cusp(65), 0.5, Ball((0.0, 0.0), 0.5))
-    assert got == pytest.approx(1.0, rel=1e-9)
-
-
-def test_holder_seminorm_detects_missing_regularity():
-    """Measured at too strong an exponent the seminorm diverges like
-    h^(gamma - gamma'), so doubling the resolution grows it by 2^(1/4)."""
-    vals = [holder_seminorm(sqrt_cusp(res), 0.75, Ball((0.0, 0.0), 0.5))
-            for res in (65, 129)]
-    assert vals[1] / vals[0] == pytest.approx(2.0 ** 0.25, rel=0.05)
-
-
-def test_holder_seminorm_sees_every_axis_in_3d():
-    """(-1)^iy jumps by 2 only between nodes one h apart along y; the
-    diagonal pairs see it at distance sqrt(2) h or more."""
-    g = unit_square_grid(9, ndim=3)
-    iy = np.unravel_index(np.arange(g.node_count), g.shape, order="F")[1]
-    u = GridFunction(g, (-1.0) ** iy)
-    got = holder_seminorm(u, 0.5, Ball((0.0,) * 3, 0.5), pair_budget=4)
-    assert got == 2.0 / g.h**0.5
-
-
-def test_holder_seminorm_validates_gamma(grid33):
-    u = GridFunction(grid33, np.zeros(grid33.node_count))
-    with pytest.raises(ValueError, match="gamma"):
-        holder_seminorm(u, 1.5, Ball((0.0, 0.0), 0.5))
 
 
 # ---------------------------------------------------------------------------
