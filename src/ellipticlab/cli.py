@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 
@@ -35,7 +36,7 @@ from .decay import (
     verify_decay_chain,
     write_decay_profile,
 )
-from .fileio import read_manifest, write_csv, write_manifest
+from .fileio import atomic_write_text, read_manifest, write_csv, write_manifest
 from .fixtures import build_fixture, disc_problem, limit_families
 from .grids import GridFunction, SymMatrix, read_grid_function, write_grid_function
 from .mollify import stability_sweep
@@ -195,6 +196,10 @@ def cmd_obstacle(args) -> int:
         "lam_lo": result.lam_lo, "lam_hi": result.lam_hi,
         "contact_fraction": result.contact_fraction,
     })
+    # wall-clock seconds per level: never in a CSV, so reruns stay byte-identical
+    atomic_write_text(os.path.join(out, "timings.json"), json.dumps(
+        {"levels": [dict(nodes=n, **seconds) for n, seconds in result.timings]},
+        indent=1) + "\n")
     print("obstacle: contact %.1f%%, bounds [%.4g, %.4g]"
           % (100 * result.contact_fraction, result.lam_lo, result.lam_hi))
     return 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -196,13 +196,7 @@ class Ball:
         object.__setattr__(self, "radius", radius)
 
 
-def ball_node_mask(grid: Grid, ball: Ball) -> np.ndarray:
-    """Flat boolean mask of grid nodes inside the closed ball.
-
-    Raises if the ball is not contained in the domain box or catches no node.
-    Distance ties at the boundary are included (closed ball, with a relative
-    1e-12 grace for rounding).
-    """
+def _require_ball(grid: Grid, ball: Ball):
     if len(ball.center) != grid.ndim:
         raise ValueError("ball center rank must match grid dimension")
     slack = 1e-9 * grid.h
@@ -210,6 +204,16 @@ def ball_node_mask(grid: Grid, ball: Ball) -> np.ndarray:
         if ball.center[a] - ball.radius < grid.domain.lower[a] - slack or \
            ball.center[a] + ball.radius > grid.domain.upper[a] + slack:
             raise ValueError("ball exits domain")
+
+
+def ball_node_mask(grid: Grid, ball: Ball) -> np.ndarray:
+    """Flat boolean mask of grid nodes inside the closed ball.
+
+    Raises if the ball is not contained in the domain box or catches no node.
+    Distance ties at the boundary are included (closed ball, with a relative
+    1e-12 grace for rounding).
+    """
+    _require_ball(grid, ball)
     d2 = 0.0  # grows to the whole lattice by broadcasting, one axis at a time
     for a in range(grid.ndim):
         diff = grid.coords(a) - ball.center[a]
@@ -223,9 +227,40 @@ def ball_node_mask(grid: Grid, ball: Ball) -> np.ndarray:
 
 
 def oscillation(u: GridFunction, ball: Ball) -> float:
-    """max - min of u over the nodes of the discrete ball."""
-    vals = u.values[ball_node_mask(u.grid, ball)]
-    return float(vals.max() - vals.min())
+    """max - min of u over the nodes of the discrete ball.
+
+    Each lattice row (x varying) meets the ball in one run of nodes: the
+    squared distance of ``ball_node_mask``, x's term added first, grows with
+    (x - c_x)^2 in floating point as well.  The runs' ends are found by
+    bisection on either side of the node nearest c_x, and max and min are
+    reduced over the runs in place, with no whole-grid mask and no gather.
+    """
+    grid = u.grid
+    _require_ball(grid, ball)
+    bound = ball.radius ** 2 * (1.0 + 1e-12)
+    sq = [(grid.coords(a) - ball.center[a]) ** 2 for a in range(grid.ndim)]
+    # each other axis's term per lattice row, in row order
+    terms = [t.ravel() for t in np.meshgrid(*sq[:0:-1], indexing="ij")][::-1]
+
+    def inside(i, rows=slice(None)):  # whether node i of each row is in the ball
+        return reduce(np.add, [t[rows] for t in terms], sq[0][i]) <= bound
+
+    nx, near = grid.shape[0], int(np.argmin(sq[0]))
+    rows = np.flatnonzero(inside(near))
+    if rows.size == 0:
+        raise ValueError("ball resolves to no nodes")
+    ends = []
+    for beyond in (-1, nx):  # the first node of each run, then the last
+        into, out = np.full(rows.size, near), np.full(rows.size, beyond)
+        while np.any(np.abs(out - into) > 1):  # ``into`` in the ball, ``out`` off it
+            mid = (out + into) // 2
+            hit = inside(mid, rows)
+            into, out = np.where(hit, mid, into), np.where(hit, out, mid)
+        ends.append(rows * nx + into)
+    runs = np.column_stack([ends[0], ends[1] + 1]).ravel()
+    values = u.values[: runs[-1]]  # so that the last run reduces to the end
+    return float(np.maximum.reduceat(values, runs[:-1])[::2].max()
+                 - np.minimum.reduceat(values, runs[:-1])[::2].min())
 
 
 def restrict(u: GridFunction, ball: Ball):
@@ -389,9 +424,9 @@ def write_grid_function(u: GridFunction, path):
         head.append(FLOAT_FMT % grid.domain.upper[a])
     if not np.all(np.isfinite(u.values)):
         raise ValueError("refusing to serialize non-finite values")
-    lines = [" ".join(head)]
-    lines.extend(map(FLOAT_FMT.__mod__, u.values.tolist()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    values = u.values.tolist()  # one format over all values, one line each
+    body = (FLOAT_FMT + "\n") * len(values) % tuple(values)
+    atomic_write_text(path, " ".join(head) + "\n" + body)
 
 
 def read_grid_function(path) -> GridFunction:

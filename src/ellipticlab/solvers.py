@@ -56,16 +56,28 @@ Stencils that reach further keep the plain iteration.
 
 The system and its V-cycle belong to one grid's step loop
 (``_FrozenSystem``), as in truncated monotone multigrid (Kornhuber, Numer.
-Math. 69, 1994), which adapts only the finest level to the active set.  A
-step whose free nodes and policy repeat the previous step's (for the trace,
-the closing step of every obstacle level and the second step of a Dirichlet
-solve) reuses the matrix and V-cycle as they are; any other step drops them,
-assembles its matrix and rebuilds only the finest level of the V-cycle over
-the coarse levels and factorization of the grid's first step.  Nothing
-outlives the loop.
+Math. 69, 1994), which adapts only the finest level to the active set.  Its
+first step builds one layout over the grid's interior nodes: the CSR
+structure of the centre plus x +- e on every line of the policy, with the
+couplings to the boundary band dropped; the interior rows of the
+interpolation and its transpose; the coarse levels and the coarsest
+factorization.  After that a step costs no assembly.  A new policy refills
+the matrix's entries from the line weights in place (the trace's never
+changes).  A new active set truncates the matrix and the finest
+interpolation by a 0/1 mask over their stored entries: a pinned node's row
+becomes the identity's, and the interpolation has no entry at a pinned node
+or from a coarse node sitting on one.  The right-hand side and so every
+Krylov vector vanish on pinned nodes, so the iterates are those of the
+system over the free nodes alone, up to the order of summation.  A step
+whose policy and free nodes repeat the previous step's (for the trace, the
+closing step of every obstacle level and the second step of a Dirichlet
+solve) reuses the system as it is.  The V-cycle and the BiCGSTAB operator
+apply their CSR matrices by scipy's compiled kernel, without the dispatch
+of ``@``.  Nothing outlives the loop.
 
 Every step records its residual, active-set size and BiCGSTAB iteration
-count in the result's ``history``.  scipy is imported inside the solves,
+count in the result's ``history``; an obstacle result's ``timings`` give
+each level's wall seconds of builds, refills and BiCGSTAB.  scipy is imported inside the solves,
 which keeps importing the package light.
 """
 
@@ -73,6 +85,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -163,26 +176,70 @@ def _pick_grid(*candidates) -> Grid:
     )
 
 
-def _matrix(weights, shifts, scale, nodes, node_count, shift):
-    """CSR matrix of scale * sum c D_e minus diag(shift) over ``nodes``, with
-    c the line weights (``weights``, shape (lines, nodes)) on the lines of
-    ``shifts``; zero weights and couplings to any other node are dropped
-    (its correction is zero)."""
+def _product(a):
+    """x -> a @ x for the CSR matrix ``a`` by scipy's compiled kernel, without
+    the per-call dispatch of ``@``, which costs more than the product itself
+    on a coarse level.  It reads ``a``'s arrays at every call, so a refill of
+    ``a.data`` in place shows."""
+    try:
+        from scipy.sparse._sparsetools import csr_matvec
+    except ImportError:  # a scipy without the private kernel
+        return a.__matmul__
+    n, m = a.shape
+    indptr, indices, data = a.indptr, a.indices, a.data
+
+    def apply(x):
+        y = np.zeros(n)
+        csr_matvec(n, m, indptr, indices, data, x, y)
+        return y
+
+    return apply
+
+
+def _truncate(transfer, free):
+    """Truncate ``_vcycle``'s finest ``transfer`` (P, P^T, their entries
+    untruncated, and the interior node each coarse node sits on) to the nodes
+    with ``free`` 1: P keeps an entry where its fine node is free and its
+    coarse node sits on a free node, P^T one where its coarse node does, and
+    the rest are 0."""
+    p, pt, entries, seat = transfer
+    on = free[seat]
+    np.multiply(entries[0], np.repeat(free, np.diff(p.indptr)), out=p.data)
+    p.data *= np.take(on, p.indices)
+    np.multiply(entries[1], np.repeat(on, np.diff(pt.indptr)), out=pt.data)
+
+
+def _layout(shifts, nodes, node_count):
+    """The CSR structure of every frozen-policy system over the interior
+    ``nodes``: per row the centre, then x + e and x - e on each line of
+    ``shifts``.  A coupling to the boundary band, whose correction is 0, is
+    dropped once: its entry is on the row's own column, and ``live`` is 0 on
+    it.  Returns the matrix, with zero data, and ``live``, of shape (nodes,
+    terms), the shape of the matrix's data."""
     from scipy import sparse
 
-    c = (weights * scale).T  # per node: the centre, -2 sum c, then c at x + e and x - e
-    terms = np.column_stack([-2.0 * functools.reduce(np.add, c.T, 0.0), np.repeat(c, 2, 1)])
     offsets = np.array([0] + [o for s in shifts for o in (s, -s)])
     index = np.full(node_count, -1, dtype=np.int32)
     index[nodes] = np.arange(nodes.size, dtype=np.int32)
     cols = index[nodes[:, None] + offsets]
-    keep = (cols >= 0) & (terms != 0.0)
-    indptr = np.zeros(nodes.size + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    data = terms[keep]
-    data[indptr[:-1]] -= shift  # the centre term leads every row
-    return sparse.csr_matrix((data, cols[keep], indptr),
-                             shape=(nodes.size, nodes.size))
+    live = cols >= 0
+    n, t = cols.shape
+    a = sparse.csr_matrix((np.zeros(n * t), np.where(live, cols, cols[:, :1]).ravel(),
+                           np.arange(0, n * t + 1, t, dtype=np.int32)), shape=(n, n))
+    return a, live
+
+
+def _fill(policy, scale, nodes, shift, live, data, jacobi):
+    """Into ``data``, the entries of ``_layout``'s matrix for ``policy`` (of
+    shape ``live``): scale * sum c D_e minus diag(``shift``) over ``nodes``,
+    with c the line weights (``eval_policy``); into ``jacobi``, the damped
+    Jacobi weights of its diagonal."""
+    c = np.take(policy, nodes, axis=1).T * scale
+    terms = data.reshape(live.shape)  # per node: the centre, then c at x + e and x - e
+    np.subtract(-2.0 * functools.reduce(np.add, c.T, 0.0), shift, out=terms[:, 0])
+    terms[:, 1::2] = terms[:, 2::2] = c
+    np.multiply(terms, live, out=terms)
+    np.divide(_JACOBI_WEIGHT, terms[:, 0], out=jacobi)
 
 
 # the V-cycle coarsens until a level has at most _COARSEST unknowns and
@@ -198,6 +255,12 @@ def _coarse_shape(shape):
     if any((n - 1) % 2 for n in shape):
         return None
     return tuple((n + 1) // 2 for n in shape)
+
+
+def _inject(shape, values):
+    """Every other node of every axis of flat ``values`` on a grid of
+    ``shape``, as a flat array on the coarser grid."""
+    return values.reshape(shape[::-1])[(slice(None, None, 2),) * len(shape)].ravel()
 
 
 @functools.lru_cache(maxsize=8)
@@ -221,89 +284,75 @@ def _interpolation(shape):
     return p
 
 
-def _coarse_free(nodes, shape):
-    """Which nodes of the grid of every other node sit on one of the free
-    ``nodes`` of a grid of ``shape``, as a flat mask."""
-    free = np.zeros(math.prod(shape), dtype=bool)
-    free[nodes] = True
-    return free.reshape(shape[::-1])[(slice(None, None, 2),) * len(shape)].ravel()
-
-
-def _level(a, nodes, shape, kept):
-    """One level of a V-cycle for ``a``, a system over the free ``nodes`` of
-    a grid of ``shape``: (A, P, P^T, damped Jacobi weights).  P is
-    ``_interpolation`` with its rows on the free nodes and its columns on the
-    ``kept`` coarse nodes, renumbered in order; the column of a kept coarse
-    node that no longer sits on a free node stays empty, so the coarse
-    correction still vanishes on contact."""
+def _transfer(shape, rows, kept):
+    """``_interpolation(shape)`` with its rows on the nodes ``rows`` and its
+    columns on the ``kept`` coarse nodes (a flat mask), renumbered in order,
+    and its transpose, as CSR matrices."""
     from scipy import sparse
 
-    p = _interpolation(shape)[nodes]
-    on = (kept & _coarse_free(nodes, shape))[p.indices]
+    p = _interpolation(shape)[rows]
+    on = kept[p.indices]
     renumber = np.cumsum(kept) - 1
     indptr = np.concatenate([[0], np.cumsum(on)])[p.indptr]
     p = sparse.csr_matrix((p.data[on], renumber[p.indices[on]], indptr),
-                          shape=(nodes.size, int(renumber[-1]) + 1))
-    return a, p, p.T.tocsr(), _JACOBI_WEIGHT / a.diagonal()
+                          shape=(rows.size, int(renumber[-1]) + 1))
+    return p, p.T.tocsr()
 
 
-def _vcycle(matrix, nodes, shape, coarse=None):
-    """One multigrid V-cycle for ``matrix``, a system over the free ``nodes``
-    of a grid of ``shape``: a scipy LinearOperator and the cycle's coarse
-    part, or None.
+def _vcycle(a, nodes, shape, free, jacobi):
+    """One multigrid V-cycle for ``a``, the truncated system of a step loop
+    over the interior ``nodes`` of a grid of ``shape`` (``_FrozenSystem``),
+    whose free nodes are those with ``free`` 1, and ``jacobi``, its damped
+    Jacobi weights: a scipy LinearOperator and the finest level's transfer
+    for ``_truncate``, or None.
 
     A level interpolates from the grid of every other node: the rows of
-    ``_interpolation`` on its free nodes, the columns on the coarse nodes that
-    sit on a free node (so the coarse correction vanishes on the boundary
-    band and on contact, like the fine one, and the interpolation has full
-    rank).  Its coarse operator is the Galerkin product P^T A P, and damped
-    Jacobi smooths it before and after the coarse correction.  The system
-    is coarsened at least once, and then again while the coarse one has more
-    than _COARSEST unknowns, as long as the grid has an even number of cells
-    on every axis; the coarsest level is factorized by SuperLU.  None if the
-    system cannot be coarsened at all, which keeps the plain solve, or if the
-    coarsest factorization fails.
-
-    The coarse part is the finest level's kept coarse nodes, the coarser
-    levels and the coarsest factor.  Given one built for another system on
-    the same grid, only the finest level is built, on those kept coarse
-    nodes; a free node that interpolates from none of them is only smoothed.
-    The cycle is then no longer the Galerkin one for ``matrix``, but it stays
-    a fixed linear preconditioner, which is all BiCGSTAB needs.
+    ``_interpolation`` on its nodes, the columns on the coarse nodes that sit
+    on a free node (so the coarse correction vanishes on the boundary band
+    and on contact, like the fine one, and the interpolation has full rank).
+    The finest level's rows are all interior nodes, and its P and P^T are
+    truncated with ``a`` (``_truncate``).  Its coarse operator is the Galerkin
+    product P^T A P, and damped Jacobi smooths it before and after the coarse
+    correction.  The system is coarsened at least once, and then again while
+    the coarse one has more than _COARSEST unknowns, as long as the grid has
+    an even number of cells on every axis; the coarsest level is factorized
+    by SuperLU.  None if the system cannot be coarsened at all, which keeps
+    the plain solve, or if the coarsest factorization fails.
     """
     from scipy.sparse.linalg import LinearOperator, splu
 
-    if coarse is not None:
-        kept, below, coarsest = coarse
-        levels = [_level(matrix, nodes, shape, kept)] + below
-    else:
-        levels, a = [], matrix
+    levels, transfer, rows = [], None, nodes
+    on = np.zeros(math.prod(shape), dtype=bool)
+    on[nodes[free > 0]] = True
+    coarse_shape = _coarse_shape(shape)
+    while coarse_shape is not None and (not levels or a.shape[0] > _COARSEST):
+        kept = _inject(shape, on)
+        if not kept.any():
+            break
+        p, pt = _transfer(shape, rows, kept)
+        if levels:
+            dinv = _JACOBI_WEIGHT / a.diagonal()
+        else:  # seat: the interior node each kept coarse node sits on
+            seat = np.searchsorted(nodes, _inject(shape, np.arange(on.size))[kept])
+            transfer = p, pt, (p.data.copy(), pt.data.copy()), seat
+            _truncate(transfer, free)
+            dinv = jacobi
+        levels.append((_product(a), _product(p), _product(pt), dinv))
+        a = (pt @ a @ p).tocsr()
+        rows, on, shape = np.flatnonzero(kept), kept, coarse_shape
         coarse_shape = _coarse_shape(shape)
-        while coarse_shape is not None and (not levels or a.shape[0] > _COARSEST):
-            kept = _coarse_free(nodes, shape)
-            if not kept.any():
-                break
-            if not levels:
-                first_kept = kept
-            levels.append(_level(a, nodes, shape, kept))
-            _, p, pt, _ = levels[-1]
-            a = (pt @ a @ p).tocsr()
-            nodes, shape = np.flatnonzero(kept), coarse_shape
-            coarse_shape = _coarse_shape(shape)
-        if not levels:
-            return None
-        try:
-            coarsest = splu(a.tocsc())
-        except RuntimeError:  # an exactly singular coarse operator
-            return None
-        coarse = first_kept, levels[1:], coarsest
-
-    cycle = LinearOperator(matrix.shape, dtype=float,
-                           matvec=lambda b: _cycle(levels, coarsest, b, 0))
-    return cycle, coarse
+    if not levels:
+        return None
+    try:
+        coarsest = splu(a.tocsc())
+    except RuntimeError:  # an exactly singular coarse operator
+        return None
+    cycle = LinearOperator((nodes.size, nodes.size), dtype=float,
+                           matvec=functools.partial(_cycle, levels, coarsest))
+    return cycle, transfer
 
 
-def _cycle(levels, coarsest, b, k):
+def _cycle(levels, coarsest, b, k=0):
     """The V-cycle from level ``k`` down, applied to ``b``.  A module-level
     function: a closure calling itself would keep every level alive in a
     reference cycle until the garbage collector ran."""
@@ -312,11 +361,24 @@ def _cycle(levels, coarsest, b, k):
     a, p, pt, dinv = levels[k]
     x = dinv * b
     for _ in range(_SWEEPS - 1):
-        x += dinv * (b - a @ x)
-    x += p @ _cycle(levels, coarsest, pt @ (b - a @ x), k + 1)
+        _smooth(a, dinv, b, x)
+    x += p(_cycle(levels, coarsest, pt(_residual(a, b, x)), k + 1))
     for _ in range(_SWEEPS):
-        x += dinv * (b - a @ x)
+        _smooth(a, dinv, b, x)
     return x
+
+
+def _residual(a, b, x):
+    """b - a(x), in the array that a(x) returns."""
+    r = a(x)
+    return np.subtract(b, r, out=r)
+
+
+def _smooth(a, dinv, b, x):
+    """One damped Jacobi sweep in place: x += dinv (b - a(x))."""
+    r = _residual(a, b, x)
+    r *= dinv
+    x += r
 
 
 def _correction(matrix, rhs, tol, where, r, precondition):
@@ -340,35 +402,70 @@ def _correction(matrix, rhs, tol, where, r, precondition):
 
 
 class _FrozenSystem:
-    """The frozen-policy system of one grid's step loop, minus diag(g), and
-    its V-cycle, reused across the loop's steps as the module docstring
+    """The frozen-policy systems of one grid's step loop, minus diag(g), and
+    their V-cycle, in one layout over the interior nodes of ``mask``, built
+    on the loop's first step and refilled in place as the module docstring
     describes; it lives as long as that loop.  With ``shape`` None (stencils
-    reaching more than one node layer, on which a Galerkin V-cycle costs
-    more than it saves) BiCGSTAB runs unpreconditioned."""
+    reaching more than one node layer, on which a Galerkin V-cycle costs more
+    than it saves) BiCGSTAB runs unpreconditioned.  ``seconds`` sums the wall
+    time of the builds (layout and V-cycle), of the refills (policy and
+    active set) and of BiCGSTAB."""
 
-    def __init__(self, shifts, scale, g, shape):
-        self.shifts, self.scale, self.g, self.shape = shifts, scale, g, shape
-        self.key = self.matrix = self.precondition = self.coarse = None
+    def __init__(self, shifts, scale, g, mask, shape):
+        self.shifts, self.scale, self.shape = shifts, scale, shape
+        self.nodes = np.flatnonzero(mask)
+        self.shift = g[self.nodes]
+        self.matrix = self.policy = self.free = self.precondition = self.transfer = None
+        self.seconds = dict.fromkeys(("build_s", "refill_s", "krylov_s"), 0.0)
 
-    def current(self, policy, nodes):
-        """Whether the last solve's system is ``policy``'s on ``nodes``."""
-        return (self.key is not None and np.array_equal(self.key[0], nodes)
-                and np.array_equal(self.key[1], policy[:, nodes]))
+    def current(self, policy, free):
+        """Whether the last solve's system is ``policy``'s on the ``free``
+        nodes (a flat mask over the grid)."""
+        return (self.free is not None and np.array_equal(self.free, free)
+                and not (policy != self.policy)[:, free].any())
 
-    def solve(self, policy, nodes, rhs, tol, where, r):
-        """The correction on the free ``nodes`` under ``policy`` and its
-        BiCGSTAB iteration count, as ``_correction``."""
-        if not self.current(policy, nodes):
-            chosen = policy[:, nodes]
-            self.key = self.matrix = self.precondition = None
-            self.matrix = _matrix(chosen, self.shifts, self.scale, nodes, self.g.size,
-                                  self.g[nodes])
-            built = None if self.shape is None else _vcycle(
-                self.matrix, nodes, self.shape, self.coarse)
+    def solve(self, policy, free, rhs, tol, where, r):
+        """The correction over ``nodes`` that solves the system of ``policy``
+        for ``rhs`` on the ``free`` nodes (a flat mask over the grid) and is 0
+        on the other ones, and its BiCGSTAB iteration count, as
+        ``_correction``."""
+        from scipy.sparse.linalg import LinearOperator
+
+        clock = [time.perf_counter()]
+        nodes, a = self.nodes, self.matrix
+        if a is None:
+            a, self.live = _layout(self.shifts, nodes, free.size)
+            self.matrix, self.data, self.jacobi = a, np.empty(a.nnz), np.empty(nodes.size)
+            self.operator = LinearOperator(a.shape, matvec=_product(a), dtype=float)
+        clock.append(time.perf_counter())
+        if policy is not self.policy and not np.array_equal(policy, self.policy):
+            _fill(policy, self.scale, nodes, self.shift, self.live, self.data, self.jacobi)
+            self.policy, self.free = policy, None
+        f = free[nodes].astype(float)  # 1 on a free node, 0 on a pinned one
+        moved = not np.array_equal(free, self.free)
+        if moved:
+            # a pinned row is the identity's; a pinned column is kept, as
+            # every vector that meets it is 0 there
+            terms = self.live.shape
+            np.multiply(self.data.reshape(terms), f[:, None], out=a.data.reshape(terms))
+            a.data[::terms[1]][f == 0.0] = 1.0
+            if self.transfer is not None:
+                _truncate(self.transfer, f)
+            self.free = free
+        clock.append(time.perf_counter())
+        if moved and self.precondition is None and self.shape is not None:
+            built = _vcycle(a, nodes, self.shape, f, self.jacobi)
             if built is not None:
-                self.precondition, self.coarse = built
-            self.key = nodes, chosen
-        return _correction(self.matrix, rhs, tol, where, r, self.precondition)
+                self.precondition, self.transfer = built
+        clock.append(time.perf_counter())
+        x, count = _correction(self.operator, rhs[nodes] * f, tol, where, r,
+                               self.precondition)
+        clock.append(time.perf_counter())
+        build, refill, cycle, krylov = (b - a for a, b in zip(clock, clock[1:]))
+        self.seconds["build_s"] += build + cycle
+        self.seconds["refill_s"] += refill
+        self.seconds["krylov_s"] += krylov
+        return x, count
 
 
 def _setup(op, grid, f, initial):
@@ -393,14 +490,16 @@ def _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed):
     A ``seed`` replaces the first step's active set, and ``u`` counts as
     pinned on it; without one, ``u`` counts as pinned where it equals psi.
     Returns (u, active set, excess F_h(u) - g u - f, free residual,
-    history), one history row per step.
+    history, seconds), one history row per step, and ``_FrozenSystem``'s
+    seconds.
     """
     margin = operator_margin(op, grid.ndim)
     mask = grid.interior_mask(margin)
     u[~mask] = bv[~mask]
     shifts, minimize = policy_lines(op, grid)
     # a scheme reaching one node layer gets the V-cycle (_FrozenSystem)
-    system = _FrozenSystem(shifts, 1.0 / grid.h**2, g, grid.shape if margin == 1 else None)
+    system = _FrozenSystem(shifts, 1.0 / grid.h**2, g, mask,
+                           grid.shape if margin == 1 else None)
     level = "x".join(str(n) for n in grid.shape)
     history = []
 
@@ -421,10 +520,10 @@ def _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed):
         if minimize and step and not settled:  # nested policy iteration
             held = mask & ~pinned
             r_held = float(np.max(np.abs(e[held]))) if held.any() else 0.0
-            if r_held > tol and not system.current(policy, np.flatnonzero(held)):
+            if r_held > tol and not system.current(policy, held):
                 active, free, r = pinned, held, r_held
         if settled and r <= tol:
-            return u, active, e, r, tuple(history)
+            return u, active, e, r, tuple(history), system.seconds
         if step == config.max_iterations:
             break
         pinned = active
@@ -432,12 +531,11 @@ def _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed):
         if moved.any():
             u[moved] = psi[moved]
             e, policy = evaluate()
-        nodes = np.flatnonzero(free).astype(np.int32)
         krylov = 0
-        if nodes.size:
-            x, krylov = system.solve(policy, nodes, -e[nodes], tol,
+        if free.any():
+            x, krylov = system.solve(policy, free, -e, tol,
                                      "step %d on the %s grid" % (step, level), r)
-            u[nodes] += x
+            u[system.nodes] += x  # 0 on pinned nodes
         history.append((r, int(np.count_nonzero(active)), krylov))
     raise SolverError(
         "policy iteration on the %s grid failed to converge: residual %.3e"
@@ -463,8 +561,8 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
     bv = _node_field(grid, boundary, "boundary")
     u = initial.values.copy() if initial is not None else bv.copy()
     n = grid.node_count  # the obstacle loop with no obstacle, psi = -inf and g = 0
-    u, _, _, r, history = _iterate(op, grid, np.full(n, -np.inf), bv, fv, np.zeros(n),
-                                   _tolerance(config, fv, mask), config, u, None)
+    u, _, _, r, history, _ = _iterate(op, grid, np.full(n, -np.inf), bv, fv, np.zeros(n),
+                                      _tolerance(config, fv, mask), config, u, None)
     return SolveResult(GridFunction(grid, u), len(history), r, history)
 
 
@@ -513,16 +611,15 @@ class ObstacleResult:
     # one (residual, active-set size, BiCGSTAB iterations) row per step,
     # coarse to fine; level_steps says how many rows each level has
     history: tuple = ()
+    # (nodes along the first axis, wall seconds of the layout and V-cycle
+    # builds, of the refills and of BiCGSTAB, by name) per level, coarse to
+    # fine: ``_FrozenSystem.seconds``
+    timings: tuple = ()
 
 
 # the coarse-to-fine start stops coarsening before a level drops below this
 # many nodes on an axis (the CLI's smallest --res)
 MIN_LEVEL_NODES = 17
-
-
-def _inject(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Every other node of every axis, as a flat array on the coarser grid."""
-    return grid.lattice(values)[(slice(None, None, 2),) * grid.ndim].ravel()
 
 
 def _coarser(grid: Grid, psi, bv, margin: int) -> Grid | None:
@@ -535,7 +632,7 @@ def _coarser(grid: Grid, psi, bv, margin: int) -> Grid | None:
         return None
     coarse = Grid(grid.domain, shape)
     band = ~coarse.interior_mask(margin)
-    if band.all() or np.min(_inject(grid, bv)[band] - _inject(grid, psi)[band]) < -1e-12:
+    if band.all() or np.min((_inject(grid.shape, bv) - _inject(grid.shape, psi))[band]) < -1e-12:
         return None
     return coarse
 
@@ -547,22 +644,24 @@ def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, config, initial=None):
     coarser grid, start cold from max(boundary, psi).  An ``initial`` iterate
     (flat node values) means that this level runs alone, from it.  Returns u,
     the active set, the excess, the residual, the (nodes, steps) of every
-    level and the history rows of all levels."""
+    level, the history rows of all levels and the (nodes, seconds) of every
+    level."""
     coarse = None if initial is not None else _coarser(
         grid, psi, bv, operator_margin(op, grid.ndim))
     if coarse is None:
         u = np.maximum(bv, psi) if initial is None else initial.copy()
-        seed, levels, history = None, (), ()
+        seed, levels, history, timings = None, (), (), ()
     else:
-        cu, ccontact, _, _, levels, history = _coarse_to_fine(
-            op, coarse, *(_inject(grid, a) for a in (psi, bv, fv, g)), tol, config)
+        cu, ccontact, _, _, levels, history, timings = _coarse_to_fine(
+            op, coarse, *(_inject(grid.shape, a) for a in (psi, bv, fv, g)), tol, config)
         interpolate = _interpolation(grid.shape)
         u = interpolate @ cu
         # the weights of a row are exact binary fractions summing to 1
         seed = interpolate @ ccontact.astype(float) == 1.0
         u[seed] = psi[seed]
-    u, active, e, r, rows = _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed)
-    return u, active, e, r, levels + ((grid.shape[0], len(rows)),), history + rows
+    u, active, e, r, rows, seconds = _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed)
+    return (u, active, e, r, levels + ((grid.shape[0], len(rows)),), history + rows,
+            timings + ((grid.shape[0], seconds),))
 
 
 def solve_obstacle(problem: ObstacleProblem,
@@ -589,7 +688,7 @@ def solve_obstacle(problem: ObstacleProblem,
     psi = problem.psi.values
     bv = problem.boundary_values(operator_margin(op, grid.ndim))
     tol = _tolerance(config, fv, mask)
-    u, contact, e, r, levels, history = _coarse_to_fine(
+    u, contact, e, r, levels, history, timings = _coarse_to_fine(
         op, grid, psi, bv, fv, g, tol, config,
         None if initial is None else initial.values)
 
@@ -607,4 +706,4 @@ def solve_obstacle(problem: ObstacleProblem,
     lam_hi = max(lam_hi, float(np.max(fh[mask])) + slack)
     frac = float(np.count_nonzero(contact)) / float(np.count_nonzero(mask))
     return ObstacleResult(GridFunction(grid, u), contact, frac, lam_lo, lam_hi,
-                          len(history), r, levels, history)
+                          len(history), r, levels, history, timings)

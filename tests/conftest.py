@@ -324,3 +324,28 @@ def zeros_ball_mask(grid, ball):
         shape[grid.ndim - 1 - a] = grid.shape[a]
         d2 = d2 + (diff ** 2).reshape(shape)
     return (d2 <= ball.radius ** 2 * (1.0 + 1e-12)).ravel()
+
+
+def renumbered_matrix(weights, shifts, scale, nodes, node_count, shift):
+    """The frozen-policy system over the free ``nodes`` assembled the direct
+    way, renumbered per step: the CSR matrix of scale * sum c D_e minus
+    diag(shift) over ``nodes``, with c the line weights (``weights``, shape
+    (lines, nodes)) on the lines of ``shifts``; zero weights and couplings
+    to any other node are dropped (its correction is zero).  The reference
+    for ``solvers._FrozenSystem``'s truncated layout."""
+    import functools
+
+    from scipy import sparse
+
+    c = (weights * scale).T  # per node: the centre, -2 sum c, then c at x + e and x - e
+    terms = np.column_stack([-2.0 * functools.reduce(np.add, c.T, 0.0), np.repeat(c, 2, 1)])
+    offsets = np.array([0] + [o for s in shifts for o in (s, -s)])
+    index = np.full(node_count, -1, dtype=np.int32)
+    index[nodes] = np.arange(nodes.size, dtype=np.int32)
+    cols = index[nodes[:, None] + offsets]
+    keep = (cols >= 0) & (terms != 0.0)
+    indptr = np.zeros(nodes.size + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    data = terms[keep]
+    data[indptr[:-1]] -= shift  # the centre term leads every row
+    return sparse.csr_matrix((data, cols[keep], indptr), shape=(nodes.size, nodes.size))

@@ -170,6 +170,20 @@ def test_mollification_leaves_scipy_unloaded():
     assert r.returncode == 0, r.stderr or "mollification loaded scipy"
 
 
+def test_obstacle_writes_its_timings_outside_the_csvs(obstacle_run):
+    """Seconds per level of layout and V-cycle builds, refills and BiCGSTAB
+    go to timings.json, beside the manifest and in no CSV."""
+    import json
+
+    levels = json.loads((obstacle_run / "timings.json").read_text())["levels"]
+    assert [level["nodes"] for level in levels] == [17, 33]
+    for level in levels:
+        assert set(level) == {"nodes", "build_s", "refill_s", "krylov_s"}
+        assert all(level[key] > 0.0 for key in ("build_s", "refill_s", "krylov_s"))
+    for csv in obstacle_run.glob("*.csv"):
+        assert "krylov_s" not in csv.read_text()
+
+
 def test_obstacle_manifest_records_bounds(obstacle_run):
     man = read_manifest(obstacle_run / "run_manifest.txt")
     levels = [level.split(":") for level in man["level_steps"].split()]

@@ -145,7 +145,7 @@ def test_ball_too_small_resolves_to_no_nodes():
         ball_node_mask(g, Ball((g.h / 2, g.h / 2), g.h / 4))
 
 
-@pytest.mark.parametrize("grid, ball", [
+OFF_CENTRE_BALLS = [
     (unit_square_grid(41, ndim=1), Ball((0.3,), 0.55)),
     (unit_square_grid(41, ndim=1), Ball((-0.25,), 0.5)),
     (unit_square_grid(33), Ball((0.1, -0.3), 0.6)),
@@ -153,13 +153,25 @@ def test_ball_too_small_resolves_to_no_nodes():
     (Grid(Domain((-1.0, -0.5), (1.0, 0.5)), (33, 17)), Ball((-0.4, 0.05), 0.41)),
     (unit_square_grid(17, ndim=3), Ball((0.2, -0.1, 0.35), 0.6)),
     (unit_square_grid(17, ndim=3), Ball((0.25, -0.125, 0.0), 0.5)),
-])
+]
+
+
+@pytest.mark.parametrize("grid, ball", OFF_CENTRE_BALLS)
 def test_ball_mask_is_the_whole_grid_zeros_sum(grid, ball):
     """Off-centre balls, some with nodes exactly at distance r (node-aligned
     centres, radii a whole number of h): same mask as the zeros oracle."""
     mask = ball_node_mask(grid, ball)
     assert mask.dtype == bool and mask.shape == (grid.node_count,)
     assert np.array_equal(mask, zeros_ball_mask(grid, ball))
+
+
+@pytest.mark.parametrize("grid, ball", OFF_CENTRE_BALLS)
+def test_oscillation_is_max_minus_min_over_the_whole_grid_mask(grid, ball):
+    """Gathered from the ball's bounding box alone, the oscillation is max -
+    min over the whole-grid mask bit for bit, on balls through nodes too."""
+    u = random_field(grid, 7)
+    vals = u.values[zeros_ball_mask(grid, ball)]
+    assert oscillation(u, ball) == float(vals.max() - vals.min())
 
 
 def test_oscillation_exact_on_known_field():
@@ -369,6 +381,18 @@ def test_grid_function_text_is_formatted_value_by_value(tmp_path, ndim):
     text = p.read_text()
     assert text.endswith("\n")
     assert text.splitlines() == [" ".join(head)] + ["%.17g" % v for v in u.values]
+
+
+def test_grid_file_bytes_are_the_per_value_formatting(tmp_path):
+    """One format over all values writes the bytes that formatting value by
+    value and joining the lines wrote: -0.0, the smallest subnormal, the
+    largest magnitudes and integral floats included."""
+    vals = [-0.0, 5e-324, 1e308, 0.1, 3.0, -7.0, 2.0**53, -1e308, 0.0]
+    u = GridFunction(Grid(Domain((-1.0,), (2.5,)), (len(vals),)), np.array(vals))
+    p = tmp_path / "u.txt"
+    write_grid_function(u, p)
+    lines = ["1 9 -1 2.5"] + list(map("%.17g".__mod__, vals))
+    assert p.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_write_is_deterministic(tmp_path, grid33):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from ellipticlab import (
     trace_operator,
 )
 
-from conftest import field, quadratic_field, unit_square_grid
+from conftest import field, quadratic_field, renumbered_matrix, unit_square_grid
 
 TRACE = trace_operator()
 
@@ -306,21 +308,33 @@ def test_coarse_level_failure_names_its_grid():
 # multigrid-preconditioned linear solves and solver histories
 
 
-def frozen_system(op, res, ndim, seed=0, hole=0.3):
-    """A frozen-policy matrix (shifted by g = 1, as in the obstacle solve)
-    over the interior nodes of a random field, less a contact hole |x| < hole."""
-    from ellipticlab.solvers import _matrix
+def frozen_system(op, res, ndim, seed=0, hole=0.3, shape=True):
+    """The step-loop system of a random field's policy, shifted by g = 1 as
+    in the obstacle solve, free on the interior nodes less a contact hole
+    |x| < hole (or, with ``hole`` None, a random half of them): the
+    ``_FrozenSystem`` (without a V-cycle unless ``shape``), the policy, the
+    free mask, a right-hand side over the grid, and the oracle's matrix over
+    the free nodes."""
+    from ellipticlab.solvers import _FrozenSystem
     from ellipticlab.stencils import eval_policy, policy_lines
 
     grid = unit_square_grid(res, ndim=ndim)
     rng = np.random.default_rng(seed)
     u = GridFunction(grid, rng.standard_normal(grid.node_count))
     _, policy = eval_policy(op, u)
-    inside = np.sum(grid.points() ** 2, axis=1) < hole**2
-    nodes = np.flatnonzero(grid.interior_mask(1) & ~inside).astype(np.int32)
-    a = _matrix(policy[:, nodes], policy_lines(op, grid)[0], 1.0 / grid.h**2, nodes,
-                grid.node_count, 1.0)
-    return a, nodes, grid.shape, rng.standard_normal(nodes.size)
+    if hole is None:
+        pinned = rng.random(grid.node_count) < 0.5
+    else:
+        pinned = np.sum(grid.points() ** 2, axis=1) < hole**2
+    free = grid.interior_mask(1) & ~pinned
+    nodes = np.flatnonzero(free)
+    shifts, scale = policy_lines(op, grid)[0], 1.0 / grid.h**2
+    system = _FrozenSystem(shifts, scale, np.ones(grid.node_count), grid.interior_mask(1),
+                           grid.shape if shape else None)
+    rhs = np.zeros(grid.node_count)
+    rhs[nodes] = rng.standard_normal(nodes.size)
+    a = renumbered_matrix(policy[:, nodes], shifts, scale, nodes, grid.node_count, 1.0)
+    return system, policy, free, rhs, a
 
 
 MAX_OF_DIAGONALS = max_of_linear([np.diag([1.0, 2.0]), np.diag([2.0, 1.0])])
@@ -339,14 +353,19 @@ COMPACT_SYSTEMS = [
 ]
 
 
-def assert_matches_spsolve(a, rhs, cycle):
+def assert_matches_spsolve(system, policy, free, rhs, a):
+    """A step's correction is 0 on pinned nodes and, on the free ones, meets
+    BiCGSTAB's stopping rule for the oracle's matrix ``a``."""
     from scipy.sparse.linalg import spsolve
-    from ellipticlab.solvers import _INNER_ATOL, _INNER_RTOL, _correction
+    from ellipticlab.solvers import _INNER_ATOL, _INNER_RTOL
 
     tol = 1e-9
-    x, krylov = _correction(a, rhs, tol, "test", 0.0, cycle)
-    exact = spsolve(a.tocsc(), rhs)
-    bound = max(_INNER_RTOL * np.linalg.norm(rhs), _INNER_ATOL * tol)
+    x, krylov = system.solve(policy, free, rhs, tol, "test", 0.0)
+    on = free[system.nodes]
+    assert np.all(x[~on] == 0.0)
+    x, b = x[on], rhs[free]
+    exact = spsolve(a.tocsc(), b)
+    bound = max(_INNER_RTOL * np.linalg.norm(b), _INNER_ATOL * tol)
     assert np.linalg.norm(a @ (x - exact)) <= 1.01 * bound
     assert np.max(np.abs(x - exact)) <= 1e-4 * np.max(np.abs(exact))
     assert 1 <= krylov <= 6
@@ -354,39 +373,63 @@ def assert_matches_spsolve(a, rhs, cycle):
 
 @pytest.mark.parametrize("op, res, ndim", COMPACT_SYSTEMS)
 def test_preconditioned_correction_matches_spsolve(op, res, ndim):
-    from ellipticlab.solvers import _vcycle
-
-    a, nodes, shape, rhs = frozen_system(op, res, ndim)
-    built = _vcycle(a, nodes, shape)
-    assert built is not None
-    assert_matches_spsolve(a, rhs, built[0])
+    system, policy, free, rhs, a = frozen_system(op, res, ndim)
+    assert_matches_spsolve(system, policy, free, rhs, a)
+    assert system.precondition is not None
 
 
 # the 1D max-of-linear system picks a coefficient of 1 or 3 at random per
 # node; on a coarse part built for another hole it takes 7 iterations (5
 # when built in full), the worst case of these systems, and is left out
 @pytest.mark.parametrize("op, res, ndim", COMPACT_SYSTEMS[:-1])
-def test_reused_coarse_levels_still_match_spsolve(op, res, ndim):
-    """The coarse part of a V-cycle built on one contact hole preconditions
-    the system of a larger hole: only the finest level is rebuilt, and the
+def test_reused_coarse_levels_still_match_spsolve(monkeypatch, op, res, ndim):
+    """The V-cycle built on one contact hole preconditions the system of a
+    larger hole: the layout and the V-cycle are only truncated again, and the
     correction still meets the spsolve test's bounds."""
-    from ellipticlab.solvers import _vcycle
-
-    first, first_nodes, shape, _ = frozen_system(op, res, ndim, hole=0.25)
-    _, coarse = _vcycle(first, first_nodes, shape)
-    a, nodes, _, rhs = frozen_system(op, res, ndim)
-    assert not np.array_equal(nodes, first_nodes)
-    cycle, reused = _vcycle(a, nodes, shape, coarse)
-    assert reused is coarse
-    assert_matches_spsolve(a, rhs, cycle)
+    system, policy, first, first_rhs, _ = frozen_system(op, res, ndim, hole=0.25)
+    system.solve(policy, first, first_rhs, 1e-9, "test", 0.0)
+    _, _, free, rhs, a = frozen_system(op, res, ndim)
+    assert not np.array_equal(free, first)
+    built = count_calls(monkeypatch, "_vcycle", lambda *args: None)
+    assert_matches_spsolve(system, policy, free, rhs, a)
+    assert built == []
 
 
 def test_unpreconditioned_when_coarsening_is_impossible():
     """33 cells per axis: no coarse grid, so the plain iteration runs."""
-    from ellipticlab.solvers import _vcycle
+    system, policy, free, rhs, _ = frozen_system(TRACE, 34, 2)
+    system.solve(policy, free, rhs, 1e-9, "test", 0.0)
+    assert system.precondition is None
 
-    a, nodes, shape, _ = frozen_system(TRACE, 34, 2)
-    assert _vcycle(a, nodes, shape) is None
+
+@pytest.mark.parametrize("op", [
+    TRACE,
+    linear_operator([[2.0, 0.5], [0.5, 1.0]]),
+    MAX_OF_DIAGONALS,
+    pucci_max(1.0, 2.0),
+    pucci_min(1.0, 2.0),
+], ids=["trace", "linear", "max_of_linear", "pucci+", "pucci-"])
+def test_truncated_layout_matches_the_renumbered_matrix(op):
+    """On a random active set the truncated layout, restricted to the free
+    rows and columns, is the renumbered matrix entry for entry, a pinned row
+    is the identity's, and a step's correction vanishes on pinned nodes.
+    Unpreconditioned, its BiCGSTAB iterates are the renumbered system's up to
+    the order of summation; with the V-cycle it solves the same system."""
+    from ellipticlab.solvers import _correction
+
+    system, policy, free, rhs, a = frozen_system(op, 33, 2, hole=None, shape=False)
+    x, krylov = system.solve(policy, free, rhs, 1e-9, "test", 0.0)
+    on = free[system.nodes]
+    dense = system.matrix.toarray()
+    np.testing.assert_array_equal(dense[np.ix_(on, on)], a.toarray())
+    np.testing.assert_array_equal(dense[~on], np.eye(on.size)[~on])
+    assert np.all(x[~on] == 0.0)
+    y, again = _correction(a, rhs[free], 1e-9, "test", 0.0, None)
+    assert krylov == again
+    np.testing.assert_allclose(x[on], y, rtol=0.0, atol=1e-12 * np.max(np.abs(y)))
+
+    system, policy, free, rhs, a = frozen_system(op, 33, 2, hole=None)
+    assert_matches_spsolve(system, policy, free, rhs, a)
 
 
 def count_calls(monkeypatch, name, record):
@@ -423,66 +466,72 @@ def test_pucci_policies_are_preconditioned(monkeypatch):
     assert set(built) == {(17, 17), (33, 33)}
 
 
+def count_builds(monkeypatch):
+    """The node counts of the grids that ``_layout`` and ``_vcycle`` build
+    for, and one (node count, policy) per ``_fill``."""
+    layouts = count_calls(monkeypatch, "_layout", lambda shifts, nodes, n: n)
+    cycles = count_calls(monkeypatch, "_vcycle", lambda a, nodes, shape, *_: math.prod(shape))
+    fills = count_calls(monkeypatch, "_fill", lambda policy, *_: (policy.shape[1],
+                                                                  policy.tobytes()))
+    return layouts, cycles, fills
+
+
 def test_obstacle_builds_one_hierarchy_per_level(monkeypatch):
-    """The first V-cycle on a level is built in full; later steps rebuild
-    only its finest level, or nothing when the system repeats."""
-    full = count_calls(monkeypatch, "_vcycle",
-                       lambda a, nodes, shape, coarse=None: (shape, coarse is None))
+    """Every level builds one layout and one V-cycle, on its first step.  The
+    trace's policy never changes, so each level fills its layout once, and
+    the moving active set costs no refill."""
+    layouts, cycles, fills = count_builds(monkeypatch)
     result = solve_obstacle(disc_problem(129))
     assert result.level_steps == ((17, 4), (33, 4), (65, 4), (129, 4))
-    assert [shape for shape, first in full if first] == \
-        [(17, 17), (33, 33), (65, 65), (129, 129)]
-    assert len(full) < result.iterations
+    assert layouts == cycles == [n * n for n in (17, 33, 65, 129)]
+    assert [n for n, _ in fills] == layouts
 
 
 @pytest.mark.parametrize("op", [TRACE, MAX_OF_DIAGONALS], ids=["trace", "max_of_linear"])
 def test_matrix_is_assembled_once_per_system(monkeypatch, op):
-    """A step whose free nodes and chosen policy repeat the previous step's
-    reuses its matrix.  The trace's last step on every level repeats the
-    one before; max-of-linear's policy still moves at a few nodes there."""
-    keys = count_calls(monkeypatch, "_matrix", lambda weights, shifts, scale, nodes, n, shift: (
-        n, nodes.tobytes(), weights.tobytes()))
+    """One layout per level, refilled only when the policy changes: the
+    trace's never does; max-of-linear's moves at a few nodes on most steps
+    of a level."""
+    layouts, _, fills = count_builds(monkeypatch)
     disc = disc_problem(129)
     result = solve_obstacle(ObstacleProblem(op, disc.psi, disc.boundary, disc.f,
                                             disc.g_weight))
-    assert len(keys) == len(set(keys))
-    assert len(keys) == result.iterations - (4 if op is TRACE else 0)
+    assert layouts == [n * n for n, _ in result.level_steps]
+    assert all(a != b for a, b in zip(fills, fills[1:]))
+    if op is TRACE:
+        assert [n for n, _ in fills] == layouts
+    else:
+        assert len(layouts) < len(fills) <= result.iterations
 
 
 def test_dirichlet_solve_builds_once_for_a_repeated_system(monkeypatch):
     """The trace's policy never changes, so both steps of the 65^2 solve
-    share one matrix and one V-cycle."""
-    built = count_calls(monkeypatch, "_vcycle", lambda *args: args[2])
-    assembled = count_calls(monkeypatch, "_matrix", lambda *args: args[4])
+    share one layout, one fill and one V-cycle."""
+    layouts, cycles, fills = count_builds(monkeypatch)
     f, target, zero = manufactured_quad(TRACE, 65)
     assert solve_dirichlet(TRACE, f, target, initial=zero).iterations == 2
-    assert built == [(65, 65)] and assembled == [65 * 65]
+    assert layouts == cycles == [65 * 65] and len(fills) == 1
 
 
 def test_a_repeated_system_gives_the_rebuilt_correction(monkeypatch):
-    """Reusing the previous step's system is bit for bit the same as
-    assembling it and building its V-cycle (on the same coarse part) again."""
-    from ellipticlab.solvers import _FrozenSystem, _correction, _matrix, _vcycle
-    from ellipticlab.stencils import eval_policy, policy_lines
-
-    op = MAX_OF_DIAGONALS
-    _, first, shape, first_rhs = frozen_system(op, 65, 2, hole=0.25)
-    _, nodes, _, rhs = frozen_system(op, 65, 2)
-    grid = unit_square_grid(65)
-    _, policy = eval_policy(op, GridFunction(
-        grid, np.random.default_rng(0).standard_normal(grid.node_count)))
-    shifts, scale, g = policy_lines(op, grid)[0], 1.0 / grid.h**2, np.ones(grid.node_count)
-    system = _FrozenSystem(shifts, scale, g, shape)
+    """A step whose policy and free nodes repeat the last solve's reuses the
+    system as it is, with no refill and no truncation, and its correction is
+    bit for bit the one after refilling and truncating the layout again."""
+    system, policy, first, first_rhs, _ = frozen_system(MAX_OF_DIAGONALS, 65, 2, hole=0.25)
+    _, other, free, rhs, _ = frozen_system(MAX_OF_DIAGONALS, 65, 2, seed=1)
+    assert not np.array_equal(policy, other)
     system.solve(policy, first, first_rhs, 1e-9, "test", 0.0)
-    system.solve(policy, nodes, -rhs, 1e-9, "test", 0.0)
-    assembled = count_calls(monkeypatch, "_matrix", lambda *args: None)
-    x, krylov = system.solve(policy, nodes, rhs, 1e-9, "test", 0.0)
-    assert assembled == []
-    a = _matrix(policy[:, nodes], shifts, scale, nodes, grid.node_count, g[nodes])
-    cycle, _ = _vcycle(a, nodes, shape, system.coarse)
-    y, again = _correction(a, rhs, 1e-9, "test", 0.0, cycle)
+    x, krylov = system.solve(policy, free, rhs, 1e-9, "test", 0.0)
+    refills = count_calls(monkeypatch, "_fill", lambda *args: None)
+    truncations = count_calls(monkeypatch, "_truncate", lambda *args: None)
+    y, again = system.solve(policy, free, rhs, 1e-9, "test", 0.0)
+    assert refills == truncations == []
+    system.solve(other, first, first_rhs, 1e-9, "test", 0.0)
+    z, rebuilt = system.solve(policy, free, rhs, 1e-9, "test", 0.0)
+    assert len(refills) == 2 and truncations
     np.testing.assert_array_equal(x, y)
-    assert krylov == again
+    np.testing.assert_array_equal(x, z)
+    assert krylov == again == rebuilt
 
 
 def test_solves_retain_no_memory():
