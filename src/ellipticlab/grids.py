@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -196,7 +196,17 @@ class Ball:
         object.__setattr__(self, "radius", radius)
 
 
-def _require_ball(grid: Grid, ball: Ball):
+@lru_cache(maxsize=8)
+def _ball_box(grid: Grid, ball: Ball):
+    """The ball's bounding box of nodes, as a tuple of slices into the values
+    reshaped to ``grid.shape[::-1]``, and the (read-only) mask of the closed
+    ball over it.  Kept for the last few (grid, ball) pairs: a blow-up
+    sequence measures every zoom on the same unit ball of the same lattice.
+
+    A node off the box has one axis's squared distance above r^2 alone, and
+    a sum of nonnegative floats is no smaller than any of its terms, so no
+    node outside the box is in the ball.
+    """
     if len(ball.center) != grid.ndim:
         raise ValueError("ball center rank must match grid dimension")
     slack = 1e-9 * grid.h
@@ -204,6 +214,23 @@ def _require_ball(grid: Grid, ball: Ball):
         if ball.center[a] - ball.radius < grid.domain.lower[a] - slack or \
            ball.center[a] + ball.radius > grid.domain.upper[a] + slack:
             raise ValueError("ball exits domain")
+    bound = ball.radius ** 2 * (1.0 + 1e-12)
+    box = []
+    d2 = 0.0  # grows to the box by broadcasting, one axis at a time
+    for a in range(grid.ndim):
+        sq = (grid.coords(a) - ball.center[a]) ** 2
+        near = np.flatnonzero(sq <= bound)
+        if near.size == 0:
+            raise ValueError("ball resolves to no nodes")
+        box.append(slice(near[0], near[-1] + 1))
+        shape = [1] * grid.ndim
+        shape[grid.ndim - 1 - a] = near[-1] + 1 - near[0]
+        d2 = d2 + sq[box[-1]].reshape(shape)
+    inside = d2 <= bound
+    if not inside.any():
+        raise ValueError("ball resolves to no nodes")
+    inside.flags.writeable = False
+    return tuple(box[::-1]), inside
 
 
 def ball_node_mask(grid: Grid, ball: Ball) -> np.ndarray:
@@ -213,54 +240,18 @@ def ball_node_mask(grid: Grid, ball: Ball) -> np.ndarray:
     Distance ties at the boundary are included (closed ball, with a relative
     1e-12 grace for rounding).
     """
-    _require_ball(grid, ball)
-    d2 = 0.0  # grows to the whole lattice by broadcasting, one axis at a time
-    for a in range(grid.ndim):
-        diff = grid.coords(a) - ball.center[a]
-        shape = [1] * grid.ndim
-        shape[grid.ndim - 1 - a] = grid.shape[a]
-        d2 = d2 + (diff ** 2).reshape(shape)
-    mask = (d2 <= ball.radius ** 2 * (1.0 + 1e-12)).ravel()
-    if not mask.any():
-        raise ValueError("ball resolves to no nodes")
-    return mask
+    box, inside = _ball_box(grid, ball)
+    mask = np.zeros(grid.shape[::-1], dtype=bool)
+    mask[box] = inside
+    return mask.ravel()
 
 
 def oscillation(u: GridFunction, ball: Ball) -> float:
-    """max - min of u over the nodes of the discrete ball.
-
-    Each lattice row (x varying) meets the ball in one run of nodes: the
-    squared distance of ``ball_node_mask``, x's term added first, grows with
-    (x - c_x)^2 in floating point as well.  The runs' ends are found by
-    bisection on either side of the node nearest c_x, and max and min are
-    reduced over the runs in place, with no whole-grid mask and no gather.
-    """
-    grid = u.grid
-    _require_ball(grid, ball)
-    bound = ball.radius ** 2 * (1.0 + 1e-12)
-    sq = [(grid.coords(a) - ball.center[a]) ** 2 for a in range(grid.ndim)]
-    # each other axis's term per lattice row, in row order
-    terms = [t.ravel() for t in np.meshgrid(*sq[:0:-1], indexing="ij")][::-1]
-
-    def inside(i, rows=slice(None)):  # whether node i of each row is in the ball
-        return reduce(np.add, [t[rows] for t in terms], sq[0][i]) <= bound
-
-    nx, near = grid.shape[0], int(np.argmin(sq[0]))
-    rows = np.flatnonzero(inside(near))
-    if rows.size == 0:
-        raise ValueError("ball resolves to no nodes")
-    ends = []
-    for beyond in (-1, nx):  # the first node of each run, then the last
-        into, out = np.full(rows.size, near), np.full(rows.size, beyond)
-        while np.any(np.abs(out - into) > 1):  # ``into`` in the ball, ``out`` off it
-            mid = (out + into) // 2
-            hit = inside(mid, rows)
-            into, out = np.where(hit, mid, into), np.where(hit, out, mid)
-        ends.append(rows * nx + into)
-    runs = np.column_stack([ends[0], ends[1] + 1]).ravel()
-    values = u.values[: runs[-1]]  # so that the last run reduces to the end
-    return float(np.maximum.reduceat(values, runs[:-1])[::2].max()
-                 - np.minimum.reduceat(values, runs[:-1])[::2].min())
+    """max - min of u over the nodes of the discrete ball, gathered from the
+    ball's bounding box of nodes alone."""
+    box, inside = _ball_box(u.grid, ball)
+    vals = u.grid.lattice(u.values)[box][inside]
+    return float(vals.max() - vals.min())
 
 
 def restrict(u: GridFunction, ball: Ball):

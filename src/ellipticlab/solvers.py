@@ -77,8 +77,8 @@ of ``@``.  Nothing outlives the loop.
 
 Every step records its residual, active-set size and BiCGSTAB iteration
 count in the result's ``history``; an obstacle result's ``timings`` give
-each level's wall seconds of builds, refills and BiCGSTAB.  scipy is imported inside the solves,
-which keeps importing the package light.
+each level's wall seconds of builds, refills and BiCGSTAB.  scipy is
+imported inside the solves, which keeps importing the package light.
 """
 
 from __future__ import annotations
@@ -181,10 +181,8 @@ def _product(a):
     the per-call dispatch of ``@``, which costs more than the product itself
     on a coarse level.  It reads ``a``'s arrays at every call, so a refill of
     ``a.data`` in place shows."""
-    try:
-        from scipy.sparse._sparsetools import csr_matvec
-    except ImportError:  # a scipy without the private kernel
-        return a.__matmul__
+    from scipy.sparse._sparsetools import csr_matvec
+
     n, m = a.shape
     indptr, indices, data = a.indptr, a.indices, a.data
 

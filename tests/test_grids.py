@@ -174,6 +174,19 @@ def test_oscillation_is_max_minus_min_over_the_whole_grid_mask(grid, ball):
     assert oscillation(u, ball) == float(vals.max() - vals.min())
 
 
+def test_a_returned_ball_mask_is_the_callers_own(grid33):
+    """The ball's mask is kept for the next call on the same ball; what
+    ``ball_node_mask`` returns is a fresh array, so changing it changes
+    neither a later mask nor an oscillation."""
+    ball = Ball((0.1, -0.3), 0.6)
+    u = random_field(grid33, 4)
+    first = ball_node_mask(grid33, ball)
+    osc = oscillation(u, ball)
+    first[:] = ~first
+    assert np.array_equal(ball_node_mask(grid33, ball), zeros_ball_mask(grid33, ball))
+    assert oscillation(u, ball) == osc
+
+
 def test_oscillation_exact_on_known_field():
     g = unit_square_grid(65)
     u = field(g, lambda p: p[:, 0])

@@ -379,8 +379,9 @@ def test_preconditioned_correction_matches_spsolve(op, res, ndim):
 
 
 # the 1D max-of-linear system picks a coefficient of 1 or 3 at random per
-# node; on a coarse part built for another hole it takes 7 iterations (5
-# when built in full), the worst case of these systems, and is left out
+# node; with the V-cycle built for the smaller hole and truncated to this
+# one it takes 7 iterations (5 when built for this hole), the worst case of
+# these systems, and is left out
 @pytest.mark.parametrize("op, res, ndim", COMPACT_SYSTEMS[:-1])
 def test_reused_coarse_levels_still_match_spsolve(monkeypatch, op, res, ndim):
     """The V-cycle built on one contact hole preconditions the system of a
@@ -430,6 +431,22 @@ def test_truncated_layout_matches_the_renumbered_matrix(op):
 
     system, policy, free, rhs, a = frozen_system(op, 33, 2, hole=None)
     assert_matches_spsolve(system, policy, free, rhs, a)
+
+
+def test_raw_product_is_the_sparse_product():
+    """The V-cycle's and BiCGSTAB's products go to scipy's compiled CSR
+    kernel directly; they equal ``a @ x`` bit for bit, on a rectangular
+    matrix too, and follow a refill of ``a.data`` in place."""
+    from scipy import sparse
+    from ellipticlab.solvers import _product
+
+    rng = np.random.default_rng(5)
+    a = sparse.random(40, 25, density=0.2, format="csr", random_state=rng)
+    x = rng.standard_normal(25)
+    apply = _product(a)
+    np.testing.assert_array_equal(apply(x), a @ x)
+    a.data *= -3.0
+    np.testing.assert_array_equal(apply(x), a @ x)
 
 
 def count_calls(monkeypatch, name, record):
@@ -535,7 +552,7 @@ def test_a_repeated_system_gives_the_rebuilt_correction(monkeypatch):
 
 
 def test_solves_retain_no_memory():
-    """Each step's system is dropped before the next is assembled, and
+    """Each level's system is dropped before the next level's is built, and
     nothing outlives a solve, not even in a reference cycle."""
     import gc
     import tracemalloc
