@@ -111,6 +111,13 @@ def _write_run_manifest(out, command, entries: dict):
     write_manifest(os.path.join(out, "run_manifest.txt"), data)
 
 
+def _write_timings(out, result):
+    # wall-clock seconds per level: never in a CSV, so reruns stay byte-identical
+    atomic_write_text(os.path.join(out, "timings.json"), json.dumps(
+        {"levels": [dict(nodes=n, **seconds) for n, seconds in result.timings]},
+        indent=1) + "\n")
+
+
 def _subject_keys(args, u: GridFunction) -> dict:
     keys = {"res": u.grid.shape[0]}
     if args.input:
@@ -169,6 +176,7 @@ def cmd_solve(args) -> int:
                     "steps": result.iterations,
                     "krylov_iterations": sum(row[2] for row in result.history)})
     _write_run_manifest(out, "solve", entries)
+    _write_timings(out, result)
     print("solve: residual %.3e after %d steps, sup error %.3e"
           % (result.residual, result.iterations, sup_error))
     return 0
@@ -196,10 +204,7 @@ def cmd_obstacle(args) -> int:
         "lam_lo": result.lam_lo, "lam_hi": result.lam_hi,
         "contact_fraction": result.contact_fraction,
     })
-    # wall-clock seconds per level: never in a CSV, so reruns stay byte-identical
-    atomic_write_text(os.path.join(out, "timings.json"), json.dumps(
-        {"levels": [dict(nodes=n, **seconds) for n, seconds in result.timings]},
-        indent=1) + "\n")
+    _write_timings(out, result)
     print("obstacle: contact %.1f%%, bounds [%.4g, %.4g]"
           % (100 * result.contact_fraction, result.lam_lo, result.lam_hi))
     return 0

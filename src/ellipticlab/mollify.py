@@ -81,14 +81,6 @@ class MollifierKernel:
     def half_width(self) -> int:
         return (self.weights.shape[0] - 1) // 2
 
-    def second_moment(self) -> float:
-        """Common per-axis second moment sum_d w(d) (d_axis h)^2 (isotropic)."""
-        k = self.half_width
-        off2 = (np.arange(-k, k + 1) * self.h) ** 2
-        shape = [1] * self.ndim
-        shape[-1] = 2 * k + 1
-        return float(np.sum(self.weights * off2.reshape(shape)))
-
 
 def _trimmed_grid(grid: Grid, trim: int) -> Grid:
     shape = tuple(s - 2 * trim for s in grid.shape)

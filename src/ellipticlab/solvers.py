@@ -63,12 +63,13 @@ couplings to the boundary band dropped; the interior rows of the
 interpolation and its transpose; the coarse levels and the coarsest
 factorization.  After that a step costs no assembly.  A new policy refills
 the matrix's entries from the line weights in place (the trace's never
-changes).  A new active set truncates the matrix and the finest
-interpolation by a 0/1 mask over their stored entries: a pinned node's row
-becomes the identity's, and the interpolation has no entry at a pinned node
-or from a coarse node sitting on one.  The right-hand side and so every
-Krylov vector vanish on pinned nodes, so the iterates are those of the
-system over the free nodes alone, up to the order of summation.  A step
+changes).  A new active set masks the matrix's stored entries by 0/1: a
+pinned node's row becomes the identity's.  The finest interpolation P and
+its transpose stay as built; the cycle truncates them by masking the vectors
+around them in place, so that P maps nothing to a pinned node or from a
+coarse node sitting on one.  The right-hand side and so every Krylov vector
+vanish on pinned nodes, so the iterates are those of the system over the
+free nodes alone, up to the order of summation.  A step
 whose policy and free nodes repeat the previous step's (for the trace, the
 closing step of every obstacle level and the second step of a Dirichlet
 solve) reuses the system as it is.  The V-cycle and the BiCGSTAB operator
@@ -76,8 +77,8 @@ apply their CSR matrices by scipy's compiled kernel, without the dispatch
 of ``@``.  Nothing outlives the loop.
 
 Every step records its residual, active-set size and BiCGSTAB iteration
-count in the result's ``history``; an obstacle result's ``timings`` give
-each level's wall seconds of builds, refills and BiCGSTAB.  scipy is
+count in the result's ``history``, and its ``timings`` give each level's
+wall seconds of builds, refills and BiCGSTAB.  scipy is
 imported inside the solves, which keeps importing the package light.
 """
 
@@ -147,6 +148,9 @@ class SolveResult:
     # residual is the one the step started from, and a Dirichlet solve pins
     # no node
     history: tuple = ()
+    # ((nodes along the first axis, wall seconds by name),) for the one
+    # level, as ``ObstacleResult.timings``
+    timings: tuple = ()
 
 
 def _node_field(grid: Grid, data, name: str) -> np.ndarray:
@@ -176,35 +180,27 @@ def _pick_grid(*candidates) -> Grid:
     )
 
 
-def _product(a):
+def _product(a, before=None, after=None):
     """x -> a @ x for the CSR matrix ``a`` by scipy's compiled kernel, without
     the per-call dispatch of ``@``, which costs more than the product itself
-    on a coarse level.  It reads ``a``'s arrays at every call, so a refill of
-    ``a.data`` in place shows."""
+    on a coarse level; given masks, x is multiplied by ``before`` in place
+    first and the product by ``after``.  It reads ``a``'s arrays and the
+    masks at every call, so a refill of either in place shows."""
     from scipy.sparse._sparsetools import csr_matvec
 
     n, m = a.shape
     indptr, indices, data = a.indptr, a.indices, a.data
 
     def apply(x):
+        if before is not None:
+            x *= before
         y = np.zeros(n)
         csr_matvec(n, m, indptr, indices, data, x, y)
+        if after is not None:
+            y *= after
         return y
 
     return apply
-
-
-def _truncate(transfer, free):
-    """Truncate ``_vcycle``'s finest ``transfer`` (P, P^T, their entries
-    untruncated, and the interior node each coarse node sits on) to the nodes
-    with ``free`` 1: P keeps an entry where its fine node is free and its
-    coarse node sits on a free node, P^T one where its coarse node does, and
-    the rest are 0."""
-    p, pt, entries, seat = transfer
-    on = free[seat]
-    np.multiply(entries[0], np.repeat(free, np.diff(p.indptr)), out=p.data)
-    p.data *= np.take(on, p.indices)
-    np.multiply(entries[1], np.repeat(on, np.diff(pt.indptr)), out=pt.data)
 
 
 def _layout(shifts, nodes, node_count):
@@ -284,60 +280,57 @@ def _interpolation(shape):
 
 def _transfer(shape, rows, kept):
     """``_interpolation(shape)`` with its rows on the nodes ``rows`` and its
-    columns on the ``kept`` coarse nodes (a flat mask), renumbered in order,
-    and its transpose, as CSR matrices."""
-    from scipy import sparse
-
-    p = _interpolation(shape)[rows]
-    on = kept[p.indices]
-    renumber = np.cumsum(kept) - 1
-    indptr = np.concatenate([[0], np.cumsum(on)])[p.indptr]
-    p = sparse.csr_matrix((p.data[on], renumber[p.indices[on]], indptr),
-                          shape=(rows.size, int(renumber[-1]) + 1))
+    columns on the ``kept`` coarse nodes (a flat mask), and its transpose, as
+    CSR matrices."""
+    p = _interpolation(shape)[rows][:, np.flatnonzero(kept)]
     return p, p.T.tocsr()
 
 
-def _vcycle(a, nodes, shape, free, jacobi):
+def _vcycle(a, nodes, shape, f, jacobi):
     """One multigrid V-cycle for ``a``, the truncated system of a step loop
     over the interior ``nodes`` of a grid of ``shape`` (``_FrozenSystem``),
-    whose free nodes are those with ``free`` 1, and ``jacobi``, its damped
-    Jacobi weights: a scipy LinearOperator and the finest level's transfer
-    for ``_truncate``, or None.
+    whose free nodes are those with ``f`` 1, and ``jacobi``, its damped
+    Jacobi weights: a scipy LinearOperator, ``on`` and ``seat``, or None.
 
     A level interpolates from the grid of every other node: the rows of
     ``_interpolation`` on its nodes, the columns on the coarse nodes that sit
     on a free node (so the coarse correction vanishes on the boundary band
     and on contact, like the fine one, and the interpolation has full rank).
-    The finest level's rows are all interior nodes, and its P and P^T are
-    truncated with ``a`` (``_truncate``).  Its coarse operator is the Galerkin
-    product P^T A P, and damped Jacobi smooths it before and after the coarse
-    correction.  The system is coarsened at least once, and then again while
-    the coarse one has more than _COARSEST unknowns, as long as the grid has
-    an even number of cells on every axis; the coarsest level is factorized
-    by SuperLU.  None if the system cannot be coarsened at all, which keeps
-    the plain solve, or if the coarsest factorization fails.
+    The finest level's rows are all interior nodes.  Its P and P^T stay as
+    built, truncated to the caller's free nodes by masking vectors in place:
+    P^T's output and P's input by ``on``, 1 on the kept coarse nodes whose
+    ``seat`` (the interior node each sits on) is free, and P's output by
+    ``f``; the caller refreshes both masks in place.  A level's coarse
+    operator is the Galerkin product P^T A P, with P's pinned rows zeroed on
+    the finest level, and damped Jacobi smooths it before and after the
+    coarse correction.  The system is coarsened at least once, and then again
+    while the coarse one has more than _COARSEST unknowns, as long as the
+    grid has an even number of cells on every axis; the coarsest level is
+    factorized by SuperLU.  None if the system cannot be coarsened at all,
+    which keeps the plain solve, or if the coarsest factorization fails.
     """
     from scipy.sparse.linalg import LinearOperator, splu
 
-    levels, transfer, rows = [], None, nodes
-    on = np.zeros(math.prod(shape), dtype=bool)
-    on[nodes[free > 0]] = True
+    levels, rows = [], nodes
+    free = np.zeros(math.prod(shape), dtype=bool)
+    free[nodes[f > 0]] = True
     coarse_shape = _coarse_shape(shape)
     while coarse_shape is not None and (not levels or a.shape[0] > _COARSEST):
-        kept = _inject(shape, on)
+        kept = _inject(shape, free)
         if not kept.any():
             break
         p, pt = _transfer(shape, rows, kept)
         if levels:
-            dinv = _JACOBI_WEIGHT / a.diagonal()
-        else:  # seat: the interior node each kept coarse node sits on
-            seat = np.searchsorted(nodes, _inject(shape, np.arange(on.size))[kept])
-            transfer = p, pt, (p.data.copy(), pt.data.copy()), seat
-            _truncate(transfer, free)
-            dinv = jacobi
-        levels.append((_product(a), _product(p), _product(pt), dinv))
+            levels.append((_product(a), _product(p), _product(pt),
+                           _JACOBI_WEIGHT / a.diagonal()))
+        else:
+            seat = np.searchsorted(nodes, _inject(shape, np.arange(free.size))[kept])
+            on = np.take(f, seat)
+            levels.append((_product(a), _product(p, on, f), _product(pt, after=on), jacobi))
+            p = p.copy()  # its pinned rows zeroed, their sparsity kept
+            p.data *= np.repeat(f, np.diff(p.indptr))
         a = (pt @ a @ p).tocsr()
-        rows, on, shape = np.flatnonzero(kept), kept, coarse_shape
+        rows, free, shape = np.flatnonzero(kept), kept, coarse_shape
         coarse_shape = _coarse_shape(shape)
     if not levels:
         return None
@@ -347,7 +340,7 @@ def _vcycle(a, nodes, shape, free, jacobi):
         return None
     cycle = LinearOperator((nodes.size, nodes.size), dtype=float,
                            matvec=functools.partial(_cycle, levels, coarsest))
-    return cycle, transfer
+    return cycle, on, seat
 
 
 def _cycle(levels, coarsest, b, k=0):
@@ -403,7 +396,10 @@ class _FrozenSystem:
     """The frozen-policy systems of one grid's step loop, minus diag(g), and
     their V-cycle, in one layout over the interior nodes of ``mask``, built
     on the loop's first step and refilled in place as the module docstring
-    describes; it lives as long as that loop.  With ``shape`` None (stencils
+    describes; it lives as long as that loop.  ``f`` (1 on the last solve's
+    free nodes, 0 on pinned ones) and ``on`` (the same on the V-cycle's kept
+    coarse nodes) are refreshed in place, as the V-cycle's finest transfer
+    masks vectors by them.  With ``shape`` None (stencils
     reaching more than one node layer, on which a Galerkin V-cycle costs more
     than it saves) BiCGSTAB runs unpreconditioned.  ``seconds`` sums the wall
     time of the builds (layout and V-cycle), of the refills (policy and
@@ -413,7 +409,7 @@ class _FrozenSystem:
         self.shifts, self.scale, self.shape = shifts, scale, shape
         self.nodes = np.flatnonzero(mask)
         self.shift = g[self.nodes]
-        self.matrix = self.policy = self.free = self.precondition = self.transfer = None
+        self.matrix = self.policy = self.free = self.precondition = self.seat = None
         self.seconds = dict.fromkeys(("build_s", "refill_s", "krylov_s"), 0.0)
 
     def current(self, policy, free):
@@ -433,28 +429,30 @@ class _FrozenSystem:
         nodes, a = self.nodes, self.matrix
         if a is None:
             a, self.live = _layout(self.shifts, nodes, free.size)
-            self.matrix, self.data, self.jacobi = a, np.empty(a.nnz), np.empty(nodes.size)
+            self.matrix, self.data = a, np.empty(a.nnz)
+            self.jacobi, self.f = np.empty(nodes.size), np.empty(nodes.size)
             self.operator = LinearOperator(a.shape, matvec=_product(a), dtype=float)
         clock.append(time.perf_counter())
         if policy is not self.policy and not np.array_equal(policy, self.policy):
             _fill(policy, self.scale, nodes, self.shift, self.live, self.data, self.jacobi)
             self.policy, self.free = policy, None
-        f = free[nodes].astype(float)  # 1 on a free node, 0 on a pinned one
+        f = self.f  # 1 on a free node, 0 on a pinned one
         moved = not np.array_equal(free, self.free)
         if moved:
+            np.copyto(f, free[nodes])
             # a pinned row is the identity's; a pinned column is kept, as
             # every vector that meets it is 0 there
             terms = self.live.shape
             np.multiply(self.data.reshape(terms), f[:, None], out=a.data.reshape(terms))
             a.data[::terms[1]][f == 0.0] = 1.0
-            if self.transfer is not None:
-                _truncate(self.transfer, f)
+            if self.seat is not None:  # the V-cycle's finest transfer (_vcycle)
+                np.take(f, self.seat, out=self.on)
             self.free = free
         clock.append(time.perf_counter())
         if moved and self.precondition is None and self.shape is not None:
             built = _vcycle(a, nodes, self.shape, f, self.jacobi)
             if built is not None:
-                self.precondition, self.transfer = built
+                self.precondition, self.on, self.seat = built
         clock.append(time.perf_counter())
         x, count = _correction(self.operator, rhs[nodes] * f, tol, where, r,
                                self.precondition)
@@ -559,9 +557,10 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
     bv = _node_field(grid, boundary, "boundary")
     u = initial.values.copy() if initial is not None else bv.copy()
     n = grid.node_count  # the obstacle loop with no obstacle, psi = -inf and g = 0
-    u, _, _, r, history, _ = _iterate(op, grid, np.full(n, -np.inf), bv, fv, np.zeros(n),
-                                      _tolerance(config, fv, mask), config, u, None)
-    return SolveResult(GridFunction(grid, u), len(history), r, history)
+    u, _, _, r, history, seconds = _iterate(op, grid, np.full(n, -np.inf), bv, fv, np.zeros(n),
+                                            _tolerance(config, fv, mask), config, u, None)
+    return SolveResult(GridFunction(grid, u), len(history), r, history,
+                       ((grid.shape[0], seconds),))
 
 
 @dataclass(frozen=True, eq=False)

@@ -184,6 +184,23 @@ def test_obstacle_writes_its_timings_outside_the_csvs(obstacle_run):
         assert "krylov_s" not in csv.read_text()
 
 
+def test_solve_writes_its_timings_outside_the_csvs(tmp_path):
+    """The Dirichlet solve's one level records its seconds of layout and
+    V-cycle builds, refills and BiCGSTAB in timings.json, as the obstacle's
+    levels do, and no CSV carries them."""
+    import json
+
+    r = run_cli("solve", "--fixture", "quad", "--res", "33", "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    levels = json.loads((tmp_path / "timings.json").read_text())["levels"]
+    assert [level["nodes"] for level in levels] == [33]
+    for level in levels:
+        assert set(level) == {"nodes", "build_s", "refill_s", "krylov_s"}
+        assert all(level[key] > 0.0 for key in ("build_s", "refill_s", "krylov_s"))
+    for csv in tmp_path.glob("*.csv"):
+        assert "krylov_s" not in csv.read_text()
+
+
 def test_obstacle_manifest_records_bounds(obstacle_run):
     man = read_manifest(obstacle_run / "run_manifest.txt")
     levels = [level.split(":") for level in man["level_steps"].split()]

@@ -44,11 +44,6 @@ def test_kernel_half_width_rounding(grid65):
     assert MollifierKernel.build(grid65, 4 * h).half_width == 4
 
 
-def test_kernel_second_moment_positive(grid65):
-    k = MollifierKernel.build(grid65, 8 * grid65.h)
-    assert k.second_moment() > 0
-
-
 def test_shrunken_domain_geometry(grid65):
     """mollify reports on the nodes strictly farther than eps from the
     boundary: trim is half_width + 1."""
@@ -169,7 +164,10 @@ def test_mollified_parabola_shift_is_the_second_moment():
     u = field(g, lambda p: p[:, 0] ** 2)
     eps = 8 * g.h
     ue = mollify(u, eps)
-    m2 = MollifierKernel.build(g, eps).second_moment()
+    kern = MollifierKernel.build(g, eps)
+    # the per-axis second moment sum_d w(d) (d_x h)^2; x varies fastest
+    k = kern.half_width
+    m2 = float(np.sum(kern.weights * ((np.arange(-k, k + 1) * g.h) ** 2)[None, :]))
     shift = ue.values - field(ue.grid, lambda p: p[:, 0] ** 2).values
     assert np.max(shift) - np.min(shift) <= 1e-13
     assert np.mean(shift) == pytest.approx(m2, abs=1e-10)

@@ -532,23 +532,64 @@ def test_dirichlet_solve_builds_once_for_a_repeated_system(monkeypatch):
 
 def test_a_repeated_system_gives_the_rebuilt_correction(monkeypatch):
     """A step whose policy and free nodes repeat the last solve's reuses the
-    system as it is, with no refill and no truncation, and its correction is
-    bit for bit the one after refilling and truncating the layout again."""
+    system as it is, with no refill, and its correction is bit for bit the
+    one after refilling another policy, masking another active set and
+    coming back to the same entries and transfer masks."""
     system, policy, first, first_rhs, _ = frozen_system(MAX_OF_DIAGONALS, 65, 2, hole=0.25)
     _, other, free, rhs, _ = frozen_system(MAX_OF_DIAGONALS, 65, 2, seed=1)
     assert not np.array_equal(policy, other)
     system.solve(policy, first, first_rhs, 1e-9, "test", 0.0)
     x, krylov = system.solve(policy, free, rhs, 1e-9, "test", 0.0)
+    entries, on = system.matrix.data.copy(), system.on.copy()
     refills = count_calls(monkeypatch, "_fill", lambda *args: None)
-    truncations = count_calls(monkeypatch, "_truncate", lambda *args: None)
     y, again = system.solve(policy, free, rhs, 1e-9, "test", 0.0)
-    assert refills == truncations == []
+    assert refills == []
     system.solve(other, first, first_rhs, 1e-9, "test", 0.0)
+    assert not np.array_equal(system.on, on)
     z, rebuilt = system.solve(policy, free, rhs, 1e-9, "test", 0.0)
-    assert len(refills) == 2 and truncations
+    assert len(refills) == 2
+    np.testing.assert_array_equal(system.matrix.data, entries)
+    np.testing.assert_array_equal(system.on, on)
     np.testing.assert_array_equal(x, y)
     np.testing.assert_array_equal(x, z)
     assert krylov == again == rebuilt
+
+
+@pytest.mark.parametrize("op", [TRACE, MAX_OF_DIAGONALS], ids=["trace", "max_of_linear"])
+def test_masked_transfer_is_the_truncated_transfer(monkeypatch, op):
+    """The V-cycle built on one contact hole and reused on a larger one
+    keeps its finest P and P^T as built and masks the vectors around them:
+    one cycle equals, bit for bit, the same cycle with diag(f) P diag(on)
+    and its transpose stored explicitly, where f is 1 on the free nodes and
+    ``on`` is 1 on the kept coarse nodes that sit on a free node."""
+    from scipy import sparse
+    from ellipticlab import solvers
+
+    captured, real = [], solvers._cycle
+
+    def spy(levels, coarsest, b, k=0):
+        if k == 0:
+            captured.append((levels, coarsest))
+        return real(levels, coarsest, b, k)
+
+    monkeypatch.setattr(solvers, "_cycle", spy)
+    system, policy, first, first_rhs, _ = frozen_system(op, 65, 2, hole=0.25)
+    system.solve(policy, first, first_rhs, 1e-9, "test", 0.0)
+    _, _, free, rhs, _ = frozen_system(op, 65, 2)
+    system.solve(policy, free, rhs, 1e-9, "test", 0.0)
+    levels, coarsest = captured[-1]
+
+    kept = solvers._inject((65, 65), first)
+    p, _ = solvers._transfer((65, 65), system.nodes, kept)
+    f = free[system.nodes].astype(float)
+    on = solvers._inject((65, 65), free)[kept].astype(float)
+    assert 0 < np.count_nonzero(on == 0.0) < on.size
+    truncated = (sparse.diags(f) @ p @ sparse.diags(on)).tocsr()
+    a, _, _, dinv = levels[0]
+    explicit = [(a, solvers._product(truncated), solvers._product(truncated.T.tocsr()),
+                 dinv)] + levels[1:]
+    b = rhs[system.nodes] * f
+    np.testing.assert_array_equal(system.precondition.matvec(b), real(explicit, coarsest, b))
 
 
 def test_solves_retain_no_memory():
