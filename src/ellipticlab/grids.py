@@ -29,7 +29,6 @@ __all__ = [
     "ball_node_mask",
     "oscillation",
     "resample",
-    "restrict",
     "sample_bilinear",
     "read_grid_function",
     "write_grid_function",
@@ -252,14 +251,6 @@ def oscillation(u: GridFunction, ball: Ball) -> float:
     box, inside = _ball_box(u.grid, ball)
     vals = u.grid.lattice(u.values)[box][inside]
     return float(vals.max() - vals.min())
-
-
-def restrict(u: GridFunction, ball: Ball):
-    """List of (point, value) pairs over the discrete ball, storage order."""
-    mask = ball_node_mask(u.grid, ball)
-    pts = u.grid.points_at(np.flatnonzero(mask))
-    vals = u.values[mask]
-    return [(tuple(p), float(v)) for p, v in zip(pts, vals)]
 
 
 def _cells(grid: Grid, axis: int, x: np.ndarray):

@@ -63,18 +63,18 @@ couplings to the boundary band dropped; the interior rows of the
 interpolation and its transpose; the coarse levels and the coarsest
 factorization.  After that a step costs no assembly.  A new policy refills
 the matrix's entries from the line weights in place (the trace's never
-changes).  A new active set masks the matrix's stored entries by 0/1: a
-pinned node's row becomes the identity's.  The finest interpolation P and
-its transpose stay as built; the cycle truncates them by masking the vectors
-around them in place, so that P maps nothing to a pinned node or from a
-coarse node sitting on one.  The right-hand side and so every Krylov vector
-vanish on pinned nodes, so the iterates are those of the system over the
-free nodes alone, up to the order of summation.  A step
+changes).  A new active set writes no entry: the matrix A, the finest
+interpolation P and its transpose stay as built, and one rule truncates all
+three, masking the vectors around them in place.  A's product is masked by
+the free nodes, so that it maps nothing to a pinned node; P maps nothing to
+a pinned node or from a coarse node sitting on one.  The right-hand side and
+so every Krylov vector vanish on pinned nodes, so the iterates are those of
+the system over the free nodes alone, up to the order of summation.  A step
 whose policy and free nodes repeat the previous step's (for the trace, the
 closing step of every obstacle level and the second step of a Dirichlet
 solve) reuses the system as it is.  The V-cycle and the BiCGSTAB operator
 apply their CSR matrices by scipy's compiled kernel, without the dispatch
-of ``@``.  Nothing outlives the loop.
+of ``@``, and share A's masked product.  Nothing outlives the loop.
 
 Every step records its residual, active-set size and BiCGSTAB iteration
 count in the result's ``history``, and its ``timings`` give each level's
@@ -184,8 +184,9 @@ def _product(a, before=None, after=None):
     """x -> a @ x for the CSR matrix ``a`` by scipy's compiled kernel, without
     the per-call dispatch of ``@``, which costs more than the product itself
     on a coarse level; given masks, x is multiplied by ``before`` in place
-    first and the product by ``after``.  It reads ``a``'s arrays and the
-    masks at every call, so a refill of either in place shows."""
+    first and the product by ``after``, which truncates ``a`` to the masks'
+    nonzero columns and rows.  It reads ``a``'s arrays and the masks at every
+    call, so a refill of either in place shows."""
     from scipy.sparse._sparsetools import csr_matvec
 
     n, m = a.shape
@@ -286,28 +287,30 @@ def _transfer(shape, rows, kept):
     return p, p.T.tocsr()
 
 
-def _vcycle(a, nodes, shape, f, jacobi):
-    """One multigrid V-cycle for ``a``, the truncated system of a step loop
-    over the interior ``nodes`` of a grid of ``shape`` (``_FrozenSystem``),
-    whose free nodes are those with ``f`` 1, and ``jacobi``, its damped
-    Jacobi weights: a scipy LinearOperator, ``on`` and ``seat``, or None.
+def _vcycle(a, nodes, shape, f, jacobi, product):
+    """One multigrid V-cycle for ``a``, the matrix of a step loop over the
+    interior ``nodes`` of a grid of ``shape`` (``_FrozenSystem``), whose free
+    nodes are those with ``f`` 1, with ``jacobi``, its damped Jacobi weights,
+    and ``product``, its product masked by ``f``: a scipy LinearOperator,
+    ``on`` and ``seat``, or None.
 
     A level interpolates from the grid of every other node: the rows of
     ``_interpolation`` on its nodes, the columns on the coarse nodes that sit
     on a free node (so the coarse correction vanishes on the boundary band
     and on contact, like the fine one, and the interpolation has full rank).
-    The finest level's rows are all interior nodes.  Its P and P^T stay as
+    The finest level's rows are all interior nodes.  Its A, P and P^T stay as
     built, truncated to the caller's free nodes by masking vectors in place:
-    P^T's output and P's input by ``on``, 1 on the kept coarse nodes whose
-    ``seat`` (the interior node each sits on) is free, and P's output by
-    ``f``; the caller refreshes both masks in place.  A level's coarse
-    operator is the Galerkin product P^T A P, with P's pinned rows zeroed on
-    the finest level, and damped Jacobi smooths it before and after the
-    coarse correction.  The system is coarsened at least once, and then again
-    while the coarse one has more than _COARSEST unknowns, as long as the
-    grid has an even number of cells on every axis; the coarsest level is
-    factorized by SuperLU.  None if the system cannot be coarsened at all,
-    which keeps the plain solve, or if the coarsest factorization fails.
+    A's output and P's by ``f``, P^T's output and P's input by ``on``, 1 on
+    the kept coarse nodes whose ``seat`` (the interior node each sits on) is
+    free; the caller refreshes both masks in place.  A level's coarse
+    operator is the Galerkin product P^T A P, with P's pinned rows and P^T's
+    pinned columns zeroed on the finest level, and damped Jacobi smooths it
+    before and after the coarse correction.  The system is coarsened at least
+    once, and then again while the coarse one has more than _COARSEST
+    unknowns, as long as the grid has an even number of cells on every axis;
+    the coarsest level is factorized by SuperLU.  None if the system cannot
+    be coarsened at all, which keeps the plain solve, or if the coarsest
+    factorization fails.
     """
     from scipy.sparse.linalg import LinearOperator, splu
 
@@ -326,9 +329,10 @@ def _vcycle(a, nodes, shape, f, jacobi):
         else:
             seat = np.searchsorted(nodes, _inject(shape, np.arange(free.size))[kept])
             on = np.take(f, seat)
-            levels.append((_product(a), _product(p, on, f), _product(pt, after=on), jacobi))
-            p = p.copy()  # its pinned rows zeroed, their sparsity kept
+            levels.append((product, _product(p, on, f), _product(pt, after=on), jacobi))
+            p, pt = p.copy(), pt.copy()  # truncated to the free nodes, sparsity kept
             p.data *= np.repeat(f, np.diff(p.indptr))
+            pt.data *= f[pt.indices]
         a = (pt @ a @ p).tocsr()
         rows, free, shape = np.flatnonzero(kept), kept, coarse_shape
         coarse_shape = _coarse_shape(shape)
@@ -398,12 +402,13 @@ class _FrozenSystem:
     on the loop's first step and refilled in place as the module docstring
     describes; it lives as long as that loop.  ``f`` (1 on the last solve's
     free nodes, 0 on pinned ones) and ``on`` (the same on the V-cycle's kept
-    coarse nodes) are refreshed in place, as the V-cycle's finest transfer
-    masks vectors by them.  With ``shape`` None (stencils
+    coarse nodes) are refreshed in place, as BiCGSTAB's operator and the
+    V-cycle's finest level mask vectors by them; the matrix keeps the
+    policy's rows on every interior node.  With ``shape`` None (stencils
     reaching more than one node layer, on which a Galerkin V-cycle costs more
     than it saves) BiCGSTAB runs unpreconditioned.  ``seconds`` sums the wall
-    time of the builds (layout and V-cycle), of the refills (policy and
-    active set) and of BiCGSTAB."""
+    time of the builds (layout and V-cycle), of the refills (the policy's
+    entries and the masks) and of BiCGSTAB."""
 
     def __init__(self, shifts, scale, g, mask, shape):
         self.shifts, self.scale, self.shape = shifts, scale, shape
@@ -429,28 +434,24 @@ class _FrozenSystem:
         nodes, a = self.nodes, self.matrix
         if a is None:
             a, self.live = _layout(self.shifts, nodes, free.size)
-            self.matrix, self.data = a, np.empty(a.nnz)
+            self.matrix = a
             self.jacobi, self.f = np.empty(nodes.size), np.empty(nodes.size)
-            self.operator = LinearOperator(a.shape, matvec=_product(a), dtype=float)
+            self.product = _product(a, after=self.f)
+            self.operator = LinearOperator(a.shape, matvec=self.product, dtype=float)
         clock.append(time.perf_counter())
         if policy is not self.policy and not np.array_equal(policy, self.policy):
-            _fill(policy, self.scale, nodes, self.shift, self.live, self.data, self.jacobi)
-            self.policy, self.free = policy, None
+            _fill(policy, self.scale, nodes, self.shift, self.live, a.data, self.jacobi)
+            self.policy = policy
         f = self.f  # 1 on a free node, 0 on a pinned one
         moved = not np.array_equal(free, self.free)
         if moved:
             np.copyto(f, free[nodes])
-            # a pinned row is the identity's; a pinned column is kept, as
-            # every vector that meets it is 0 there
-            terms = self.live.shape
-            np.multiply(self.data.reshape(terms), f[:, None], out=a.data.reshape(terms))
-            a.data[::terms[1]][f == 0.0] = 1.0
             if self.seat is not None:  # the V-cycle's finest transfer (_vcycle)
                 np.take(f, self.seat, out=self.on)
             self.free = free
         clock.append(time.perf_counter())
         if moved and self.precondition is None and self.shape is not None:
-            built = _vcycle(a, nodes, self.shape, f, self.jacobi)
+            built = _vcycle(a, nodes, self.shape, f, self.jacobi, self.product)
             if built is not None:
                 self.precondition, self.on, self.seat = built
         clock.append(time.perf_counter())
@@ -609,8 +610,8 @@ class ObstacleResult:
     # coarse to fine; level_steps says how many rows each level has
     history: tuple = ()
     # (nodes along the first axis, wall seconds of the layout and V-cycle
-    # builds, of the refills and of BiCGSTAB, by name) per level, coarse to
-    # fine: ``_FrozenSystem.seconds``
+    # builds, of the policy refills and mask refreshes and of BiCGSTAB, by
+    # name) per level, coarse to fine: ``_FrozenSystem.seconds``
     timings: tuple = ()
 
 

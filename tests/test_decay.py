@@ -9,6 +9,7 @@ from ellipticlab import (
     Ball,
     DecayConfig,
     GridFunction,
+    ball_node_mask,
     best_affine,
     build_fixture,
     decay_profile,
@@ -100,9 +101,9 @@ def test_best_affine_matches_dense_search(seed):
     u = GridFunction(g, rng.standard_normal(g.node_count))
     ball = Ball((0.0, 0.0), 0.7)
     fit = best_affine(u, ball)
-    pts = np.array([p for p, _ in __import__("ellipticlab").restrict(u, ball)])
-    vals = np.array([v for _, v in __import__("ellipticlab").restrict(u, ball)])
-    assert abs(fit.osc_value - lp_minimax_width(pts, vals)) <= 1e-9
+    mask = ball_node_mask(g, ball)
+    assert abs(fit.osc_value - lp_minimax_width(g.points_at(np.flatnonzero(mask)),
+                                                u.values[mask])) <= 1e-9
 
 
 @settings(max_examples=20, deadline=None)

@@ -12,7 +12,6 @@ from ellipticlab import (
     ball_node_mask,
     oscillation,
     resample,
-    restrict,
     sample_bilinear,
     read_grid_function,
     write_grid_function,
@@ -191,15 +190,6 @@ def test_oscillation_exact_on_known_field():
     g = unit_square_grid(65)
     u = field(g, lambda p: p[:, 0])
     assert oscillation(u, Ball((0.0, 0.0), 0.5)) == pytest.approx(1.0)
-
-
-def test_restrict_matches_mask(grid33):
-    u = random_field(grid33, 3)
-    ball = Ball((0.0, 0.0), 0.6)
-    pairs = restrict(u, ball)
-    mask = ball_node_mask(grid33, ball)
-    assert len(pairs) == mask.sum()
-    np.testing.assert_array_equal([v for _, v in pairs], u.values[mask])
 
 
 @settings(max_examples=40, deadline=None)

@@ -411,19 +411,29 @@ def test_unpreconditioned_when_coarsening_is_impossible():
     pucci_min(1.0, 2.0),
 ], ids=["trace", "linear", "max_of_linear", "pucci+", "pucci-"])
 def test_truncated_layout_matches_the_renumbered_matrix(op):
-    """On a random active set the truncated layout, restricted to the free
-    rows and columns, is the renumbered matrix entry for entry, a pinned row
-    is the identity's, and a step's correction vanishes on pinned nodes.
-    Unpreconditioned, its BiCGSTAB iterates are the renumbered system's up to
-    the order of summation; with the V-cycle it solves the same system."""
+    """On a random active set the layout stores the policy's rows on every
+    interior node, pinned or free, and its free rows and columns are the
+    renumbered matrix entry for entry.  BiCGSTAB's operator masks its output
+    by the free nodes: a vector that vanishes on pinned nodes maps to one
+    that vanishes there, the renumbered matrix's product on the free ones,
+    and a step's correction vanishes on pinned nodes.  Unpreconditioned, its
+    BiCGSTAB iterates are the renumbered system's up to the order of
+    summation; with the V-cycle it solves the same system."""
     from ellipticlab.solvers import _correction
 
     system, policy, free, rhs, a = frozen_system(op, 33, 2, hole=None, shape=False)
     x, krylov = system.solve(policy, free, rhs, 1e-9, "test", 0.0)
-    on = free[system.nodes]
+    nodes = system.nodes
+    on = free[nodes]
+    whole = renumbered_matrix(policy[:, nodes], system.shifts, system.scale, nodes,
+                              free.size, 1.0)
     dense = system.matrix.toarray()
+    np.testing.assert_array_equal(dense, whole.toarray())
     np.testing.assert_array_equal(dense[np.ix_(on, on)], a.toarray())
-    np.testing.assert_array_equal(dense[~on], np.eye(on.size)[~on])
+    v = np.where(on, np.random.default_rng(1).standard_normal(on.size), 0.0)
+    w = system.operator.matvec(v)
+    assert np.all(w[~on] == 0.0)
+    np.testing.assert_array_equal(w[on], a @ v[on])
     assert np.all(x[~on] == 0.0)
     y, again = _correction(a, rhs[free], 1e-9, "test", 0.0, None)
     assert krylov == again
@@ -533,8 +543,8 @@ def test_dirichlet_solve_builds_once_for_a_repeated_system(monkeypatch):
 def test_a_repeated_system_gives_the_rebuilt_correction(monkeypatch):
     """A step whose policy and free nodes repeat the last solve's reuses the
     system as it is, with no refill, and its correction is bit for bit the
-    one after refilling another policy, masking another active set and
-    coming back to the same entries and transfer masks."""
+    one after refilling another policy, moving the active set and coming
+    back to the same entries and transfer masks."""
     system, policy, first, first_rhs, _ = frozen_system(MAX_OF_DIAGONALS, 65, 2, hole=0.25)
     _, other, free, rhs, _ = frozen_system(MAX_OF_DIAGONALS, 65, 2, seed=1)
     assert not np.array_equal(policy, other)
@@ -555,17 +565,37 @@ def test_a_repeated_system_gives_the_rebuilt_correction(monkeypatch):
     assert krylov == again == rebuilt
 
 
+def test_an_active_set_change_writes_no_matrix_entry(monkeypatch):
+    """A step with the last step's policy and a new active set refreshes only
+    the masks ``f`` and ``on``: the matrix entries stay byte for byte as
+    filled, and nothing is refilled."""
+    system, policy, first, first_rhs, _ = frozen_system(MAX_OF_DIAGONALS, 65, 2, hole=0.25)
+    system.solve(policy, first, first_rhs, 1e-9, "test", 0.0)
+    entries, on = system.matrix.data.tobytes(), system.on.copy()
+    _, _, free, rhs, _ = frozen_system(MAX_OF_DIAGONALS, 65, 2)
+    refills = count_calls(monkeypatch, "_fill", lambda *args: None)
+    system.solve(policy, free, rhs, 1e-9, "test", 0.0)
+    assert refills == []
+    assert system.matrix.data.tobytes() == entries
+    np.testing.assert_array_equal(system.f, free[system.nodes])
+    assert not np.array_equal(system.on, on)
+
+
 @pytest.mark.parametrize("op", [TRACE, MAX_OF_DIAGONALS], ids=["trace", "max_of_linear"])
 def test_masked_transfer_is_the_truncated_transfer(monkeypatch, op):
     """The V-cycle built on one contact hole and reused on a larger one
-    keeps its finest P and P^T as built and masks the vectors around them:
-    one cycle equals, bit for bit, the same cycle with diag(f) P diag(on)
-    and its transpose stored explicitly, where f is 1 on the free nodes and
-    ``on`` is 1 on the kept coarse nodes that sit on a free node."""
+    keeps its finest A, P and P^T as built and masks the vectors around
+    them: one cycle equals, bit for bit, the same cycle with diag(f) A
+    diag(f) + diag(1 - f), diag(f) P diag(on) and the latter's transpose
+    stored explicitly, where f is 1 on the free nodes and ``on`` is 1 on the
+    kept coarse nodes that sit on a free node.  The coarse operator is the
+    Galerkin product of those explicit A and P on the hole it was built on,
+    up to the order of summation."""
     from scipy import sparse
     from ellipticlab import solvers
 
     captured, real = [], solvers._cycle
+    applied, product = [], solvers._product
 
     def spy(levels, coarsest, b, k=0):
         if k == 0:
@@ -573,6 +603,8 @@ def test_masked_transfer_is_the_truncated_transfer(monkeypatch, op):
         return real(levels, coarsest, b, k)
 
     monkeypatch.setattr(solvers, "_cycle", spy)
+    monkeypatch.setattr(solvers, "_product", lambda a, *args, **kwargs:
+                        applied.append(a) or product(a, *args, **kwargs))
     system, policy, first, first_rhs, _ = frozen_system(op, 65, 2, hole=0.25)
     system.solve(policy, first, first_rhs, 1e-9, "test", 0.0)
     _, _, free, rhs, _ = frozen_system(op, 65, 2)
@@ -581,13 +613,24 @@ def test_masked_transfer_is_the_truncated_transfer(monkeypatch, op):
 
     kept = solvers._inject((65, 65), first)
     p, _ = solvers._transfer((65, 65), system.nodes, kept)
-    f = free[system.nodes].astype(float)
+
+    def truncate(free, on):
+        f = free[system.nodes].astype(float)
+        a = system.matrix.copy()  # diag(f) A diag(f) + diag(1 - f), in A's own order
+        a.data *= np.repeat(f, np.diff(a.indptr)) * f[a.indices]
+        a.data[a.indptr[:-1]] += 1.0 - f  # the centre leads every row
+        return f, a, (sparse.diags(f) @ p @ sparse.diags(on)).tocsr()
+
+    _, a, t = truncate(first, np.ones(p.shape[1]))
+    coarse = next(c for c in applied if c.shape == (p.shape[1],) * 2)
+    galerkin = (t.T @ a @ t).toarray()
+    np.testing.assert_allclose(coarse.toarray(), galerkin, rtol=0.0,
+                               atol=1e-13 * np.max(np.abs(galerkin)))
+
     on = solvers._inject((65, 65), free)[kept].astype(float)
     assert 0 < np.count_nonzero(on == 0.0) < on.size
-    truncated = (sparse.diags(f) @ p @ sparse.diags(on)).tocsr()
-    a, _, _, dinv = levels[0]
-    explicit = [(a, solvers._product(truncated), solvers._product(truncated.T.tocsr()),
-                 dinv)] + levels[1:]
+    f, a, t = truncate(free, on)
+    explicit = [(product(a), product(t), product(t.T.tocsr()), levels[0][3])] + levels[1:]
     b = rhs[system.nodes] * f
     np.testing.assert_array_equal(system.precondition.matvec(b), real(explicit, coarsest, b))
 
