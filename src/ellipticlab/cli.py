@@ -7,9 +7,10 @@ plus the code version) into --out and returns a process exit code:
     0   all certifications embedded in the run passed
     1   a certification failed (message names the failing check), or the
         data failed a certificate outright (``CertificationError``)
-    2   flag / input parse errors and every other failed precondition
-        (``ValueError``), e.g. a grid too small for the operator's stencil,
-        for the touching balls or for the decay ladder's resolution floor
+    2   flag / input parse errors, a flag the command does not read, and
+        every other failed precondition (``ValueError``), e.g. a grid too
+        small for the operator's stencil, for the touching balls or for the
+        decay ladder's resolution floor
     3   a solve that did not converge (message names the grid it failed on),
         and anything unexpected
 
@@ -30,6 +31,8 @@ import numpy as np
 
 from . import __version__
 from .decay import (
+    CHAIN_REL_TOL,
+    MIN_RADIUS_NODES,
     CertificationError,
     DecayConfig,
     decay_profile,
@@ -39,7 +42,7 @@ from .decay import (
 from .fileio import atomic_write_text, read_manifest, write_csv, write_manifest
 from .fixtures import build_fixture, disc_problem, limit_families
 from .grids import GridFunction, SymMatrix, read_grid_function, write_grid_function
-from .mollify import stability_sweep
+from .mollify import sandwich_tolerance, stability_sweep
 from .operators import (
     check_homogeneity,
     check_uniform_ellipticity,
@@ -47,9 +50,10 @@ from .operators import (
     parse_operator,
     trace_operator,
 )
-from .solvers import SolverConfig, SolverError, solve_dirichlet, solve_obstacle
+from .solvers import MIN_LEVEL_NODES, SolverConfig, SolverError, solve_dirichlet, solve_obstacle
 from .stencils import eval_discrete
 from .viscosity import (
+    TRIGGER_SLACK,
     Bounds,
     check_pointwise,
     check_touching,
@@ -66,25 +70,16 @@ class CliError(Exception):
     """Bad flags or unreadable inputs; mapped to exit code 2."""
 
 
-def _out_dir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _tol_scale(args) -> float:
-    if args.tol_scale is None:
-        return 1.0
     if args.tol_scale <= 0:
         raise CliError("--tol-scale must be positive")
-    return float(args.tol_scale)
+    return args.tol_scale
 
 
-def _resolution(args, default=65) -> int:
-    res = args.res if args.res is not None else default
-    if res < 17:
-        raise CliError("--res must be at least 17")
-    return int(res)
+def _resolution(args) -> int:
+    if args.res < MIN_LEVEL_NODES:
+        raise CliError("--res must be at least %d" % MIN_LEVEL_NODES)
+    return args.res
 
 
 def _load_field(args) -> GridFunction:
@@ -96,7 +91,7 @@ def _load_field(args) -> GridFunction:
             return read_grid_function(args.input)
         except Exception as exc:
             raise CliError("cannot parse %r: %s" % (args.input, exc))
-    return build_fixture(args.fixture or "harmonic", _resolution(args))
+    return build_fixture(args.fixture, _resolution(args))
 
 
 def _write_run_manifest(out, command, entries: dict):
@@ -123,7 +118,7 @@ def _subject_keys(args, u: GridFunction) -> dict:
     if args.input:
         keys["input"] = args.input
     else:
-        keys["fixture"] = args.fixture or "harmonic"
+        keys["fixture"] = args.fixture
     return keys
 
 
@@ -131,10 +126,10 @@ def _subject_keys(args, u: GridFunction) -> dict:
 
 
 def cmd_props(args) -> int:
-    out = _out_dir(args)
+    out = args.out
     if args.seed is None:
         raise CliError("--seed is required for randomized property checks")
-    op = parse_operator(args.op or "pucci+:1,2")
+    op = parse_operator(args.op)
     ell = check_uniform_ellipticity(op, seed=args.seed)
     hom = check_homogeneity(op, seed=args.seed)
     write_csv(
@@ -155,8 +150,8 @@ def cmd_props(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    out = _out_dir(args)
-    op = parse_operator(args.op or "trace")
+    out = args.out
+    op = parse_operator(args.op)
     target = _load_field(args)
     # manufacture data so the exact discrete solution is known
     f = GridFunction(target.grid,
@@ -183,9 +178,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_obstacle(args) -> int:
-    out = _out_dir(args)
-    fixture = args.fixture or "disc"
-    if fixture != "disc":
+    out = args.out
+    if args.fixture != "disc":
         raise CliError("the obstacle command supports only the 'disc' fixture")
     res = _resolution(args)
     tol = _tol_scale(args) * 1e-9
@@ -211,7 +205,7 @@ def cmd_obstacle(args) -> int:
 
 
 def cmd_visc(args) -> int:
-    out = _out_dir(args)
+    out = args.out
     if not args.input:
         raise CliError("the visc command needs --input (a grid-function file)")
     u = _load_field(args)
@@ -240,7 +234,7 @@ def cmd_visc(args) -> int:
         "input": args.input, "op": operator_spec_string(op),
         "lam_lo": bounds.lam_lo, "lam_hi": bounds.lam_hi,
         "tolerance": tol, "node_budget": node_budget,
-        "trigger_slack": u.grid.h ** 2,
+        "trigger_slack": TRIGGER_SLACK * u.grid.h ** 2,
     })
     ok = pointwise.passed and touching.passed
     print("visc: pointwise %s, touching %s (tol %.3g)"
@@ -251,23 +245,17 @@ def cmd_visc(args) -> int:
 
 
 def cmd_campanato(args) -> int:
-    out = _out_dir(args)
-    if args.res is None and not args.input:
-        args.res = 257  # four dyadic quarterings need headroom over the 4h floor
+    out = args.out
     u = _load_field(args)
-    lam = args.lam if args.lam is not None else 0.25
-    beta = args.beta if args.beta is not None else 0.5
-    eps = args.eps if args.eps is not None else 0.5
-    levels = args.levels if args.levels is not None else 2
-    cfg = DecayConfig(lam=lam, beta=beta, eps=eps, levels=levels)
+    cfg = DecayConfig(lam=args.lam, beta=args.beta, levels=args.levels)
     grid = u.grid
     center = tuple(0.5 * (lo + hi) for lo, hi in
                    zip(grid.domain.lower, grid.domain.upper))
     radius0 = 0.5 * min(grid.domain.extent(a) for a in range(grid.ndim))
     entries = _subject_keys(args, u)
-    entries.update({"lam": lam, "beta": beta, "eps": eps, "levels": levels,
-                    "radius0": radius0, "chain_rel_tol": 1e-9,
-                    "min_radius_nodes": cfg.min_radius_nodes})
+    entries.update({"lam": cfg.lam, "beta": cfg.beta, "levels": cfg.levels,
+                    "radius0": radius0, "chain_rel_tol": CHAIN_REL_TOL,
+                    "min_radius_nodes": MIN_RADIUS_NODES})
     _write_run_manifest(out, "campanato", entries)
     profile = decay_profile(u, center, cfg, radius0)
     write_decay_profile(profile, os.path.join(out, "decay.csv"))
@@ -284,7 +272,7 @@ def cmd_campanato(args) -> int:
 
 
 def cmd_mollify(args) -> int:
-    out = _out_dir(args)
+    out = args.out
     u = _load_field(args)
     h = u.grid.h
     if args.eps is not None:
@@ -296,7 +284,7 @@ def cmd_mollify(args) -> int:
     if args.lam is not None:
         f1, f2 = -float(args.lam), float(args.lam)
     else:
-        op = parse_operator(args.op or "trace")
+        op = parse_operator(args.op)
         realized = eval_discrete(op, u).values
         finite = realized[np.isfinite(realized)]
         f1, f2 = float(finite.min()), float(finite.max())
@@ -305,8 +293,7 @@ def cmd_mollify(args) -> int:
     r = 0.5 * (min_half - schedule[0])
     if r <= 2.0 * h:
         raise CliError("grid too small for this schedule: no room for the norm ball")
-    sandwich_tol = _tol_scale(args) * 10.0 * h * (1.0 + abs(f2)
-                                                  + a.frobenius() * u.sup_norm())
+    sandwich_tol = sandwich_tolerance(u, a, f2)
     entries = _subject_keys(args, u)
     entries.update({"eps_schedule": " ".join("%.17g" % e for e in schedule),
                     "p": 4.0, "r": r, "f1": f1, "f2": f2, "matrix": "identity",
@@ -322,17 +309,16 @@ def cmd_mollify(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    out = _out_dir(args)
+    out = args.out
     res = _resolution(args)
-    k_max = args.levels if args.levels is not None else 6
-    if k_max < 1:
+    if args.levels < 1:
         raise CliError("--levels must be positive")
     op = trace_operator()
     node_budget = 300
     rows = []
     verdicts = {}
     for name, (gen, u_lim, lam_lim) in sorted(limit_families(res).items()):
-        report = limit_stability_experiment(gen, k_max, op, u_limit=u_lim,
+        report = limit_stability_experiment(gen, args.levels, op, u_limit=u_lim,
                                             lam_limit=lam_lim,
                                             node_budget=node_budget)
         verdicts[name] = report.passed
@@ -344,7 +330,7 @@ def cmd_limit(args) -> int:
               ["family", "k", "lam_k", "delta_k", "self_pass",
                "pointwise_pass", "touching_pass"], rows)
     _write_run_manifest(out, "limit", {
-        "res": res, "k_max": k_max, "op": "trace", "node_budget": node_budget,
+        "res": res, "k_max": args.levels, "op": "trace", "node_budget": node_budget,
     })
     ok = all(verdicts.values())
     print("limit: " + ", ".join("%s %s" % (n, "pass" if v else "FAIL")
@@ -355,14 +341,41 @@ def cmd_limit(args) -> int:
 # -- wiring ---------------------------------------------------------------------
 
 
+# dest -> (option string, type, help) of every flag a command may read
+_FLAGS = {
+    "op": ("--op", str, "trace | linear:a11,a12,a22 | pucci+:l1,l2 | pucci-:l1,l2"),
+    "res": ("--res", int, "nodes per axis, at least %d" % MIN_LEVEL_NODES),
+    "fixture": ("--fixture", str, "harmonic | quad | kink | radial-holder:g | disc"),
+    "input": ("--input", str, "grid-function file from an earlier run"),
+    "seed": ("--seed", int, "seed for randomized checks"),
+    "lam": ("--lambda", float, "decay ratio / symmetric bound, per command"),
+    "beta": ("--beta", float, "Holder exponent target"),
+    "eps": ("--eps", float, "mollifier radius (default: 24h, 16h, 12h, 8h)"),
+    "levels": ("--levels", int, "dyadic levels / iterate count"),
+    "tol_scale": ("--tol-scale", float, "multiply every default tolerance"),
+}
+
+# command -> (function, help, {dest: default} of the flags it reads besides
+# --out); any other flag is a usage error
 _COMMANDS = {
-    "solve": (cmd_solve, "solve F_h(u) = f manufactured from a fixture"),
-    "obstacle": (cmd_obstacle, "solve the disc obstacle problem"),
-    "visc": (cmd_visc, "certify viscosity bounds on a stored solution"),
-    "campanato": (cmd_campanato, "oscillation-decay profile and chain check"),
-    "mollify": (cmd_mollify, "mollification sandwich and Hessian norm sweep"),
-    "limit": (cmd_limit, "certificate stability under locally uniform limits"),
-    "props": (cmd_props, "randomized operator property checks"),
+    "solve": (cmd_solve, "solve F_h(u) = f manufactured from a fixture",
+              {"op": "trace", "res": 65, "fixture": "harmonic", "input": None,
+               "tol_scale": 1.0}),
+    "obstacle": (cmd_obstacle, "solve the disc obstacle problem",
+                 {"res": 65, "fixture": "disc", "tol_scale": 1.0}),
+    "visc": (cmd_visc, "certify viscosity bounds on a stored solution",
+             {"input": None, "lam": None, "op": None, "tol_scale": 1.0}),
+    # four dyadic quarterings need headroom over the 4h floor: res 257
+    "campanato": (cmd_campanato, "oscillation-decay profile and chain check",
+                  {"res": 257, "fixture": "harmonic", "input": None, "lam": 0.25,
+                   "beta": 0.5, "levels": 2}),
+    "mollify": (cmd_mollify, "mollification sandwich and Hessian norm sweep",
+                {"res": 65, "fixture": "harmonic", "input": None, "eps": None,
+                 "lam": None, "op": "trace"}),
+    "limit": (cmd_limit, "certificate stability under locally uniform limits",
+              {"res": 65, "levels": 6}),
+    "props": (cmd_props, "randomized operator property checks",
+              {"op": "pucci+:1,2", "seed": None}),
 }
 
 
@@ -374,22 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ellipticlab",
         description="Experiments with discrete elliptic differential inequalities.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text) in _COMMANDS.items():
+    for name, (fn, help_text, defaults) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--op", help="trace | linear:a11,a12,a22 | pucci+:l1,l2 | pucci-:l1,l2")
-        sp.add_argument("--res", type=int, help="nodes per axis (>= 17, default 65)")
-        sp.add_argument("--fixture",
-                        help="harmonic | quad | kink | radial-holder:g | disc")
-        sp.add_argument("--input", help="grid-function file from an earlier run")
-        sp.add_argument("--out", help="artifact directory (default .)")
-        sp.add_argument("--seed", type=int, help="seed for randomized checks")
-        sp.add_argument("--beta", type=float, help="Holder exponent target")
-        sp.add_argument("--lambda", dest="lam", type=float,
-                        help="decay ratio / symmetric bound, per command")
-        sp.add_argument("--eps", type=float, help="normalization or kernel scale")
-        sp.add_argument("--levels", type=int, help="dyadic levels / iterate count")
-        sp.add_argument("--tol-scale", dest="tol_scale", type=float,
-                        help="multiply every default tolerance")
+        sp.add_argument("--out", default=".", help="artifact directory (default .)")
+        for dest, default in defaults.items():
+            flag, kind, text = _FLAGS[dest]
+            if default is not None:
+                text += " (default %(default)s)"
+            sp.add_argument(flag, dest=dest, type=kind, default=default, help=text)
         sp.set_defaults(func=fn)
     return parser
 
@@ -397,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        os.makedirs(args.out, exist_ok=True)
         return args.func(args)
     except CertificationError as exc:
         print("ellipticlab: certification failed: %s" % exc, file=sys.stderr)

@@ -80,37 +80,31 @@ def best_affine(u: GridFunction, ball: Ball) -> AffineFit:
                      0.5 * (fit.lower + fit.upper), fit.iterations)
 
 
+MIN_RADIUS_NODES = 4  # grid steps spanned by the deepest radius or blow-up scale
+CHAIN_REL_TOL = 1e-9  # relative slack of each step of the decay chain
+
+
 @dataclass(frozen=True)
 class DecayConfig:
     """Parameters of the dyadic decay induction.
 
-    The induction closes when 2 lam0^(1-beta) <= 1; equality is admitted
-    (the quadratic model case lam = 1/4, beta = 1/2 sits exactly on it), and
-    lam may equal lam0.  lam0 defaults to lam.
+    The induction closes when 2 lam^(1-beta) <= 1; equality is admitted
+    (the quadratic model case lam = 1/4, beta = 1/2 sits exactly on it).
     """
 
     lam: float = 0.25
     beta: float = 0.5
-    eps: float = 0.5
     levels: int = 4  # deepest dyadic level K; radii run lam^0 R .. lam^K R
-    lam0: Optional[float] = None
-    min_radius_nodes: int = 4
 
     def __post_init__(self):
-        lam0 = self.lam if self.lam0 is None else self.lam0
-        object.__setattr__(self, "lam0", float(lam0))
-        if not (0.0 < self.lam <= self.lam0 < 1.0):
-            raise ValueError("need 0 < lam <= lam0 < 1")
+        if not (0.0 < self.lam < 1.0):
+            raise ValueError("need 0 < lam < 1")
         if not (0.0 < self.beta < 1.0):
             raise ValueError("beta must lie in (0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if 2.0 * self.lam0 ** (1.0 - self.beta) > 1.0 + 1e-12:
-            raise ValueError("decay induction does not close: need 2 lam0^(1-beta) <= 1")
+        if 2.0 * self.lam ** (1.0 - self.beta) > 1.0 + 1e-12:
+            raise ValueError("decay induction does not close: need 2 lam^(1-beta) <= 1")
         if self.levels < 1:
             raise ValueError("levels must be positive")
-        if self.min_radius_nodes < 1:
-            raise ValueError("min_radius_nodes must be positive")
 
     @property
     def sigma(self) -> float:
@@ -153,10 +147,8 @@ def decay_profile(u: GridFunction, center, cfg: DecayConfig,
     center = tuple(float(c) for c in center)
     if radius0 <= 0:
         raise ValueError("radius0 must be positive")
-    if cfg.lam**cfg.levels * radius0 < cfg.min_radius_nodes * grid.h * (1 - 1e-12):
-        raise ValueError(
-            "resolution floor violated: lam^K radius0 < %d h" % cfg.min_radius_nodes
-        )
+    if cfg.lam**cfg.levels * radius0 < MIN_RADIUS_NODES * grid.h * (1 - 1e-12):
+        raise ValueError("resolution floor violated: lam^K radius0 < %d h" % MIN_RADIUS_NODES)
     tiny = 100.0 * np.finfo(float).eps * u.sup_norm()
     radii, psis, usable, pivots = [], [], [], []
     for k in range(cfg.levels + 1):
@@ -193,7 +185,7 @@ def write_decay_profile(profile: DecayProfile, path):
     write_csv(path, ["k", "r", "psi", "phi", "usable"], rows, footer)
 
 
-def verify_decay_chain(profile: DecayProfile, rel_tol: float = 1e-9) -> list:
+def verify_decay_chain(profile: DecayProfile) -> list:
     """Check Phi(r_k) <= C(lam) 2^-k Phi(r_0) level by level,
     C(lam) = lam^(-1-beta).  Returns (level, phi, bound, ok) tuples."""
     c_lam = profile.lam ** (-(1.0 + profile.beta))
@@ -201,7 +193,7 @@ def verify_decay_chain(profile: DecayProfile, rel_tol: float = 1e-9) -> list:
     out = []
     for k in range(len(profile.phi)):
         bound = c_lam * 2.0**-k * phi0
-        ok = profile.phi[k] <= bound * (1.0 + rel_tol) + 1e-300
+        ok = profile.phi[k] <= bound * (1.0 + CHAIN_REL_TOL) + 1e-300
         out.append((k, profile.phi[k], bound, bool(ok)))
     return out
 
@@ -226,8 +218,7 @@ def unit_ball_grid(ndim: int, nodes: int = 65) -> Grid:
 
 
 def rescale_sequence(u: GridFunction, cfg: DecayConfig,
-                     levels: Optional[int] = None,
-                     unit_nodes: int = 65) -> RescaleSequence:
+                     levels: Optional[int] = None) -> RescaleSequence:
     """Blow-up copies u_k at scales lam^k, resampled on a fixed unit grid.
 
     u must contain the unit ball with osc_{B(0,1)} u < 1 (error otherwise) —
@@ -240,19 +231,19 @@ def rescale_sequence(u: GridFunction, cfg: DecayConfig,
     stride (u finite, as ``normalize`` returns it; on [-1, 1]^2 with 1025
     source and 65 unit nodes and lam = 1/4, strides 16, 4 and 1 at k = 0, 1,
     2), ``resample`` gathers those nodes instead of interpolating them.
-    Levels the grid cannot resolve (lam^k < min_radius_nodes h) are not
+    Levels the grid cannot resolve (lam^k < MIN_RADIUS_NODES h) are not
     fabricated: the list truncates and says so.
     """
     levels = cfg.levels if levels is None else int(levels)
     grid = u.grid
     n = grid.ndim
-    unit = unit_ball_grid(n, unit_nodes)
+    unit = unit_ball_grid(n)
     unit_pts = unit.points()
     unit_ball = Ball((0.0,) * n, 1.0)
     entry_osc = oscillation(u, unit_ball)
     if not entry_osc < 1.0:
         raise ValueError("oscillation over the unit ball must be < 1 (got %g)" % entry_osc)
-    floor = cfg.min_radius_nodes * grid.h
+    floor = MIN_RADIUS_NODES * grid.h
 
     states = []
     truncated = False

@@ -41,6 +41,7 @@ __all__ = [
     "SweepRow",
     "mollify",
     "sandwich_check",
+    "sandwich_tolerance",
     "hessian_lp_norm",
     "stability_sweep",
 ]
@@ -152,12 +153,17 @@ def _as_data(grid: Grid, data, name: str):
 def sandwich_check(u: GridFunction, a: SymMatrix, f1, f2, eps: float,
                    tol: Optional[float] = None) -> SandwichReport:
     """Mollify u, f1, f2; form g_eps = div(A grad u_eps); compare nodewise.
-
-    Default tolerance 10 h (1 + sup|f2| + |A|_F sup|u|) covers the roundoff
-    of the convolution algebra with a wide O(h) consistency allowance.
-    """
+    The tolerance defaults to ``sandwich_tolerance``."""
     kern = MollifierKernel.build(u.grid, eps)
     return _sandwich(u, _convolve_valid(u.lattice(), kern.weights), kern, a, f1, f2, tol)
+
+
+def sandwich_tolerance(u: GridFunction, a: SymMatrix, f2) -> float:
+    """10 h (1 + sup|f2| + |A|_F sup|u|) for f2 a number or node values:
+    the roundoff of the convolution algebra with a wide O(h) consistency
+    allowance."""
+    return 10.0 * u.grid.h * (1.0 + float(np.max(np.abs(f2)))
+                              + a.frobenius() * u.sup_norm())
 
 
 def _sandwich(u, conv, kern, a, f1, f2, tol):
@@ -170,8 +176,7 @@ def _sandwich(u, conv, kern, a, f1, f2, tol):
     if np.any(np.asarray(f1) > f2):
         raise ValueError("sandwich requires f1 <= f2 nodewise")
     if tol is None:
-        tol = 10.0 * grid.h * (1.0 + float(np.max(np.abs(f2)))
-                               + a.frobenius() * u.sup_norm())
+        tol = sandwich_tolerance(u, a, f2)
 
     op = linear_operator(a.mat)
     trim, margin = kern.half_width, operator_margin(op, grid.ndim)

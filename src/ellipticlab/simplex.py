@@ -28,6 +28,7 @@ import numpy as np
 __all__ = ["MinimaxFit", "minimax_affine"]
 
 _BLAND_AFTER = 40  # consecutive degenerate pivots before switching rules
+_MAX_PIVOTS = 2000
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ def _column(x: np.ndarray, j: int) -> np.ndarray:
     return col
 
 
-def minimax_affine(points, values, *, max_iterations: int = 2000) -> MinimaxFit:
+def minimax_affine(points, values) -> MinimaxFit:
     """Best uniform affine approximation of scattered samples.
 
     Returns the optimal slope along with the extreme residuals [lower, upper];
@@ -111,7 +112,7 @@ def minimax_affine(points, values, *, max_iterations: int = 2000) -> MinimaxFit:
     rc_tol = 1e-12 * (1.0 + float(np.max(np.abs(u))))
     piv_tol = 1e-11
     degenerate_run = 0
-    for it in range(1, max_iterations + 1):
+    for it in range(1, _MAX_PIVOTS + 1):
         y = np.linalg.solve(bmat.T, costs_b)
         q = y[:n]
         resid = u - x @ q  # pricing mat-vec: the only O(N) work per pivot
@@ -153,4 +154,4 @@ def minimax_affine(points, values, *, max_iterations: int = 2000) -> MinimaxFit:
         basis[leave_pos] = entering
         bmat[:, leave_pos] = col
         costs_b[leave_pos] = u[entering] if entering < big else -u[entering - big]
-    raise ArithmeticError("simplex failed to converge within %d pivots" % max_iterations)
+    raise ArithmeticError("simplex failed to converge within %d pivots" % _MAX_PIVOTS)

@@ -17,7 +17,6 @@ defaults to ~1/8 of the domain extent, floored at 4h.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -323,16 +322,13 @@ def limit_stability_experiment(generator, k_max: int, op: EllipticOperator,
                                node_budget: int = 300) -> LimitStabilityReport:
     """Stability of certificates under locally uniform limits.
 
-    The generator yields (u_k, lam_k) pairs, each certified for symmetric
-    bounds (-lam_k, lam_k); the limit is then certified with every tail bound
+    The generator maps k = 1..k_max to (u_k, lam_k), each certified for
+    symmetric bounds (-lam_k, lam_k); the limit is then certified with every tail bound
     lam_limit + delta_k, delta_k = sup_{j>=k} |lam_j - lam_limit| + c0 h.
     Deltas are nonincreasing by construction (monotone reporting).  The limit
     candidates default to the last iterate.
     """
-    if callable(generator):
-        pairs = [generator(k) for k in range(1, k_max + 1)]
-    else:
-        pairs = list(itertools.islice(iter(generator), k_max))
+    pairs = [generator(k) for k in range(1, k_max + 1)]
     if not pairs:
         raise ValueError("generator produced no iterates")
     us = [p[0] for p in pairs]

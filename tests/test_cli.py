@@ -2,19 +2,31 @@
 exit code 0 = certified, 1 = certification failure, 2 = usage error,
 3 = a solve that did not converge, or anything unexpected."""
 
+import argparse
 import platform
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from ellipticlab import GridFunction, SolverConfig, write_grid_function
+from ellipticlab import (
+    GridFunction,
+    SolverConfig,
+    SymMatrix,
+    build_fixture,
+    sandwich_check,
+    write_grid_function,
+)
 from ellipticlab import cli
 from ellipticlab.fileio import read_manifest
 
 from conftest import field, unit_square_grid
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args):
@@ -75,6 +87,62 @@ def test_usage_errors(args, tiny_file, tmp_path):
 
 def test_unknown_command_is_a_usage_error():
     assert run_cli("frobnicate").returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("obstacle", "--op", "pucci-:1,2"),
+    ("limit", "--op", "pucci+:1,2"),
+    ("campanato", "--eps", "0.1"),
+    ("mollify", "--tol-scale", "2"),
+    ("props", "--seed", "1", "--res", "33"),
+    ("visc", "--input", "{tiny}", "--fixture", "quad"),
+])
+def test_unread_flags_are_usage_errors(args, tiny_file, tmp_path, capsys):
+    """A flag the command would not read is refused, not parsed and dropped."""
+    argv = [a.format(tiny=tiny_file) for a in args] + ["--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_DEFAULTS = {
+    "props": dict(op="pucci+:1,2", seed=None),
+    "solve": dict(op="trace", res=65, fixture="harmonic", input=None, tol_scale=1.0),
+    "obstacle": dict(res=65, fixture="disc", tol_scale=1.0),
+    # no --op: the input's manifest names the operator, else trace
+    "visc": dict(input=None, lam=None, op=None, tol_scale=1.0),
+    "campanato": dict(res=257, fixture="harmonic", input=None, lam=0.25, beta=0.5,
+                      levels=2),
+    "mollify": dict(res=65, fixture="harmonic", input=None, eps=None, lam=None,
+                    op="trace"),
+    "limit": dict(res=65, levels=6),
+}
+
+
+@pytest.mark.parametrize("command", list(_DEFAULTS))
+def test_command_defaults(command):
+    """Each command parses exactly --out plus its own flags, with these defaults."""
+    args = vars(cli.build_parser().parse_args([command]))
+    assert args.pop("func") is getattr(cli, "cmd_" + command)
+    assert args == dict(_DEFAULTS[command], command=command, out=".")
+
+
+def test_readme_flag_table_matches_the_parser():
+    """README's command-line table lists each command's flags and defaults as
+    the parser declares them: `--flag default`, or `--flag` when absent means
+    something else."""
+    readme = (ROOT / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `(\w+)` +\|[^|]*\|(.*)\|$", readme, re.M))
+    parsers = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)).choices
+    assert set(rows) == set(parsers)
+    for command, sp in parsers.items():
+        documented = {flag: default or None for flag, default
+                      in re.findall(r"`(--[a-z-]+) ?([^`]*)`", rows[command])}
+        declared = {a.option_strings[0]: None if a.default is None else str(a.default)
+                    for a in sp._actions if a.option_strings[0] not in ("-h", "--out")}
+        assert documented == declared, command
 
 
 def test_grid_too_small_for_the_stencil_is_a_usage_error(tmp_path):
@@ -231,6 +299,17 @@ def test_campanato_default_run(tmp_path):
     chain = (tmp_path / "chain.csv").read_text().splitlines()
     assert chain[0] == "k,phi,bound,ok"
     assert all(line.endswith(",1") for line in chain[1:])
+
+
+def test_mollify_manifest_records_the_applied_tolerance(tmp_path):
+    """sandwich_tolerance in the manifest is the tolerance the sweep applies."""
+    assert cli.main(["mollify", "--fixture", "quad", "--res", "65",
+                     "--out", str(tmp_path)]) == 0
+    man = read_manifest(tmp_path / "run_manifest.txt")
+    eps = float(man["eps_schedule"].split()[0])
+    report = sandwich_check(build_fixture("quad", 65), SymMatrix.identity(2),
+                            float(man["f1"]), float(man["f2"]), eps)
+    assert float(man["sandwich_tolerance"]) == report.tolerance
 
 
 def test_mollify_sweep_runs(tmp_path):

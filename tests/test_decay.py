@@ -31,20 +31,19 @@ from conftest import field, lp_minimax_width, unit_square_grid
 
 def test_decay_config_defaults_and_sigma():
     cfg = DecayConfig()
-    assert cfg.lam == 0.25 and cfg.beta == 0.5 and cfg.lam0 == 0.25
+    assert cfg.lam == 0.25 and cfg.beta == 0.5
     assert cfg.sigma == pytest.approx(math.log(2.0) / -math.log(0.25))
     assert cfg.sigma == pytest.approx(0.5)
 
 
 def test_decay_config_rejects_half_lambda():
-    # 2 * lam0^(1-beta) = sqrt(2) > 1: the induction never closes at lam = 1/2
+    # 2 * lam^(1-beta) = sqrt(2) > 1: the induction never closes at lam = 1/2
     with pytest.raises(ValueError, match="does not close"):
         DecayConfig(lam=0.5, beta=0.5)
 
 
 @pytest.mark.parametrize("kw", [dict(lam=0.0), dict(lam=1.0), dict(beta=0.0),
-                                dict(beta=1.0), dict(lam=0.25, lam0=0.1),
-                                dict(eps=0.0), dict(levels=0)])
+                                dict(beta=1.0), dict(levels=0)])
 def test_decay_config_rejects_bad_parameters(kw):
     with pytest.raises(ValueError):
         DecayConfig(**kw)
