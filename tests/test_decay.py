@@ -43,7 +43,8 @@ def test_decay_config_rejects_half_lambda():
 
 
 @pytest.mark.parametrize("kw", [dict(lam=0.0), dict(lam=1.0), dict(beta=0.0),
-                                dict(beta=1.0), dict(levels=0)])
+                                dict(beta=1.0), dict(lam=math.nan),
+                                dict(beta=math.nan), dict(levels=0)])
 def test_decay_config_rejects_bad_parameters(kw):
     with pytest.raises(ValueError):
         DecayConfig(**kw)
