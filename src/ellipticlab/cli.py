@@ -50,7 +50,8 @@ from .operators import (
     parse_operator,
     trace_operator,
 )
-from .solvers import MIN_LEVEL_NODES, SolverConfig, SolverError, solve_dirichlet, solve_obstacle
+from .solvers import (MIN_LEVEL_NODES, ObstacleProblem, SolverConfig, SolverError,
+                      solve_dirichlet, solve_obstacle)
 from .stencils import eval_discrete
 from .viscosity import (
     TRIGGER_SLACK,
@@ -183,15 +184,17 @@ def cmd_obstacle(args) -> int:
         raise CliError("the obstacle command supports only the 'disc' fixture")
     res = _resolution(args)
     tol = _tol_scale(args) * 1e-9
-    result = solve_obstacle(disc_problem(res),
-                            config=SolverConfig(residual_tolerance=tol))
+    op, disc = parse_operator(args.op), disc_problem(res)
+    problem = ObstacleProblem(op, disc.psi, disc.boundary, disc.f, disc.g_weight)
+    result = solve_obstacle(problem, config=SolverConfig(residual_tolerance=tol))
     write_grid_function(result.u, os.path.join(out, "solution.txt"))
     write_csv(os.path.join(out, "obstacle_report.csv"),
               ["contact_fraction", "lam_lo", "lam_hi", "steps", "residual"],
               [(result.contact_fraction, result.lam_lo, result.lam_hi,
                 result.iterations, result.residual)])
     _write_run_manifest(out, "obstacle", {
-        "fixture": "disc", "res": res, "op": "trace", "g_weight": 1.0,
+        "fixture": "disc", "res": res, "op": operator_spec_string(op),
+        "g_weight": problem.g_weight,
         "residual_tolerance": tol, "steps": result.iterations,
         "level_steps": " ".join("%d:%d" % level for level in result.level_steps),
         "krylov_iterations": sum(row[2] for row in result.history),
@@ -362,7 +365,7 @@ _COMMANDS = {
               {"op": "trace", "res": 65, "fixture": "harmonic", "input": None,
                "tol_scale": 1.0}),
     "obstacle": (cmd_obstacle, "solve the disc obstacle problem",
-                 {"res": 65, "fixture": "disc", "tol_scale": 1.0}),
+                 {"op": "trace", "res": 65, "fixture": "disc", "tol_scale": 1.0}),
     "visc": (cmd_visc, "certify viscosity bounds on a stored solution",
              {"input": None, "lam": None, "op": None, "tol_scale": 1.0}),
     # four dyadic quarterings need headroom over the 4h floor: res 257

@@ -68,7 +68,7 @@ def build_fixture(name: str, resolution: int, ndim: int = 2,
     return GridFunction.from_callable(grid, fixture_callable(name, ndim))
 
 
-def disc_problem(resolution: int, g_weight: float = 1.0) -> ObstacleProblem:
+def disc_problem(resolution: int) -> ObstacleProblem:
     """The disc obstacle: psi = 0.25 - |x|^2 on [-0.75, 0.75]^2, boundary 0.
 
     The obstacle pokes above the zero boundary data on |x| < 1/2, so the
@@ -78,7 +78,7 @@ def disc_problem(resolution: int, g_weight: float = 1.0) -> ObstacleProblem:
     grid = square_grid(resolution, 0.75, 2)
     psi = GridFunction.from_callable(
         grid, lambda pts: 0.25 - np.sum(pts**2, axis=1))
-    return ObstacleProblem(trace_operator(), psi, 0.0, 0.0, g_weight)
+    return ObstacleProblem(trace_operator(), psi, 0.0, 0.0, 1.0)
 
 
 def limit_families(resolution: int = 65) -> dict:

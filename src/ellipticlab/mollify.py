@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -150,12 +149,11 @@ def _as_data(grid: Grid, data, name: str):
     return float(data)
 
 
-def sandwich_check(u: GridFunction, a: SymMatrix, f1, f2, eps: float,
-                   tol: Optional[float] = None) -> SandwichReport:
-    """Mollify u, f1, f2; form g_eps = div(A grad u_eps); compare nodewise.
-    The tolerance defaults to ``sandwich_tolerance``."""
+def sandwich_check(u: GridFunction, a: SymMatrix, f1, f2, eps: float) -> SandwichReport:
+    """Mollify u, f1, f2; form g_eps = div(A grad u_eps); compare nodewise
+    within ``sandwich_tolerance``."""
     kern = MollifierKernel.build(u.grid, eps)
-    return _sandwich(u, _convolve_valid(u.lattice(), kern.weights), kern, a, f1, f2, tol)
+    return _sandwich(u, _convolve_valid(u.lattice(), kern.weights), kern, a, f1, f2)
 
 
 def sandwich_tolerance(u: GridFunction, a: SymMatrix, f2) -> float:
@@ -166,7 +164,7 @@ def sandwich_tolerance(u: GridFunction, a: SymMatrix, f2) -> float:
                               + a.frobenius() * u.sup_norm())
 
 
-def _sandwich(u, conv, kern, a, f1, f2, tol):
+def _sandwich(u, conv, kern, a, f1, f2):
     """sandwich_check given conv = eta_eps * u in valid mode.  The report
     covers the nodes where g_eps is defined: the shrunken domain when the
     scheme of A reaches one node layer, fewer nodes when it reaches further."""
@@ -175,8 +173,7 @@ def _sandwich(u, conv, kern, a, f1, f2, tol):
     f2 = _as_data(grid, f2, "f2")
     if np.any(np.asarray(f1) > f2):
         raise ValueError("sandwich requires f1 <= f2 nodewise")
-    if tol is None:
-        tol = sandwich_tolerance(u, a, f2)
+    tol = sandwich_tolerance(u, a, f2)
 
     op = linear_operator(a.mat)
     trim, margin = kern.half_width, operator_margin(op, grid.ndim)
@@ -245,7 +242,7 @@ def stability_sweep(u: GridFunction, a: SymMatrix, f1, f2, schedule, p: float,
     for eps in schedule:
         kern = MollifierKernel.build(u.grid, eps)
         conv = _convolve_valid(u.lattice(), kern.weights)  # shared by both columns
-        report = _sandwich(u, conv, kern, a, f1, f2, None)
+        report = _sandwich(u, conv, kern, a, f1, f2)
         u_eps = _crop(conv, u.grid, kern.half_width, 1)
         norm = hessian_lp_norm(u_eps, p, Ball(center, r))
         rows.append(SweepRow(eps, norm, report.passed))

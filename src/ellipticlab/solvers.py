@@ -40,41 +40,47 @@ is the nodes whose surrounding coarse nodes are all in contact, its first
 iterate the bilinear interpolation of the coarse solution, pinned to psi on
 that set; from there the loop is the single-level one, so it stops at the
 same discrete fixed point, a few steps per level on every grid (none when the
-interpolated start already meets the stopping rule).
+interpolated start already meets the stopping rule).  A coarse level only
+seeds the next, so it returns as soon as a step has solved and its active
+set settled; only the finest level polishes its residual to the tolerance.
 
 Each step solves for the correction to the current iterate with BiCGSTAB
 (the same as warm-starting at the iterate); the correction vanishes on the
 boundary band and on pinned nodes, so only the free interior nodes are
-unknowns.  When the scheme reaches one node layer (every operator of
-moderate anisotropy), BiCGSTAB is preconditioned with
-one geometric multigrid V-cycle built on that free-node system: bilinear
-interpolation from the grid of every other node restricted to the free
-nodes, Galerkin coarse operators P^T A P, damped Jacobi smoothing and a
-direct factorization of the coarsest level.  It takes a few iterations per
-step on every grid, where the plain iteration needs more as h shrinks.
-Stencils that reach further keep the plain iteration.
+unknowns.  BiCGSTAB is preconditioned with one geometric multigrid V-cycle,
+the same for every operator whatever the reach of its stencils: multilinear
+interpolation from the grid of every other node, damped Jacobi smoothing and
+a direct factorization of the coarsest level.  Its coarse levels are
+rediscretized (Trottenberg, Oosterlee & Schüller, *Multigrid*, 2001): the
+frozen policy's line weights and g, injected to the coarse nodes, fill the
+same lines at spacing 2h, scaled to the size of P^T A P so that P^T stays
+the restriction.  So every level is a monotone stencil, an M-matrix when
+g >= 0, where a Galerkin product P^T A P of a stencil reaching two node
+layers need not keep A's sign pattern.  It takes a few iterations per step
+on every grid, where the plain iteration needs more as h shrinks.
 
 The system and its V-cycle belong to one grid's step loop
 (``_FrozenSystem``), as in truncated monotone multigrid (Kornhuber, Numer.
-Math. 69, 1994), which adapts only the finest level to the active set.  Its
-first step builds one layout over the grid's interior nodes: the CSR
-structure of the centre plus x +- e on every line of the policy, with the
-couplings to the boundary band dropped; the interior rows of the
-interpolation and its transpose; the coarse levels and the coarsest
-factorization.  After that a step costs no assembly.  A new policy refills
-the matrix's entries from the line weights in place (the trace's never
-changes).  A new active set writes no entry: the matrix A, the finest
-interpolation P and its transpose stay as built, and one rule truncates all
-three, masking the vectors around them in place.  A's product is masked by
-the free nodes, so that it maps nothing to a pinned node; P maps nothing to
-a pinned node or from a coarse node sitting on one.  The right-hand side and
-so every Krylov vector vanish on pinned nodes, so the iterates are those of
-the system over the free nodes alone, up to the order of summation.  A step
-whose policy and free nodes repeat the previous step's (for the trace, the
-closing step of every obstacle level and the second step of a Dirichlet
-solve) reuses the system as it is.  The V-cycle and the BiCGSTAB operator
-apply their CSR matrices by scipy's compiled kernel, without the dispatch
-of ``@``, and share A's masked product.  Nothing outlives the loop.
+Math. 69, 1994).  Its first step builds one layout per level over the
+level's interior nodes: the CSR structure of the centre plus x +- e on every
+line of the policy, with the couplings to the boundary band dropped; and
+between levels the interpolation restricted to those nodes, shared through a
+cache by every solve on the same grid.  After that a step costs no assembly.
+A new policy refills every level's entries from the line weights in place
+(the trace's never changes).  A new active set writes no entry: every
+level's A, P and P^T stay as built, and one rule truncates them all, masking
+the vectors around them in place.  A coarse node is free when the node it
+sits on is; each level's A and P map nothing to a pinned node, and P^T
+nothing to a coarse node sitting on one; the coarsest level is factorized
+again, as its matrix over its free nodes, when its policy or its free nodes
+change.  The right-hand side and so every Krylov vector vanish on pinned
+nodes, so the iterates are those of the system over the free nodes alone, up
+to the order of summation.  A step whose policy and free nodes repeat the
+previous step's (for the trace, the closing step of the finest obstacle
+level and the second step of a Dirichlet solve) reuses the system as it is.
+The V-cycle and the BiCGSTAB operator apply their sparse matrices by scipy's
+compiled kernels, without the dispatch of ``@``, and share the finest A's
+masked product.  Nothing outlives the loop.
 
 Every step records its residual, active-set size and BiCGSTAB iteration
 count in the result's ``history``, and its ``timings`` give each level's
@@ -180,23 +186,23 @@ def _pick_grid(*candidates) -> Grid:
     )
 
 
-def _product(a, before=None, after=None):
-    """x -> a @ x for the CSR matrix ``a`` by scipy's compiled kernel, without
-    the per-call dispatch of ``@``, which costs more than the product itself
-    on a coarse level; given masks, x is multiplied by ``before`` in place
-    first and the product by ``after``, which truncates ``a`` to the masks'
-    nonzero columns and rows.  It reads ``a``'s arrays and the masks at every
-    call, so a refill of either in place shows."""
-    from scipy.sparse._sparsetools import csr_matvec
+def _product(a, after=None):
+    """x -> a @ x for the CSR (or CSC) matrix ``a`` by scipy's compiled
+    kernel, without the per-call dispatch of ``@``, which costs more than the
+    product itself on a coarse level; given a mask, the product is multiplied
+    by ``after`` in place, which truncates ``a`` to the mask's nonzero rows.
+    It reads ``a``'s arrays and the mask at every call, so a refill of either
+    in place shows.  A CSR matrix's ``.T`` is CSC over the same arrays, so
+    its transpose applies with no copy."""
+    from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
     n, m = a.shape
     indptr, indices, data = a.indptr, a.indices, a.data
+    matvec = csr_matvec if a.format == "csr" else csc_matvec
 
     def apply(x):
-        if before is not None:
-            x *= before
         y = np.zeros(n)
-        csr_matvec(n, m, indptr, indices, data, x, y)
+        matvec(n, m, indptr, indices, data, x, y)
         if after is not None:
             y *= after
         return y
@@ -224,22 +230,22 @@ def _layout(shifts, nodes, node_count):
     return a, live
 
 
-def _fill(policy, scale, nodes, shift, live, data, jacobi):
-    """Into ``data``, the entries of ``_layout``'s matrix for ``policy`` (of
-    shape ``live``): scale * sum c D_e minus diag(``shift``) over ``nodes``,
-    with c the line weights (``eval_policy``); into ``jacobi``, the damped
-    Jacobi weights of its diagonal."""
-    c = np.take(policy, nodes, axis=1).T * scale
-    terms = data.reshape(live.shape)  # per node: the centre, then c at x + e and x - e
-    np.subtract(-2.0 * functools.reduce(np.add, c.T, 0.0), shift, out=terms[:, 0])
+def _fill(policy, level):
+    """Into ``level``'s matrix (a ``_Level``), its entries for ``policy``:
+    scale * sum c D_e minus diag(shift) over its nodes, with c the line
+    weights (``eval_policy``); into its ``jacobi``, the damped Jacobi weights
+    of its diagonal."""
+    c = np.take(policy, level.nodes, axis=1).T * level.scale
+    terms = level.matrix.data.reshape(level.live.shape)  # the centre, c at x + e, x - e
+    np.subtract(-2.0 * functools.reduce(np.add, c.T, 0.0), level.shift, out=terms[:, 0])
     terms[:, 1::2] = terms[:, 2::2] = c
-    np.multiply(terms, live, out=terms)
-    np.divide(_JACOBI_WEIGHT, terms[:, 0], out=jacobi)
+    np.multiply(terms, level.live, out=terms)
+    np.divide(_JACOBI_WEIGHT, terms[:, 0], out=level.jacobi)
 
 
 # the V-cycle coarsens until a level has at most _COARSEST unknowns and
 # smooths every finer one with _SWEEPS damped Jacobi sweeps on each side
-_COARSEST = 400
+_COARSEST = 100
 _SWEEPS = 2
 _JACOBI_WEIGHT = 0.8
 
@@ -254,17 +260,23 @@ def _coarse_shape(shape):
 
 def _inject(shape, values):
     """Every other node of every axis of flat ``values`` on a grid of
-    ``shape``, as a flat array on the coarser grid."""
-    return values.reshape(shape[::-1])[(slice(None, None, 2),) * len(shape)].ravel()
+    ``shape`` (along the last axis of ``values``), as flat values on the
+    coarser grid."""
+    lead = values.shape[:-1]
+    grid = values.reshape(lead + shape[::-1])
+    return grid[(...,) + (slice(None, None, 2),) * len(shape)].reshape(lead + (-1,))
 
 
 @functools.lru_cache(maxsize=8)
-def _interpolation(shape):
+def _interpolation(shape, margin):
     """Multilinear interpolation from the grid of every other node onto a
-    grid of ``shape`` as a CSR matrix: coarse nodes are copied, and each node
-    between two of them along an axis gets their mean.  The Kronecker product
-    of the 1D interpolations, the first axis varying fastest; cached, so
-    callers share it and must not modify it."""
+    grid of ``shape`` as a CSR matrix, from and onto the nodes at least
+    ``margin`` layers inside each grid: coarse nodes are copied, and each
+    node between two of them along an axis gets their mean (a coarse node
+    outside the margin counts as 0).  The Kronecker product of the 1D
+    interpolations, the first axis varying fastest, so rows and columns are
+    in flat node order; cached, so callers share it and must not modify
+    it."""
     from scipy import sparse
 
     p = None
@@ -274,90 +286,88 @@ def _interpolation(shape):
         rows = np.concatenate([np.arange(0, n, 2), odd, odd])
         cols = np.concatenate([np.arange(c), np.arange(c - 1), np.arange(1, c)])
         vals = np.concatenate([np.ones(c), np.full(2 * (c - 1), 0.5)])
-        p1 = sparse.csr_matrix((vals, (rows, cols)), shape=(n, c))
+        p1 = sparse.csr_matrix((vals, (rows, cols)), shape=(n, c))[margin:n - margin,
+                                                                   margin:c - margin]
         p = p1 if p is None else sparse.kron(p1, p, format="csr")
     return p
 
 
-def _transfer(shape, rows, kept):
-    """``_interpolation(shape)`` with its rows on the nodes ``rows`` and its
-    columns on the ``kept`` coarse nodes (a flat mask), and its transpose, as
-    CSR matrices."""
-    p = _interpolation(shape)[rows][:, np.flatnonzero(kept)]
-    return p, p.T.tocsr()
+class _Level:
+    """One grid's frozen-policy system: ``scale`` * sum c D_e minus
+    diag(``shift``) over the interior ``nodes``, in ``_layout``'s structure
+    (its matrix, filled by ``_fill``), with its damped Jacobi weights, its
+    free nodes ``f`` (1 on a free node, 0 on a pinned one, refreshed in place)
+    and its product masked by them; on the coarsest level of a V-cycle,
+    ``solve`` applies the inverse of its matrix over the free nodes."""
+
+    def __init__(self, op, grid, nodes, scale, shift):
+        self.shape, self.nodes, self.scale, self.shift = grid.shape, nodes, scale, shift
+        self.matrix, self.live = _layout(policy_lines(op, grid)[0], nodes, grid.node_count)
+        self.jacobi, self.f = np.empty(nodes.size), np.empty(nodes.size)
+        self.product = _product(self.matrix, after=self.f)
+        self.solve = None
 
 
-def _vcycle(a, nodes, shape, f, jacobi, product):
-    """One multigrid V-cycle for ``a``, the matrix of a step loop over the
-    interior ``nodes`` of a grid of ``shape`` (``_FrozenSystem``), whose free
-    nodes are those with ``f`` 1, with ``jacobi``, its damped Jacobi weights,
-    and ``product``, its product masked by ``f``: a scipy LinearOperator,
-    ``on`` and ``seat``, or None.
+def _hierarchy(op, grid, g):
+    """The levels of a step loop's system on ``grid`` (``_FrozenSystem``),
+    finest first, and per coarser level the products of the interpolation P
+    from it (``_interpolation``) and of P^T, and its seats: the index, among
+    the finer level's nodes, of the node each of its nodes sits on.
 
-    A level interpolates from the grid of every other node: the rows of
-    ``_interpolation`` on its nodes, the columns on the coarse nodes that sit
-    on a free node (so the coarse correction vanishes on the boundary band
-    and on contact, like the fine one, and the interpolation has full rank).
-    The finest level's rows are all interior nodes.  Its A, P and P^T stay as
-    built, truncated to the caller's free nodes by masking vectors in place:
-    A's output and P's by ``f``, P^T's output and P's input by ``on``, 1 on
-    the kept coarse nodes whose ``seat`` (the interior node each sits on) is
-    free; the caller refreshes both masks in place.  A level's coarse
-    operator is the Galerkin product P^T A P, with P's pinned rows and P^T's
-    pinned columns zeroed on the finest level, and damped Jacobi smooths it
-    before and after the coarse correction.  The system is coarsened at least
-    once, and then again while the coarse one has more than _COARSEST
-    unknowns, as long as the grid has an even number of cells on every axis;
-    the coarsest level is factorized by SuperLU.  None if the system cannot
-    be coarsened at all, which keeps the plain solve, or if the coarsest
-    factorization fails.
-    """
-    from scipy.sparse.linalg import LinearOperator, splu
-
-    levels, rows = [], nodes
-    free = np.zeros(math.prod(shape), dtype=bool)
-    free[nodes[f > 0]] = True
-    coarse_shape = _coarse_shape(shape)
-    while coarse_shape is not None and (not levels or a.shape[0] > _COARSEST):
-        kept = _inject(shape, free)
-        if not kept.any():
+    The finest level is over the grid's interior nodes, at scale 1/h^2 and
+    shift g.  Each coarser one is rediscretized on the grid of every other
+    node, over the nodes at least the scheme's margin inside it, at 2^(d-2)
+    times the finer scale and with 2^d times the shift, the size of P^T A P
+    (module docstring).  The grid is coarsened at least once, and then again
+    while the coarse level has more than _COARSEST nodes, as long as every
+    axis has an even number of cells and the coarse grid has nodes inside
+    the margin; a single level means no V-cycle."""
+    margin = operator_margin(op, grid.ndim)
+    nodes = np.flatnonzero(grid.interior_mask(margin))
+    level = _Level(op, grid, nodes, 1.0 / grid.h**2, g[nodes])
+    levels, transfers, weight = [level], [], 1.0
+    coarse_shape = _coarse_shape(grid.shape)
+    while coarse_shape is not None and (not transfers or level.nodes.size > _COARSEST):
+        coarse = Grid(grid.domain, coarse_shape)
+        nodes = np.flatnonzero(coarse.interior_mask(margin))
+        if not nodes.size:
             break
-        p, pt = _transfer(shape, rows, kept)
-        if levels:
-            levels.append((_product(a), _product(p), _product(pt),
-                           _JACOBI_WEIGHT / a.diagonal()))
-        else:
-            seat = np.searchsorted(nodes, _inject(shape, np.arange(free.size))[kept])
-            on = np.take(f, seat)
-            levels.append((product, _product(p, on, f), _product(pt, after=on), jacobi))
-            p, pt = p.copy(), pt.copy()  # truncated to the free nodes, sparsity kept
-            p.data *= np.repeat(f, np.diff(p.indptr))
-            pt.data *= f[pt.indices]
-        a = (pt @ a @ p).tocsr()
-        rows, free, shape = np.flatnonzero(kept), kept, coarse_shape
-        coarse_shape = _coarse_shape(shape)
-    if not levels:
-        return None
-    try:
-        coarsest = splu(a.tocsc())
-    except RuntimeError:  # an exactly singular coarse operator
-        return None
-    cycle = LinearOperator((nodes.size, nodes.size), dtype=float,
-                           matvec=functools.partial(_cycle, levels, coarsest))
-    return cycle, on, seat
+        shape, g, weight = level.shape, _inject(level.shape, g), weight * 2.0 ** grid.ndim
+        below = _Level(op, coarse, nodes, level.scale * 2.0 ** (grid.ndim - 2),
+                       weight * g[nodes])
+        p = _interpolation(shape, margin)
+        seat = np.searchsorted(level.nodes, _inject(shape, np.arange(math.prod(shape)))[nodes])
+        transfers.append((_product(p, after=level.f), _product(p.T, after=below.f), seat))
+        levels.append(below)
+        level, coarse_shape = below, _coarse_shape(coarse_shape)
+    return levels, transfers
 
 
-def _cycle(levels, coarsest, b, k=0):
-    """The V-cycle from level ``k`` down, applied to ``b``.  A module-level
-    function: a closure calling itself would keep every level alive in a
-    reference cycle until the garbage collector ran."""
-    if k == len(levels):
-        return coarsest.solve(b)
-    a, p, pt, dinv = levels[k]
+def _factorize(level):
+    """The SuperLU solve of ``level``'s matrix over its free nodes, with the
+    identity on the pinned ones."""
+    from scipy.sparse.linalg import splu
+
+    a, f = level.matrix.copy(), level.f
+    a.data *= np.repeat(f, np.diff(a.indptr)) * f[a.indices]
+    a.data[a.indptr[:-1]] += 1.0 - f  # the centre leads every row
+    return splu(a.tocsc()).solve
+
+
+def _cycle(levels, transfers, b, k=0):
+    """The V-cycle from level ``k`` down, applied to ``b``: damped Jacobi
+    sweeps around the coarse correction, and the coarsest level's ``solve``.
+    A module-level function: a closure calling itself would keep every level
+    alive in a reference cycle until the garbage collector ran."""
+    level = levels[k]
+    if k == len(transfers):
+        return level.solve(b)
+    a, dinv = level.product, level.jacobi
+    p, pt, _ = transfers[k]
     x = dinv * b
     for _ in range(_SWEEPS - 1):
         _smooth(a, dinv, b, x)
-    x += p(_cycle(levels, coarsest, pt(_residual(a, b, x)), k + 1))
+    x += p(_cycle(levels, transfers, pt(_residual(a, b, x)), k + 1))
     for _ in range(_SWEEPS):
         _smooth(a, dinv, b, x)
     return x
@@ -378,7 +388,7 @@ def _smooth(a, dinv, b, x):
 
 def _correction(matrix, rhs, tol, where, r, precondition):
     """Solve matrix @ x = rhs by BiCGSTAB from x = 0, preconditioned by
-    ``precondition`` (a V-cycle from ``_vcycle``, or None for the plain
+    ``precondition`` (``_FrozenSystem``'s V-cycle, or None for the plain
     iteration); returns x and the number of BiCGSTAB iterations.  The
     stopping rule is the same either way."""
     from scipy.sparse.linalg import bicgstab
@@ -397,24 +407,18 @@ def _correction(matrix, rhs, tol, where, r, precondition):
 
 
 class _FrozenSystem:
-    """The frozen-policy systems of one grid's step loop, minus diag(g), and
-    their V-cycle, in one layout over the interior nodes of ``mask``, built
-    on the loop's first step and refilled in place as the module docstring
-    describes; it lives as long as that loop.  ``f`` (1 on the last solve's
-    free nodes, 0 on pinned ones) and ``on`` (the same on the V-cycle's kept
-    coarse nodes) are refreshed in place, as BiCGSTAB's operator and the
-    V-cycle's finest level mask vectors by them; the matrix keeps the
-    policy's rows on every interior node.  With ``shape`` None (stencils
-    reaching more than one node layer, on which a Galerkin V-cycle costs more
-    than it saves) BiCGSTAB runs unpreconditioned.  ``seconds`` sums the wall
-    time of the builds (layout and V-cycle), of the refills (the policy's
-    entries and the masks) and of BiCGSTAB."""
+    """The frozen-policy systems of one grid's step loop for ``op`` on
+    ``grid``, minus diag(g), and their V-cycle: the levels of
+    ``_hierarchy``, built on the loop's first step and refilled and truncated
+    in place as the module docstring describes; it lives as long as that
+    loop.  ``seconds`` sums the wall time of the builds (layouts and
+    transfers), of the refills (the policy's entries, the masks and the
+    coarsest factorization) and of BiCGSTAB."""
 
-    def __init__(self, shifts, scale, g, mask, shape):
-        self.shifts, self.scale, self.shape = shifts, scale, shape
-        self.nodes = np.flatnonzero(mask)
-        self.shift = g[self.nodes]
-        self.matrix = self.policy = self.free = self.precondition = self.seat = None
+    def __init__(self, op, grid, g):
+        self.op, self.grid, self.g = op, grid, g
+        self.nodes = np.flatnonzero(grid.interior_mask(operator_margin(op, grid.ndim)))
+        self.levels = self.policy = self.free = self.precondition = None
         self.seconds = dict.fromkeys(("build_s", "refill_s", "krylov_s"), 0.0)
 
     def current(self, policy, free):
@@ -431,35 +435,36 @@ class _FrozenSystem:
         from scipy.sparse.linalg import LinearOperator
 
         clock = [time.perf_counter()]
-        nodes, a = self.nodes, self.matrix
-        if a is None:
-            a, self.live = _layout(self.shifts, nodes, free.size)
-            self.matrix = a
-            self.jacobi, self.f = np.empty(nodes.size), np.empty(nodes.size)
-            self.product = _product(a, after=self.f)
-            self.operator = LinearOperator(a.shape, matvec=self.product, dtype=float)
+        if self.levels is None:
+            self.levels, self.transfers = _hierarchy(self.op, self.grid, self.g)
+            top = self.levels[0]
+            self.operator = LinearOperator(top.matrix.shape, matvec=top.product, dtype=float)
+            if self.transfers:
+                self.precondition = LinearOperator(
+                    top.matrix.shape, dtype=float,
+                    matvec=functools.partial(_cycle, self.levels, self.transfers))
         clock.append(time.perf_counter())
+        levels, factorize = self.levels, False
         if policy is not self.policy and not np.array_equal(policy, self.policy):
-            _fill(policy, self.scale, nodes, self.shift, self.live, a.data, self.jacobi)
-            self.policy = policy
-        f = self.f  # 1 on a free node, 0 on a pinned one
-        moved = not np.array_equal(free, self.free)
-        if moved:
-            np.copyto(f, free[nodes])
-            if self.seat is not None:  # the V-cycle's finest transfer (_vcycle)
-                np.take(f, self.seat, out=self.on)
+            self.policy, factorize = policy, True
+            for level in levels:
+                _fill(policy, level)
+                policy = _inject(level.shape, policy)
+        if not np.array_equal(free, self.free):
+            bottom = levels[-1].f.copy()
+            np.copyto(levels[0].f, free[self.nodes])
+            for fine, coarse, (_, _, seat) in zip(levels, levels[1:], self.transfers):
+                np.take(fine.f, seat, out=coarse.f)
             self.free = free
+            factorize = factorize or not np.array_equal(bottom, levels[-1].f)
+        if factorize and self.transfers:
+            levels[-1].solve = _factorize(levels[-1])
         clock.append(time.perf_counter())
-        if moved and self.precondition is None and self.shape is not None:
-            built = _vcycle(a, nodes, self.shape, f, self.jacobi, self.product)
-            if built is not None:
-                self.precondition, self.on, self.seat = built
-        clock.append(time.perf_counter())
-        x, count = _correction(self.operator, rhs[nodes] * f, tol, where, r,
+        x, count = _correction(self.operator, rhs[self.nodes] * levels[0].f, tol, where, r,
                                self.precondition)
         clock.append(time.perf_counter())
-        build, refill, cycle, krylov = (b - a for a, b in zip(clock, clock[1:]))
-        self.seconds["build_s"] += build + cycle
+        build, refill, krylov = (b - a for a, b in zip(clock, clock[1:]))
+        self.seconds["build_s"] += build
         self.seconds["refill_s"] += refill
         self.seconds["krylov_s"] += krylov
         return x, count
@@ -481,22 +486,21 @@ def _tolerance(config, fv, mask):
     return 1e-9 * (1.0 + float(np.max(np.abs(fv[mask]))))
 
 
-def _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed):
+def _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed, polish=True):
     """The step loop on one grid, from the iterate ``u`` (module docstring).
 
     A ``seed`` replaces the first step's active set, and ``u`` counts as
     pinned on it; without one, ``u`` counts as pinned where it equals psi.
-    Returns (u, active set, excess F_h(u) - g u - f, free residual,
-    history, seconds), one history row per step, and ``_FrozenSystem``'s
-    seconds.
+    Without ``polish`` the loop also returns once a step has solved and the
+    active set settled, whatever the residual.  Returns (u, active set,
+    excess F_h(u) - g u - f, free residual, history, seconds), one history
+    row per step, and ``_FrozenSystem``'s seconds.
     """
     margin = operator_margin(op, grid.ndim)
     mask = grid.interior_mask(margin)
     u[~mask] = bv[~mask]
-    shifts, minimize = policy_lines(op, grid)
-    # a scheme reaching one node layer gets the V-cycle (_FrozenSystem)
-    system = _FrozenSystem(shifts, 1.0 / grid.h**2, g, mask,
-                           grid.shape if margin == 1 else None)
+    minimize = policy_lines(op, grid)[1]
+    system = _FrozenSystem(op, grid, g)
     level = "x".join(str(n) for n in grid.shape)
     history = []
 
@@ -519,7 +523,7 @@ def _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed):
             r_held = float(np.max(np.abs(e[held]))) if held.any() else 0.0
             if r_held > tol and not system.current(policy, held):
                 active, free, r = pinned, held, r_held
-        if settled and r <= tol:
+        if settled and (r <= tol or step and not polish):
             return u, active, e, r, tuple(history), system.seconds
         if step == config.max_iterations:
             break
@@ -609,9 +613,10 @@ class ObstacleResult:
     # one (residual, active-set size, BiCGSTAB iterations) row per step,
     # coarse to fine; level_steps says how many rows each level has
     history: tuple = ()
-    # (nodes along the first axis, wall seconds of the layout and V-cycle
-    # builds, of the policy refills and mask refreshes and of BiCGSTAB, by
-    # name) per level, coarse to fine: ``_FrozenSystem.seconds``
+    # (nodes along the first axis, wall seconds of the V-cycle's layouts and
+    # transfers, of its policy refills, mask refreshes and coarsest
+    # factorizations and of BiCGSTAB, by name) per level, coarse to fine:
+    # ``_FrozenSystem.seconds``
     timings: tuple = ()
 
 
@@ -635,12 +640,13 @@ def _coarser(grid: Grid, psi, bv, margin: int) -> Grid | None:
     return coarse
 
 
-def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, config, initial=None):
+def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, config, initial=None, polish=True):
     """Solve on the grid of every other node first (recursively), then start
     this level from its bilinearly interpolated solution, pinned to psi on the
     nodes whose surrounding coarse nodes are all in contact; without a usable
     coarser grid, start cold from max(boundary, psi).  An ``initial`` iterate
-    (flat node values) means that this level runs alone, from it.  Returns u,
+    (flat node values) means that this level runs alone, from it.  A coarse
+    level only seeds the next, so it runs without ``polish``.  Returns u,
     the active set, the excess, the residual, the (nodes, steps) of every
     level, the history rows of all levels and the (nodes, seconds) of every
     level."""
@@ -651,13 +657,15 @@ def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, config, initial=None):
         seed, levels, history, timings = None, (), (), ()
     else:
         cu, ccontact, _, _, levels, history, timings = _coarse_to_fine(
-            op, coarse, *(_inject(grid.shape, a) for a in (psi, bv, fv, g)), tol, config)
-        interpolate = _interpolation(grid.shape)
+            op, coarse, *(_inject(grid.shape, a) for a in (psi, bv, fv, g)), tol, config,
+            polish=False)
+        interpolate = _interpolation(grid.shape, 0)
         u = interpolate @ cu
         # the weights of a row are exact binary fractions summing to 1
         seed = interpolate @ ccontact.astype(float) == 1.0
         u[seed] = psi[seed]
-    u, active, e, r, rows, seconds = _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed)
+    u, active, e, r, rows, seconds = _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed,
+                                              polish)
     return (u, active, e, r, levels + ((grid.shape[0], len(rows)),), history + rows,
             timings + ((grid.shape[0], seconds),))
 

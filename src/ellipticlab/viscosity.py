@@ -317,24 +317,19 @@ class LimitStabilityReport:
 
 
 def limit_stability_experiment(generator, k_max: int, op: EllipticOperator,
-                               u_limit: GridFunction | None = None,
-                               lam_limit: float | None = None,
+                               u_limit: GridFunction, lam_limit: float,
                                node_budget: int = 300) -> LimitStabilityReport:
     """Stability of certificates under locally uniform limits.
 
     The generator maps k = 1..k_max to (u_k, lam_k), each certified for
     symmetric bounds (-lam_k, lam_k); the limit is then certified with every tail bound
     lam_limit + delta_k, delta_k = sup_{j>=k} |lam_j - lam_limit| + c0 h.
-    Deltas are nonincreasing by construction (monotone reporting).  The limit
-    candidates default to the last iterate.
+    Deltas are nonincreasing by construction (monotone reporting).
     """
     pairs = [generator(k) for k in range(1, k_max + 1)]
-    if not pairs:
-        raise ValueError("generator produced no iterates")
     us = [p[0] for p in pairs]
     lams = [float(p[1]) for p in pairs]
-    u_inf = u_limit if u_limit is not None else us[-1]
-    lam_inf = float(lam_limit) if lam_limit is not None else lams[-1]
+    u_inf, lam_inf = u_limit, float(lam_limit)
 
     c0h = default_tolerance(op, u_inf)
     gaps = [abs(l - lam_inf) for l in lams]

@@ -18,11 +18,13 @@ from ellipticlab import (
     SolverConfig,
     SymMatrix,
     build_fixture,
+    pucci_max,
     sandwich_check,
     write_grid_function,
 )
 from ellipticlab import cli
 from ellipticlab.fileio import read_manifest
+from ellipticlab.operators import operator_spec_string
 
 from conftest import field, unit_square_grid
 
@@ -90,7 +92,7 @@ def test_unknown_command_is_a_usage_error():
 
 
 @pytest.mark.parametrize("args", [
-    ("obstacle", "--op", "pucci-:1,2"),
+    ("obstacle", "--lambda", "0.5"),
     ("limit", "--op", "pucci+:1,2"),
     ("campanato", "--eps", "0.1"),
     ("mollify", "--tol-scale", "2"),
@@ -109,7 +111,7 @@ def test_unread_flags_are_usage_errors(args, tiny_file, tmp_path, capsys):
 _DEFAULTS = {
     "props": dict(op="pucci+:1,2", seed=None),
     "solve": dict(op="trace", res=65, fixture="harmonic", input=None, tol_scale=1.0),
-    "obstacle": dict(res=65, fixture="disc", tol_scale=1.0),
+    "obstacle": dict(op="trace", res=65, fixture="disc", tol_scale=1.0),
     # no --op: the input's manifest names the operator, else trace
     "visc": dict(input=None, lam=None, op=None, tol_scale=1.0),
     "campanato": dict(res=257, fixture="harmonic", input=None, lam=0.25, beta=0.5,
@@ -288,6 +290,21 @@ def test_visc_reads_sibling_manifest(obstacle_run, tmp_path):
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "visc_pointwise.csv").exists()
     assert (tmp_path / "visc_touching.csv").exists()
+
+
+def test_obstacle_solves_the_given_operator(tmp_path):
+    """``obstacle --op`` solves the disc problem for that operator, here one
+    whose stencils reach two node layers; the manifest names it, and visc on
+    the solution reads it from there."""
+    solved, certified = tmp_path / "obstacle", tmp_path / "visc"
+    r = run_cli("obstacle", "--op", "pucci+:1,10", "--res", "65", "--out", str(solved))
+    assert r.returncode == 0, r.stderr
+    man = read_manifest(solved / "run_manifest.txt")
+    assert man["op"] == operator_spec_string(pucci_max(1.0, 10.0))
+    assert man["g_weight"] == "1"
+    r = run_cli("visc", "--input", str(solved / "solution.txt"), "--out", str(certified))
+    assert r.returncode == 0, r.stderr
+    assert read_manifest(certified / "run_manifest.txt")["op"] == man["op"]
 
 
 def test_campanato_default_run(tmp_path):

@@ -308,15 +308,14 @@ def test_coarse_level_failure_names_its_grid():
 # multigrid-preconditioned linear solves and solver histories
 
 
-def frozen_system(op, res, ndim, seed=0, hole=0.3, shape=True):
+def frozen_system(op, res, ndim, seed=0, hole=0.3):
     """The step-loop system of a random field's policy, shifted by g = 1 as
     in the obstacle solve, free on the interior nodes less a contact hole
     |x| < hole (or, with ``hole`` None, a random half of them): the
-    ``_FrozenSystem`` (without a V-cycle unless ``shape``), the policy, the
-    free mask, a right-hand side over the grid, and the oracle's matrix over
-    the free nodes."""
+    ``_FrozenSystem``, the policy, the free mask, a right-hand side over the
+    grid, and the oracle's matrix over the free nodes."""
     from ellipticlab.solvers import _FrozenSystem
-    from ellipticlab.stencils import eval_policy, policy_lines
+    from ellipticlab.stencils import eval_policy, operator_margin, policy_lines
 
     grid = unit_square_grid(res, ndim=ndim)
     rng = np.random.default_rng(seed)
@@ -326,14 +325,13 @@ def frozen_system(op, res, ndim, seed=0, hole=0.3, shape=True):
         pinned = rng.random(grid.node_count) < 0.5
     else:
         pinned = np.sum(grid.points() ** 2, axis=1) < hole**2
-    free = grid.interior_mask(1) & ~pinned
+    free = grid.interior_mask(operator_margin(op, ndim)) & ~pinned
     nodes = np.flatnonzero(free)
-    shifts, scale = policy_lines(op, grid)[0], 1.0 / grid.h**2
-    system = _FrozenSystem(shifts, scale, np.ones(grid.node_count), grid.interior_mask(1),
-                           grid.shape if shape else None)
+    system = _FrozenSystem(op, grid, np.ones(grid.node_count))
     rhs = np.zeros(grid.node_count)
     rhs[nodes] = rng.standard_normal(nodes.size)
-    a = renumbered_matrix(policy[:, nodes], shifts, scale, nodes, grid.node_count, 1.0)
+    a = renumbered_matrix(policy[:, nodes], policy_lines(op, grid)[0], 1.0 / grid.h**2,
+                          nodes, grid.node_count, 1.0)
     return system, policy, free, rhs, a
 
 
@@ -378,11 +376,7 @@ def test_preconditioned_correction_matches_spsolve(op, res, ndim):
     assert system.precondition is not None
 
 
-# the 1D max-of-linear system picks a coefficient of 1 or 3 at random per
-# node; with the V-cycle built for the smaller hole and truncated to this
-# one it takes 7 iterations (5 when built for this hole), the worst case of
-# these systems, and is left out
-@pytest.mark.parametrize("op, res, ndim", COMPACT_SYSTEMS[:-1])
+@pytest.mark.parametrize("op, res, ndim", COMPACT_SYSTEMS)
 def test_reused_coarse_levels_still_match_spsolve(monkeypatch, op, res, ndim):
     """The V-cycle built on one contact hole preconditions the system of a
     larger hole: the layout and the V-cycle are only truncated again, and the
@@ -391,7 +385,7 @@ def test_reused_coarse_levels_still_match_spsolve(monkeypatch, op, res, ndim):
     system.solve(policy, first, first_rhs, 1e-9, "test", 0.0)
     _, _, free, rhs, a = frozen_system(op, res, ndim)
     assert not np.array_equal(free, first)
-    built = count_calls(monkeypatch, "_vcycle", lambda *args: None)
+    built = count_calls(monkeypatch, "_hierarchy", lambda *args: None)
     assert_matches_spsolve(system, policy, free, rhs, a)
     assert built == []
 
@@ -420,20 +414,23 @@ def test_truncated_layout_matches_the_renumbered_matrix(op):
     BiCGSTAB iterates are the renumbered system's up to the order of
     summation; with the V-cycle it solves the same system."""
     from ellipticlab.solvers import _correction
+    from ellipticlab.stencils import policy_lines
 
-    system, policy, free, rhs, a = frozen_system(op, 33, 2, hole=None, shape=False)
-    x, krylov = system.solve(policy, free, rhs, 1e-9, "test", 0.0)
+    system, policy, free, rhs, a = frozen_system(op, 33, 2, hole=None)
+    system.solve(policy, free, rhs, 1e-9, "test", 0.0)
     nodes = system.nodes
     on = free[nodes]
-    whole = renumbered_matrix(policy[:, nodes], system.shifts, system.scale, nodes,
-                              free.size, 1.0)
-    dense = system.matrix.toarray()
+    grid = unit_square_grid(33)
+    whole = renumbered_matrix(policy[:, nodes], policy_lines(op, grid)[0], 1.0 / grid.h**2,
+                              nodes, free.size, 1.0)
+    dense = system.levels[0].matrix.toarray()
     np.testing.assert_array_equal(dense, whole.toarray())
     np.testing.assert_array_equal(dense[np.ix_(on, on)], a.toarray())
     v = np.where(on, np.random.default_rng(1).standard_normal(on.size), 0.0)
     w = system.operator.matvec(v)
     assert np.all(w[~on] == 0.0)
     np.testing.assert_array_equal(w[on], a @ v[on])
+    x, krylov = _correction(system.operator, rhs[nodes] * on, 1e-9, "test", 0.0, None)
     assert np.all(x[~on] == 0.0)
     y, again = _correction(a, rhs[free], 1e-9, "test", 0.0, None)
     assert krylov == again
@@ -483,7 +480,7 @@ def test_preconditioned_krylov_iterations_stay_flat(res):
 def test_pucci_policies_are_preconditioned(monkeypatch):
     """Pucci's Selling stencils reach one node layer, so its frozen policies
     get the V-cycle like the trace's."""
-    built = count_calls(monkeypatch, "_vcycle", lambda *args: args[2])
+    built = count_calls(monkeypatch, "_hierarchy", lambda op, grid, g: grid.shape)
     op = pucci_max(1.0, 2.0)
     f, target, zero = manufactured_quad(op)
     assert solve_dirichlet(op, f, target, initial=zero).iterations >= 1
@@ -494,72 +491,106 @@ def test_pucci_policies_are_preconditioned(monkeypatch):
 
 
 def count_builds(monkeypatch):
-    """The node counts of the grids that ``_layout`` and ``_vcycle`` build
+    """The node counts of the grids that ``_layout`` and ``_hierarchy`` build
     for, and one (node count, policy) per ``_fill``."""
     layouts = count_calls(monkeypatch, "_layout", lambda shifts, nodes, n: n)
-    cycles = count_calls(monkeypatch, "_vcycle", lambda a, nodes, shape, *_: math.prod(shape))
+    hierarchies = count_calls(monkeypatch, "_hierarchy", lambda op, grid, g: grid.node_count)
     fills = count_calls(monkeypatch, "_fill", lambda policy, *_: (policy.shape[1],
                                                                   policy.tobytes()))
-    return layouts, cycles, fills
+    return layouts, hierarchies, fills
+
+
+# the grids of the V-cycle of an n^2 system of the trace, from n^2 down to
+# the first whose interior has at most _COARSEST nodes
+VCYCLE_GRIDS = {17: (17, 9), 33: (33, 17, 9), 65: (65, 33, 17, 9), 129: (129, 65, 33, 17, 9)}
+
+
+def vcycle_nodes(*sides):
+    """The node counts of the V-cycle grids of every n^2 system of ``sides``."""
+    return [m * m for n in sides for m in VCYCLE_GRIDS[n]]
+
+
+def finest_fills(fills):
+    """The finest level's fill of every refill: a refill fills a V-cycle's
+    levels finest first, so its first fill is on a grid at least as large as
+    the previous refill's."""
+    out = []
+    for fill in fills:
+        if not out or fill[0] >= out[-1][0]:
+            out.append(fill)
+    return out
 
 
 def test_obstacle_builds_one_hierarchy_per_level(monkeypatch):
-    """Every level builds one layout and one V-cycle, on its first step.  The
-    trace's policy never changes, so each level fills its layout once, and
-    the moving active set costs no refill."""
-    layouts, cycles, fills = count_builds(monkeypatch)
+    """Every level builds one V-cycle hierarchy, one layout per grid of it,
+    on its first step.  The trace's policy never changes, so each layout is
+    filled once, and the moving active set costs no refill.  A coarse level
+    returns as soon as its active set settles, one step before the finest
+    would."""
+    layouts, hierarchies, fills = count_builds(monkeypatch)
     result = solve_obstacle(disc_problem(129))
-    assert result.level_steps == ((17, 4), (33, 4), (65, 4), (129, 4))
-    assert layouts == cycles == [n * n for n in (17, 33, 65, 129)]
+    assert result.level_steps == ((17, 3), (33, 3), (65, 3), (129, 4))
+    assert hierarchies == [n * n for n in (17, 33, 65, 129)]
+    assert layouts == vcycle_nodes(17, 33, 65, 129)
     assert [n for n, _ in fills] == layouts
 
 
 @pytest.mark.parametrize("op", [TRACE, MAX_OF_DIAGONALS], ids=["trace", "max_of_linear"])
 def test_matrix_is_assembled_once_per_system(monkeypatch, op):
-    """One layout per level, refilled only when the policy changes: the
-    trace's never does; max-of-linear's moves at a few nodes on most steps
-    of a level."""
-    layouts, _, fills = count_builds(monkeypatch)
+    """One layout per grid of each level's V-cycle, all refilled only when
+    the policy changes: the trace's never does; max-of-linear's moves at a
+    few nodes on most steps of a level."""
+    layouts, hierarchies, fills = count_builds(monkeypatch)
     disc = disc_problem(129)
     result = solve_obstacle(ObstacleProblem(op, disc.psi, disc.boundary, disc.f,
                                             disc.g_weight))
-    assert layouts == [n * n for n, _ in result.level_steps]
-    assert all(a != b for a, b in zip(fills, fills[1:]))
+    assert hierarchies == [n * n for n, _ in result.level_steps]
+    assert layouts == vcycle_nodes(*(n for n, _ in result.level_steps))
+    refills = finest_fills(fills)
+    assert all(a != b for a, b in zip(refills, refills[1:]))
+    assert [n for n, _ in fills] == vcycle_nodes(*(math.isqrt(n) for n, _ in refills))
     if op is TRACE:
-        assert [n for n, _ in fills] == layouts
+        assert [n for n, _ in refills] == hierarchies
     else:
-        assert len(layouts) < len(fills) <= result.iterations
+        assert len(hierarchies) < len(refills) <= result.iterations
 
 
 def test_dirichlet_solve_builds_once_for_a_repeated_system(monkeypatch):
     """The trace's policy never changes, so both steps of the 65^2 solve
-    share one layout, one fill and one V-cycle."""
-    layouts, cycles, fills = count_builds(monkeypatch)
+    share one V-cycle hierarchy, with one layout and one fill per grid."""
+    layouts, hierarchies, fills = count_builds(monkeypatch)
     f, target, zero = manufactured_quad(TRACE, 65)
     assert solve_dirichlet(TRACE, f, target, initial=zero).iterations == 2
-    assert layouts == cycles == [65 * 65] and len(fills) == 1
+    assert hierarchies == [65 * 65] and layouts == vcycle_nodes(65)
+    assert [n for n, _ in fills] == layouts
+
+
+def level_state(system):
+    """Every level's matrix entries and free nodes, copied."""
+    return [(level.matrix.data.copy(), level.f.copy()) for level in system.levels]
 
 
 def test_a_repeated_system_gives_the_rebuilt_correction(monkeypatch):
     """A step whose policy and free nodes repeat the last solve's reuses the
     system as it is, with no refill, and its correction is bit for bit the
     one after refilling another policy, moving the active set and coming
-    back to the same entries and transfer masks."""
+    back to the same entries and masks on every level."""
     system, policy, first, first_rhs, _ = frozen_system(MAX_OF_DIAGONALS, 65, 2, hole=0.25)
     _, other, free, rhs, _ = frozen_system(MAX_OF_DIAGONALS, 65, 2, seed=1)
     assert not np.array_equal(policy, other)
     system.solve(policy, first, first_rhs, 1e-9, "test", 0.0)
     x, krylov = system.solve(policy, free, rhs, 1e-9, "test", 0.0)
-    entries, on = system.matrix.data.copy(), system.on.copy()
+    state = level_state(system)
     refills = count_calls(monkeypatch, "_fill", lambda *args: None)
     y, again = system.solve(policy, free, rhs, 1e-9, "test", 0.0)
     assert refills == []
     system.solve(other, first, first_rhs, 1e-9, "test", 0.0)
-    assert not np.array_equal(system.on, on)
+    assert not np.array_equal(system.levels[1].f, state[1][1])
     z, rebuilt = system.solve(policy, free, rhs, 1e-9, "test", 0.0)
-    assert len(refills) == 2
-    np.testing.assert_array_equal(system.matrix.data, entries)
-    np.testing.assert_array_equal(system.on, on)
+    assert len(refills) == 2 * len(system.levels)
+    for (entries, f), (again_entries, again_f) in zip(state, level_state(system)):
+        np.testing.assert_array_equal(again_entries, entries)
+        np.testing.assert_array_equal(again_f, f)
     np.testing.assert_array_equal(x, y)
     np.testing.assert_array_equal(x, z)
     assert krylov == again == rebuilt
@@ -567,72 +598,130 @@ def test_a_repeated_system_gives_the_rebuilt_correction(monkeypatch):
 
 def test_an_active_set_change_writes_no_matrix_entry(monkeypatch):
     """A step with the last step's policy and a new active set refreshes only
-    the masks ``f`` and ``on``: the matrix entries stay byte for byte as
+    every level's free nodes ``f``: the matrix entries stay byte for byte as
     filled, and nothing is refilled."""
     system, policy, first, first_rhs, _ = frozen_system(MAX_OF_DIAGONALS, 65, 2, hole=0.25)
     system.solve(policy, first, first_rhs, 1e-9, "test", 0.0)
-    entries, on = system.matrix.data.tobytes(), system.on.copy()
+    entries = [level.matrix.data.tobytes() for level in system.levels]
+    on = system.levels[1].f.copy()
     _, _, free, rhs, _ = frozen_system(MAX_OF_DIAGONALS, 65, 2)
     refills = count_calls(monkeypatch, "_fill", lambda *args: None)
     system.solve(policy, free, rhs, 1e-9, "test", 0.0)
     assert refills == []
-    assert system.matrix.data.tobytes() == entries
-    np.testing.assert_array_equal(system.f, free[system.nodes])
-    assert not np.array_equal(system.on, on)
+    assert [level.matrix.data.tobytes() for level in system.levels] == entries
+    np.testing.assert_array_equal(system.levels[0].f, free[system.nodes])
+    assert not np.array_equal(system.levels[1].f, on)
 
 
 @pytest.mark.parametrize("op", [TRACE, MAX_OF_DIAGONALS], ids=["trace", "max_of_linear"])
-def test_masked_transfer_is_the_truncated_transfer(monkeypatch, op):
+def test_masked_transfer_is_the_truncated_transfer(op):
     """The V-cycle built on one contact hole and reused on a larger one
-    keeps its finest A, P and P^T as built and masks the vectors around
+    keeps every level's A, P and P^T as built and masks the vectors around
     them: one cycle equals, bit for bit, the same cycle with diag(f) A
-    diag(f) + diag(1 - f), diag(f) P diag(on) and the latter's transpose
-    stored explicitly, where f is 1 on the free nodes and ``on`` is 1 on the
-    kept coarse nodes that sit on a free node.  The coarse operator is the
-    Galerkin product of those explicit A and P on the hole it was built on,
-    up to the order of summation."""
-    from scipy import sparse
+    diag(f) + diag(1 - f), diag(f) P diag(f') and the latter's transpose
+    stored explicitly on every level, where f is 1 on a level's free nodes
+    and f' on the coarser level's nodes that sit on a free node.  The
+    coarsest level solves its explicit truncated matrix."""
+    from types import SimpleNamespace
     from ellipticlab import solvers
 
-    captured, real = [], solvers._cycle
-    applied, product = [], solvers._product
-
-    def spy(levels, coarsest, b, k=0):
-        if k == 0:
-            captured.append((levels, coarsest))
-        return real(levels, coarsest, b, k)
-
-    monkeypatch.setattr(solvers, "_cycle", spy)
-    monkeypatch.setattr(solvers, "_product", lambda a, *args, **kwargs:
-                        applied.append(a) or product(a, *args, **kwargs))
     system, policy, first, first_rhs, _ = frozen_system(op, 65, 2, hole=0.25)
     system.solve(policy, first, first_rhs, 1e-9, "test", 0.0)
     _, _, free, rhs, _ = frozen_system(op, 65, 2)
     system.solve(policy, free, rhs, 1e-9, "test", 0.0)
-    levels, coarsest = captured[-1]
 
-    kept = solvers._inject((65, 65), first)
-    p, _ = solvers._transfer((65, 65), system.nodes, kept)
-
-    def truncate(free, on):
-        f = free[system.nodes].astype(float)
-        a = system.matrix.copy()  # diag(f) A diag(f) + diag(1 - f), in A's own order
+    explicit, grid_free = [], free
+    for k, level in enumerate(system.levels):
+        if k:  # every other node of the finer grid's free mask
+            shape = system.levels[k - 1].shape
+            grid_free = grid_free.reshape(shape[::-1])[::2, ::2].ravel()
+        f = grid_free[level.nodes].astype(float)
+        np.testing.assert_array_equal(level.f, f)
+        a = level.matrix.copy()  # diag(f) A diag(f) + diag(1 - f), in A's own order
         a.data *= np.repeat(f, np.diff(a.indptr)) * f[a.indices]
         a.data[a.indptr[:-1]] += 1.0 - f  # the centre leads every row
-        return f, a, (sparse.diags(f) @ p @ sparse.diags(on)).tocsr()
+        explicit.append(SimpleNamespace(product=solvers._product(a), jacobi=level.jacobi,
+                                        solve=level.solve, matrix=a, f=f, shape=level.shape))
+    assert 0 < np.count_nonzero(explicit[1].f == 0.0) < explicit[1].f.size
+    transfers = []
+    for fine, coarse in zip(explicit, explicit[1:]):
+        t = solvers._interpolation(fine.shape, 1).copy()  # diag(f) P diag(f')
+        t.data *= np.repeat(fine.f, np.diff(t.indptr)) * coarse.f[t.indices]
+        transfers.append((solvers._product(t), solvers._product(t.T), None))
+    b = rhs[system.nodes] * explicit[0].f
+    np.testing.assert_array_equal(system.precondition.matvec(b),
+                                  solvers._cycle(explicit, transfers, b))
 
-    _, a, t = truncate(first, np.ones(p.shape[1]))
-    coarse = next(c for c in applied if c.shape == (p.shape[1],) * 2)
-    galerkin = (t.T @ a @ t).toarray()
-    np.testing.assert_allclose(coarse.toarray(), galerkin, rtol=0.0,
-                               atol=1e-13 * np.max(np.abs(galerkin)))
+    bottom = explicit[-1]
+    c = np.random.default_rng(2).standard_normal(bottom.f.size) * bottom.f
+    x = bottom.solve(c)
+    np.testing.assert_allclose(bottom.matrix @ x, c, rtol=0.0, atol=1e-12 * np.max(np.abs(c)))
 
-    on = solvers._inject((65, 65), free)[kept].astype(float)
-    assert 0 < np.count_nonzero(on == 0.0) < on.size
-    f, a, t = truncate(free, on)
-    explicit = [(product(a), product(t), product(t.T.tocsr()), levels[0][3])] + levels[1:]
-    b = rhs[system.nodes] * f
-    np.testing.assert_array_equal(system.precondition.matvec(b), real(explicit, coarsest, b))
+
+# operators of every reach the coarse levels are checked on: one node layer
+# (trace, pucci+-:1,2, the 1D max-of-linear), two (pucci+:1,10 and the
+# strongly anisotropic linear)
+REDISCRETIZED = [
+    pytest.param(TRACE, 65, 2, id="trace"),
+    pytest.param(pucci_max(1.0, 2.0), 65, 2, id="pucci+:1,2"),
+    pytest.param(pucci_min(1.0, 2.0), 65, 2, id="pucci-:1,2"),
+    pytest.param(pucci_max(1.0, 10.0), 65, 2, id="pucci+:1,10"),
+    pytest.param(linear_operator([[1.0, 1.9], [1.9, 4.0]]), 65, 2, id="linear-wide"),
+    pytest.param(max_of_linear([[[1.0]], [[3.0]]]), 257, 1, id="max_of_linear-1d"),
+]
+
+
+@pytest.mark.parametrize("op, res, ndim", REDISCRETIZED)
+def test_coarse_levels_are_the_coarse_grids_own_stencils(op, res, ndim):
+    """Every coarse level's matrix is the coarse grid's own frozen-policy
+    system, assembled the direct way, for the policy and g injected to its
+    nodes (every other node of every axis), at 2^(d-2) times the finer
+    level's scale and with 2^d times its shift, over the nodes at least the
+    scheme's margin inside it.  So its off-centre entries are >= 0 and every
+    row is weakly diagonally dominant: a monotone stencil, an M-matrix up to
+    sign, whatever the scheme's reach."""
+    from ellipticlab.stencils import operator_margin, policy_lines
+
+    system, policy, free, rhs, _ = frozen_system(op, res, ndim)
+    system.solve(policy, free, rhs, 1e-9, "test", 0.0)
+    grid = unit_square_grid(res, ndim=ndim)
+    margin = operator_margin(op, ndim)
+    assert len(system.levels) >= 3
+    weights, g = policy, np.ones(grid.node_count)
+    scale, weight = 1.0 / grid.h**2, 1.0
+    every_other = (slice(None, None, 2),) * ndim
+    for fine, level in zip(system.levels, system.levels[1:]):
+        weights = weights.reshape((-1,) + fine.shape[::-1])[(slice(None),) + every_other]
+        weights = weights.reshape(len(policy), -1)
+        g = g.reshape(fine.shape[::-1])[every_other].ravel()
+        scale, weight = scale * 2.0 ** (ndim - 2), weight * 2.0 ** ndim
+        coarse = unit_square_grid(level.shape[0], ndim=ndim)
+        nodes = np.flatnonzero(coarse.interior_mask(margin))
+        np.testing.assert_array_equal(level.nodes, nodes)
+        direct = renumbered_matrix(weights[:, nodes], policy_lines(op, coarse)[0], scale,
+                                   nodes, coarse.node_count, weight * g[nodes])
+        dense = level.matrix.toarray()
+        np.testing.assert_array_equal(dense, direct.toarray())
+        centre = np.diag(dense)
+        off = dense - np.diag(centre)
+        assert np.all(off >= 0.0) and np.all(centre < 0.0)
+        assert np.all(-centre >= off.sum(axis=1))
+
+
+def test_wide_stencil_krylov_iterations_stay_flat():
+    """``pucci+:1,10`` reaches two node layers and gets the same V-cycle as
+    every other operator: plain BiCGSTAB took up to 162 iterations per step
+    at 129^2 and 319 at 257^2 here, the V-cycle 10 and 12; the largest
+    per-step count at 257^2 stays within twice the one at 129^2."""
+    op = pucci_max(1.0, 10.0)
+    worst = []
+    for res in (129, 257):
+        disc = disc_problem(res)
+        result = solve_obstacle(ObstacleProblem(op, disc.psi, disc.boundary, disc.f,
+                                                disc.g_weight))
+        assert result.residual <= 1e-9
+        worst.append(max(row[2] for row in result.history))
+    assert 1 <= worst[0] <= 20 and worst[1] <= 2 * worst[0]
 
 
 def test_solves_retain_no_memory():
@@ -685,7 +774,7 @@ def test_pucci_min_obstacle_steps_coarse_to_fine():
     problem = ObstacleProblem(pucci_min(1.0, 2.0), disc.psi, disc.boundary,
                               disc.f, disc.g_weight)
     result = solve_obstacle(problem)
-    assert result.level_steps == ((17, 10), (33, 10), (65, 10), (129, 13))
+    assert result.level_steps == ((17, 9), (33, 8), (65, 9), (129, 13))
     assert result.residual <= 1e-9
     assert round(result.contact_fraction, 4) == 0.1709
     assert np.array_equal(result.u.values[result.contact], disc.psi.values[result.contact])
