@@ -44,7 +44,6 @@ from .stencils import (
 from .solvers import (
     ObstacleProblem,
     ObstacleResult,
-    SolverConfig,
     SolverError,
     SolveResult,
     solve_dirichlet,

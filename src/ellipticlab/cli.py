@@ -50,10 +50,11 @@ from .operators import (
     parse_operator,
     trace_operator,
 )
-from .solvers import (MIN_LEVEL_NODES, ObstacleProblem, SolverConfig, SolverError,
+from .solvers import (MIN_LEVEL_NODES, ObstacleProblem, SolverError,
                       solve_dirichlet, solve_obstacle)
 from .stencils import eval_discrete
 from .viscosity import (
+    LIMIT_NODE_BUDGET,
     TRIGGER_SLACK,
     Bounds,
     check_pointwise,
@@ -160,8 +161,7 @@ def cmd_solve(args) -> int:
     tol = _tol_scale(args) * 1e-9 * (1.0 + f.sup_norm())
     # start from zero inside: the solver pins the margin band to the target
     zero = GridFunction(target.grid, np.zeros(target.grid.node_count))
-    result = solve_dirichlet(op, f, target, grid=target.grid, initial=zero,
-                             config=SolverConfig(residual_tolerance=tol))
+    result = solve_dirichlet(op, f, target, tol=tol, grid=target.grid, initial=zero)
     sup_error = float(np.max(np.abs(result.u.values - target.values)))
     write_grid_function(result.u, os.path.join(out, "solution.txt"))
     write_csv(os.path.join(out, "solve_report.csv"),
@@ -186,7 +186,7 @@ def cmd_obstacle(args) -> int:
     tol = _tol_scale(args) * 1e-9
     op, disc = parse_operator(args.op), disc_problem(res)
     problem = ObstacleProblem(op, disc.psi, disc.boundary, disc.f, disc.g_weight)
-    result = solve_obstacle(problem, config=SolverConfig(residual_tolerance=tol))
+    result = solve_obstacle(problem, tol=tol)
     write_grid_function(result.u, os.path.join(out, "solution.txt"))
     write_csv(os.path.join(out, "obstacle_report.csv"),
               ["contact_fraction", "lam_lo", "lam_hi", "steps", "residual"],
@@ -317,13 +317,11 @@ def cmd_limit(args) -> int:
     if args.levels < 1:
         raise CliError("--levels must be positive")
     op = trace_operator()
-    node_budget = 300
     rows = []
     verdicts = {}
     for name, (gen, u_lim, lam_lim) in sorted(limit_families(res).items()):
         report = limit_stability_experiment(gen, args.levels, op, u_limit=u_lim,
-                                            lam_limit=lam_lim,
-                                            node_budget=node_budget)
+                                            lam_limit=lam_lim)
         verdicts[name] = report.passed
         for k in range(len(report.lam_seq)):
             rows.append((name, k + 1, report.lam_seq[k], report.deltas[k],
@@ -333,7 +331,7 @@ def cmd_limit(args) -> int:
               ["family", "k", "lam_k", "delta_k", "self_pass",
                "pointwise_pass", "touching_pass"], rows)
     _write_run_manifest(out, "limit", {
-        "res": res, "k_max": args.levels, "op": "trace", "node_budget": node_budget,
+        "res": res, "k_max": args.levels, "op": "trace", "node_budget": LIMIT_NODE_BUDGET,
     })
     ok = all(verdicts.values())
     print("limit: " + ", ".join("%s %s" % (n, "pass" if v else "FAIL")

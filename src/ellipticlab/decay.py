@@ -57,13 +57,7 @@ class AffineFit:
 
     q: tuple
     osc_value: float
-    intercept: float  # midpoint of the residual band; q . x + intercept is the
-    # Chebyshev fit with uniform error osc_value / 2
     iterations: int  # simplex pivots of the minimax fit
-
-    def __call__(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return pts @ np.asarray(self.q) + self.intercept
 
 
 def best_affine(u: GridFunction, ball: Ball) -> AffineFit:
@@ -76,8 +70,7 @@ def best_affine(u: GridFunction, ball: Ball) -> AffineFit:
     mask = ball_node_mask(u.grid, ball)
     pts = u.grid.points_at(np.flatnonzero(mask))
     fit = minimax_affine(pts, u.values[mask])
-    return AffineFit(tuple(float(s) for s in fit.slope), fit.width,
-                     0.5 * (fit.lower + fit.upper), fit.iterations)
+    return AffineFit(tuple(float(s) for s in fit.slope), fit.width, fit.iterations)
 
 
 MIN_RADIUS_NODES = 4  # grid steps spanned by the deepest radius or blow-up scale

@@ -62,9 +62,9 @@ def fixture_callable(name: str, ndim: int = 2):
                      % (name, ", ".join(FUNCTION_FIXTURES)))
 
 
-def build_fixture(name: str, resolution: int, ndim: int = 2,
-                  half_width: float = 1.0) -> GridFunction:
-    grid = square_grid(resolution, half_width, ndim)
+def build_fixture(name: str, resolution: int, ndim: int = 2) -> GridFunction:
+    """A named function fixture sampled on square_grid(resolution, ndim=ndim)."""
+    grid = square_grid(resolution, ndim=ndim)
     return GridFunction.from_callable(grid, fixture_callable(name, ndim))
 
 

@@ -163,8 +163,8 @@ class GridFunction:
         """Sample ``fn(points)`` (vectorized over an (N, n) point array)."""
         return cls(grid, np.asarray(fn(grid.points()), dtype=float))
 
-    def with_values(self, values, allow_non_finite=False) -> "GridFunction":
-        return GridFunction(self.grid, values, allow_non_finite)
+    def with_values(self, values) -> "GridFunction":
+        return GridFunction(self.grid, values)
 
     def lattice(self) -> np.ndarray:
         return self.grid.lattice(self.values)
@@ -381,17 +381,24 @@ class SymMatrix:
         return float(np.linalg.norm(self.mat))
 
     def eigenvalues(self) -> np.ndarray:
-        if self.n == 1:
-            return np.array([self._upper[0]])
-        if self.n == 2:
-            a, b, c = self._upper  # m11, m12, m22
-            mean = 0.5 * (a + c)
-            rad = math.hypot(0.5 * (a - c), b)
-            return np.array([mean - rad, mean + rad])
-        return np.linalg.eigvalsh(self.mat)
+        return _spectrum(self.mat)
 
     def __repr__(self):
         return f"SymMatrix({self.mat.tolist()})"
+
+
+def _spectrum(a):
+    """Ascending eigenvalues of stacked symmetric matrices (..., n, n), read
+    from the upper triangle: closed form for n <= 2, LAPACK otherwise."""
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0, :]
+    if n == 2:
+        m11, m12, m22 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
+        mean = 0.5 * (m11 + m22)
+        rad = np.hypot(0.5 * (m11 - m22), m12)
+        return np.stack([mean - rad, mean + rad], axis=-1)
+    return np.linalg.eigvalsh(a, UPLO="U")
 
 
 # -- text serialization -------------------------------------------------------

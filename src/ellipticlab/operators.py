@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SymMatrix
+from .grids import SymMatrix, _spectrum
 
 __all__ = [
     "EllipticityParams",
@@ -59,17 +59,14 @@ def trace_operator() -> EllipticOperator:
     return EllipticOperator("trace", EllipticityParams(1.0, 1.0))
 
 
-def linear_operator(a, params: EllipticityParams | None = None) -> EllipticOperator:
-    """F(M) = <A, M> for a fixed symmetric positive definite A."""
+def linear_operator(a) -> EllipticOperator:
+    """F(M) = <A, M> for a fixed symmetric positive definite A; its
+    ellipticity constants are A's extreme eigenvalues."""
     sym = SymMatrix(np.asarray(a, dtype=float))
     a, eigs = sym.mat, sym.eigenvalues()
     if eigs[0] <= 0:
         raise ValueError("linear operator matrix must be positive definite")
-    if params is None:
-        params = EllipticityParams(float(eigs[0]), float(eigs[-1]))
-    elif eigs[0] < params.lam1 - 1e-12 or eigs[-1] > params.lam2 + 1e-12:
-        raise ValueError("matrix spectrum falls outside the declared ellipticity band")
-    return EllipticOperator("linear", params, (a,))
+    return EllipticOperator("linear", EllipticityParams(float(eigs[0]), float(eigs[-1])), (a,))
 
 
 def pucci_max(lam1: float, lam2: float) -> EllipticOperator:
@@ -80,8 +77,9 @@ def pucci_min(lam1: float, lam2: float) -> EllipticOperator:
     return EllipticOperator("pucci_min", EllipticityParams(lam1, lam2))
 
 
-def max_of_linear(mats, params: EllipticityParams | None = None) -> EllipticOperator:
-    """F(M) = max_j <A_j, M> over a finite family of SPD matrices."""
+def max_of_linear(mats) -> EllipticOperator:
+    """F(M) = max_j <A_j, M> over a finite family of SPD matrices; its
+    ellipticity constants are the family's extreme eigenvalues."""
     syms = [SymMatrix(np.asarray(a, dtype=float)) for a in mats]
     if not syms:
         raise ValueError("need at least one matrix")
@@ -92,9 +90,7 @@ def max_of_linear(mats, params: EllipticityParams | None = None) -> EllipticOper
         if eigs[0] <= 0:
             raise ValueError("every matrix in the family must be positive definite")
         lo, hi = min(lo, float(eigs[0])), max(hi, float(eigs[-1]))
-    if params is None:
-        params = EllipticityParams(lo, hi)
-    return EllipticOperator("max_of_linear", params, mats)
+    return EllipticOperator("max_of_linear", EllipticityParams(lo, hi), mats)
 
 
 def op_eval(op: EllipticOperator, m):
@@ -138,20 +134,6 @@ def _inner(a, m):
         for j in range(i, n):
             out = out + (a[i, j] if i == j else 2.0 * a[i, j]) * m[..., i, j]
     return out
-
-
-def _spectrum(a):
-    """Ascending eigenvalues of stacked symmetric matrices (..., n, n), read
-    from the upper triangle: closed form for n <= 2, LAPACK otherwise."""
-    n = a.shape[-1]
-    if n == 1:
-        return a[..., 0, :]
-    if n == 2:
-        m11, m12, m22 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
-        mean = 0.5 * (m11 + m22)
-        rad = np.hypot(0.5 * (m11 - m22), m12)
-        return np.stack([mean - rad, mean + rad], axis=-1)
-    return np.linalg.eigvalsh(a, UPLO="U")
 
 
 # -- randomized property checks ------------------------------------------------

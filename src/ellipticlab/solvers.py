@@ -94,7 +94,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -103,7 +102,6 @@ from .operators import EllipticOperator
 from .stencils import eval_discrete, eval_policy, operator_margin, policy_lines
 
 __all__ = [
-    "SolverConfig",
     "SolverError",
     "SolveResult",
     "ObstacleProblem",
@@ -117,32 +115,18 @@ __all__ = [
 _INNER_ATOL = 1e-3
 _INNER_RTOL = 1e-6
 
+# the step budget of every grid's loop: policy (or active-set) steps, one
+# sparse linear solve each; read at call time
+MAX_STEPS = 500
+
 
 class SolverError(RuntimeError):
-    """A solve exhausted its step budget or an inner linear solve broke down;
+    """A grid's loop exhausted MAX_STEPS or an inner linear solve broke down;
     carries the last residual."""
 
     def __init__(self, message, last_residual=float("nan")):
         super().__init__(message)
         self.last_residual = last_residual
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Step budget and stopping rule.
-
-    max_iterations bounds the policy (or active-set) steps, each one sparse
-    linear solve; the residual tolerance defaults to 1e-9 * (1 + sup|f|).
-    """
-
-    max_iterations: int = 500
-    residual_tolerance: Optional[float] = None
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.residual_tolerance is not None and self.residual_tolerance <= 0:
-            raise ValueError("residual_tolerance must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,13 +464,16 @@ def _setup(op, grid, f, initial):
     return mask, _node_field(grid, f, "f")
 
 
-def _tolerance(config, fv, mask):
-    if config.residual_tolerance is not None:
-        return config.residual_tolerance
-    return 1e-9 * (1.0 + float(np.max(np.abs(fv[mask]))))
+def _tolerance(tol, fv, mask):
+    """The residual tolerance: ``tol``, by default 1e-9 * (1 + sup|f|)."""
+    if tol is None:
+        return 1e-9 * (1.0 + float(np.max(np.abs(fv[mask]))))
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return tol
 
 
-def _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed, polish=True):
+def _iterate(op, grid, psi, bv, fv, g, tol, u, seed, polish=True):
     """The step loop on one grid, from the iterate ``u`` (module docstring).
 
     A ``seed`` replaces the first step's active set, and ``u`` counts as
@@ -509,7 +496,7 @@ def _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed, polish=True):
         return fh.values - g * u - fv, policy
 
     pinned = mask & (u == psi) if seed is None else seed
-    for step in range(config.max_iterations + 1):
+    for step in range(MAX_STEPS + 1):
         e, policy = evaluate()
         # a node below the obstacle is pinned whatever its multiplier says
         active = mask & (u - psi < np.maximum(-e, 0.0))
@@ -525,7 +512,7 @@ def _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed, polish=True):
                 active, free, r = pinned, held, r_held
         if settled and (r <= tol or step and not polish):
             return u, active, e, r, tuple(history), system.seconds
-        if step == config.max_iterations:
+        if step == MAX_STEPS:
             break
         pinned = active
         moved = active & (u != psi)
@@ -540,12 +527,12 @@ def _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed, polish=True):
         history.append((r, int(np.count_nonzero(active)), krylov))
     raise SolverError(
         "policy iteration on the %s grid failed to converge: residual %.3e"
-        " after %d steps (tolerance %.3e)" % (level, r, config.max_iterations, tol), r
+        " after %d steps (tolerance %.3e)" % (level, r, MAX_STEPS, tol), r
     )
 
 
 def solve_dirichlet(op: EllipticOperator, f, boundary,
-                    config: SolverConfig | None = None,
+                    tol: float | None = None,
                     grid: Grid | None = None,
                     initial: GridFunction | None = None) -> SolveResult:
     """Solve F_h(u) = f on the interior by policy iteration; the whole margin
@@ -554,16 +541,16 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
     f and boundary may be scalars, callables over points, or GridFunctions;
     at least one argument must reveal the grid.  The iteration starts from
     ``initial`` (default: the boundary field), and an exact start returns
-    after 0 steps.
+    after 0 steps.  It stops once the sup-norm residual is at most ``tol``
+    (default 1e-9 * (1 + sup|f|)).
     """
-    config = config or SolverConfig()
     grid = grid or _pick_grid(f, boundary, initial)
     mask, fv = _setup(op, grid, f, initial)
     bv = _node_field(grid, boundary, "boundary")
     u = initial.values.copy() if initial is not None else bv.copy()
     n = grid.node_count  # the obstacle loop with no obstacle, psi = -inf and g = 0
     u, _, _, r, history, seconds = _iterate(op, grid, np.full(n, -np.inf), bv, fv, np.zeros(n),
-                                            _tolerance(config, fv, mask), config, u, None)
+                                            _tolerance(tol, fv, mask), u, None)
     return SolveResult(GridFunction(grid, u), len(history), r, history,
                        ((grid.shape[0], seconds),))
 
@@ -640,7 +627,7 @@ def _coarser(grid: Grid, psi, bv, margin: int) -> Grid | None:
     return coarse
 
 
-def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, config, initial=None, polish=True):
+def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, initial=None, polish=True):
     """Solve on the grid of every other node first (recursively), then start
     this level from its bilinearly interpolated solution, pinned to psi on the
     nodes whose surrounding coarse nodes are all in contact; without a usable
@@ -657,21 +644,20 @@ def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, config, initial=None, polish=
         seed, levels, history, timings = None, (), (), ()
     else:
         cu, ccontact, _, _, levels, history, timings = _coarse_to_fine(
-            op, coarse, *(_inject(grid.shape, a) for a in (psi, bv, fv, g)), tol, config,
+            op, coarse, *(_inject(grid.shape, a) for a in (psi, bv, fv, g)), tol,
             polish=False)
         interpolate = _interpolation(grid.shape, 0)
         u = interpolate @ cu
         # the weights of a row are exact binary fractions summing to 1
         seed = interpolate @ ccontact.astype(float) == 1.0
         u[seed] = psi[seed]
-    u, active, e, r, rows, seconds = _iterate(op, grid, psi, bv, fv, g, tol, config, u, seed,
-                                              polish)
+    u, active, e, r, rows, seconds = _iterate(op, grid, psi, bv, fv, g, tol, u, seed, polish)
     return (u, active, e, r, levels + ((grid.shape[0], len(rows)),), history + rows,
             timings + ((grid.shape[0], seconds),))
 
 
 def solve_obstacle(problem: ObstacleProblem,
-                   config: SolverConfig | None = None,
+                   tol: float | None = None,
                    initial: GridFunction | None = None) -> ObstacleResult:
     """Primal-dual active-set solve of min(u - psi, f + g u - F_h(u)) = 0.
 
@@ -683,19 +669,19 @@ def solve_obstacle(problem: ObstacleProblem,
     one from monotonicity on the contact set, both cross-checked against the
     realized field before being reported.
 
-    Without ``initial`` the solve starts coarse to fine (module docstring);
-    with it, a single level runs from that iterate.
+    The residual tolerance ``tol`` defaults to 1e-9 * (1 + sup|f|).  Without
+    ``initial`` the solve starts coarse to fine (module docstring); with it,
+    a single level runs from that iterate.
     """
     grid = problem.psi.grid
     op = problem.op
-    config = config or SolverConfig()
     mask, fv = _setup(op, grid, problem.f, initial)
     g = problem.g_values
     psi = problem.psi.values
     bv = problem.boundary_values(operator_margin(op, grid.ndim))
-    tol = _tolerance(config, fv, mask)
+    tol = _tolerance(tol, fv, mask)
     u, contact, e, r, levels, history, timings = _coarse_to_fine(
-        op, grid, psi, bv, fv, g, tol, config,
+        op, grid, psi, bv, fv, g, tol,
         None if initial is None else initial.values)
 
     rhs = fv + g * u

@@ -218,7 +218,7 @@ def _scheme(op: EllipticOperator, ndim: int) -> _Scheme:
 
 def _build_scheme(op: EllipticOperator, ndim: int) -> _Scheme:
     if ndim not in (1, 2):
-        raise NotImplementedError("the scheme is implemented for 1D and 2D grids")
+        raise ValueError("the scheme is implemented for 1D and 2D grids")
     # D_e = D_-e: one buffer per lattice line, oriented as first met, so the
     # schemes that never meet both orientations keep their order of additions
     lines, arcs, pucci = {}, [], op.kind in ("pucci_max", "pucci_min")

@@ -12,7 +12,7 @@ comparison-with-smooth-functions definition made finite.
 The neighborhood radius rho should stay O(1) as the grid refines: with the
 h^2 trigger slack, a radius of a few h lets parabolas with O(1) opening slip
 through the slack and produce false failures.  The dictionary builder
-defaults to ~1/8 of the domain extent, floored at 4h.
+uses 1/8 of the shortest domain extent, floored at 4h.
 """
 
 from __future__ import annotations
@@ -159,37 +159,26 @@ def _require_inside(grid, nodes, reach):
         raise ValueError("touching ball exits domain at node %r" % (multi,))
 
 
-def make_touching_dictionary(u: GridFunction, rho: float | None = None,
-                             node_budget: int = 1500,
-                             nodes=None) -> TouchingDictionary:
+def make_touching_dictionary(u: GridFunction, node_budget: int = 1500) -> TouchingDictionary:
     """Deterministic test dictionary: at each selected node, gradients from
     the central difference +/- h e_i and Hessians from discrete_hessian
     shifted by +/- s I over a geometric ladder of s.
 
-    Nodes come either from ``nodes`` (multi-indices) or are at most
-    ``node_budget`` nodes spread evenly, first to last, over all nodes whose
-    rho-ball stays inside the domain.
+    The radius rho is 1/8 of the shortest domain extent, floored at 4h; the
+    nodes are at most ``node_budget`` spread evenly, first to last, over all
+    nodes whose rho-ball stays inside the domain.
     """
     grid = u.grid
     h = grid.h
     n = grid.ndim
-    if rho is None:
-        extent = min(grid.domain.extent(a) for a in range(n))
-        rho = max(0.125 * extent, 4.0 * h)
-    if rho < 2.0 * h:
-        raise ValueError("touching radius under-resolved: need rho >= 2h")
-    margin = max(int(math.ceil(rho / h - 1e-9)), 1)
-
-    if nodes is None:
-        eligible = np.flatnonzero(grid.interior_mask(margin))
-        if eligible.size == 0:
-            raise ValueError("no node has its touching ball inside the domain")
-        k = min(node_budget, eligible.size)
-        flat = eligible[np.arange(k) * (eligible.size - 1) // max(k - 1, 1)]
-    else:
-        multi = np.asarray(nodes, dtype=int).reshape(-1, n)
-        flat = np.ravel_multi_index(tuple(multi.T), grid.shape, order="F")
-    _require_inside(grid, flat, margin)
+    extent = min(grid.domain.extent(a) for a in range(n))
+    rho = max(0.125 * extent, 4.0 * h)
+    margin = int(math.ceil(rho / h - 1e-9))
+    eligible = np.flatnonzero(grid.interior_mask(margin))
+    if eligible.size == 0:
+        raise ValueError("no node has its touching ball inside the domain")
+    k = min(node_budget, eligible.size)
+    flat = eligible[np.arange(k) * (eligible.size - 1) // max(k - 1, 1)]
 
     grads = np.empty((flat.size, 2 * n + 1, n))
     for a, stride in enumerate(grid.strides):
@@ -316,9 +305,12 @@ class LimitStabilityReport:
     passed: bool
 
 
+# the node budget of the touching dictionary that certifies the limit
+LIMIT_NODE_BUDGET = 300
+
+
 def limit_stability_experiment(generator, k_max: int, op: EllipticOperator,
-                               u_limit: GridFunction, lam_limit: float,
-                               node_budget: int = 300) -> LimitStabilityReport:
+                               u_limit: GridFunction, lam_limit: float) -> LimitStabilityReport:
     """Stability of certificates under locally uniform limits.
 
     The generator maps k = 1..k_max to (u_k, lam_k), each certified for
@@ -340,7 +332,7 @@ def limit_stability_experiment(generator, k_max: int, op: EllipticOperator,
         for uk, lk in zip(us, lams)
     )
     base_pw = check_pointwise(u_inf, op, Bounds.symmetric(lam_inf))
-    dictionary = make_touching_dictionary(u_inf, node_budget=node_budget)
+    dictionary = make_touching_dictionary(u_inf, node_budget=LIMIT_NODE_BUDGET)
     base_tt = check_touching(u_inf, op, Bounds.symmetric(lam_inf), dictionary)
     # widening the bounds by delta shifts every violation down by delta
     pw_pass = tuple(bool(max(base_pw.worst_upper, base_pw.worst_lower) - d

@@ -122,7 +122,7 @@ def test_criterion_4_limit_stability_and_localization():
     fam_ok = {}
     for name, (gen, u_inf, lam_inf) in sorted(fams.items()):
         rep = limit_stability_experiment(gen, 6, TRACE, u_limit=u_inf,
-                                         lam_limit=lam_inf, node_budget=300)
+                                         lam_limit=lam_inf)
         fam_ok[name] = rep.passed
 
     # localization: near-maximizers of (u_k - u) - |x - x0|^4 stay quartically

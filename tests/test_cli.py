@@ -15,14 +15,13 @@ import scipy
 
 from ellipticlab import (
     GridFunction,
-    SolverConfig,
     SymMatrix,
     build_fixture,
     pucci_max,
     sandwich_check,
     write_grid_function,
 )
-from ellipticlab import cli
+from ellipticlab import cli, solvers
 from ellipticlab.fileio import read_manifest
 from ellipticlab.operators import operator_spec_string
 
@@ -156,6 +155,16 @@ def test_grid_too_small_for_the_stencil_is_a_usage_error(tmp_path):
     assert "certification failed" not in r.stderr
 
 
+def test_three_dimensional_grid_is_a_usage_error(tmp_path):
+    """The scheme is implemented for 1D and 2D grids: a 3D input is a failed
+    precondition, not a crash."""
+    path = tmp_path / "quad3d.txt"
+    write_grid_function(build_fixture("quad", 9, ndim=3), path)
+    r = run_cli("visc", "--input", str(path), "--lambda", "5", "--out", str(tmp_path / "out"))
+    assert r.returncode == 2, r.stderr
+    assert "the scheme is implemented for 1D and 2D grids" in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # certification failures -> exit 1
 
@@ -174,8 +183,7 @@ def test_solver_failure_is_not_a_certification_failure(monkeypatch, capsys, tmp_
     """A one-step budget stops the coarse-to-fine solve on its coarsest level;
     no certificate was attempted, so the exit code is 3, and the message
     names the grid that failed."""
-    monkeypatch.setattr(cli, "SolverConfig",
-                        lambda **kw: SolverConfig(max_iterations=1, **kw))
+    monkeypatch.setattr(solvers, "MAX_STEPS", 1)
     code = cli.main(["obstacle", "--res", "65", "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 3, err
@@ -208,6 +216,23 @@ def test_solve_quad_exact(tmp_path):
     assert man["steps"] == report["steps"]
     assert int(man["krylov_iterations"]) >= int(report["steps"])
     assert "tau" not in man
+
+
+@pytest.mark.parametrize("args, report", [
+    (("solve", "--fixture", "quad", "--res", "33"), "solve_report.csv"),
+    (("obstacle", "--res", "33"), "obstacle_report.csv"),
+])
+def test_tol_scale_scales_the_solver_tolerance(args, report, tmp_path):
+    """--tol-scale 0.5 halves the residual tolerance the manifest records, and
+    the solve meets the halved tolerance."""
+    tols = []
+    for scale in ("1", "0.5"):
+        out = tmp_path / scale
+        assert cli.main([*args, "--tol-scale", scale, "--out", str(out)]) == 0
+        tols.append(float(read_manifest(out / "run_manifest.txt")["residual_tolerance"]))
+    assert tols[1] == 0.5 * tols[0]
+    head, row = (out / report).read_text().splitlines()
+    assert float(dict(zip(head.split(","), row.split(",")))["residual"]) <= tols[1]
 
 
 def test_solve_non_diagonal_linear(tmp_path):

@@ -7,7 +7,6 @@ from ellipticlab import (
     Ball,
     GridFunction,
     ObstacleProblem,
-    SolverConfig,
     SolverError,
     build_fixture,
     disc_problem,
@@ -77,13 +76,15 @@ def test_warm_start_cuts_iterations():
     np.testing.assert_array_equal(warm.u.values, cold.u.values)
 
 
-def test_iteration_budget_raises_solver_error():
+def test_iteration_budget_raises_solver_error(monkeypatch):
+    from ellipticlab import solvers
+
     op = pucci_max(1.0, 2.0)
     f, target, zero = manufactured_quad(op)
     assert solve_dirichlet(op, f, target, initial=zero).iterations >= 2
+    monkeypatch.setattr(solvers, "MAX_STEPS", 1)
     with pytest.raises(SolverError, match="on the 33x33 grid failed to converge") as err:
-        solve_dirichlet(op, f, target, initial=zero,
-                        config=SolverConfig(max_iterations=1))
+        solve_dirichlet(op, f, target, initial=zero)
     assert err.value.last_residual > 0
 
 
@@ -299,9 +300,12 @@ def test_obstacle_step_evaluates_the_scheme_once(monkeypatch):
     assert len(calls) < 2 * result.iterations
 
 
-def test_coarse_level_failure_names_its_grid():
+def test_coarse_level_failure_names_its_grid(monkeypatch):
+    from ellipticlab import solvers
+
+    monkeypatch.setattr(solvers, "MAX_STEPS", 1)
     with pytest.raises(SolverError, match="on the 17x17 grid failed to converge"):
-        solve_obstacle(disc_problem(65), config=SolverConfig(max_iterations=1))
+        solve_obstacle(disc_problem(65))
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,8 @@ SCHEME_OPS = [
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6), st.floats(0.01, 10.0))
 def test_eval_discrete_positively_homogeneous(seed, sigma):
+    """Compared norm-wise: F_h's roundoff at a node scales with the terms it
+    sums, which can be large where F_h itself is near 0."""
     g = unit_square_grid(17)
     rng = np.random.default_rng(seed)
     u = GridFunction(g, rng.standard_normal(g.node_count))
@@ -247,7 +249,8 @@ def test_eval_discrete_positively_homogeneous(seed, sigma):
         a = eval_discrete(op, u.with_values(sigma * u.values)).values
         b = sigma * eval_discrete(op, u).values
         fin = np.isfinite(a)
-        np.testing.assert_allclose(a[fin], b[fin], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(a[fin], b[fin], rtol=1e-12,
+                                   atol=1e-12 * (1.0 + np.max(np.abs(b[fin]))))
 
 
 @settings(max_examples=20, deadline=None)
@@ -339,7 +342,7 @@ def test_eval_discrete_rejects_3d():
 
     g = Grid(Domain((0.0,) * 3, (1.0,) * 3), (5, 5, 5))
     u = GridFunction(g, np.zeros(g.node_count))
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(ValueError, match="1D and 2D"):
         eval_discrete(parse_operator("trace"), u)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -149,11 +151,18 @@ def test_touching_dictionary_keeps_to_its_node_budget(res):
 
 
 def test_touching_dictionary_at_given_nodes():
+    """A hand-built dictionary is checked at its own nodes, and a node whose
+    rho-ball exits the domain is refused."""
     u = build_fixture("quad", 33)
-    d = make_touching_dictionary(u, nodes=[(16, 16), (12, 20)])
-    assert d.nodes.tolist() == [16 * 33 + 16, 20 * 33 + 12]
+    d = make_touching_dictionary(u)
+    rows = np.searchsorted(d.nodes, [16 * 33 + 16, 20 * 33 + 12])
+    given = replace(d, nodes=d.nodes[rows], grads=d.grads[rows], hessians=d.hessians[rows])
+    assert given.nodes.tolist() == [16 * 33 + 16, 20 * 33 + 12]
+    rep = check_touching(u, TRACE, Bounds(2.0, 2.0), given)
+    assert rep.passed and rep.candidates == len(given)
+    assert rep.node_indices.tolist() == given.nodes.tolist()
     with pytest.raises(ValueError, match="exits domain"):
-        make_touching_dictionary(u, nodes=[(1, 16)])
+        check_touching(u, TRACE, Bounds(2.0, 2.0), replace(given, nodes=given.nodes - 15))
 
 
 @pytest.mark.parametrize("case", ["quad-trace", "quad-pucci", "kink-1d"])
@@ -248,7 +257,7 @@ def test_quartic_perturb_hessian_is_negligible_at_center():
 def test_limit_stability_ripple_family():
     gen, u_inf, lam_inf = limit_families(33)["ripple"]
     rep = limit_stability_experiment(gen, 4, TRACE, u_limit=u_inf,
-                                     lam_limit=lam_inf, node_budget=200)
+                                     lam_limit=lam_inf)
     assert rep.passed
     assert len(rep.lam_seq) == 4
     assert all(rep.self_pass) and all(rep.pointwise_pass) and all(rep.touching_pass)
