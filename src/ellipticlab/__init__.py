@@ -78,15 +78,7 @@ from .decay import (
     verify_decay_chain,
     write_decay_profile,
 )
-from .mollify import (
-    MollifierKernel,
-    SandwichReport,
-    SweepRow,
-    hessian_lp_norm,
-    mollify,
-    sandwich_check,
-    stability_sweep,
-)
+from .mollify import SweepRow, hessian_lp_norm, mollify, stability_sweep
 from .fixtures import (
     build_fixture,
     disc_problem,

@@ -56,6 +56,7 @@ from .stencils import eval_discrete
 from .viscosity import (
     LIMIT_NODE_BUDGET,
     TRIGGER_SLACK,
+    VISC_NODE_BUDGET,
     Bounds,
     check_pointwise,
     check_touching,
@@ -227,16 +228,15 @@ def cmd_visc(args) -> int:
             "run manifest that produced it")
     op = parse_operator(args.op or manifest.get("op", "trace"))
     tol = _tol_scale(args) * default_tolerance(op, u)
-    node_budget = 400
     pointwise = check_pointwise(u, op, bounds, tol=tol)
-    dictionary = make_touching_dictionary(u, node_budget=node_budget)
+    dictionary = make_touching_dictionary(u, node_budget=VISC_NODE_BUDGET)
     touching = check_touching(u, op, bounds, dictionary, tol=tol)
     write_viscosity_report(pointwise, os.path.join(out, "visc_pointwise.csv"))
     write_viscosity_report(touching, os.path.join(out, "visc_touching.csv"))
     _write_run_manifest(out, "visc", {
         "input": args.input, "op": operator_spec_string(op),
         "lam_lo": bounds.lam_lo, "lam_hi": bounds.lam_hi,
-        "tolerance": tol, "node_budget": node_budget,
+        "tolerance": tol, "node_budget": VISC_NODE_BUDGET,
         "trigger_slack": TRIGGER_SLACK * u.grid.h ** 2,
     })
     ok = pointwise.passed and touching.passed

@@ -17,6 +17,15 @@ def fmt_float(x) -> str:
     return FLOAT_FMT % float(x)
 
 
+def _cell(v) -> str:
+    """A CSV cell or manifest value: bools as 1/0, floats to 17 digits."""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return fmt_float(v)
+    return str(v)
+
+
 def atomic_write_text(path, text):
     """Write ``text`` to ``path`` via a temp file in the same directory + rename."""
     path = os.fspath(path)
@@ -39,32 +48,18 @@ def write_csv(path, header, rows, footer_rows=(), formatted_rows=()):
     ``formatted_rows`` are body lines the caller formatted itself, written
     after ``rows``: for many rows of one shape, one format string per row is
     cheaper than formatting cell by cell."""
-    def cell(v):
-        if isinstance(v, bool):
-            return "1" if v else "0"
-        if isinstance(v, float):
-            return fmt_float(v)
-        return str(v)
-
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(cell(v) for v in row))
+        lines.append(",".join(_cell(v) for v in row))
     lines.extend(formatted_rows)
     for row in footer_rows:
-        lines.append(",".join(cell(v) for v in row))
+        lines.append(",".join(_cell(v) for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_manifest(path, entries: dict):
     """Flat key=value manifest, keys sorted, one entry per line."""
-    lines = []
-    for key in sorted(entries):
-        value = entries[key]
-        if isinstance(value, bool):
-            value = "1" if value else "0"
-        elif isinstance(value, float):
-            value = fmt_float(value)
-        lines.append(f"{key}={value}")
+    lines = [f"{key}={_cell(entries[key])}" for key in sorted(entries)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

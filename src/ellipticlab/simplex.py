@@ -34,13 +34,8 @@ _MAX_PIVOTS = 2000
 @dataclass(frozen=True)
 class MinimaxFit:
     slope: np.ndarray  # (n,)
-    lower: float  # min_i residual u_i - slope . x_i at the optimum
-    upper: float  # max_i residual
+    width: float  # max_i - min_i of the residuals u_i - slope . x_i at the optimum
     iterations: int
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 def _spanning_subset(x: np.ndarray) -> list:
@@ -81,9 +76,9 @@ def _column(x: np.ndarray, j: int) -> np.ndarray:
 def minimax_affine(points, values) -> MinimaxFit:
     """Best uniform affine approximation of scattered samples.
 
-    Returns the optimal slope along with the extreme residuals [lower, upper];
-    the band width upper - lower is the minimized quantity and the centered
-    affine function q . x + (lower + upper)/2 is the Chebyshev fit.
+    Returns the optimal slope q and the band width, the spread of the
+    residuals u_i - q . x_i, which is the minimized quantity; the Chebyshev
+    fit is q . x plus the midpoint of the residuals.
     """
     x = np.ascontiguousarray(points, dtype=float)
     u = np.ascontiguousarray(values, dtype=float).reshape(-1)
@@ -134,7 +129,7 @@ def minimax_affine(points, values) -> MinimaxFit:
                 entering = int(neg_lo[0]) if neg_lo.size else int(neg_hi[0]) + big
                 rc_min = -np.inf
         if rc_min >= -rc_tol:
-            return MinimaxFit(q.copy(), float(resid.min()), float(resid.max()), it - 1)
+            return MinimaxFit(q.copy(), float(resid.max()) - float(resid.min()), it - 1)
 
         col = _column(x, entering)
         d = np.linalg.solve(bmat, col)

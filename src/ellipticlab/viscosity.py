@@ -159,7 +159,7 @@ def _require_inside(grid, nodes, reach):
         raise ValueError("touching ball exits domain at node %r" % (multi,))
 
 
-def make_touching_dictionary(u: GridFunction, node_budget: int = 1500) -> TouchingDictionary:
+def make_touching_dictionary(u: GridFunction, node_budget: int) -> TouchingDictionary:
     """Deterministic test dictionary: at each selected node, gradients from
     the central difference +/- h e_i and Hessians from discrete_hessian
     shifted by +/- s I over a geometric ladder of s.
@@ -305,7 +305,9 @@ class LimitStabilityReport:
     passed: bool
 
 
-# the node budget of the touching dictionary that certifies the limit
+# the node budgets of the touching dictionaries that certify a stored
+# solution (``visc``) and the limit
+VISC_NODE_BUDGET = 400
 LIMIT_NODE_BUDGET = 300
 
 

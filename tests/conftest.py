@@ -300,7 +300,7 @@ def dense_rim_envelope(op, u, count=2048):
 def shift_add_convolve(lat, weights):
     """Valid-mode correlation sum_d w(d) lat(x + d) the direct way, one
     whole-array shifted add per nonzero weight; the reference for
-    ``mollify._convolve_valid``."""
+    ``mollify._correlator``."""
     out_shape = tuple(n - m + 1 for n, m in zip(lat.shape, weights.shape))
     if any(s < 1 for s in out_shape):
         raise ValueError("mollified domain is empty: the margin removes every interior node")

@@ -37,7 +37,6 @@ from ellipticlab import (
     quartic_perturb,
     rescale_sequence,
     sample_bilinear,
-    sandwich_check,
     solve_dirichlet,
     solve_obstacle,
     stability_sweep,
@@ -222,11 +221,10 @@ def test_criterion_7_blowup_bookkeeping():
 def test_criterion_8_mollified_sandwich_and_sweep(disc129):
     u, h = disc129.u, disc129.u.grid.h
     eye = SymMatrix.identity(2)
-    sand = sandwich_check(u, eye, disc129.lam_lo, disc129.lam_hi, 8 * h)
-
     schedule = [24 * h, 16 * h, 12 * h, 8 * h]
     ob_rows = stability_sweep(u, eye, disc129.lam_lo, disc129.lam_hi,
                               schedule, p=4.0, r=0.15)
+    sand = ob_rows[-1]  # the sandwich at eps = 8h
     quad = build_fixture("quad", 129)
     hq = quad.grid.h
     q_rows = stability_sweep(quad, eye, 0.0, 4.0,

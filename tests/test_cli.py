@@ -15,10 +15,8 @@ import scipy
 
 from ellipticlab import (
     GridFunction,
-    SymMatrix,
     build_fixture,
     pucci_max,
-    sandwich_check,
     write_grid_function,
 )
 from ellipticlab import cli, solvers
@@ -343,15 +341,21 @@ def test_campanato_default_run(tmp_path):
     assert all(line.endswith(",1") for line in chain[1:])
 
 
-def test_mollify_manifest_records_the_applied_tolerance(tmp_path):
+def test_mollify_manifest_records_the_applied_tolerance(monkeypatch, tmp_path):
     """sandwich_tolerance in the manifest is the tolerance the sweep applies."""
+    mollify_module = sys.modules["ellipticlab.mollify"]
+    tolerance = mollify_module.sandwich_tolerance
+    applied = []
+
+    def recording(*args):
+        applied.append(tolerance(*args))
+        return applied[-1]
+
+    monkeypatch.setattr(mollify_module, "sandwich_tolerance", recording)
     assert cli.main(["mollify", "--fixture", "quad", "--res", "65",
                      "--out", str(tmp_path)]) == 0
     man = read_manifest(tmp_path / "run_manifest.txt")
-    eps = float(man["eps_schedule"].split()[0])
-    report = sandwich_check(build_fixture("quad", 65), SymMatrix.identity(2),
-                            float(man["f1"]), float(man["f2"]), eps)
-    assert float(man["sandwich_tolerance"]) == report.tolerance
+    assert applied == [float(man["sandwich_tolerance"])]
 
 
 def test_mollify_sweep_runs(tmp_path):
@@ -360,6 +364,14 @@ def test_mollify_sweep_runs(tmp_path):
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "eps,norm_p,pass-flag"
     assert len(lines) == 5  # default four-step schedule
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_mollify_refuses_non_finite_bounds(lam, tmp_path):
+    r = run_cli("mollify", "--fixture", "quad", "--res", "65", "--lambda", lam,
+                "--out", str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert "sandwich bounds f1 = " in r.stderr and "must be finite" in r.stderr
 
 
 def test_limit_families_run(tmp_path):

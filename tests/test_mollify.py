@@ -1,3 +1,5 @@
+import functools
+import math
 import sys
 
 import numpy as np
@@ -8,12 +10,13 @@ from hypothesis import strategies as st
 from ellipticlab import (
     Ball,
     GridFunction,
-    MollifierKernel,
     SymMatrix,
     build_fixture,
+    eval_discrete,
     hessian_lp_norm,
+    linear_operator,
     mollify,
-    sandwich_check,
+    operator_margin,
     stability_sweep,
 )
 
@@ -26,22 +29,26 @@ mollify_module = sys.modules["ellipticlab.mollify"]  # ellipticlab.mollify is th
 # kernels
 
 
+def _half_width(grid, eps):
+    return mollify_module._kernel(grid, eps).shape[0] // 2
+
+
 def test_kernel_has_unit_mass(grid65):
-    k = MollifierKernel.build(grid65, 8 * grid65.h)
-    assert k.weights.sum() == pytest.approx(1.0, abs=1e-13)
-    assert np.all(k.weights >= 0)
+    w = mollify_module._kernel(grid65, 8 * grid65.h)
+    assert w.sum() == pytest.approx(1.0, abs=1e-13)
+    assert np.all(w >= 0)
 
 
 def test_kernel_under_resolved(grid65):
     with pytest.raises(ValueError, match="need eps >= 3h"):
-        MollifierKernel.build(grid65, 2.5 * grid65.h)
+        mollify_module._kernel(grid65, 2.5 * grid65.h)
 
 
 def test_kernel_half_width_rounding(grid65):
     h = grid65.h
-    assert MollifierKernel.build(grid65, 3 * h).half_width == 3
-    assert MollifierKernel.build(grid65, 3.9 * h).half_width == 3
-    assert MollifierKernel.build(grid65, 4 * h).half_width == 4
+    assert _half_width(grid65, 3 * h) == 3
+    assert _half_width(grid65, 3.9 * h) == 3
+    assert _half_width(grid65, 4 * h) == 4
 
 
 def test_shrunken_domain_geometry(grid65):
@@ -64,7 +71,7 @@ def test_shrunken_domain_empty():
 
 
 def _assert_matches_oracle(lat, weights):
-    got = mollify_module._convolve_valid(lat, weights)
+    got = mollify_module._correlator(lat)(weights)
     want = shift_add_convolve(lat, weights)
     assert got.shape == want.shape
     tol = 1e-13 * np.max(np.abs(lat)) * np.sum(np.abs(weights))
@@ -99,13 +106,12 @@ def test_convolve_matches_shift_and_add(lat_shape, w_shape, border):
 @pytest.mark.parametrize("keps", [24, 16, 12, 8])
 def test_convolve_matches_shift_and_add_on_the_sweep_kernels(keps):
     u = build_fixture("kink", 129)
-    kern = MollifierKernel.build(u.grid, keps * u.grid.h)
-    _assert_matches_oracle(u.lattice(), kern.weights)
+    _assert_matches_oracle(u.lattice(), mollify_module._kernel(u.grid, keps * u.grid.h))
 
 
 def test_convolve_rejects_an_empty_output():
     with pytest.raises(ValueError, match="margin removes every interior node"):
-        mollify_module._convolve_valid(np.zeros((17, 17)), np.ones((19, 19)))
+        mollify_module._correlator(np.zeros((17, 17)))(np.ones((19, 19)))
     g = unit_square_grid(17)
     with pytest.raises(ValueError, match="margin removes every interior node"):
         mollify(field(g, lambda p: p[:, 0]), 9 * g.h)
@@ -128,12 +134,15 @@ def test_sweep_matches_the_shift_and_add_sweep(monkeypatch, name, f1, f2, r):
     h = u.grid.h
     args = (u, SymMatrix.identity(2), f1, f2, [24 * h, 16 * h, 12 * h, 8 * h])
     rows = stability_sweep(*args, p=4.0, r=r)
-    monkeypatch.setattr(mollify_module, "_convolve_valid", shift_add_convolve)
+    monkeypatch.setattr(mollify_module, "_correlator",
+                        lambda lat: functools.partial(shift_add_convolve, lat))
     want = stability_sweep(*args, p=4.0, r=r)
     assert [row.passed for row in rows] == [row.passed for row in want]
     for row, ref in zip(rows, want):
         assert row.eps == ref.eps
         assert row.norm_p == pytest.approx(ref.norm_p, rel=1e-12, abs=0)
+        assert row.worst_lower == pytest.approx(ref.worst_lower, rel=0, abs=1e-9)
+        assert row.worst_upper == pytest.approx(ref.worst_upper, rel=0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +173,10 @@ def test_mollified_parabola_shift_is_the_second_moment():
     u = field(g, lambda p: p[:, 0] ** 2)
     eps = 8 * g.h
     ue = mollify(u, eps)
-    kern = MollifierKernel.build(g, eps)
+    w = mollify_module._kernel(g, eps)
     # the per-axis second moment sum_d w(d) (d_x h)^2; x varies fastest
-    k = kern.half_width
-    m2 = float(np.sum(kern.weights * ((np.arange(-k, k + 1) * g.h) ** 2)[None, :]))
+    k = w.shape[0] // 2
+    m2 = float(np.sum(w * ((np.arange(-k, k + 1) * g.h) ** 2)[None, :]))
     shift = ue.values - field(ue.grid, lambda p: p[:, 0] ** 2).values
     assert np.max(shift) - np.min(shift) <= 1e-13
     assert np.mean(shift) == pytest.approx(m2, abs=1e-10)
@@ -177,63 +186,75 @@ def test_mollified_parabola_shift_is_the_second_moment():
 # sandwich checks
 
 
+def _sandwich(u, f1, f2, eps):
+    """The sweep's one row for a single eps, with identity A."""
+    (row,) = stability_sweep(u, SymMatrix.identity(2), f1, f2, [eps], p=4.0, r=0.25)
+    return row
+
+
 def test_sandwich_passes_on_exact_equation():
     u = build_fixture("quad", 65)
-    rep = sandwich_check(u, SymMatrix.identity(2), 2.0, 2.0, 6 * u.grid.h)
-    assert rep.passed
-    assert rep.worst_lower >= -1e-10
-    assert rep.worst_upper >= -1e-10
+    row = _sandwich(u, 2.0, 2.0, 6 * u.grid.h)
+    assert row.passed
+    assert row.worst_lower >= -1e-10
+    assert row.worst_upper >= -1e-10
 
 
 def test_sandwich_fails_when_bounds_lie():
     """u = |x|^2/2 has A:D^2u = 2; claiming 0 <= g <= 0 must be refuted with
     a worst upper margin of about -2."""
     u = build_fixture("quad", 65)
-    rep = sandwich_check(u, SymMatrix.identity(2), 0.0, 0.0, 6 * u.grid.h)
-    assert not rep.passed
-    assert rep.worst_upper == pytest.approx(-2.0, abs=1e-9)
-    assert rep.worst_lower == pytest.approx(2.0, abs=1e-9)
+    row = _sandwich(u, 0.0, 0.0, 6 * u.grid.h)
+    assert not row.passed
+    assert row.worst_upper == pytest.approx(-2.0, abs=1e-9)
+    assert row.worst_lower == pytest.approx(2.0, abs=1e-9)
 
 
 def test_sandwich_rejects_crossed_bounds():
     u = build_fixture("quad", 65)
     with pytest.raises(ValueError, match="f1 <= f2"):
-        sandwich_check(u, SymMatrix.identity(2), 1.0, -1.0, 6 * u.grid.h)
+        _sandwich(u, 1.0, -1.0, 6 * u.grid.h)
 
 
-def test_sandwich_commutation_is_exact_for_linear_fields():
-    """The discrete Hessian commutes with convolution, so mollifying the
-    realized field and mollifying u give identical sandwiches up to roundoff."""
+@pytest.mark.parametrize("f1, f2", [(math.nan, 1.0), (-1.0, math.nan), (-math.inf, math.inf)])
+def test_sandwich_rejects_non_finite_bounds(monkeypatch, f1, f2):
+    """Refused by name before u is transformed."""
+    monkeypatch.setattr(mollify_module, "_correlator", None)
+    u = build_fixture("quad", 65)
+    with pytest.raises(ValueError, match="sandwich bounds f1 = .* and f2 = .* must be finite"):
+        _sandwich(u, f1, f2, 6 * u.grid.h)
+
+
+@pytest.mark.parametrize("a, margin", [([[1.5, 0.25], [0.25, 1.0]], 1),
+                                       ([[1.0, 1.9], [1.9, 4.0]], 2)])
+def test_scheme_commutes_with_mollification(a, margin):
+    """F_h(eta * u) = eta * (F_h u) on the nodes where both are defined: the
+    stencil and the kernel both have constant coefficients.  Selling's
+    decomposition of [[1, 1.9], [1.9, 4]] reaches two node layers."""
     g = unit_square_grid(65)
-    rng = np.random.default_rng(7)
-    u = GridFunction(g, rng.standard_normal(g.node_count))
-    from ellipticlab import eval_discrete, linear_operator
-
-    a = np.array([[1.5, 0.25], [0.25, 1.0]])
-    realized = eval_discrete(linear_operator(a), u)
-    fvals = np.nan_to_num(realized.values)
-    f = GridFunction(g, fvals)
-    rep = sandwich_check(u, SymMatrix(a), f, f, 6 * g.h)
-    scale = 1.0 + np.max(np.abs(fvals))
-    assert rep.worst_lower >= -1e-9 * scale
-    assert rep.worst_upper >= -1e-9 * scale
-    assert rep.passed
+    u = GridFunction(g, np.random.default_rng(7).standard_normal(g.node_count))
+    op = linear_operator(np.array(a))
+    assert operator_margin(op, 2) == margin
+    inner = (slice(margin, -margin),) * 2
+    fu = eval_discrete(op, u)
+    fu = GridFunction(mollify_module._trimmed_grid(g, margin), fu.lattice()[inner].ravel())
+    left = eval_discrete(op, mollify(u, 6 * g.h)).lattice()[inner]
+    right = mollify(fu, 6 * g.h).lattice()
+    assert left.shape == right.shape == (65 - 2 * (6 + 1 + margin),) * 2
+    np.testing.assert_allclose(left, right, rtol=0, atol=1e-9 * (1.0 + fu.sup_norm()))
 
 
-def test_sandwich_report_shrinks_with_a_wider_stencil():
-    """Selling's decomposition of [[1, 1.9], [1.9, 4]] reaches two node layers:
-    the report covers the nodes where g_eps is defined, and convolution still
-    commutes with the scheme exactly."""
-    from ellipticlab import eval_discrete, linear_operator
-
-    g = unit_square_grid(65)
-    u = GridFunction(g, np.random.default_rng(8).standard_normal(g.node_count))
-    a = np.array([[1.0, 1.9], [1.9, 4.0]])
-    f = GridFunction(g, np.nan_to_num(eval_discrete(linear_operator(a), u).values))
-    rep = sandwich_check(u, SymMatrix(a), f, f, 6 * g.h)
-    assert rep.grid.shape == (65 - 2 * (6 + 2),) * 2
-    scale = 1.0 + np.max(np.abs(f.values))
-    assert min(rep.worst_lower, rep.worst_upper) >= -1e-9 * scale
+@pytest.mark.parametrize("a", [[[1.5, 0.25], [0.25, 1.0]], [[1.0, 1.9], [1.9, 4.0]]])
+def test_sandwich_covers_the_nodes_where_g_eps_is_defined(a):
+    """F_h is exact on quadratics, so A:D^2(|x|^2/2) = tr A holds on every
+    node the sweep compares; a node on the scheme's margin band would make
+    the margins NaN."""
+    u = build_fixture("quad", 65)
+    tr = float(np.trace(a))
+    (row,) = stability_sweep(u, SymMatrix(np.array(a)), tr, tr, [6 * u.grid.h],
+                             p=4.0, r=0.25)
+    assert row.passed
+    assert abs(row.worst_lower) <= 1e-9 and abs(row.worst_upper) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +326,27 @@ def test_sweep_kink_norm_blows_up_like_eps():
 
 
 def test_sweep_convolves_u_once_per_eps(monkeypatch):
-    """The sandwich and the norm share one convolution of u; the scalar bounds
-    are not convolved at all (the kernel has unit mass)."""
-    calls = []
-    original = mollify_module._convolve_valid
+    """u is transformed forward once per sweep and back once per eps: the
+    sandwich and the norm share one convolution, and the scalar bounds are
+    not convolved at all (the kernel has unit mass)."""
+    forward, inverse = [], []
 
-    def counting(lat, weights):
-        calls.append(lat.shape)
-        return original(lat, weights)
+    def counting(calls, fn):
+        def wrapped(a, *args, **kwargs):
+            calls.append(a.shape)
+            return fn(a, *args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(mollify_module, "_convolve_valid", counting)
+    monkeypatch.setattr(np.fft, "rfftn", counting(forward, np.fft.rfftn))
+    monkeypatch.setattr(np.fft, "irfftn", counting(inverse, np.fft.irfftn))
     u = build_fixture("quad", 65)
     h = u.grid.h
     rows = stability_sweep(u, SymMatrix.identity(2), 0.0, 4.0,
                            [12 * h, 10 * h, 8 * h, 6 * h], p=4.0, r=0.2)
-    assert len(calls) == 4
+    lattice = u.lattice().shape
+    assert forward.count(lattice) == 1  # the other forward transforms are the kernels'
+    assert len(forward) == 1 + 4
+    assert len(inverse) == 4
     assert all(row.passed for row in rows)
 
 

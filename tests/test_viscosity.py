@@ -154,7 +154,7 @@ def test_touching_dictionary_at_given_nodes():
     """A hand-built dictionary is checked at its own nodes, and a node whose
     rho-ball exits the domain is refused."""
     u = build_fixture("quad", 33)
-    d = make_touching_dictionary(u)
+    d = make_touching_dictionary(u, node_budget=1500)
     rows = np.searchsorted(d.nodes, [16 * 33 + 16, 20 * 33 + 12])
     given = replace(d, nodes=d.nodes[rows], grads=d.grads[rows], hessians=d.hessians[rows])
     assert given.nodes.tolist() == [16 * 33 + 16, 20 * 33 + 12]
