@@ -18,7 +18,6 @@ from .grids import (
     oscillation,
     read_grid_function,
     resample,
-    sample_bilinear,
     write_grid_function,
 )
 from .operators import (

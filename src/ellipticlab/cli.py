@@ -255,17 +255,16 @@ def cmd_campanato(args) -> int:
     center = tuple(0.5 * (lo + hi) for lo, hi in
                    zip(grid.domain.lower, grid.domain.upper))
     radius0 = 0.5 * min(grid.domain.extent(a) for a in range(grid.ndim))
-    entries = _subject_keys(args, u)
-    entries.update({"lam": cfg.lam, "beta": cfg.beta, "levels": cfg.levels,
-                    "radius0": radius0, "chain_rel_tol": CHAIN_REL_TOL,
-                    "min_radius_nodes": MIN_RADIUS_NODES})
-    _write_run_manifest(out, "campanato", entries)
     profile = decay_profile(u, center, cfg, radius0)
     write_decay_profile(profile, os.path.join(out, "decay.csv"))
     chain = verify_decay_chain(profile)
     write_csv(os.path.join(out, "chain.csv"), ["k", "phi", "bound", "ok"], chain)
     ok = all(step[3] for step in chain)
-    entries.update({"beta_hat": profile.beta_hat, "slope": profile.slope,
+    entries = _subject_keys(args, u)
+    entries.update({"lam": cfg.lam, "beta": cfg.beta, "levels": cfg.levels,
+                    "radius0": radius0, "chain_rel_tol": CHAIN_REL_TOL,
+                    "min_radius_nodes": MIN_RADIUS_NODES,
+                    "beta_hat": profile.beta_hat, "slope": profile.slope,
                     "sigma": profile.sigma, "spread": profile.spread,
                     "simplex_pivots": sum(profile.pivots), "chain_ok": int(ok)})
     _write_run_manifest(out, "campanato", entries)
@@ -301,9 +300,9 @@ def cmd_mollify(args) -> int:
     entries.update({"eps_schedule": " ".join("%.17g" % e for e in schedule),
                     "p": 4.0, "r": r, "f1": f1, "f2": f2, "matrix": "identity",
                     "sandwich_tolerance": sandwich_tol})
-    _write_run_manifest(out, "mollify", entries)
     rows = stability_sweep(u, a, f1, f2, schedule, 4.0, r,
                            path=os.path.join(out, "sweep.csv"))
+    _write_run_manifest(out, "mollify", entries)
     ok = all(row.passed for row in rows)
     norms = [row.norm_p for row in rows]
     print("mollify: sandwich %s, norm column %.4g .. %.4g"

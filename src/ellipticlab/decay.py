@@ -219,7 +219,7 @@ def rescale_sequence(u: GridFunction, cfg: DecayConfig,
     (bilinear), never the previous zoom, so interpolation error does not
     compound; the previous zoom is used only to fit the slope correction.
     The zoom is the lattice lam^k * unit, so it goes through ``resample``:
-    the values equal ``sample_bilinear(u, lam^k * unit.points())`` bit for bit.
+    the values are the multilinear interpolant of u at lam^k * unit.points().
     Along an axis where that lattice steps through u's nodes by an integral
     stride (u finite, as ``normalize`` returns it; on [-1, 1]^2 with 1025
     source and 65 unit nodes and lam = 1/4, strides 16, 4 and 1 at k = 0, 1,
@@ -268,8 +268,8 @@ def normalize(u: GridFunction, radius: float, lam: float, eps: float,
     By construction osc_{B(0,1)} of the result is < 1, and for an operator
     that is 1-homogeneous, bounds |F_h(u)| <= lam turn into
     |F_h(u_scaled)| <= radius^2 lam / kappa <= eps whenever radius <= 1.
-    u(radius x) is sampled on the unit lattice through ``resample``, which
-    equals ``sample_bilinear(u, radius * unit.points())`` bit for bit.  When
+    u(radius x) is sampled on the unit lattice through ``resample``: the
+    multilinear interpolant of u at radius * unit.points().  When
     radius * unit lands on u's nodes along an axis and u is finite (radius
     = 1 with the unit lattice u's own, say), that axis is a gather of those
     nodes, not an interpolation: the identity zoom is a copy.

@@ -29,7 +29,6 @@ __all__ = [
     "ball_node_mask",
     "oscillation",
     "resample",
-    "sample_bilinear",
     "read_grid_function",
     "write_grid_function",
 ]
@@ -265,30 +264,6 @@ def _cells(grid: Grid, axis: int, x: np.ndarray):
     return i0, np.clip(t - i0, 0.0, 1.0)
 
 
-def sample_bilinear(u: GridFunction, points) -> np.ndarray:
-    """Multilinear interpolation of u at scattered points inside the domain box.
-
-    Points on a lattice go through ``resample``, which evaluates the same
-    formula, bit for bit, from per-axis arrays.
-    """
-    grid = u.grid
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != grid.ndim:
-        raise ValueError("point rank mismatch")
-    cells = [_cells(grid, a, pts[:, a]) for a in range(grid.ndim)]
-    lattice = u.lattice()
-    out = np.zeros(pts.shape[0])
-    for corner in range(1 << grid.ndim):
-        weight = np.ones(pts.shape[0])
-        loc = [None] * grid.ndim
-        for a, (i0, frac) in enumerate(cells):
-            bit = (corner >> a) & 1
-            weight = weight * (frac if bit else 1.0 - frac)
-            loc[grid.ndim - 1 - a] = i0 + bit
-        out += weight * lattice[tuple(loc)]
-    return out
-
-
 def _taps(grid: Grid, axis: int, x: np.ndarray, finite: bool):
     """(weight, index) per corner bit along one axis for coordinates x; a
     node-aligned axis of a finite field gets one unweighted tap (``resample``)."""
@@ -304,8 +279,11 @@ def _taps(grid: Grid, axis: int, x: np.ndarray, finite: bool):
 
 def resample(u: GridFunction, target: Grid, scale: float) -> np.ndarray:
     """u at the nodes of ``target`` scaled by ``scale``, in target storage order:
-    ``sample_bilinear(u, scale * target.points())`` bit for bit, on finite and
-    non-finite fields alike.
+    the multilinear interpolant sum_c (prod_a w_a) u(c) over the 2^d corners c
+    of the cell holding each point, with w_a = 1 - t or t along axis a (t the
+    point's fraction across the cell), the product taken from axis 0 up and
+    the sum from +0.0 with axis 0's corner bit varying fastest, bit for bit,
+    on finite and non-finite fields alike.
 
     The cell indices and fractions are computed once per axis; each corner's
     weight is their broadcast product in the same order, and its values are
@@ -327,7 +305,7 @@ def resample(u: GridFunction, target: Grid, scale: float) -> np.ndarray:
     lattice = u.lattice()
     out = np.zeros(target.shape[::-1])
     # the taps taken in lattice-axis order vary coordinate axis 0 fastest,
-    # which is the corner order of sample_bilinear
+    # which is the corner order of the sum
     for corner in itertools.product(*taps[::-1]):
         weight = None  # no factor yet: 1.0, which is never multiplied in
         block = lattice

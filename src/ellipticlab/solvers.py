@@ -32,17 +32,17 @@ From the cold start max(boundary, psi) the active set loses about one node
 layer per step, so the step count grows like 1/h.  Unless given an initial
 iterate, the obstacle solve therefore starts coarse to fine, in the spirit of
 projected full multigrid (Brandt & Cryer, SIAM J. Sci. Stat. Comput. 4,
-1983): it first solves the same problem, restricted by injection, on the grid
-of every other node (recursively, while every axis has an even number of
-cells, the coarse grid keeps MIN_LEVEL_NODES per axis and the boundary data
-still dominate psi on its margin band).  The finer level's first active set
-is the nodes whose surrounding coarse nodes are all in contact, its first
-iterate the bilinear interpolation of the coarse solution, pinned to psi on
-that set; from there the loop is the single-level one, so it stops at the
-same discrete fixed point, a few steps per level on every grid (none when the
-interpolated start already meets the stopping rule).  A coarse level only
-seeds the next, so it returns as soon as a step has solved and its active
-set settled; only the finest level polishes its residual to the tolerance.
+1983), up a ladder of grids: the given one and its coarsenings to every other
+node.  It first solves the same problem, restricted by injection, on the
+coarsest rung that keeps MIN_LEVEL_NODES per axis and on whose margin band
+the boundary data still dominate psi.  A finer rung's first active set is the
+nodes whose surrounding coarse nodes are all in contact, its first iterate
+the bilinear interpolation of the coarse solution, pinned to psi on that set;
+from there the loop is the single-level one, so it stops at the same discrete
+fixed point, a few steps per rung on every grid (none when the interpolated
+start already meets the stopping rule).  A coarse rung only seeds the next,
+so it returns as soon as a step has solved and its active set settled; only
+the finest polishes its residual to the tolerance.
 
 Each step solves for the correction to the current iterate with BiCGSTAB
 (the same as warm-starting at the iterate); the correction vanishes on the
@@ -50,42 +50,43 @@ boundary band and on pinned nodes, so only the free interior nodes are
 unknowns.  BiCGSTAB is preconditioned with one geometric multigrid V-cycle,
 the same for every operator whatever the reach of its stencils: multilinear
 interpolation from the grid of every other node, damped Jacobi smoothing and
-a direct factorization of the coarsest level.  Its coarse levels are
+a direct factorization of the coarsest level.  Its levels are the ladder's
+rungs from the loop's own down to the first with at most _COARSEST unknowns,
 rediscretized (Trottenberg, Oosterlee & Schüller, *Multigrid*, 2001): the
-frozen policy's line weights and g, injected to the coarse nodes, fill the
-same lines at spacing 2h, scaled to the size of P^T A P so that P^T stays
-the restriction.  So every level is a monotone stencil, an M-matrix when
-g >= 0, where a Galerkin product P^T A P of a stencil reaching two node
-layers need not keep A's sign pattern.  It takes a few iterations per step
-on every grid, where the plain iteration needs more as h shrinks.
+frozen policy's line weights and g, injected to a rung's nodes, fill the same
+lines at its spacing, so every level is its own grid's system, 1/h^2 sum c D_e
+minus g.  That is 2^-d times the size of P^T A P, so the cycle scales the
+restricted residual by 2^-d, exactly.  Every level is a monotone stencil, an
+M-matrix when g >= 0, where a Galerkin product P^T A P of a stencil reaching
+two node layers need not keep A's sign pattern.  It takes a few iterations
+per step on every grid, where the plain iteration needs more as h shrinks.
 
-The system and its V-cycle belong to one grid's step loop
-(``_FrozenSystem``), as in truncated monotone multigrid (Kornhuber, Numer.
-Math. 69, 1994).  Its first step builds one layout per level over the
-level's interior nodes: the CSR structure of the centre plus x +- e on every
-line of the policy, with the couplings to the boundary band dropped; and
-between levels the interpolation restricted to those nodes, shared through a
-cache by every solve on the same grid.  After that a step costs no assembly.
-A new policy refills every level's entries from the line weights in place
-(the trace's never changes).  A new active set writes no entry: every
-level's A, P and P^T stay as built, and one rule truncates them all, masking
-the vectors around them in place.  A coarse node is free when the node it
-sits on is; each level's A and P map nothing to a pinned node, and P^T
-nothing to a coarse node sitting on one; the coarsest level is factorized
-again, as its matrix over its free nodes, when its policy or its free nodes
-change.  The right-hand side and so every Krylov vector vanish on pinned
-nodes, so the iterates are those of the system over the free nodes alone, up
-to the order of summation.  A step whose policy and free nodes repeat the
-previous step's (for the trace, the closing step of the finest obstacle
-level and the second step of a Dirichlet solve) reuses the system as it is.
-The V-cycle and the BiCGSTAB operator apply their sparse matrices by scipy's
-compiled kernels, without the dispatch of ``@``, and share the finest A's
-masked product.  Nothing outlives the loop.
+The system and its V-cycle belong to one grid's step loop (``_FrozenSystem``),
+as in truncated monotone multigrid (Kornhuber, Numer. Math. 69, 1994).  The
+solve's first linear solve builds the ladder: per rung one layout over its
+interior nodes, the CSR structure of the centre plus x +- e on every line of
+the policy, without the couplings to the boundary band; between rungs the
+interpolation restricted to those nodes (cached per grid) and the seats.  No
+step assembles anything after that.  A loop's first step and every new policy
+refill its levels' entries from the line weights in place (the trace's never
+changes).  A new active set writes no entry: every level's A, P and P^T stay
+as built, and one rule truncates them all, masking the vectors around them in
+place.  A coarse node is free when the node it sits on is; each level's A and
+P map nothing to a pinned node, and P^T nothing to a coarse node sitting on
+one; the coarsest level is factorized again, as its matrix over its free
+nodes, when its policy or its free nodes change.  The right-hand side and so
+every Krylov vector vanish on pinned nodes, so the iterates are those of the
+system over the free nodes alone, up to the order of summation.  A step whose
+policy and free nodes repeat the previous step's (for the trace, the closing
+step of the finest obstacle level and the second step of a Dirichlet solve)
+reuses the system as it is.  The V-cycle and the BiCGSTAB operator apply their
+sparse matrices by scipy's compiled kernels, without the dispatch of ``@``,
+and share the finest A's masked product.  Nothing outlives the solve.
 
 Every step records its residual, active-set size and BiCGSTAB iteration
 count in the result's ``history``, and its ``timings`` give each level's
-wall seconds of builds, refills and BiCGSTAB.  scipy is
-imported inside the solves, which keeps importing the package light.
+wall seconds of builds, refills and BiCGSTAB.  scipy is imported inside the
+solves, which keeps importing the package light.
 """
 
 from __future__ import annotations
@@ -277,53 +278,48 @@ def _interpolation(shape, margin):
 
 
 class _Level:
-    """One grid's frozen-policy system: ``scale`` * sum c D_e minus
-    diag(``shift``) over the interior ``nodes``, in ``_layout``'s structure
-    (its matrix, filled by ``_fill``), with its damped Jacobi weights, its
-    free nodes ``f`` (1 on a free node, 0 on a pinned one, refreshed in place)
-    and its product masked by them; on the coarsest level of a V-cycle,
-    ``solve`` applies the inverse of its matrix over the free nodes."""
+    """One grid's frozen-policy system: sum c D_e / h^2 minus diag(``shift``)
+    over the interior ``nodes``, in ``_layout``'s structure (its matrix,
+    filled by ``_fill``), with its damped Jacobi weights, its free nodes ``f``
+    (1 on a free node, 0 on a pinned one, refreshed in place) and its product
+    masked by them; on the coarsest level of a V-cycle, ``solve`` applies the
+    inverse of its matrix over the free nodes."""
 
-    def __init__(self, op, grid, nodes, scale, shift):
-        self.shape, self.nodes, self.scale, self.shift = grid.shape, nodes, scale, shift
+    def __init__(self, op, grid, nodes, shift):
+        self.shape, self.nodes, self.scale, self.shift = grid.shape, nodes, 1.0 / grid.h**2, shift
         self.matrix, self.live = _layout(policy_lines(op, grid)[0], nodes, grid.node_count)
         self.jacobi, self.f = np.empty(nodes.size), np.empty(nodes.size)
         self.product = _product(self.matrix, after=self.f)
         self.solve = None
 
 
-def _hierarchy(op, grid, g):
-    """The levels of a step loop's system on ``grid`` (``_FrozenSystem``),
-    finest first, and per coarser level the products of the interpolation P
-    from it (``_interpolation``) and of P^T, and its seats: the index, among
-    the finer level's nodes, of the node each of its nodes sits on.
-
-    The finest level is over the grid's interior nodes, at scale 1/h^2 and
-    shift g.  Each coarser one is rediscretized on the grid of every other
-    node, over the nodes at least the scheme's margin inside it, at 2^(d-2)
-    times the finer scale and with 2^d times the shift, the size of P^T A P
-    (module docstring).  The grid is coarsened at least once, and then again
-    while the coarse level has more than _COARSEST nodes, as long as every
-    axis has an even number of cells and the coarse grid has nodes inside
-    the margin; a single level means no V-cycle."""
+def _ladder(op, grid, g, start):
+    """The levels of every step loop of one solve on ``grid``, finest first,
+    each over its grid's nodes at least the scheme's margin inside and with
+    g injected as the shift; and per coarser level the products of the
+    interpolation P from it (``_interpolation``) and of P^T, and its seats:
+    the index, among the finer level's nodes, of the node each of its nodes
+    sits on.  The grid is coarsened down to level ``start`` and once more,
+    then while the coarsest level has more than _COARSEST nodes, as long as
+    every axis has an even number of cells and the coarse grid has nodes
+    inside the margin."""
     margin = operator_margin(op, grid.ndim)
     nodes = np.flatnonzero(grid.interior_mask(margin))
-    level = _Level(op, grid, nodes, 1.0 / grid.h**2, g[nodes])
-    levels, transfers, weight = [level], [], 1.0
-    coarse_shape = _coarse_shape(grid.shape)
-    while coarse_shape is not None and (not transfers or level.nodes.size > _COARSEST):
+    level = _Level(op, grid, nodes, g[nodes])
+    levels, transfers = [level], []
+    while ((coarse_shape := _coarse_shape(level.shape))
+           and (len(levels) <= start + 1 or level.nodes.size > _COARSEST)):
         coarse = Grid(grid.domain, coarse_shape)
         nodes = np.flatnonzero(coarse.interior_mask(margin))
         if not nodes.size:
             break
-        shape, g, weight = level.shape, _inject(level.shape, g), weight * 2.0 ** grid.ndim
-        below = _Level(op, coarse, nodes, level.scale * 2.0 ** (grid.ndim - 2),
-                       weight * g[nodes])
+        shape, g = level.shape, _inject(level.shape, g)
+        below = _Level(op, coarse, nodes, g[nodes])
         p = _interpolation(shape, margin)
         seat = np.searchsorted(level.nodes, _inject(shape, np.arange(math.prod(shape)))[nodes])
         transfers.append((_product(p, after=level.f), _product(p.T, after=below.f), seat))
         levels.append(below)
-        level, coarse_shape = below, _coarse_shape(coarse_shape)
+        level = below
     return levels, transfers
 
 
@@ -340,9 +336,10 @@ def _factorize(level):
 
 def _cycle(levels, transfers, b, k=0):
     """The V-cycle from level ``k`` down, applied to ``b``: damped Jacobi
-    sweeps around the coarse correction, and the coarsest level's ``solve``.
-    A module-level function: a closure calling itself would keep every level
-    alive in a reference cycle until the garbage collector ran."""
+    sweeps around the coarse correction (its right-hand side 2^-d P^T times
+    the residual), and the coarsest level's ``solve``.  A module-level
+    function: a closure calling itself would keep every level alive in a
+    reference cycle until the garbage collector ran."""
     level = levels[k]
     if k == len(transfers):
         return level.solve(b)
@@ -351,7 +348,9 @@ def _cycle(levels, transfers, b, k=0):
     x = dinv * b
     for _ in range(_SWEEPS - 1):
         _smooth(a, dinv, b, x)
-    x += p(_cycle(levels, transfers, pt(_residual(a, b, x)), k + 1))
+    r = pt(_residual(a, b, x))
+    r *= 0.5 ** len(level.shape)
+    x += p(_cycle(levels, transfers, r, k + 1))
     for _ in range(_SWEEPS):
         _smooth(a, dinv, b, x)
     return x
@@ -391,17 +390,15 @@ def _correction(matrix, rhs, tol, where, r, precondition):
 
 
 class _FrozenSystem:
-    """The frozen-policy systems of one grid's step loop for ``op`` on
-    ``grid``, minus diag(g), and their V-cycle: the levels of
-    ``_hierarchy``, built on the loop's first step and refilled and truncated
-    in place as the module docstring describes; it lives as long as that
-    loop.  ``seconds`` sums the wall time of the builds (layouts and
-    transfers), of the refills (the policy's entries, the masks and the
+    """The frozen-policy systems of one grid's step loop and their V-cycle:
+    level ``k`` of the ladder that ``ladder()`` returns and the levels below
+    it, refilled and truncated in place as the module docstring describes.
+    ``seconds`` sums the wall time of the builds (the ladder, if this loop's
+    call builds it), of the refills (the policy's entries, the masks and the
     coarsest factorization) and of BiCGSTAB."""
 
-    def __init__(self, op, grid, g):
-        self.op, self.grid, self.g = op, grid, g
-        self.nodes = np.flatnonzero(grid.interior_mask(operator_margin(op, grid.ndim)))
+    def __init__(self, ladder, k):
+        self.ladder, self.k = ladder, k
         self.levels = self.policy = self.free = self.precondition = None
         self.seconds = dict.fromkeys(("build_s", "refill_s", "krylov_s"), 0.0)
 
@@ -420,8 +417,10 @@ class _FrozenSystem:
 
         clock = [time.perf_counter()]
         if self.levels is None:
-            self.levels, self.transfers = _hierarchy(self.op, self.grid, self.g)
+            levels, transfers = self.ladder()
+            self.levels, self.transfers = levels[self.k:], transfers[self.k:]
             top = self.levels[0]
+            self.nodes = top.nodes
             self.operator = LinearOperator(top.matrix.shape, matvec=top.product, dtype=float)
             if self.transfers:
                 self.precondition = LinearOperator(
@@ -447,10 +446,8 @@ class _FrozenSystem:
         x, count = _correction(self.operator, rhs[self.nodes] * levels[0].f, tol, where, r,
                                self.precondition)
         clock.append(time.perf_counter())
-        build, refill, krylov = (b - a for a, b in zip(clock, clock[1:]))
-        self.seconds["build_s"] += build
-        self.seconds["refill_s"] += refill
-        self.seconds["krylov_s"] += krylov
+        for key, a, b in zip(self.seconds, clock, clock[1:]):  # build, refill, krylov
+            self.seconds[key] += b - a
         return x, count
 
 
@@ -473,21 +470,21 @@ def _tolerance(tol, fv, mask):
     return tol
 
 
-def _iterate(op, grid, psi, bv, fv, g, tol, u, seed, polish=True):
-    """The step loop on one grid, from the iterate ``u`` (module docstring).
+def _iterate(op, grid, psi, bv, fv, g, tol, u, seed, system, polish=True):
+    """The step loop on one grid, from the iterate ``u`` (module docstring),
+    solving its steps by ``system`` (a ``_FrozenSystem``).
 
     A ``seed`` replaces the first step's active set, and ``u`` counts as
     pinned on it; without one, ``u`` counts as pinned where it equals psi.
     Without ``polish`` the loop also returns once a step has solved and the
     active set settled, whatever the residual.  Returns (u, active set,
     excess F_h(u) - g u - f, free residual, history, seconds), one history
-    row per step, and ``_FrozenSystem``'s seconds.
+    row per step, and the system's seconds.
     """
     margin = operator_margin(op, grid.ndim)
     mask = grid.interior_mask(margin)
     u[~mask] = bv[~mask]
     minimize = policy_lines(op, grid)[1]
-    system = _FrozenSystem(op, grid, g)
     level = "x".join(str(n) for n in grid.shape)
     history = []
 
@@ -549,8 +546,10 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
     bv = _node_field(grid, boundary, "boundary")
     u = initial.values.copy() if initial is not None else bv.copy()
     n = grid.node_count  # the obstacle loop with no obstacle, psi = -inf and g = 0
-    u, _, _, r, history, seconds = _iterate(op, grid, np.full(n, -np.inf), bv, fv, np.zeros(n),
-                                            _tolerance(tol, fv, mask), u, None)
+    g = np.zeros(n)
+    system = _FrozenSystem(functools.partial(_ladder, op, grid, g, 0), 0)
+    u, _, _, r, history, seconds = _iterate(op, grid, np.full(n, -np.inf), bv, fv, g,
+                                            _tolerance(tol, fv, mask), u, None, system)
     return SolveResult(GridFunction(grid, u), len(history), r, history,
                        ((grid.shape[0], seconds),))
 
@@ -600,10 +599,10 @@ class ObstacleResult:
     # one (residual, active-set size, BiCGSTAB iterations) row per step,
     # coarse to fine; level_steps says how many rows each level has
     history: tuple = ()
-    # (nodes along the first axis, wall seconds of the V-cycle's layouts and
-    # transfers, of its policy refills, mask refreshes and coarsest
-    # factorizations and of BiCGSTAB, by name) per level, coarse to fine:
-    # ``_FrozenSystem.seconds``
+    # (nodes along the first axis, wall seconds of the ladder's layouts and
+    # transfers if the level built it, of its policy refills, mask refreshes
+    # and coarsest factorizations and of BiCGSTAB, by name) per level, coarse
+    # to fine: ``_FrozenSystem.seconds``
     timings: tuple = ()
 
 
@@ -612,48 +611,50 @@ class ObstacleResult:
 MIN_LEVEL_NODES = 17
 
 
-def _coarser(grid: Grid, psi, bv, margin: int) -> Grid | None:
-    """The grid of every other node, if the coarse start may use it: every
-    axis has an even number of cells, the coarse grid keeps MIN_LEVEL_NODES
-    per axis and some interior, and the boundary data still dominate the
-    obstacle on its margin band."""
-    shape = _coarse_shape(grid.shape)
-    if shape is None or min(shape) < MIN_LEVEL_NODES:
-        return None
-    coarse = Grid(grid.domain, shape)
-    band = ~coarse.interior_mask(margin)
-    if band.all() or np.min((_inject(grid.shape, bv) - _inject(grid.shape, psi))[band]) < -1e-12:
-        return None
-    return coarse
+def _coarser(grid: Grid, psi, bv, margin: int) -> bool:
+    """Whether the coarse-to-fine start may run on the rung on ``grid``, with
+    psi and the boundary data ``bv`` injected to it: it keeps MIN_LEVEL_NODES
+    per axis and some interior, and bv dominates psi on its margin band."""
+    if min(grid.shape) < MIN_LEVEL_NODES:
+        return False
+    band = ~grid.interior_mask(margin)
+    return not band.all() and np.min((bv - psi)[band]) >= -1e-12
 
 
-def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, initial=None, polish=True):
-    """Solve on the grid of every other node first (recursively), then start
-    this level from its bilinearly interpolated solution, pinned to psi on the
-    nodes whose surrounding coarse nodes are all in contact; without a usable
-    coarser grid, start cold from max(boundary, psi).  An ``initial`` iterate
-    (flat node values) means that this level runs alone, from it.  A coarse
-    level only seeds the next, so it runs without ``polish``.  Returns u,
-    the active set, the excess, the residual, the (nodes, steps) of every
-    level, the history rows of all levels and the (nodes, seconds) of every
-    level."""
-    coarse = None if initial is not None else _coarser(
-        grid, psi, bv, operator_margin(op, grid.ndim))
-    if coarse is None:
-        u = np.maximum(bv, psi) if initial is None else initial.copy()
-        seed, levels, history, timings = None, (), (), ()
-    else:
-        cu, ccontact, _, _, levels, history, timings = _coarse_to_fine(
-            op, coarse, *(_inject(grid.shape, a) for a in (psi, bv, fv, g)), tol,
-            polish=False)
-        interpolate = _interpolation(grid.shape, 0)
-        u = interpolate @ cu
-        # the weights of a row are exact binary fractions summing to 1
-        seed = interpolate @ ccontact.astype(float) == 1.0
-        u[seed] = psi[seed]
-    u, active, e, r, rows, seconds = _iterate(op, grid, psi, bv, fv, g, tol, u, seed, polish)
-    return (u, active, e, r, levels + ((grid.shape[0], len(rows)),), history + rows,
-            timings + ((grid.shape[0], seconds),))
+def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, initial=None):
+    """The step loop up the rungs of one ladder (module docstring), from
+    max(boundary, psi) on the coarsest rung ``_coarser`` accepts, or from an
+    ``initial`` iterate (flat node values) on ``grid`` alone.  Each rung's
+    loop takes the ladder's levels from its own down as its V-cycle; the
+    first step that solves builds the ladder.  A coarse rung only seeds the
+    next, so it runs without ``polish``.  Returns u, the active set, the
+    excess, the residual, and per rung its (nodes, steps), its history rows
+    and its (nodes, seconds)."""
+    margin = operator_margin(op, grid.ndim)
+    rungs = [(grid, psi, bv, fv, g)]
+    while initial is None and (shape := _coarse_shape(rungs[-1][0].shape)):
+        fine = rungs[-1]
+        rung = (Grid(grid.domain, shape),) + tuple(_inject(fine[0].shape, a) for a in fine[1:])
+        if not _coarser(*rung[:3], margin):
+            break
+        rungs.append(rung)
+    ladder = functools.cache(functools.partial(_ladder, op, grid, g, len(rungs) - 1))
+    u = np.maximum(rungs[-1][2], rungs[-1][1]) if initial is None else initial.copy()
+    active, levels, history, timings = None, (), (), ()
+    for k in range(len(rungs) - 1, -1, -1):
+        rung, seed = rungs[k], None
+        if active is not None:
+            interpolate = _interpolation(rung[0].shape, 0)
+            u = interpolate @ u
+            # the weights of a row are exact binary fractions summing to 1
+            seed = interpolate @ active.astype(float) == 1.0
+            u[seed] = rung[1][seed]
+        u, active, e, r, rows, seconds = _iterate(op, *rung, tol, u, seed,
+                                                  _FrozenSystem(ladder, k), polish=not k)
+        levels += ((rung[0].shape[0], len(rows)),)
+        history += rows
+        timings += ((rung[0].shape[0], seconds),)
+    return u, active, e, r, levels, history, timings
 
 
 def solve_obstacle(problem: ObstacleProblem,
@@ -673,16 +674,13 @@ def solve_obstacle(problem: ObstacleProblem,
     ``initial`` the solve starts coarse to fine (module docstring); with it,
     a single level runs from that iterate.
     """
-    grid = problem.psi.grid
-    op = problem.op
+    grid, op = problem.psi.grid, problem.op
     mask, fv = _setup(op, grid, problem.f, initial)
-    g = problem.g_values
-    psi = problem.psi.values
+    g, psi = problem.g_values, problem.psi.values
     bv = problem.boundary_values(operator_margin(op, grid.ndim))
     tol = _tolerance(tol, fv, mask)
     u, contact, e, r, levels, history, timings = _coarse_to_fine(
-        op, grid, psi, bv, fv, g, tol,
-        None if initial is None else initial.values)
+        op, grid, psi, bv, fv, g, tol, None if initial is None else initial.values)
 
     rhs = fv + g * u
     fh = e + rhs  # the realized field F_h(u) at the returned iterate

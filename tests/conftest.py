@@ -16,6 +16,31 @@ def field(grid, fn):
     return GridFunction.from_callable(grid, fn)
 
 
+def sample_bilinear(u, points):
+    """Multilinear interpolation of u at scattered points inside the domain
+    box, one corner of the cell at a time: the bitwise oracle of
+    ``grids.resample`` (which evaluates the same formula from per-axis
+    arrays) and of criterion 2's interpolator."""
+    from ellipticlab.grids import _cells
+
+    grid = u.grid
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != grid.ndim:
+        raise ValueError("point rank mismatch")
+    cells = [_cells(grid, a, pts[:, a]) for a in range(grid.ndim)]
+    lattice = u.lattice()
+    out = np.zeros(pts.shape[0])
+    for corner in range(1 << grid.ndim):
+        weight = np.ones(pts.shape[0])
+        loc = [None] * grid.ndim
+        for a, (i0, frac) in enumerate(cells):
+            bit = (corner >> a) & 1
+            weight = weight * (frac if bit else 1.0 - frac)
+            loc[grid.ndim - 1 - a] = i0 + bit
+        out += weight * lattice[tuple(loc)]
+    return out
+
+
 def quadratic_field(grid, mat, p=None, c=0.0):
     """x -> 0.5 x.M.x + p.x + c as a GridFunction (exact on any grid)."""
     m = np.asarray(mat, dtype=float)

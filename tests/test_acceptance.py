@@ -36,7 +36,6 @@ from ellipticlab import (
     pucci_min,
     quartic_perturb,
     rescale_sequence,
-    sample_bilinear,
     solve_dirichlet,
     solve_obstacle,
     stability_sweep,
@@ -44,7 +43,7 @@ from ellipticlab import (
     verify_decay_chain,
 )
 
-from conftest import dense_minimax_width, field, unit_square_grid
+from conftest import dense_minimax_width, field, sample_bilinear, unit_square_grid
 
 TRACE = trace_operator()
 

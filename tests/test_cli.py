@@ -76,12 +76,17 @@ def obstacle_run(tmp_path_factory):
      "--out", "{tmp}"),                           # resolution floor violated
     ("visc", "--input", "{tiny}", "--lambda", "1",
      "--out", "{tmp}"),                           # no touching ball fits
+    ("mollify", "--lambda", "nan", "--out", "{tmp}"),  # non-finite sandwich bounds
 ])
 def test_usage_errors(args, tiny_file, tmp_path):
+    """A refused run exits 2 and leaves no manifest of a run that never
+    happened."""
     r = run_cli(*(a.format(tiny=tiny_file, tmp=tmp_path) for a in args))
     assert r.returncode == 2, (args, r.stderr)
     assert r.stderr.strip()
     assert "certification failed" not in r.stderr
+    if "--out" in args:
+        assert not (tmp_path / "run_manifest.txt").exists()
 
 
 def test_unknown_command_is_a_usage_error():

@@ -16,13 +16,12 @@ from ellipticlab import (
     normalize,
     oscillation,
     rescale_sequence,
-    sample_bilinear,
     unit_ball_grid,
     verify_decay_chain,
     write_decay_profile,
 )
 
-from conftest import field, lp_minimax_width, unit_square_grid
+from conftest import field, lp_minimax_width, sample_bilinear, unit_square_grid
 
 
 # ---------------------------------------------------------------------------

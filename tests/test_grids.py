@@ -12,14 +12,13 @@ from ellipticlab import (
     ball_node_mask,
     oscillation,
     resample,
-    sample_bilinear,
     read_grid_function,
     write_grid_function,
 )
 from ellipticlab import grids
 from ellipticlab.fileio import read_manifest, write_manifest
 
-from conftest import field, unit_square_grid, zeros_ball_mask
+from conftest import field, sample_bilinear, unit_square_grid, zeros_ball_mask
 
 
 def random_field(grid, seed, scale=1.0):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -312,13 +313,21 @@ def test_coarse_level_failure_names_its_grid(monkeypatch):
 # multigrid-preconditioned linear solves and solver histories
 
 
+def ladder_system(op, grid, g, k=0):
+    """The ``_FrozenSystem`` of the step loop on level ``k`` of the ladder on
+    ``grid`` with shift ``g``, its coarse-to-fine start on that level."""
+    from ellipticlab.solvers import _FrozenSystem, _ladder
+
+    return _FrozenSystem(functools.partial(_ladder, op, grid, g, k), k)
+
+
 def frozen_system(op, res, ndim, seed=0, hole=0.3):
     """The step-loop system of a random field's policy, shifted by g = 1 as
     in the obstacle solve, free on the interior nodes less a contact hole
     |x| < hole (or, with ``hole`` None, a random half of them): the
-    ``_FrozenSystem``, the policy, the free mask, a right-hand side over the
-    grid, and the oracle's matrix over the free nodes."""
-    from ellipticlab.solvers import _FrozenSystem
+    ``_FrozenSystem`` on the top of its ladder, the policy, the free mask, a
+    right-hand side over the grid, and the oracle's matrix over the free
+    nodes."""
     from ellipticlab.stencils import eval_policy, operator_margin, policy_lines
 
     grid = unit_square_grid(res, ndim=ndim)
@@ -331,7 +340,7 @@ def frozen_system(op, res, ndim, seed=0, hole=0.3):
         pinned = np.sum(grid.points() ** 2, axis=1) < hole**2
     free = grid.interior_mask(operator_margin(op, ndim)) & ~pinned
     nodes = np.flatnonzero(free)
-    system = _FrozenSystem(op, grid, np.ones(grid.node_count))
+    system = ladder_system(op, grid, np.ones(grid.node_count))
     rhs = np.zeros(grid.node_count)
     rhs[nodes] = rng.standard_normal(nodes.size)
     a = renumbered_matrix(policy[:, nodes], policy_lines(op, grid)[0], 1.0 / grid.h**2,
@@ -383,13 +392,13 @@ def test_preconditioned_correction_matches_spsolve(op, res, ndim):
 @pytest.mark.parametrize("op, res, ndim", COMPACT_SYSTEMS)
 def test_reused_coarse_levels_still_match_spsolve(monkeypatch, op, res, ndim):
     """The V-cycle built on one contact hole preconditions the system of a
-    larger hole: the layout and the V-cycle are only truncated again, and the
+    larger hole: the ladder's layouts are only truncated again, and the
     correction still meets the spsolve test's bounds."""
     system, policy, first, first_rhs, _ = frozen_system(op, res, ndim, hole=0.25)
     system.solve(policy, first, first_rhs, 1e-9, "test", 0.0)
     _, _, free, rhs, a = frozen_system(op, res, ndim)
     assert not np.array_equal(free, first)
-    built = count_calls(monkeypatch, "_hierarchy", lambda *args: None)
+    built = count_calls(monkeypatch, "_layout", lambda *args: None)
     assert_matches_spsolve(system, policy, free, rhs, a)
     assert built == []
 
@@ -483,25 +492,27 @@ def test_preconditioned_krylov_iterations_stay_flat(res):
 
 def test_pucci_policies_are_preconditioned(monkeypatch):
     """Pucci's Selling stencils reach one node layer, so its frozen policies
-    get the V-cycle like the trace's."""
-    built = count_calls(monkeypatch, "_hierarchy", lambda op, grid, g: grid.shape)
+    get the V-cycle like the trace's: BiCGSTAB applies a cycle from the top
+    of every level's system."""
+    cycles = count_calls(monkeypatch, "_cycle",
+                         lambda levels, transfers, b, k=0: None if k else levels[0].shape)
     op = pucci_max(1.0, 2.0)
     f, target, zero = manufactured_quad(op)
     assert solve_dirichlet(op, f, target, initial=zero).iterations >= 1
-    assert built and set(built) == {(33, 33)}
+    assert cycles and set(cycles) - {None} == {(33, 33)}
     disc = disc_problem(33)
     solve_obstacle(ObstacleProblem(op, disc.psi, disc.boundary, disc.f, disc.g_weight))
-    assert set(built) == {(17, 17), (33, 33)}
+    assert set(cycles) - {None} == {(17, 17), (33, 33)}
 
 
 def count_builds(monkeypatch):
-    """The node counts of the grids that ``_layout`` and ``_hierarchy`` build
+    """The node counts of the grids that ``_layout`` and ``_ladder`` build
     for, and one (node count, policy) per ``_fill``."""
     layouts = count_calls(monkeypatch, "_layout", lambda shifts, nodes, n: n)
-    hierarchies = count_calls(monkeypatch, "_hierarchy", lambda op, grid, g: grid.node_count)
+    ladders = count_calls(monkeypatch, "_ladder", lambda op, grid, g, start: grid.node_count)
     fills = count_calls(monkeypatch, "_fill", lambda policy, *_: (policy.shape[1],
                                                                   policy.tobytes()))
-    return layouts, hierarchies, fills
+    return layouts, ladders, fills
 
 
 # the grids of the V-cycle of an n^2 system of the trace, from n^2 down to
@@ -526,46 +537,48 @@ def finest_fills(fills):
 
 
 def test_obstacle_builds_one_hierarchy_per_level(monkeypatch):
-    """Every level builds one V-cycle hierarchy, one layout per grid of it,
-    on its first step.  The trace's policy never changes, so each layout is
-    filled once, and the moving active set costs no refill.  A coarse level
-    returns as soon as its active set settles, one step before the finest
-    would."""
-    layouts, hierarchies, fills = count_builds(monkeypatch)
+    """The solve builds one ladder, one layout per grid of the finest
+    level's V-cycle, and every level's V-cycle is the ladder from that level
+    down.  Each level fills its slice on its first step; the trace's policy
+    never changes, so that is its only fill, and the moving active set costs
+    no refill.  A coarse level returns as soon as its active set settles, one
+    step before the finest would."""
+    layouts, ladders, fills = count_builds(monkeypatch)
     result = solve_obstacle(disc_problem(129))
     assert result.level_steps == ((17, 3), (33, 3), (65, 3), (129, 4))
-    assert hierarchies == [n * n for n in (17, 33, 65, 129)]
-    assert layouts == vcycle_nodes(17, 33, 65, 129)
-    assert [n for n, _ in fills] == layouts
+    assert ladders == [129 * 129]
+    assert layouts == vcycle_nodes(129)
+    assert [n for n, _ in fills] == vcycle_nodes(17, 33, 65, 129)
 
 
 @pytest.mark.parametrize("op", [TRACE, MAX_OF_DIAGONALS], ids=["trace", "max_of_linear"])
 def test_matrix_is_assembled_once_per_system(monkeypatch, op):
-    """One layout per grid of each level's V-cycle, all refilled only when
-    the policy changes: the trace's never does; max-of-linear's moves at a
-    few nodes on most steps of a level."""
-    layouts, hierarchies, fills = count_builds(monkeypatch)
+    """One layout per grid of the solve's ladder, each level's slice of it
+    refilled only when the policy changes: the trace's never does;
+    max-of-linear's moves at a few nodes on most steps of a level."""
+    layouts, ladders, fills = count_builds(monkeypatch)
     disc = disc_problem(129)
     result = solve_obstacle(ObstacleProblem(op, disc.psi, disc.boundary, disc.f,
                                             disc.g_weight))
-    assert hierarchies == [n * n for n, _ in result.level_steps]
-    assert layouts == vcycle_nodes(*(n for n, _ in result.level_steps))
+    levels = [n * n for n, _ in result.level_steps]
+    assert ladders == [129 * 129]
+    assert layouts == vcycle_nodes(129)
     refills = finest_fills(fills)
     assert all(a != b for a, b in zip(refills, refills[1:]))
     assert [n for n, _ in fills] == vcycle_nodes(*(math.isqrt(n) for n, _ in refills))
     if op is TRACE:
-        assert [n for n, _ in refills] == hierarchies
+        assert [n for n, _ in refills] == levels
     else:
-        assert len(hierarchies) < len(refills) <= result.iterations
+        assert len(levels) < len(refills) <= result.iterations
 
 
 def test_dirichlet_solve_builds_once_for_a_repeated_system(monkeypatch):
     """The trace's policy never changes, so both steps of the 65^2 solve
-    share one V-cycle hierarchy, with one layout and one fill per grid."""
-    layouts, hierarchies, fills = count_builds(monkeypatch)
+    share one ladder, with one layout and one fill per grid."""
+    layouts, ladders, fills = count_builds(monkeypatch)
     f, target, zero = manufactured_quad(TRACE, 65)
     assert solve_dirichlet(TRACE, f, target, initial=zero).iterations == 2
-    assert hierarchies == [65 * 65] and layouts == vcycle_nodes(65)
+    assert ladders == [65 * 65] and layouts == vcycle_nodes(65)
     assert [n for n, _ in fills] == layouts
 
 
@@ -679,11 +692,11 @@ REDISCRETIZED = [
 def test_coarse_levels_are_the_coarse_grids_own_stencils(op, res, ndim):
     """Every coarse level's matrix is the coarse grid's own frozen-policy
     system, assembled the direct way, for the policy and g injected to its
-    nodes (every other node of every axis), at 2^(d-2) times the finer
-    level's scale and with 2^d times its shift, over the nodes at least the
-    scheme's margin inside it.  So its off-centre entries are >= 0 and every
-    row is weakly diagonally dominant: a monotone stencil, an M-matrix up to
-    sign, whatever the scheme's reach."""
+    nodes (every other node of every axis), at its own scale 1/h^2 and with
+    g as its shift, over the nodes at least the scheme's margin inside it.
+    So its off-centre entries are >= 0 and every row is weakly diagonally
+    dominant: a monotone stencil, an M-matrix up to sign, whatever the
+    scheme's reach."""
     from ellipticlab.stencils import operator_margin, policy_lines
 
     system, policy, free, rhs, _ = frozen_system(op, res, ndim)
@@ -692,24 +705,39 @@ def test_coarse_levels_are_the_coarse_grids_own_stencils(op, res, ndim):
     margin = operator_margin(op, ndim)
     assert len(system.levels) >= 3
     weights, g = policy, np.ones(grid.node_count)
-    scale, weight = 1.0 / grid.h**2, 1.0
     every_other = (slice(None, None, 2),) * ndim
     for fine, level in zip(system.levels, system.levels[1:]):
         weights = weights.reshape((-1,) + fine.shape[::-1])[(slice(None),) + every_other]
         weights = weights.reshape(len(policy), -1)
         g = g.reshape(fine.shape[::-1])[every_other].ravel()
-        scale, weight = scale * 2.0 ** (ndim - 2), weight * 2.0 ** ndim
         coarse = unit_square_grid(level.shape[0], ndim=ndim)
         nodes = np.flatnonzero(coarse.interior_mask(margin))
         np.testing.assert_array_equal(level.nodes, nodes)
-        direct = renumbered_matrix(weights[:, nodes], policy_lines(op, coarse)[0], scale,
-                                   nodes, coarse.node_count, weight * g[nodes])
+        direct = renumbered_matrix(weights[:, nodes], policy_lines(op, coarse)[0],
+                                   1.0 / coarse.h**2, nodes, coarse.node_count, g[nodes])
         dense = level.matrix.toarray()
         np.testing.assert_array_equal(dense, direct.toarray())
         centre = np.diag(dense)
         off = dense - np.diag(centre)
         assert np.all(off >= 0.0) and np.all(centre < 0.0)
         assert np.all(-centre >= off.sum(axis=1))
+
+
+@pytest.mark.parametrize("op", [TRACE, pucci_max(1.0, 2.0)], ids=["trace", "pucci+:1,2"])
+def test_a_rung_solves_alike_on_its_own_ladder_and_a_finer_one(op):
+    """Every level holds its own grid's system, at scale 1/h^2, and the
+    cycle scales the restricted residual by 2^-d: so the 65^2 rung of a
+    129^2 ladder and the top of a 65^2 ladder are the same V-cycle, and the
+    correction the rung computes is bit for bit the same either way, and
+    meets the spsolve test's bounds."""
+    system, policy, free, rhs, a = frozen_system(op, 65, 2)
+    fine = unit_square_grid(129)
+    rung = ladder_system(op, fine, np.ones(fine.node_count), 1)
+    assert_matches_spsolve(rung, policy, free, rhs, a)
+    x, krylov = system.solve(policy, free, rhs, 1e-9, "test", 0.0)
+    y, again = rung.solve(policy, free, rhs, 1e-9, "test", 0.0)
+    assert [level.shape for level in rung.levels] == [level.shape for level in system.levels]
+    assert x.tobytes() == y.tobytes() and krylov == again
 
 
 def test_wide_stencil_krylov_iterations_stay_flat():
@@ -729,8 +757,9 @@ def test_wide_stencil_krylov_iterations_stay_flat():
 
 
 def test_solves_retain_no_memory():
-    """Each level's system is dropped before the next level's is built, and
-    nothing outlives a solve, not even in a reference cycle."""
+    """Each level's system is dropped when its loop returns, the ladder
+    when the solve does, and nothing outlives a solve, not even in a
+    reference cycle."""
     import gc
     import tracemalloc
 
