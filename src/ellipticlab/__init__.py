@@ -18,6 +18,7 @@ from .grids import (
     oscillation,
     read_grid_function,
     resample,
+    square_grid,
     write_grid_function,
 )
 from .operators import (
@@ -73,7 +74,6 @@ from .decay import (
     decay_profile,
     normalize,
     rescale_sequence,
-    unit_ball_grid,
     verify_decay_chain,
     write_decay_profile,
 )
@@ -83,5 +83,4 @@ from .fixtures import (
     disc_problem,
     fixture_callable,
     limit_families,
-    square_grid,
 )

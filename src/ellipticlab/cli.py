@@ -10,7 +10,8 @@ plus the code version) into --out and returns a process exit code:
     2   flag / input parse errors, a flag the command does not read, and
         every other failed precondition (``ValueError``), e.g. a grid too
         small for the operator's stencil, for the touching balls or for the
-        decay ladder's resolution floor
+        decay ladder's resolution floor, or a solve's grid with an even
+        number of nodes on an axis, which multigrid cannot coarsen
     3   a solve that did not converge (message names the grid it failed on),
         and anything unexpected
 
@@ -22,6 +23,7 @@ property checks.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -50,8 +52,7 @@ from .operators import (
     parse_operator,
     trace_operator,
 )
-from .solvers import (MIN_LEVEL_NODES, ObstacleProblem, SolverError,
-                      solve_dirichlet, solve_obstacle)
+from .solvers import MIN_LEVEL_NODES, SolverError, solve_dirichlet, solve_obstacle
 from .stencils import eval_discrete
 from .viscosity import (
     LIMIT_NODE_BUDGET,
@@ -185,8 +186,8 @@ def cmd_obstacle(args) -> int:
         raise CliError("the obstacle command supports only the 'disc' fixture")
     res = _resolution(args)
     tol = _tol_scale(args) * 1e-9
-    op, disc = parse_operator(args.op), disc_problem(res)
-    problem = ObstacleProblem(op, disc.psi, disc.boundary, disc.f, disc.g_weight)
+    op = parse_operator(args.op)
+    problem = dataclasses.replace(disc_problem(res), op=op)
     result = solve_obstacle(problem, tol=tol)
     write_grid_function(result.u, os.path.join(out, "solution.txt"))
     write_csv(os.path.join(out, "obstacle_report.csv"),
@@ -344,7 +345,8 @@ def cmd_limit(args) -> int:
 # dest -> (option string, type, help) of every flag a command may read
 _FLAGS = {
     "op": ("--op", str, "trace | linear:a11,a12,a22 | pucci+:l1,l2 | pucci-:l1,l2"),
-    "res": ("--res", int, "nodes per axis, at least %d" % MIN_LEVEL_NODES),
+    "res": ("--res", int, "nodes per axis, at least %d; odd for a solve"
+            % MIN_LEVEL_NODES),
     "fixture": ("--fixture", str, "harmonic | quad | kink | radial-holder:g | disc"),
     "input": ("--input", str, "grid-function file from an earlier run"),
     "seed": ("--seed", int, "seed for randomized checks"),

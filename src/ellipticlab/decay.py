@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .fileio import write_csv
-from .grids import Ball, Domain, Grid, GridFunction, ball_node_mask, oscillation, resample
+from .grids import Ball, GridFunction, ball_node_mask, oscillation, resample, square_grid
 from .simplex import minimax_affine
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "RescaleSequence",
     "rescale_sequence",
     "normalize",
-    "unit_ball_grid",
 ]
 
 
@@ -206,10 +205,6 @@ class RescaleSequence:
     requested: int
 
 
-def unit_ball_grid(ndim: int, nodes: int = 65) -> Grid:
-    return Grid(Domain((-1.0,) * ndim, (1.0,) * ndim), (nodes,) * ndim)
-
-
 def rescale_sequence(u: GridFunction, cfg: DecayConfig,
                      levels: Optional[int] = None) -> RescaleSequence:
     """Blow-up copies u_k at scales lam^k, resampled on a fixed unit grid.
@@ -230,7 +225,7 @@ def rescale_sequence(u: GridFunction, cfg: DecayConfig,
     levels = cfg.levels if levels is None else int(levels)
     grid = u.grid
     n = grid.ndim
-    unit = unit_ball_grid(n)
+    unit = square_grid(65, ndim=n)
     unit_pts = unit.points()
     unit_ball = Ball((0.0,) * n, 1.0)
     entry_osc = oscillation(u, unit_ball)
@@ -282,6 +277,6 @@ def normalize(u: GridFunction, radius: float, lam: float, eps: float,
     n = grid.ndim
     osc0 = oscillation(u, Ball((0.0,) * n, radius))
     kappa = lam / eps + radius**2 + osc0 + 1.0
-    unit = unit_ball_grid(n, unit_nodes)
+    unit = square_grid(unit_nodes, ndim=n)
     vals = resample(u, unit, radius) / kappa
     return GridFunction(unit, vals), float(kappa)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Domain, Grid, GridFunction
+from .grids import GridFunction, square_grid
 from .operators import trace_operator
 from .solvers import ObstacleProblem, solve_dirichlet
 
@@ -31,12 +31,6 @@ __all__ = [
 ]
 
 FUNCTION_FIXTURES = ("harmonic", "quad", "kink", "radial-holder:<gamma>")
-
-
-def square_grid(resolution: int, half_width: float = 1.0, ndim: int = 2) -> Grid:
-    """[-half_width, half_width]^ndim with ``resolution`` nodes per axis."""
-    return Grid(Domain((-half_width,) * ndim, (half_width,) * ndim),
-                (int(resolution),) * ndim)
 
 
 def fixture_callable(name: str, ndim: int = 2):

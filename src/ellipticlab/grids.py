@@ -29,6 +29,7 @@ __all__ = [
     "ball_node_mask",
     "oscillation",
     "resample",
+    "square_grid",
     "read_grid_function",
     "write_grid_function",
 ]
@@ -136,6 +137,12 @@ class Grid:
             sl[ax] = slice(self.shape[axis] - margin, None)
             mask[tuple(sl)] = False
         return mask.ravel()
+
+
+def square_grid(resolution: int, half_width: float = 1.0, ndim: int = 2) -> Grid:
+    """[-half_width, half_width]^ndim with ``resolution`` nodes per axis."""
+    return Grid(Domain((-half_width,) * ndim, (half_width,) * ndim),
+                (int(resolution),) * ndim)
 
 
 @dataclass(frozen=True, eq=False)

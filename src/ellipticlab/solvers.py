@@ -16,8 +16,10 @@ linear system of the frozen policy on the other nodes.  The loop returns
 once the active set is the one the iterate is pinned on (the seed, or
 where u = psi, at the start) and the residual off it is within tolerance.
 The Dirichlet solve of F_h(u) = f is this loop with no obstacle (psi =
--inf, g = 0): no node is ever active, and the loop is Howard's policy
-iteration (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).
+-inf, g = 0), run by the obstacle solve's coarse-to-fine routine from its
+iterate on the given grid alone: no node is ever active, and the loop is
+Howard's policy iteration (Bokanowski, Maroso & Zidani, SIAM J. Numer.
+Anal. 47, 2009).
 With F_h a min, the obstacle problem is an Isaacs system, on which moving
 the set and the policy together cycles; so a step keeps the set while the
 policy on its free nodes moved since the last solve and the residual there
@@ -44,14 +46,16 @@ start already meets the stopping rule).  A coarse rung only seeds the next,
 so it returns as soon as a step has solved and its active set settled; only
 the finest polishes its residual to the tolerance.
 
-Each step solves for the correction to the current iterate with BiCGSTAB
-(the same as warm-starting at the iterate); the correction vanishes on the
-boundary band and on pinned nodes, so only the free interior nodes are
-unknowns.  BiCGSTAB is preconditioned with one geometric multigrid V-cycle,
+Each step solves for the correction to the current iterate (the same as
+warm-starting at the iterate); the correction vanishes on the boundary band
+and on pinned nodes, so only the free interior nodes are unknowns.  Every
+linear solve is BiCGSTAB preconditioned with one geometric multigrid V-cycle,
 the same for every operator whatever the reach of its stencils: multilinear
 interpolation from the grid of every other node, damped Jacobi smoothing and
-a direct factorization of the coarsest level.  Its levels are the ladder's
-rungs from the loop's own down to the first with at most _COARSEST unknowns,
+a direct factorization of the last level.  Its levels are one list, the
+ladder's rungs from the loop's own down to the first with at most _COARSEST
+unknowns, or to the last whose coarsening keeps nodes inside the margin: a
+ladder of one level is solved by its factorization alone.  They are
 rediscretized (Trottenberg, Oosterlee & Schüller, *Multigrid*, 2001): the
 frozen policy's line weights and g, injected to a rung's nodes, fill the same
 lines at its spacing, so every level is its own grid's system, 1/h^2 sum c D_e
@@ -60,28 +64,31 @@ restricted residual by 2^-d, exactly.  Every level is a monotone stencil, an
 M-matrix when g >= 0, where a Galerkin product P^T A P of a stencil reaching
 two node layers need not keep A's sign pattern.  It takes a few iterations
 per step on every grid, where the plain iteration needs more as h shrinks.
+A grid with an odd number of cells on an axis has no coarsening, so both
+solves refuse it (``ValueError``) before any step.
 
 The system and its V-cycle belong to one grid's step loop (``_FrozenSystem``),
 as in truncated monotone multigrid (Kornhuber, Numer. Math. 69, 1994).  The
 solve's first linear solve builds the ladder: per rung one layout over its
 interior nodes, the CSR structure of the centre plus x +- e on every line of
-the policy, without the couplings to the boundary band; between rungs the
-interpolation restricted to those nodes (cached per grid) and the seats.  No
-step assembles anything after that.  A loop's first step and every new policy
-refill its levels' entries from the line weights in place (the trace's never
-changes).  A new active set writes no entry: every level's A, P and P^T stay
-as built, and one rule truncates them all, masking the vectors around them in
-place.  A coarse node is free when the node it sits on is; each level's A and
-P map nothing to a pinned node, and P^T nothing to a coarse node sitting on
-one; the coarsest level is factorized again, as its matrix over its free
-nodes, when its policy or its free nodes change.  The right-hand side and so
-every Krylov vector vanish on pinned nodes, so the iterates are those of the
-system over the free nodes alone, up to the order of summation.  A step whose
-policy and free nodes repeat the previous step's (for the trace, the closing
-step of the finest obstacle level and the second step of a Dirichlet solve)
-reuses the system as it is.  The V-cycle and the BiCGSTAB operator apply their
-sparse matrices by scipy's compiled kernels, without the dispatch of ``@``,
-and share the finest A's masked product.  Nothing outlives the solve.
+the policy, without the couplings to the boundary band; on every rung below
+the finest, the interpolation onto the rung above restricted to those nodes
+(cached per grid) and the seats.  No step assembles anything after that.  A
+loop's first step and every new policy refill its levels' entries from the
+line weights in place (the trace's never changes).  A new active set writes
+no entry: every level's A, P and P^T stay as built, and one rule truncates
+them all, masking the vectors around them in place.  A coarse node is free
+when the node it sits on is; each level's A and P map nothing to a pinned
+node, and P^T nothing to a coarse node sitting on one; the last level is
+factorized again, as its matrix over its free nodes, when its policy or its
+free nodes change.  The right-hand side and so every Krylov vector vanish on
+pinned nodes, so the iterates are those of the system over the free nodes
+alone, up to the order of summation.  A step whose policy and free nodes
+repeat the previous step's (for the trace, the closing step of the finest
+obstacle level and the second step of a Dirichlet solve) reuses the system
+as it is.  The V-cycle and the BiCGSTAB operator apply their sparse matrices
+by scipy's compiled kernels, without the dispatch of ``@``, and share the
+finest A's masked product.  Nothing outlives the solve.
 
 Every step records its residual, active-set size and BiCGSTAB iteration
 count in the result's ``history``, and its ``timings`` give each level's
@@ -137,7 +144,9 @@ class SolveResult:
     residual: float  # sup-norm of F_h(u) - f over interior at return
     # one (residual, active-set size, BiCGSTAB iterations) row per step; the
     # residual is the one the step started from, and a Dirichlet solve pins
-    # no node
+    # no node.  On a ladder of one level the V-cycle is the exact solve, so
+    # BiCGSTAB converges inside its first iteration, before its callback
+    # counts one, and the row records 0 iterations
     history: tuple = ()
     # ((nodes along the first axis, wall seconds by name),) for the one
     # level, as ``ObstacleResult.timings``
@@ -145,27 +154,18 @@ class SolveResult:
 
 
 def _node_field(grid: Grid, data, name: str) -> np.ndarray:
-    """Coerce scalar / callable / GridFunction into a flat node array."""
+    """A number or a GridFunction on ``grid`` as a flat node array."""
     if isinstance(data, GridFunction):
         if data.grid != grid:
             raise ValueError("%s lives on a different grid" % name)
         return data.values.copy()
-    if callable(data):
-        return np.asarray(data(grid.points()), dtype=float).reshape(-1)
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 0:
-        return np.full(grid.node_count, float(arr))
-    if arr.size != grid.node_count:
-        raise ValueError("%s has the wrong number of values" % name)
-    return arr.reshape(-1).copy()
+    return np.full(grid.node_count, float(data))
 
 
 def _pick_grid(*candidates) -> Grid:
     for c in candidates:
         if isinstance(c, GridFunction):
             return c.grid
-        if isinstance(c, Grid):
-            return c
     raise ValueError(
         "no grid in sight: pass grid= or provide f/boundary as a GridFunction"
     )
@@ -282,31 +282,32 @@ class _Level:
     over the interior ``nodes``, in ``_layout``'s structure (its matrix,
     filled by ``_fill``), with its damped Jacobi weights, its free nodes ``f``
     (1 on a free node, 0 on a pinned one, refreshed in place) and its product
-    masked by them; on the coarsest level of a V-cycle, ``solve`` applies the
-    inverse of its matrix over the free nodes."""
+    masked by them.  A level below the top of its ladder also holds the
+    products ``p`` of the interpolation P from it onto the level above and
+    ``pt`` of P^T, and its ``seat``: the index, among that level's nodes, of
+    the node each of its nodes sits on.  On the last level of a ladder,
+    ``solve`` applies the inverse of its matrix over the free nodes."""
 
     def __init__(self, op, grid, nodes, shift):
         self.shape, self.nodes, self.scale, self.shift = grid.shape, nodes, 1.0 / grid.h**2, shift
         self.matrix, self.live = _layout(policy_lines(op, grid)[0], nodes, grid.node_count)
         self.jacobi, self.f = np.empty(nodes.size), np.empty(nodes.size)
         self.product = _product(self.matrix, after=self.f)
-        self.solve = None
+        self.p = self.pt = self.seat = self.solve = None
 
 
 def _ladder(op, grid, g, start):
-    """The levels of every step loop of one solve on ``grid``, finest first,
-    each over its grid's nodes at least the scheme's margin inside and with
-    g injected as the shift; and per coarser level the products of the
-    interpolation P from it (``_interpolation``) and of P^T, and its seats:
-    the index, among the finer level's nodes, of the node each of its nodes
-    sits on.  The grid is coarsened down to level ``start`` and once more,
-    then while the coarsest level has more than _COARSEST nodes, as long as
-    every axis has an even number of cells and the coarse grid has nodes
-    inside the margin."""
+    """The levels of every step loop of one solve on ``grid``, one list,
+    finest first, each over its grid's nodes at least the scheme's margin
+    inside, with g injected as the shift and its transfers to the level
+    above (``_Level``).  The grid is coarsened down to level ``start`` and
+    once more, then while the last level has more than _COARSEST nodes, as
+    long as every axis has an even number of cells and the coarse grid has
+    nodes inside the margin; a ladder may be the finest level alone."""
     margin = operator_margin(op, grid.ndim)
     nodes = np.flatnonzero(grid.interior_mask(margin))
     level = _Level(op, grid, nodes, g[nodes])
-    levels, transfers = [level], []
+    levels = [level]
     while ((coarse_shape := _coarse_shape(level.shape))
            and (len(levels) <= start + 1 or level.nodes.size > _COARSEST)):
         coarse = Grid(grid.domain, coarse_shape)
@@ -316,11 +317,12 @@ def _ladder(op, grid, g, start):
         shape, g = level.shape, _inject(level.shape, g)
         below = _Level(op, coarse, nodes, g[nodes])
         p = _interpolation(shape, margin)
-        seat = np.searchsorted(level.nodes, _inject(shape, np.arange(math.prod(shape)))[nodes])
-        transfers.append((_product(p, after=level.f), _product(p.T, after=below.f), seat))
+        below.p, below.pt = _product(p, after=level.f), _product(p.T, after=below.f)
+        below.seat = np.searchsorted(level.nodes,
+                                     _inject(shape, np.arange(math.prod(shape)))[nodes])
         levels.append(below)
         level = below
-    return levels, transfers
+    return levels
 
 
 def _factorize(level):
@@ -334,23 +336,23 @@ def _factorize(level):
     return splu(a.tocsc()).solve
 
 
-def _cycle(levels, transfers, b, k=0):
-    """The V-cycle from level ``k`` down, applied to ``b``: damped Jacobi
-    sweeps around the coarse correction (its right-hand side 2^-d P^T times
-    the residual), and the coarsest level's ``solve``.  A module-level
-    function: a closure calling itself would keep every level alive in a
-    reference cycle until the garbage collector ran."""
+def _cycle(levels, b, k=0):
+    """The V-cycle down the list ``levels`` from level ``k``, applied to
+    ``b``: damped Jacobi sweeps around the coarse correction (its right-hand
+    side 2^-d P^T times the residual), and the last level's ``solve``, which
+    is all of it on a ladder of one level.  A module-level function: a
+    closure calling itself would keep every level alive in a reference cycle
+    until the garbage collector ran."""
     level = levels[k]
-    if k == len(transfers):
+    if k == len(levels) - 1:
         return level.solve(b)
-    a, dinv = level.product, level.jacobi
-    p, pt, _ = transfers[k]
+    a, dinv, below = level.product, level.jacobi, levels[k + 1]
     x = dinv * b
     for _ in range(_SWEEPS - 1):
         _smooth(a, dinv, b, x)
-    r = pt(_residual(a, b, x))
+    r = below.pt(_residual(a, b, x))
     r *= 0.5 ** len(level.shape)
-    x += p(_cycle(levels, transfers, r, k + 1))
+    x += below.p(_cycle(levels, r, k + 1))
     for _ in range(_SWEEPS):
         _smooth(a, dinv, b, x)
     return x
@@ -369,33 +371,13 @@ def _smooth(a, dinv, b, x):
     x += r
 
 
-def _correction(matrix, rhs, tol, where, r, precondition):
-    """Solve matrix @ x = rhs by BiCGSTAB from x = 0, preconditioned by
-    ``precondition`` (``_FrozenSystem``'s V-cycle, or None for the plain
-    iteration); returns x and the number of BiCGSTAB iterations.  The
-    stopping rule is the same either way."""
-    from scipy.sparse.linalg import bicgstab
-
-    count = [0]
-
-    def tally(_):
-        count[0] += 1
-
-    x, info = bicgstab(matrix, rhs, rtol=_INNER_RTOL, atol=_INNER_ATOL * tol,
-                       M=precondition, callback=tally)
-    if info != 0:
-        raise SolverError("linear solve of %s broke down (BiCGSTAB info %d);"
-                          " residual %.3e" % (where, info, r), r)
-    return x, count[0]
-
-
 class _FrozenSystem:
     """The frozen-policy systems of one grid's step loop and their V-cycle:
     level ``k`` of the ladder that ``ladder()`` returns and the levels below
     it, refilled and truncated in place as the module docstring describes.
     ``seconds`` sums the wall time of the builds (the ladder, if this loop's
     call builds it), of the refills (the policy's entries, the masks and the
-    coarsest factorization) and of BiCGSTAB."""
+    last level's factorization) and of BiCGSTAB."""
 
     def __init__(self, ladder, k):
         self.ladder, self.k = ladder, k
@@ -411,21 +393,19 @@ class _FrozenSystem:
     def solve(self, policy, free, rhs, tol, where, r):
         """The correction over ``nodes`` that solves the system of ``policy``
         for ``rhs`` on the ``free`` nodes (a flat mask over the grid) and is 0
-        on the other ones, and its BiCGSTAB iteration count, as
-        ``_correction``."""
-        from scipy.sparse.linalg import LinearOperator
+        on the other ones, by BiCGSTAB from 0 preconditioned by the V-cycle,
+        and its BiCGSTAB iteration count; a breakdown raises SolverError
+        naming ``where``, with the step's residual ``r``."""
+        from scipy.sparse.linalg import LinearOperator, bicgstab
 
         clock = [time.perf_counter()]
         if self.levels is None:
-            levels, transfers = self.ladder()
-            self.levels, self.transfers = levels[self.k:], transfers[self.k:]
+            self.levels = self.ladder()[self.k:]
             top = self.levels[0]
             self.nodes = top.nodes
             self.operator = LinearOperator(top.matrix.shape, matvec=top.product, dtype=float)
-            if self.transfers:
-                self.precondition = LinearOperator(
-                    top.matrix.shape, dtype=float,
-                    matvec=functools.partial(_cycle, self.levels, self.transfers))
+            self.precondition = LinearOperator(top.matrix.shape, dtype=float,
+                                               matvec=functools.partial(_cycle, self.levels))
         clock.append(time.perf_counter())
         levels, factorize = self.levels, False
         if policy is not self.policy and not np.array_equal(policy, self.policy):
@@ -436,19 +416,24 @@ class _FrozenSystem:
         if not np.array_equal(free, self.free):
             bottom = levels[-1].f.copy()
             np.copyto(levels[0].f, free[self.nodes])
-            for fine, coarse, (_, _, seat) in zip(levels, levels[1:], self.transfers):
-                np.take(fine.f, seat, out=coarse.f)
+            for fine, coarse in zip(levels, levels[1:]):
+                np.take(fine.f, coarse.seat, out=coarse.f)
             self.free = free
             factorize = factorize or not np.array_equal(bottom, levels[-1].f)
-        if factorize and self.transfers:
+        if factorize:
             levels[-1].solve = _factorize(levels[-1])
         clock.append(time.perf_counter())
-        x, count = _correction(self.operator, rhs[self.nodes] * levels[0].f, tol, where, r,
-                               self.precondition)
+        steps = []
+        x, info = bicgstab(self.operator, rhs[self.nodes] * levels[0].f, rtol=_INNER_RTOL,
+                           atol=_INNER_ATOL * tol, M=self.precondition,
+                           callback=lambda _: steps.append(None))
+        if info != 0:
+            raise SolverError("linear solve of %s broke down (BiCGSTAB info %d);"
+                              " residual %.3e" % (where, info, r), r)
         clock.append(time.perf_counter())
         for key, a, b in zip(self.seconds, clock, clock[1:]):  # build, refill, krylov
             self.seconds[key] += b - a
-        return x, count
+        return x, len(steps)
 
 
 def _setup(op, grid, f, initial):
@@ -456,6 +441,10 @@ def _setup(op, grid, f, initial):
     mask = grid.interior_mask(margin)
     if not mask.any():
         raise ValueError("grid has no interior nodes at this stencil margin")
+    if _coarse_shape(grid.shape) is None:
+        raise ValueError("the %s grid has an odd number of cells on an axis, so the"
+                         " multigrid ladder cannot coarsen it: give every axis an odd"
+                         " number of nodes" % "x".join(str(n) for n in grid.shape))
     if initial is not None and initial.grid != grid:
         raise ValueError("initial guess lives on a different grid")
     return mask, _node_field(grid, f, "f")
@@ -535,8 +524,8 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
     """Solve F_h(u) = f on the interior by policy iteration; the whole margin
     band is pinned to the boundary data (as deep as the stencils reach).
 
-    f and boundary may be scalars, callables over points, or GridFunctions;
-    at least one argument must reveal the grid.  The iteration starts from
+    f and boundary may be numbers or GridFunctions; without ``grid``, one of
+    them or ``initial`` must be a GridFunction.  The iteration starts from
     ``initial`` (default: the boundary field), and an exact start returns
     after 0 steps.  It stops once the sup-norm residual is at most ``tol``
     (default 1e-9 * (1 + sup|f|)).
@@ -544,14 +533,11 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
     grid = grid or _pick_grid(f, boundary, initial)
     mask, fv = _setup(op, grid, f, initial)
     bv = _node_field(grid, boundary, "boundary")
-    u = initial.values.copy() if initial is not None else bv.copy()
     n = grid.node_count  # the obstacle loop with no obstacle, psi = -inf and g = 0
-    g = np.zeros(n)
-    system = _FrozenSystem(functools.partial(_ladder, op, grid, g, 0), 0)
-    u, _, _, r, history, seconds = _iterate(op, grid, np.full(n, -np.inf), bv, fv, g,
-                                            _tolerance(tol, fv, mask), u, None, system)
-    return SolveResult(GridFunction(grid, u), len(history), r, history,
-                       ((grid.shape[0], seconds),))
+    u, _, _, r, _, history, timings = _coarse_to_fine(
+        op, grid, np.full(n, -np.inf), bv, fv, np.zeros(n), _tolerance(tol, fv, mask),
+        bv if initial is None else initial.values)
+    return SolveResult(GridFunction(grid, u), len(history), r, history, timings)
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,11 +583,12 @@ class ObstacleResult:
     residual: float  # sup-norm of F_h(u) - g u - f off contact at return
     level_steps: tuple  # (nodes along the first axis, steps) per level, coarse to fine
     # one (residual, active-set size, BiCGSTAB iterations) row per step,
-    # coarse to fine; level_steps says how many rows each level has
+    # coarse to fine, as ``SolveResult.history``; level_steps says how many
+    # rows each level has
     history: tuple = ()
     # (nodes along the first axis, wall seconds of the ladder's layouts and
     # transfers if the level built it, of its policy refills, mask refreshes
-    # and coarsest factorizations and of BiCGSTAB, by name) per level, coarse
+    # and last-level factorizations and of BiCGSTAB, by name) per level, coarse
     # to fine: ``_FrozenSystem.seconds``
     timings: tuple = ()
 
@@ -624,7 +611,8 @@ def _coarser(grid: Grid, psi, bv, margin: int) -> bool:
 def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, initial=None):
     """The step loop up the rungs of one ladder (module docstring), from
     max(boundary, psi) on the coarsest rung ``_coarser`` accepts, or from an
-    ``initial`` iterate (flat node values) on ``grid`` alone.  Each rung's
+    ``initial`` iterate (flat node values) on ``grid`` alone, as every
+    Dirichlet solve and an obstacle solve given one run it.  Each rung's
     loop takes the ladder's levels from its own down as its V-cycle; the
     first step that solves builds the ladder.  A coarse rung only seeds the
     next, so it runs without ``polish``.  Returns u, the active set, the

@@ -77,6 +77,11 @@ def obstacle_run(tmp_path_factory):
     ("visc", "--input", "{tiny}", "--lambda", "1",
      "--out", "{tmp}"),                           # no touching ball fits
     ("mollify", "--lambda", "nan", "--out", "{tmp}"),  # non-finite sandwich bounds
+    # even --res: 2^k m cells with m odd, which multigrid cannot coarsen
+    ("obstacle", "--res", "128", "--out", "{tmp}"),
+    ("obstacle", "--res", "128", "--op", "pucci-:1,2", "--out", "{tmp}"),
+    ("solve", "--res", "64", "--out", "{tmp}"),
+    ("limit", "--res", "64", "--out", "{tmp}"),
 ])
 def test_usage_errors(args, tiny_file, tmp_path):
     """A refused run exits 2 and leaves no manifest of a run that never
@@ -87,6 +92,9 @@ def test_usage_errors(args, tiny_file, tmp_path):
     assert "certification failed" not in r.stderr
     if "--out" in args:
         assert not (tmp_path / "run_manifest.txt").exists()
+    res = dict(zip(args, args[1:])).get("--res")
+    if res and int(res) % 2 == 0:
+        assert "the %sx%s grid has an odd number of cells" % (res, res) in r.stderr
 
 
 def test_unknown_command_is_a_usage_error():

@@ -16,7 +16,7 @@ from ellipticlab import (
     normalize,
     oscillation,
     rescale_sequence,
-    unit_ball_grid,
+    square_grid,
     verify_decay_chain,
     write_decay_profile,
 )
@@ -219,11 +219,11 @@ def test_lattice_sampling_is_the_sample_bilinear_formula(name, res, unit_nodes, 
     values equal the point-cloud formulas bit for bit."""
     u = build_fixture(name, res)
     w, kappa = normalize(u, radius=radius, lam=0.0, eps=0.5, unit_nodes=unit_nodes)
-    unit = unit_ball_grid(2, unit_nodes)
+    unit = square_grid(unit_nodes)
     assert np.array_equal(w.values, sample_bilinear(u, radius * unit.points()) / kappa)
     cfg = DecayConfig(lam=0.25, beta=0.5)
     seq = rescale_sequence(w, cfg, levels=8)
-    pts = unit_ball_grid(2).points()
+    pts = square_grid(65).points()
     for s in seq.states:
         phys = cfg.lam**s.level * pts
         amp = 2.0**s.level * cfg.lam ** (-s.level * (1.0 + cfg.beta))
@@ -258,9 +258,3 @@ def test_rescale_accumulates_affine_corrections():
     # the level-0 fit strips the planted slope from every later level
     assert seq.states[1].q[0] == pytest.approx(0.1, abs=1e-9)
     assert seq.states[1].q[1] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_unit_ball_grid_shape():
-    g = unit_ball_grid(2, nodes=65)
-    assert g.shape == (65, 65)
-    assert g.domain.lower == (-1.0, -1.0) and g.domain.upper == (1.0, 1.0)
