@@ -43,7 +43,6 @@ from .stencils import (
 )
 from .solvers import (
     ObstacleProblem,
-    ObstacleResult,
     SolverError,
     SolveResult,
     solve_dirichlet,

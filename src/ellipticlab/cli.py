@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -75,8 +76,8 @@ class CliError(Exception):
 
 
 def _tol_scale(args) -> float:
-    if args.tol_scale <= 0:
-        raise CliError("--tol-scale must be positive")
+    if not 0.0 < args.tol_scale < math.inf:
+        raise CliError("--tol-scale must be positive and finite")
     return args.tol_scale
 
 
@@ -110,7 +111,16 @@ def _write_run_manifest(out, command, entries: dict):
     write_manifest(os.path.join(out, "run_manifest.txt"), data)
 
 
-def _write_timings(out, result):
+def _write_solve(out, command, result, entries: dict):
+    """A solve's solution.txt, its manifest (``entries`` and the result's
+    steps and bounds, which ``visc`` reads) and timings.json."""
+    write_grid_function(result.u, os.path.join(out, "solution.txt"))
+    entries.update({"steps": result.iterations,
+                    "level_steps": " ".join("%d:%d" % lv for lv in result.level_steps),
+                    "krylov_iterations": sum(row[2] for row in result.history),
+                    "lam_lo": result.lam_lo, "lam_hi": result.lam_hi,
+                    "contact_fraction": result.contact_fraction})
+    _write_run_manifest(out, command, entries)
     # wall-clock seconds per level: never in a CSV, so reruns stay byte-identical
     atomic_write_text(os.path.join(out, "timings.json"), json.dumps(
         {"levels": [dict(nodes=n, **seconds) for n, seconds in result.timings]},
@@ -165,16 +175,12 @@ def cmd_solve(args) -> int:
     zero = GridFunction(target.grid, np.zeros(target.grid.node_count))
     result = solve_dirichlet(op, f, target, tol=tol, grid=target.grid, initial=zero)
     sup_error = float(np.max(np.abs(result.u.values - target.values)))
-    write_grid_function(result.u, os.path.join(out, "solution.txt"))
     write_csv(os.path.join(out, "solve_report.csv"),
               ["steps", "residual", "sup_error"],
               [(result.iterations, result.residual, sup_error)])
     entries = _subject_keys(args, target)
-    entries.update({"op": operator_spec_string(op), "residual_tolerance": tol,
-                    "steps": result.iterations,
-                    "krylov_iterations": sum(row[2] for row in result.history)})
-    _write_run_manifest(out, "solve", entries)
-    _write_timings(out, result)
+    entries.update({"op": operator_spec_string(op), "residual_tolerance": tol})
+    _write_solve(out, "solve", result, entries)
     print("solve: residual %.3e after %d steps, sup error %.3e"
           % (result.residual, result.iterations, sup_error))
     return 0
@@ -189,21 +195,14 @@ def cmd_obstacle(args) -> int:
     op = parse_operator(args.op)
     problem = dataclasses.replace(disc_problem(res), op=op)
     result = solve_obstacle(problem, tol=tol)
-    write_grid_function(result.u, os.path.join(out, "solution.txt"))
     write_csv(os.path.join(out, "obstacle_report.csv"),
               ["contact_fraction", "lam_lo", "lam_hi", "steps", "residual"],
               [(result.contact_fraction, result.lam_lo, result.lam_hi,
                 result.iterations, result.residual)])
-    _write_run_manifest(out, "obstacle", {
+    _write_solve(out, "obstacle", result, {
         "fixture": "disc", "res": res, "op": operator_spec_string(op),
-        "g_weight": problem.g_weight,
-        "residual_tolerance": tol, "steps": result.iterations,
-        "level_steps": " ".join("%d:%d" % level for level in result.level_steps),
-        "krylov_iterations": sum(row[2] for row in result.history),
-        "lam_lo": result.lam_lo, "lam_hi": result.lam_hi,
-        "contact_fraction": result.contact_fraction,
+        "g_weight": problem.g_weight, "residual_tolerance": tol,
     })
-    _write_timings(out, result)
     print("obstacle: contact %.1f%%, bounds [%.4g, %.4g]"
           % (100 * result.contact_fraction, result.lam_lo, result.lam_hi))
     return 0
@@ -354,7 +353,8 @@ _FLAGS = {
     "beta": ("--beta", float, "Holder exponent target"),
     "eps": ("--eps", float, "mollifier radius (default: 24h, 16h, 12h, 8h)"),
     "levels": ("--levels", int, "dyadic levels / iterate count"),
-    "tol_scale": ("--tol-scale", float, "multiply every default tolerance"),
+    "tol_scale": ("--tol-scale", float,
+                  "multiply every default tolerance: positive and finite"),
 }
 
 # command -> (function, help, {dest: default} of the flags it reads besides

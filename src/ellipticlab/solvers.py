@@ -15,11 +15,12 @@ F_h(u), evaluating again only if that moved a node; and solves the sparse
 linear system of the frozen policy on the other nodes.  The loop returns
 once the active set is the one the iterate is pinned on (the seed, or
 where u = psi, at the start) and the residual off it is within tolerance.
-The Dirichlet solve of F_h(u) = f is this loop with no obstacle (psi =
--inf, g = 0), run by the obstacle solve's coarse-to-fine routine from its
-iterate on the given grid alone: no node is ever active, and the loop is
-Howard's policy iteration (Bokanowski, Maroso & Zidani, SIAM J. Numer.
-Anal. 47, 2009).
+Both public solves are one routine (``_solve``) and return one
+``SolveResult``.  The Dirichlet solve of F_h(u) = f is the loop with no
+obstacle (psi = -inf, g = 0), from its iterate on the given grid alone: no
+node is ever active, and the loop is Howard's policy iteration (Bokanowski,
+Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).  Its contact set is empty,
+and its bounds bracket f and the realized F_h(u).
 With F_h a min, the obstacle problem is an Isaacs system, on which moving
 the set and the policy together cycles; so a step keeps the set while the
 policy on its free nodes moved since the last solve and the residual there
@@ -113,7 +114,6 @@ __all__ = [
     "SolverError",
     "SolveResult",
     "ObstacleProblem",
-    "ObstacleResult",
     "solve_dirichlet",
     "solve_obstacle",
 ]
@@ -139,17 +139,30 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
+    """What either solve returns: a Dirichlet solve is an obstacle solve with
+    no obstacle, so its contact set is empty and its one level is the given
+    grid."""
+
     u: GridFunction
-    iterations: int  # policy steps, one linear solve each
-    residual: float  # sup-norm of F_h(u) - f over interior at return
-    # one (residual, active-set size, BiCGSTAB iterations) row per step; the
-    # residual is the one the step started from, and a Dirichlet solve pins
-    # no node.  On a ladder of one level the V-cycle is the exact solve, so
-    # BiCGSTAB converges inside its first iteration, before its callback
-    # counts one, and the row records 0 iterations
+    contact: np.ndarray  # flat bool over nodes: the final active set, u == psi
+    contact_fraction: float  # share of interior nodes in contact
+    # manufactured bounds on the realized F_h(u) over the interior
+    lam_lo: float
+    lam_hi: float
+    iterations: int  # policy (active-set) steps, one linear solve each, over all levels
+    residual: float  # sup-norm of F_h(u) - g u - f off contact at return
+    level_steps: tuple  # (nodes along the first axis, steps) per level, coarse to fine
+    # one (residual, active-set size, BiCGSTAB iterations) row per step,
+    # coarse to fine; the residual is the one the step started from, and
+    # level_steps says how many rows each level has.  On a ladder of one
+    # level the V-cycle is the exact solve, so BiCGSTAB converges inside its
+    # first iteration, before its callback counts one, and the row records 0
+    # iterations
     history: tuple = ()
-    # ((nodes along the first axis, wall seconds by name),) for the one
-    # level, as ``ObstacleResult.timings``
+    # (nodes along the first axis, wall seconds of the ladder's layouts and
+    # transfers if the level built it, of its policy refills, mask refreshes
+    # and last-level factorizations and of BiCGSTAB, by name) per level, coarse
+    # to fine: ``_FrozenSystem.seconds``
     timings: tuple = ()
 
 
@@ -436,29 +449,6 @@ class _FrozenSystem:
         return x, len(steps)
 
 
-def _setup(op, grid, f, initial):
-    margin = operator_margin(op, grid.ndim)
-    mask = grid.interior_mask(margin)
-    if not mask.any():
-        raise ValueError("grid has no interior nodes at this stencil margin")
-    if _coarse_shape(grid.shape) is None:
-        raise ValueError("the %s grid has an odd number of cells on an axis, so the"
-                         " multigrid ladder cannot coarsen it: give every axis an odd"
-                         " number of nodes" % "x".join(str(n) for n in grid.shape))
-    if initial is not None and initial.grid != grid:
-        raise ValueError("initial guess lives on a different grid")
-    return mask, _node_field(grid, f, "f")
-
-
-def _tolerance(tol, fv, mask):
-    """The residual tolerance: ``tol``, by default 1e-9 * (1 + sup|f|)."""
-    if tol is None:
-        return 1e-9 * (1.0 + float(np.max(np.abs(fv[mask]))))
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return tol
-
-
 def _iterate(op, grid, psi, bv, fv, g, tol, u, seed, system, polish=True):
     """The step loop on one grid, from the iterate ``u`` (module docstring),
     solving its steps by ``system`` (a ``_FrozenSystem``).
@@ -517,6 +507,81 @@ def _iterate(op, grid, psi, bv, fv, g, tol, u, seed, system, polish=True):
     )
 
 
+# the coarse-to-fine start stops coarsening before a level drops below this
+# many nodes on an axis (the CLI's smallest --res)
+MIN_LEVEL_NODES = 17
+
+
+def _solve(op, grid, psi, bv, fv, g, tol, initial):
+    """The one solve behind ``solve_dirichlet`` and ``solve_obstacle``, on
+    flat node arrays: it checks the inputs, fixes the tolerance, climbs the
+    rungs of one ladder and derives the manufactured bounds.
+
+    Without an ``initial`` GridFunction the step loop starts coarse to fine
+    (module docstring), on rungs that also keep some interior; with one, it
+    runs on ``grid`` alone from that iterate.  Each rung's loop takes the
+    ladder's levels from its own down as its V-cycle, and the first step
+    that solves builds the ladder.  A coarse rung only seeds the next, so it
+    runs without ``polish``.
+    """
+    margin = operator_margin(op, grid.ndim)
+    mask = grid.interior_mask(margin)
+    if not mask.any():
+        raise ValueError("grid has no interior nodes at this stencil margin")
+    if _coarse_shape(grid.shape) is None:
+        raise ValueError("the %s grid has an odd number of cells on an axis, so the"
+                         " multigrid ladder cannot coarsen it: give every axis an odd"
+                         " number of nodes" % "x".join(str(n) for n in grid.shape))
+    if initial is not None and initial.grid != grid:
+        raise ValueError("initial guess lives on a different grid")
+    if np.min((bv - psi)[~mask]) < -1e-12:
+        raise ValueError("boundary data must dominate the obstacle on the boundary band")
+    if tol is None:
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(fv[mask]))))
+    elif not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+
+    rungs = [(grid, psi, bv, fv, g)]
+    while (initial is None and (shape := _coarse_shape(rungs[-1][0].shape))
+           and min(shape) >= MIN_LEVEL_NODES):
+        fine = rungs[-1]
+        rung = (Grid(grid.domain, shape),) + tuple(_inject(fine[0].shape, a) for a in fine[1:])
+        band = ~rung[0].interior_mask(margin)
+        if band.all() or not np.min((rung[2] - rung[1])[band]) >= -1e-12:
+            break
+        rungs.append(rung)
+    ladder = functools.cache(functools.partial(_ladder, op, grid, g, len(rungs) - 1))
+    u = np.maximum(rungs[-1][2], rungs[-1][1]) if initial is None else initial.values.copy()
+    contact, level_steps, history, timings = None, (), (), ()
+    for k in range(len(rungs) - 1, -1, -1):
+        rung, seed = rungs[k], None
+        if contact is not None:
+            interpolate = _interpolation(rung[0].shape, 0)
+            u = interpolate @ u
+            # the weights of a row are exact binary fractions summing to 1
+            seed = interpolate @ contact.astype(float) == 1.0
+            u[seed] = rung[1][seed]
+        u, contact, e, r, rows, seconds = _iterate(op, *rung, tol, u, seed,
+                                                   _FrozenSystem(ladder, k), polish=not k)
+        level_steps += ((rung[0].shape[0], len(rows)),)
+        history += rows
+        timings += ((rung[0].shape[0], seconds),)
+
+    # the upper bound from complementarity, the lower one from monotonicity
+    # on the contact set; never report bounds the realized field violates
+    rhs = fv + g * u
+    fh = e + rhs  # the realized field F_h(u) at the returned iterate
+    sup = float(np.max(np.abs(rhs[mask])))
+    slack = tol * (1.0 + sup)
+    lo = min(float(np.min(rhs[mask])), float(np.min(fh[mask])))
+    if contact.any():
+        lo = min(lo, float(np.min(eval_discrete(op, GridFunction(grid, psi)).values[contact])))
+    hi = max(sup, float(np.max(fh[mask])))
+    frac = float(np.count_nonzero(contact)) / float(np.count_nonzero(mask))
+    return SolveResult(GridFunction(grid, u), contact, frac, lo - slack, hi + slack,
+                       len(history), r, level_steps, history, timings)
+
+
 def solve_dirichlet(op: EllipticOperator, f, boundary,
                     tol: float | None = None,
                     grid: Grid | None = None,
@@ -526,18 +591,17 @@ def solve_dirichlet(op: EllipticOperator, f, boundary,
 
     f and boundary may be numbers or GridFunctions; without ``grid``, one of
     them or ``initial`` must be a GridFunction.  The iteration starts from
-    ``initial`` (default: the boundary field), and an exact start returns
-    after 0 steps.  It stops once the sup-norm residual is at most ``tol``
-    (default 1e-9 * (1 + sup|f|)).
+    ``initial`` (default: the boundary field) on ``grid`` alone, and an exact
+    start returns after 0 steps.  It stops once the sup-norm residual is at
+    most ``tol`` (default 1e-9 * (1 + sup|f|)).  This is the obstacle solve
+    with no obstacle (psi = -inf, g = 0), so the result's contact set is
+    empty and its [lam_lo, lam_hi] bracket f and the realized F_h(u).
     """
     grid = grid or _pick_grid(f, boundary, initial)
-    mask, fv = _setup(op, grid, f, initial)
     bv = _node_field(grid, boundary, "boundary")
-    n = grid.node_count  # the obstacle loop with no obstacle, psi = -inf and g = 0
-    u, _, _, r, _, history, timings = _coarse_to_fine(
-        op, grid, np.full(n, -np.inf), bv, fv, np.zeros(n), _tolerance(tol, fv, mask),
-        bv if initial is None else initial.values)
-    return SolveResult(GridFunction(grid, u), len(history), r, history, timings)
+    n = grid.node_count
+    return _solve(op, grid, np.full(n, -np.inf), bv, _node_field(grid, f, "f"), np.zeros(n),
+                  tol, GridFunction(grid, bv) if initial is None else initial)
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,7 +610,7 @@ class ObstacleProblem:
 
     g_weight may be a scalar or a GridFunction and must be nonnegative (g >= 0
     keeps every frozen policy an M-matrix).  Boundary data must dominate the
-    obstacle on the boundary band.
+    obstacle on the boundary band, which the solve checks.
     """
 
     op: EllipticOperator
@@ -563,91 +627,10 @@ class ObstacleProblem:
             raise ValueError("g_weight must be nonnegative for a monotone scheme")
         object.__setattr__(self, "g_values", g)
 
-    def boundary_values(self, margin: int) -> np.ndarray:
-        grid = self.psi.grid
-        bv = _node_field(grid, self.boundary, "boundary")
-        band = ~grid.interior_mask(margin)
-        if np.min(bv[band] - self.psi.values[band]) < -1e-12:
-            raise ValueError("boundary data must dominate the obstacle on the boundary band")
-        return bv
-
-
-@dataclass(frozen=True, eq=False)
-class ObstacleResult:
-    u: GridFunction
-    contact: np.ndarray  # flat bool over nodes: the final active set, u == psi
-    contact_fraction: float  # share of interior nodes in contact
-    lam_lo: float
-    lam_hi: float
-    iterations: int  # active-set steps, one linear solve each, over all levels
-    residual: float  # sup-norm of F_h(u) - g u - f off contact at return
-    level_steps: tuple  # (nodes along the first axis, steps) per level, coarse to fine
-    # one (residual, active-set size, BiCGSTAB iterations) row per step,
-    # coarse to fine, as ``SolveResult.history``; level_steps says how many
-    # rows each level has
-    history: tuple = ()
-    # (nodes along the first axis, wall seconds of the ladder's layouts and
-    # transfers if the level built it, of its policy refills, mask refreshes
-    # and last-level factorizations and of BiCGSTAB, by name) per level, coarse
-    # to fine: ``_FrozenSystem.seconds``
-    timings: tuple = ()
-
-
-# the coarse-to-fine start stops coarsening before a level drops below this
-# many nodes on an axis (the CLI's smallest --res)
-MIN_LEVEL_NODES = 17
-
-
-def _coarser(grid: Grid, psi, bv, margin: int) -> bool:
-    """Whether the coarse-to-fine start may run on the rung on ``grid``, with
-    psi and the boundary data ``bv`` injected to it: it keeps MIN_LEVEL_NODES
-    per axis and some interior, and bv dominates psi on its margin band."""
-    if min(grid.shape) < MIN_LEVEL_NODES:
-        return False
-    band = ~grid.interior_mask(margin)
-    return not band.all() and np.min((bv - psi)[band]) >= -1e-12
-
-
-def _coarse_to_fine(op, grid, psi, bv, fv, g, tol, initial=None):
-    """The step loop up the rungs of one ladder (module docstring), from
-    max(boundary, psi) on the coarsest rung ``_coarser`` accepts, or from an
-    ``initial`` iterate (flat node values) on ``grid`` alone, as every
-    Dirichlet solve and an obstacle solve given one run it.  Each rung's
-    loop takes the ladder's levels from its own down as its V-cycle; the
-    first step that solves builds the ladder.  A coarse rung only seeds the
-    next, so it runs without ``polish``.  Returns u, the active set, the
-    excess, the residual, and per rung its (nodes, steps), its history rows
-    and its (nodes, seconds)."""
-    margin = operator_margin(op, grid.ndim)
-    rungs = [(grid, psi, bv, fv, g)]
-    while initial is None and (shape := _coarse_shape(rungs[-1][0].shape)):
-        fine = rungs[-1]
-        rung = (Grid(grid.domain, shape),) + tuple(_inject(fine[0].shape, a) for a in fine[1:])
-        if not _coarser(*rung[:3], margin):
-            break
-        rungs.append(rung)
-    ladder = functools.cache(functools.partial(_ladder, op, grid, g, len(rungs) - 1))
-    u = np.maximum(rungs[-1][2], rungs[-1][1]) if initial is None else initial.copy()
-    active, levels, history, timings = None, (), (), ()
-    for k in range(len(rungs) - 1, -1, -1):
-        rung, seed = rungs[k], None
-        if active is not None:
-            interpolate = _interpolation(rung[0].shape, 0)
-            u = interpolate @ u
-            # the weights of a row are exact binary fractions summing to 1
-            seed = interpolate @ active.astype(float) == 1.0
-            u[seed] = rung[1][seed]
-        u, active, e, r, rows, seconds = _iterate(op, *rung, tol, u, seed,
-                                                  _FrozenSystem(ladder, k), polish=not k)
-        levels += ((rung[0].shape[0], len(rows)),)
-        history += rows
-        timings += ((rung[0].shape[0], seconds),)
-    return u, active, e, r, levels, history, timings
-
 
 def solve_obstacle(problem: ObstacleProblem,
                    tol: float | None = None,
-                   initial: GridFunction | None = None) -> ObstacleResult:
+                   initial: GridFunction | None = None) -> SolveResult:
     """Primal-dual active-set solve of min(u - psi, f + g u - F_h(u)) = 0.
 
     Every interior node either satisfies the equation (off contact, within
@@ -662,26 +645,7 @@ def solve_obstacle(problem: ObstacleProblem,
     ``initial`` the solve starts coarse to fine (module docstring); with it,
     a single level runs from that iterate.
     """
-    grid, op = problem.psi.grid, problem.op
-    mask, fv = _setup(op, grid, problem.f, initial)
-    g, psi = problem.g_values, problem.psi.values
-    bv = problem.boundary_values(operator_margin(op, grid.ndim))
-    tol = _tolerance(tol, fv, mask)
-    u, contact, e, r, levels, history, timings = _coarse_to_fine(
-        op, grid, psi, bv, fv, g, tol, None if initial is None else initial.values)
-
-    rhs = fv + g * u
-    fh = e + rhs  # the realized field F_h(u) at the returned iterate
-    slack = tol * (1.0 + float(np.max(np.abs(rhs[mask]))))
-    lam_hi = float(np.max(np.abs(rhs[mask]))) + slack
-    lo_terms = [float(np.min(rhs[mask]))]
-    if contact.any():
-        fh_psi = eval_discrete(op, problem.psi).values
-        lo_terms.append(float(np.min(fh_psi[contact])))
-    lam_lo = min(lo_terms) - slack
-    # never report bounds the realized field violates
-    lam_lo = min(lam_lo, float(np.min(fh[mask])) - slack)
-    lam_hi = max(lam_hi, float(np.max(fh[mask])) + slack)
-    frac = float(np.count_nonzero(contact)) / float(np.count_nonzero(mask))
-    return ObstacleResult(GridFunction(grid, u), contact, frac, lam_lo, lam_hi,
-                          len(history), r, levels, history, timings)
+    grid = problem.psi.grid
+    return _solve(problem.op, grid, problem.psi.values,
+                  _node_field(grid, problem.boundary, "boundary"),
+                  _node_field(grid, problem.f, "f"), problem.g_values, tol, initial)

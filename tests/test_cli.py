@@ -82,16 +82,28 @@ def obstacle_run(tmp_path_factory):
     ("obstacle", "--res", "128", "--op", "pucci-:1,2", "--out", "{tmp}"),
     ("solve", "--res", "64", "--out", "{tmp}"),
     ("limit", "--res", "64", "--out", "{tmp}"),
+    # a tolerance must be positive and finite: inf passed any certificate,
+    # and nan broke BiCGSTAB down at its first step
+    ("solve", "--tol-scale", "nan", "--out", "{tmp}"),
+    ("solve", "--tol-scale", "inf", "--out", "{tmp}"),
+    ("obstacle", "--tol-scale", "nan", "--out", "{tmp}"),
+    ("obstacle", "--tol-scale", "inf", "--out", "{tmp}"),
+    ("visc", "--input", "{solution}", "--tol-scale", "nan", "--out", "{tmp}"),
+    ("visc", "--input", "{solution}", "--lambda", "1", "--tol-scale", "inf",
+     "--out", "{tmp}"),
 ])
-def test_usage_errors(args, tiny_file, tmp_path):
+def test_usage_errors(args, tiny_file, obstacle_run, tmp_path):
     """A refused run exits 2 and leaves no manifest of a run that never
     happened."""
-    r = run_cli(*(a.format(tiny=tiny_file, tmp=tmp_path) for a in args))
+    solution = obstacle_run / "solution.txt"
+    r = run_cli(*(a.format(tiny=tiny_file, solution=solution, tmp=tmp_path) for a in args))
     assert r.returncode == 2, (args, r.stderr)
     assert r.stderr.strip()
     assert "certification failed" not in r.stderr
     if "--out" in args:
         assert not (tmp_path / "run_manifest.txt").exists()
+    if "--tol-scale" in args:
+        assert "--tol-scale must be positive and finite" in r.stderr
     res = dict(zip(args, args[1:])).get("--res")
     if res and int(res) % 2 == 0:
         assert "the %sx%s grid has an odd number of cells" % (res, res) in r.stderr
@@ -318,6 +330,23 @@ def test_obstacle_manifest_records_bounds(obstacle_run):
     assert 0.05 <= float(man["contact_fraction"]) <= 0.30
     assert (man["python"], man["numpy"], man["scipy"]) == \
         (platform.python_version(), np.__version__, scipy.__version__)
+
+
+def test_visc_certifies_a_solve_run(tmp_path):
+    """A solve's manifest records the bounds of its result as an obstacle's
+    does, so visc certifies its solution with neither --lambda nor --op."""
+    solved, certified = tmp_path / "solve", tmp_path / "visc"
+    r = run_cli("solve", "--fixture", "quad", "--op", "pucci+:1,2", "--res", "33",
+                "--out", str(solved))
+    assert r.returncode == 0, r.stderr
+    man = read_manifest(solved / "run_manifest.txt")
+    assert man["level_steps"] == "33:%s" % man["steps"]
+    assert man["contact_fraction"] == "0"
+    r = run_cli("visc", "--input", str(solved / "solution.txt"), "--out", str(certified))
+    assert r.returncode == 0, r.stderr
+    visc = read_manifest(certified / "run_manifest.txt")
+    assert [visc[k] for k in ("lam_lo", "lam_hi", "op")] == \
+        [man[k] for k in ("lam_lo", "lam_hi", "op")]
 
 
 def test_visc_reads_sibling_manifest(obstacle_run, tmp_path):

@@ -15,6 +15,7 @@ from ellipticlab import (
     eval_discrete,
     linear_operator,
     max_of_linear,
+    operator_margin,
     pucci_max,
     pucci_min,
     square_grid,
@@ -158,12 +159,52 @@ def test_disc_complementarity(disc65):
     np.testing.assert_allclose(disc65.u.values[on], prob.psi.values[on], atol=1e-9)
 
 
+def assert_inside_bounds(op, result):
+    """The realized F_h(u) lies in the result's [lam_lo, lam_hi] on the
+    interior."""
+    fh = eval_discrete(op, result.u).values
+    mask = result.u.grid.interior_mask(operator_margin(op, result.u.grid.ndim))
+    assert np.min(fh[mask]) >= result.lam_lo - 1e-9
+    assert np.max(fh[mask]) <= result.lam_hi + 1e-9
+
+
 def test_realized_field_sits_inside_reported_bounds(disc65):
-    prob = disc_problem(65)
-    fh = eval_discrete(prob.op, disc65.u).values
-    mask = prob.psi.grid.interior_mask(1)
-    assert np.min(fh[mask]) >= disc65.lam_lo - 1e-9
-    assert np.max(fh[mask]) <= disc65.lam_hi + 1e-9
+    assert_inside_bounds(disc_problem(65).op, disc65)
+
+
+@pytest.mark.parametrize("case", ["trace-f1", "pucci+-quad"])
+def test_dirichlet_solve_reports_bounds_and_no_contact(case):
+    """A Dirichlet solve returns the obstacle solve's result with no
+    obstacle: bounds the realized field sits inside, no contact and its one
+    level."""
+    if case == "trace-f1":
+        op, f = TRACE, 1.0
+        result = solve_dirichlet(op, f, 0.0, grid=unit_square_grid(33))
+    else:
+        op = pucci_max(1.0, 2.0)
+        f, target, zero = manufactured_quad(op)
+        result = solve_dirichlet(op, f, target, initial=zero)
+        f = f.values[result.u.grid.interior_mask(operator_margin(op, 2))]
+    assert result.iterations >= 1
+    assert_inside_bounds(op, result)
+    assert result.lam_lo <= np.min(f) and np.max(f) <= result.lam_hi
+    assert result.contact.shape == (result.u.grid.node_count,)
+    assert not result.contact.any()
+    assert result.contact_fraction == 0.0
+    assert result.level_steps == ((33, result.iterations),)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(tol, monkeypatch):
+    """Either solve refuses the tolerance before any step: inf used to
+    accept any residual and report infinite bounds, and nan broke BiCGSTAB
+    down."""
+    evaluations = count_calls(monkeypatch, "eval_policy", lambda *args: None)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve_obstacle(disc_problem(33), tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve_dirichlet(TRACE, 1.0, 0.0, grid=unit_square_grid(33), tol=tol)
+    assert evaluations == []
 
 
 def test_disc_contact_is_exact_active_set(disc65):
