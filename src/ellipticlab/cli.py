@@ -7,13 +7,18 @@ plus the code version) into --out and returns a process exit code:
     0   all certifications embedded in the run passed
     1   a certification failed (message names the failing check), or the
         data failed a certificate outright (``CertificationError``)
-    2   flag / input parse errors, a flag the command does not read, and
+    2   flag errors, unreadable inputs, a flag the command does not read, and
         every other failed precondition (``ValueError``), e.g. a grid too
         small for the operator's stencil, for the touching balls or for the
         decay ladder's resolution floor, or a solve's grid with an even
         number of nodes on an axis, which multigrid cannot coarsen
     3   a solve that did not converge (message names the grid it failed on),
         and anything unexpected
+
+A command reads its subject once: u from --input (whose directory --out may not
+be) or --fixture; its operator from --op, else the run manifest beside the
+input, else trace; its bounds from --lambda, else that manifest if it recorded
+them for that operator.
 
 Identical flags + seed produce byte-identical CSV artifacts; the only random
 number generator in the package is the seeded one inside the operator
@@ -28,6 +33,7 @@ import functools
 import json
 import math
 import os
+import platform
 import sys
 
 import numpy as np
@@ -47,6 +53,7 @@ from .fixtures import build_fixture, disc_problem, limit_families
 from .grids import GridFunction, SymMatrix, read_grid_function, write_grid_function
 from .mollify import sandwich_tolerance, stability_sweep
 from .operators import (
+    EllipticOperator,
     check_homogeneity,
     check_uniform_ellipticity,
     operator_spec_string,
@@ -68,40 +75,55 @@ from .viscosity import (
     write_viscosity_report,
 )
 
-__all__ = ["main", "CliError"]
-
-
-class CliError(Exception):
-    """Bad flags or unreadable inputs; mapped to exit code 2."""
+__all__ = ["main"]
 
 
 def _tol_scale(args) -> float:
     if not 0.0 < args.tol_scale < math.inf:
-        raise CliError("--tol-scale must be positive and finite")
+        raise ValueError("--tol-scale must be positive and finite")
     return args.tol_scale
 
 
 def _resolution(args) -> int:
     if args.res < MIN_LEVEL_NODES:
-        raise CliError("--res must be at least %d" % MIN_LEVEL_NODES)
+        raise ValueError("--res must be at least %d" % MIN_LEVEL_NODES)
     return args.res
 
 
-def _load_field(args) -> GridFunction:
-    """The subject of the experiment: --input file, else a named fixture."""
+@dataclasses.dataclass(frozen=True)
+class _Subject:
+    """u, its operator, the bounds lam_lo <= F_h(u) <= lam_hi stated for that
+    operator (None when nothing states them) and the keys naming u's source."""
+
+    u: GridFunction
+    op: EllipticOperator
+    bounds: Bounds | None
+    source: dict
+
+
+def _subject(args) -> _Subject:
+    """The subject by the rule in the module docstring, read once."""
+    manifest = {}  # the run manifest beside --input
     if args.input:
-        if not os.path.exists(args.input):
-            raise CliError("input file %r does not exist" % args.input)
-        try:
-            return read_grid_function(args.input)
-        except Exception as exc:
-            raise CliError("cannot parse %r: %s" % (args.input, exc))
-    return build_fixture(args.fixture, _resolution(args))
+        directory = os.path.dirname(os.path.abspath(args.input))
+        if os.path.realpath(args.out) == os.path.realpath(directory):
+            raise ValueError("--out is the directory of --input, whose manifest it would replace")
+        u = read_grid_function(args.input)
+        sibling = os.path.join(directory, "run_manifest.txt")
+        if os.path.exists(sibling):
+            manifest = read_manifest(sibling)
+        source = {"input": args.input, "res": u.grid.shape[0]}
+    else:
+        u = build_fixture(args.fixture, _resolution(args))
+        source = {"fixture": args.fixture, "res": u.grid.shape[0]}
+    op = parse_operator(getattr(args, "op", None) or manifest.get("op", "trace"))
+    bounds = None if getattr(args, "lam", None) is None else Bounds.symmetric(args.lam)
+    if bounds is None and "lam_lo" in manifest and manifest.get("op") == operator_spec_string(op):
+        bounds = Bounds(float(manifest["lam_lo"]), float(manifest["lam_hi"]))
+    return _Subject(u, op, bounds, source)
 
 
 def _write_run_manifest(out, command, entries: dict):
-    import platform
-
     import scipy
 
     data = {"command": command, "version": __version__,
@@ -127,22 +149,13 @@ def _write_solve(out, command, result, entries: dict):
         indent=1) + "\n")
 
 
-def _subject_keys(args, u: GridFunction) -> dict:
-    keys = {"res": u.grid.shape[0]}
-    if args.input:
-        keys["input"] = args.input
-    else:
-        keys["fixture"] = args.fixture
-    return keys
-
-
 # -- commands -------------------------------------------------------------------
 
 
 def cmd_props(args) -> int:
     out = args.out
     if args.seed is None:
-        raise CliError("--seed is required for randomized property checks")
+        raise ValueError("--seed is required for randomized property checks")
     op = parse_operator(args.op)
     ell = check_uniform_ellipticity(op, seed=args.seed)
     hom = check_homogeneity(op, seed=args.seed)
@@ -165,8 +178,8 @@ def cmd_props(args) -> int:
 
 def cmd_solve(args) -> int:
     out = args.out
-    op = parse_operator(args.op)
-    target = _load_field(args)
+    subject = _subject(args)
+    op, target = subject.op, subject.u
     # manufacture data so the exact discrete solution is known
     f = GridFunction(target.grid,
                      np.nan_to_num(eval_discrete(op, target).values, nan=0.0))
@@ -178,9 +191,8 @@ def cmd_solve(args) -> int:
     write_csv(os.path.join(out, "solve_report.csv"),
               ["steps", "residual", "sup_error"],
               [(result.iterations, result.residual, sup_error)])
-    entries = _subject_keys(args, target)
-    entries.update({"op": operator_spec_string(op), "residual_tolerance": tol})
-    _write_solve(out, "solve", result, entries)
+    _write_solve(out, "solve", result, dict(subject.source, op=operator_spec_string(op),
+                                            residual_tolerance=tol))
     print("solve: residual %.3e after %d steps, sup error %.3e"
           % (result.residual, result.iterations, sup_error))
     return 0
@@ -189,7 +201,7 @@ def cmd_solve(args) -> int:
 def cmd_obstacle(args) -> int:
     out = args.out
     if args.fixture != "disc":
-        raise CliError("the obstacle command supports only the 'disc' fixture")
+        raise ValueError("the obstacle command supports only the 'disc' fixture")
     res = _resolution(args)
     tol = _tol_scale(args) * 1e-9
     op = parse_operator(args.op)
@@ -211,22 +223,14 @@ def cmd_obstacle(args) -> int:
 def cmd_visc(args) -> int:
     out = args.out
     if not args.input:
-        raise CliError("the visc command needs --input (a grid-function file)")
-    u = _load_field(args)
-    manifest = {}
-    sibling = os.path.join(os.path.dirname(os.path.abspath(args.input)),
-                           "run_manifest.txt")
-    if os.path.exists(sibling):
-        manifest = read_manifest(sibling)
-    if args.lam is not None:
-        bounds = Bounds.symmetric(args.lam)
-    elif "lam_lo" in manifest and "lam_hi" in manifest:
-        bounds = Bounds(float(manifest["lam_lo"]), float(manifest["lam_hi"]))
-    else:
-        raise CliError(
-            "no bounds available: pass --lambda or keep the input next to the "
-            "run manifest that produced it")
-    op = parse_operator(args.op or manifest.get("op", "trace"))
+        raise ValueError("the visc command needs --input (a grid-function file)")
+    subject = _subject(args)
+    u, op, bounds = subject.u, subject.op, subject.bounds
+    if bounds is None:
+        raise ValueError(
+            "no bounds available for %s: pass --lambda, or keep the input next to "
+            "the run manifest that recorded bounds for this operator"
+            % operator_spec_string(op))
     tol = _tol_scale(args) * default_tolerance(op, u)
     pointwise = check_pointwise(u, op, bounds, tol=tol)
     dictionary = make_touching_dictionary(u, node_budget=VISC_NODE_BUDGET)
@@ -249,25 +253,22 @@ def cmd_visc(args) -> int:
 
 def cmd_campanato(args) -> int:
     out = args.out
-    u = _load_field(args)
-    cfg = DecayConfig(lam=args.lam, beta=args.beta, levels=args.levels)
-    grid = u.grid
+    subject = _subject(args)
+    cfg = DecayConfig(lam=args.ratio, beta=args.beta, levels=args.levels)
+    grid = subject.u.grid
     center = tuple(0.5 * (lo + hi) for lo, hi in
                    zip(grid.domain.lower, grid.domain.upper))
     radius0 = 0.5 * min(grid.domain.extent(a) for a in range(grid.ndim))
-    profile = decay_profile(u, center, cfg, radius0)
+    profile = decay_profile(subject.u, center, cfg, radius0)
     write_decay_profile(profile, os.path.join(out, "decay.csv"))
     chain = verify_decay_chain(profile)
     write_csv(os.path.join(out, "chain.csv"), ["k", "phi", "bound", "ok"], chain)
     ok = all(step[3] for step in chain)
-    entries = _subject_keys(args, u)
-    entries.update({"lam": cfg.lam, "beta": cfg.beta, "levels": cfg.levels,
-                    "radius0": radius0, "chain_rel_tol": CHAIN_REL_TOL,
-                    "min_radius_nodes": MIN_RADIUS_NODES,
-                    "beta_hat": profile.beta_hat, "slope": profile.slope,
-                    "sigma": profile.sigma, "spread": profile.spread,
-                    "simplex_pivots": sum(profile.pivots), "chain_ok": int(ok)})
-    _write_run_manifest(out, "campanato", entries)
+    _write_run_manifest(out, "campanato", {
+        **subject.source, "ratio": cfg.lam, "beta": cfg.beta, "levels": cfg.levels,
+        "radius0": radius0, "chain_rel_tol": CHAIN_REL_TOL, "min_radius_nodes": MIN_RADIUS_NODES,
+        "beta_hat": profile.beta_hat, "slope": profile.slope, "sigma": profile.sigma,
+        "spread": profile.spread, "simplex_pivots": sum(profile.pivots), "chain_ok": int(ok)})
     print("campanato: beta_hat %.4f (spread %.2g), chain %s"
           % (profile.beta_hat, profile.spread, "pass" if ok else "FAIL"))
     return 0 if ok else 1
@@ -275,31 +276,27 @@ def cmd_campanato(args) -> int:
 
 def cmd_mollify(args) -> int:
     out = args.out
-    u = _load_field(args)
+    subject = _subject(args)
+    u, op = subject.u, subject.op
+    if op.kind not in ("trace", "linear"):  # the sweep takes one constant SPD matrix
+        raise ValueError("mollify checks linear operators only, not %s" % operator_spec_string(op))
     h = u.grid.h
-    if args.eps is not None:
-        if args.eps < 3.0 * h:
-            raise CliError("--eps below 3h cannot be resolved on this grid")
-        schedule = [float(args.eps)]
-    else:
-        schedule = [24.0 * h, 16.0 * h, 12.0 * h, 8.0 * h]
-    if args.lam is not None:
-        f1, f2 = -float(args.lam), float(args.lam)
-    else:
-        op = parse_operator(args.op)
+    # stability_sweep refuses an eps below 3h
+    schedule = [24.0 * h, 16.0 * h, 12.0 * h, 8.0 * h] if args.eps is None else [args.eps]
+    if subject.bounds is None:  # the realized range of F_h(u), NaN where undefined
         realized = eval_discrete(op, u).values
-        finite = realized[np.isfinite(realized)]
-        f1, f2 = float(finite.min()), float(finite.max())
-    a = SymMatrix.identity(u.grid.ndim)
+        f1, f2 = float(np.nanmin(realized)), float(np.nanmax(realized))
+    else:
+        f1, f2 = subject.bounds.lam_lo, subject.bounds.lam_hi
+    a = SymMatrix(op.mats[0]) if op.mats else SymMatrix.identity(u.grid.ndim)
     min_half = 0.5 * min(u.grid.domain.extent(ax) for ax in range(u.grid.ndim))
     r = 0.5 * (min_half - schedule[0])
     if r <= 2.0 * h:
-        raise CliError("grid too small for this schedule: no room for the norm ball")
+        raise ValueError("grid too small for this schedule: no room for the norm ball")
     sandwich_tol = sandwich_tolerance(u, a, f2)
-    entries = _subject_keys(args, u)
-    entries.update({"eps_schedule": " ".join("%.17g" % e for e in schedule),
-                    "p": 4.0, "r": r, "f1": f1, "f2": f2, "matrix": "identity",
-                    "sandwich_tolerance": sandwich_tol})
+    entries = {**subject.source, "op": operator_spec_string(op), "lam_lo": f1, "lam_hi": f2,
+               "eps_schedule": " ".join("%.17g" % e for e in schedule),
+               "p": 4.0, "r": r, "sandwich_tolerance": sandwich_tol}
     rows = stability_sweep(u, a, f1, f2, schedule, 4.0, r,
                            path=os.path.join(out, "sweep.csv"))
     _write_run_manifest(out, "mollify", entries)
@@ -314,7 +311,7 @@ def cmd_limit(args) -> int:
     out = args.out
     res = _resolution(args)
     if args.levels < 1:
-        raise CliError("--levels must be positive")
+        raise ValueError("--levels must be positive")
     op = trace_operator()
     rows = []
     verdicts = {}
@@ -349,7 +346,8 @@ _FLAGS = {
     "fixture": ("--fixture", str, "harmonic | quad | kink | radial-holder:g | disc"),
     "input": ("--input", str, "grid-function file from an earlier run"),
     "seed": ("--seed", int, "seed for randomized checks"),
-    "lam": ("--lambda", float, "decay ratio / symmetric bound, per command"),
+    "lam": ("--lambda", float, "symmetric bound |F_h(u)| <= lambda"),
+    "ratio": ("--ratio", float, "decay ratio of the dyadic radii"),
     "beta": ("--beta", float, "Holder exponent target"),
     "eps": ("--eps", float, "mollifier radius (default: 24h, 16h, 12h, 8h)"),
     "levels": ("--levels", int, "dyadic levels / iterate count"),
@@ -369,11 +367,11 @@ _COMMANDS = {
              {"input": None, "lam": None, "op": None, "tol_scale": 1.0}),
     # four dyadic quarterings need headroom over the 4h floor: res 257
     "campanato": (cmd_campanato, "oscillation-decay profile and chain check",
-                  {"res": 257, "fixture": "harmonic", "input": None, "lam": 0.25,
+                  {"res": 257, "fixture": "harmonic", "input": None, "ratio": 0.25,
                    "beta": 0.5, "levels": 2}),
     "mollify": (cmd_mollify, "mollification sandwich and Hessian norm sweep",
                 {"res": 65, "fixture": "harmonic", "input": None, "eps": None,
-                 "lam": None, "op": "trace"}),
+                 "lam": None, "op": None}),
     "limit": (cmd_limit, "certificate stability under locally uniform limits",
               {"res": 65, "levels": 6}),
     "props": (cmd_props, "randomized operator property checks",
@@ -409,8 +407,9 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print("ellipticlab: certification failed: %s" % exc, file=sys.stderr)
         return 1
-    except (CliError, ValueError) as exc:
-        # failed preconditions, StencilReachError among them: nothing was certified
+    except (ValueError, OSError) as exc:
+        # bad flags, unreadable inputs and failed preconditions, StencilReachError
+        # among them: nothing was certified
         print("ellipticlab: %s" % exc, file=sys.stderr)
         return 2
     except SolverError as exc:

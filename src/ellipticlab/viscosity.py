@@ -50,8 +50,9 @@ class Bounds:
     lam_hi: float
 
     def __post_init__(self):
-        if not (self.lam_lo <= self.lam_hi):
-            raise ValueError("lam_lo must not exceed lam_hi")
+        if not -math.inf < self.lam_lo <= self.lam_hi < math.inf:
+            raise ValueError("bounds must be finite with lam_lo <= lam_hi, got %r and %r"
+                             % (self.lam_lo, self.lam_hi))
 
     @classmethod
     def symmetric(cls, lam: float) -> "Bounds":

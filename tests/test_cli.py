@@ -5,6 +5,7 @@ exit code 0 = certified, 1 = certification failure, 2 = usage error,
 import argparse
 import platform
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,12 +52,27 @@ def tiny_file(tmp_path_factory):
     return path
 
 
-@pytest.fixture(scope="module")
-def obstacle_run(tmp_path_factory):
+def obstacle(tmp_path_factory, *args):
     out = tmp_path_factory.mktemp("obstacle")
-    r = run_cli("obstacle", "--fixture", "disc", "--res", "33", "--out", str(out))
+    r = run_cli("obstacle", "--fixture", "disc", *args, "--out", str(out))
     assert r.returncode == 0, r.stderr
     return out
+
+
+@pytest.fixture(scope="module")
+def obstacle_run(tmp_path_factory):
+    return obstacle(tmp_path_factory, "--res", "33")
+
+
+@pytest.fixture(scope="module")
+def obstacle_run_65(tmp_path_factory):
+    """Fine enough for mollify's default radii."""
+    return obstacle(tmp_path_factory, "--res", "65")
+
+
+@pytest.fixture(scope="module")
+def pucci_run(tmp_path_factory):
+    return obstacle(tmp_path_factory, "--res", "33", "--op", "pucci+:1,2")
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +86,7 @@ def obstacle_run(tmp_path_factory):
     ("solve", "--tol-scale", "0"),
     ("visc",),                                    # missing --input
     ("obstacle", "--fixture", "harmonic"),        # only disc has an obstacle
-    ("campanato", "--lambda", "0.5"),             # induction cannot close
+    ("campanato", "--ratio", "0.5"),              # induction cannot close
     ("mollify", "--eps", "0.001"),                # under-resolved kernel
     ("campanato", "--fixture", "quad", "--res", "33",
      "--out", "{tmp}"),                           # resolution floor violated
@@ -91,6 +107,10 @@ def obstacle_run(tmp_path_factory):
     ("visc", "--input", "{solution}", "--tol-scale", "nan", "--out", "{tmp}"),
     ("visc", "--input", "{solution}", "--lambda", "1", "--tol-scale", "inf",
      "--out", "{tmp}"),
+    # bounds must be finite: inf passed both certificates, and nan was
+    # refused as crossed bounds
+    ("visc", "--input", "{solution}", "--lambda", "inf", "--out", "{tmp}"),
+    ("visc", "--input", "{solution}", "--lambda", "nan", "--out", "{tmp}"),
 ])
 def test_usage_errors(args, tiny_file, obstacle_run, tmp_path):
     """A refused run exits 2 and leaves no manifest of a run that never
@@ -104,6 +124,8 @@ def test_usage_errors(args, tiny_file, obstacle_run, tmp_path):
         assert not (tmp_path / "run_manifest.txt").exists()
     if "--tol-scale" in args:
         assert "--tol-scale must be positive and finite" in r.stderr
+    if dict(zip(args, args[1:])).get("--lambda") in ("nan", "inf"):
+        assert "bounds must be finite" in r.stderr
     res = dict(zip(args, args[1:])).get("--res")
     if res and int(res) % 2 == 0:
         assert "the %sx%s grid has an odd number of cells" % (res, res) in r.stderr
@@ -120,6 +142,7 @@ def test_unknown_command_is_a_usage_error():
     ("mollify", "--tol-scale", "2"),
     ("props", "--seed", "1", "--res", "33"),
     ("visc", "--input", "{tiny}", "--fixture", "quad"),
+    ("campanato", "--lambda", "0.5"),  # the decay ratio is --ratio
 ])
 def test_unread_flags_are_usage_errors(args, tiny_file, tmp_path, capsys):
     """A flag the command would not read is refused, not parsed and dropped."""
@@ -136,10 +159,11 @@ _DEFAULTS = {
     "obstacle": dict(op="trace", res=65, fixture="disc", tol_scale=1.0),
     # no --op: the input's manifest names the operator, else trace
     "visc": dict(input=None, lam=None, op=None, tol_scale=1.0),
-    "campanato": dict(res=257, fixture="harmonic", input=None, lam=0.25, beta=0.5,
+    "campanato": dict(res=257, fixture="harmonic", input=None, ratio=0.25, beta=0.5,
                       levels=2),
+    # no --op: the input's manifest names the operator, else trace
     "mollify": dict(res=65, fixture="harmonic", input=None, eps=None, lam=None,
-                    op="trace"),
+                    op=None),
     "limit": dict(res=65, levels=6),
 }
 
@@ -357,6 +381,34 @@ def test_visc_reads_sibling_manifest(obstacle_run, tmp_path):
     assert (tmp_path / "visc_touching.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ("--input", "{affine}"),                                 # no manifest beside it
+    ("--input", "{pucci}", "--op", "pucci-:1,2"),            # bounds for pucci+ only
+])
+def test_visc_needs_bounds_stated_for_its_operator(args, affine_file, pucci_run, tmp_path):
+    """Without --lambda, visc certifies against the bounds that the input's
+    manifest recorded for the operator it checks, and refuses when there
+    are none."""
+    argv = [a.format(affine=affine_file, pucci=pucci_run / "solution.txt") for a in args]
+    r = run_cli("visc", *argv, "--out", str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert "no bounds available" in r.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["solve", "visc", "mollify"])
+def test_out_may_not_be_the_input_directory(command, obstacle_run_65, tmp_path):
+    """Writing into the input's directory would replace the manifest that
+    states its operator and bounds: refused, and nothing there changes."""
+    run = tmp_path / "run"
+    shutil.copytree(obstacle_run_65, run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    r = run_cli(command, "--input", str(run / "solution.txt"), "--out", str(run))
+    assert r.returncode == 2, r.stderr
+    assert "--out is the directory of --input" in r.stderr
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 def test_obstacle_solves_the_given_operator(tmp_path):
     """``obstacle --op`` solves the disc problem for that operator, here one
     whose stencils reach two node layers; the manifest names it, and visc on
@@ -408,12 +460,49 @@ def test_mollify_sweep_runs(tmp_path):
     assert len(lines) == 5  # default four-step schedule
 
 
+def test_mollify_reads_the_bounds_of_its_input_run(obstacle_run_65, tmp_path):
+    """With no flags, mollify checks the run's operator against the bounds
+    its manifest recorded."""
+    r = run_cli("mollify", "--input", str(obstacle_run_65 / "solution.txt"),
+                "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    run = read_manifest(obstacle_run_65 / "run_manifest.txt")
+    man = read_manifest(tmp_path / "run_manifest.txt")
+    assert [man[k] for k in ("op", "lam_lo", "lam_hi")] == \
+        [run[k] for k in ("op", "lam_lo", "lam_hi")]
+
+
+def test_mollify_checks_a_linear_operator_with_its_own_matrix(tmp_path):
+    """<A, D2 u_eps> is checked against the bounds of <A, D2 u>: for the
+    quadratic fixture both read 3, while its Laplacian reads 2."""
+    r = run_cli("mollify", "--fixture", "quad", "--res", "257", "--op", "linear:2,0.5,1",
+                "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    man = read_manifest(tmp_path / "run_manifest.txt")
+    assert man["op"] == "linear:2.0,0.5,1.0"
+    assert float(man["lam_lo"]) == pytest.approx(3.0) and float(man["lam_hi"]) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("args", [
+    ("--fixture", "quad", "--op", "pucci+:1,10"),
+    ("--input", "{pucci}", "--eps", "0.2"),  # the operator named by the run's manifest
+])
+def test_mollify_refuses_a_nonlinear_operator(args, pucci_run, tmp_path):
+    """Mollification commutes with a constant-coefficient linear stencil only:
+    a nonlinear subject is refused by name, and nothing is written."""
+    argv = [a.format(pucci=pucci_run / "solution.txt") for a in args]
+    r = run_cli("mollify", *argv, "--out", str(tmp_path))
+    assert r.returncode == 2, r.stderr
+    assert "not pucci+:1.0," in r.stderr
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf"])
 def test_mollify_refuses_non_finite_bounds(lam, tmp_path):
     r = run_cli("mollify", "--fixture", "quad", "--res", "65", "--lambda", lam,
                 "--out", str(tmp_path))
     assert r.returncode == 2, r.stderr
-    assert "sandwich bounds f1 = " in r.stderr and "must be finite" in r.stderr
+    assert "bounds must be finite" in r.stderr
 
 
 def test_limit_families_run(tmp_path):
