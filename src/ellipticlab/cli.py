@@ -118,8 +118,11 @@ def _subject(args) -> _Subject:
         source = {"fixture": args.fixture, "res": u.grid.shape[0]}
     op = parse_operator(getattr(args, "op", None) or manifest.get("op", "trace"))
     bounds = None if getattr(args, "lam", None) is None else Bounds.symmetric(args.lam)
-    if bounds is None and "lam_lo" in manifest and manifest.get("op") == operator_spec_string(op):
-        bounds = Bounds(float(manifest["lam_lo"]), float(manifest["lam_hi"]))
+    recorded = [manifest.get(key) for key in ("lam_lo", "lam_hi")]
+    if bounds is None and any(recorded) and manifest.get("op") == operator_spec_string(op):
+        if not all(recorded):
+            raise ValueError("%s records no %s" % (sibling, "lam_hi" if recorded[0] else "lam_lo"))
+        bounds = Bounds(*map(float, recorded))
     return _Subject(u, op, bounds, source)
 
 
@@ -401,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        os.makedirs(args.out, exist_ok=True)
+    try:  # --out is created by the first artifact written into it
         return args.func(args)
     except CertificationError as exc:
         print("ellipticlab: certification failed: %s" % exc, file=sys.stderr)

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .fileio import write_csv
-from .grids import Ball, GridFunction, ball_node_mask, oscillation, resample, square_grid
+from .grids import Ball, GridFunction, ball_samples, oscillation, resample, square_grid
 from .simplex import minimax_affine
 
 __all__ = [
@@ -66,9 +66,7 @@ def best_affine(u: GridFunction, ball: Ball) -> AffineFit:
     ball of radius r the value is r^2/2 (q = 0), not the continuum Chebyshev
     remainder.
     """
-    mask = ball_node_mask(u.grid, ball)
-    pts = u.grid.points_at(np.flatnonzero(mask))
-    fit = minimax_affine(pts, u.values[mask])
+    fit = minimax_affine(*ball_samples(u, ball))
     return AffineFit(tuple(float(s) for s in fit.slope), fit.width, fit.iterations)
 
 

@@ -13,16 +13,12 @@ import tempfile
 FLOAT_FMT = "%.17g"
 
 
-def fmt_float(x) -> str:
-    return FLOAT_FMT % float(x)
-
-
 def _cell(v) -> str:
     """A CSV cell or manifest value: bools as 1/0, floats to 17 digits."""
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, float):
-        return fmt_float(v)
+        return FLOAT_FMT % float(v)
     return str(v)
 
 

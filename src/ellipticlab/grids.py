@@ -27,6 +27,7 @@ __all__ = [
     "Ball",
     "SymMatrix",
     "ball_node_mask",
+    "ball_samples",
     "oscillation",
     "resample",
     "square_grid",
@@ -110,17 +111,18 @@ class Grid:
         return self.domain.lower[axis] + np.arange(n) * (self.domain.extent(axis) / (n - 1))
 
     def points(self) -> np.ndarray:
-        """All node coordinates, shape (node_count, ndim), in storage order."""
+        """All node coordinates, shape (node_count, ndim), in storage order,
+        coordinate-major: the transpose of a C-ordered (ndim, node_count) array."""
         axes = [self.coords(a) for a in range(self.ndim)]
         # x must vary fastest: make it the last index of the C-ordered lattice.
-        mesh = np.meshgrid(*axes[::-1], indexing="ij")[::-1]
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        mesh = np.meshgrid(*axes[::-1], indexing="ij", copy=False)[::-1]
+        return np.stack(mesh).reshape(self.ndim, -1).T
 
     def points_at(self, flat_indices) -> np.ndarray:
-        """Coordinates of the given nodes, shape (len(flat_indices), ndim):
-        ``points()[flat_indices]`` looked up per axis, without the full cloud."""
+        """``points()[flat_indices]``, coordinate-major like it, looked up per
+        axis without the full cloud: shape (len(flat_indices), ndim)."""
         multi = np.unravel_index(flat_indices, self.shape, order="F")
-        return np.stack([self.coords(a)[multi[a]] for a in range(self.ndim)], axis=1)
+        return np.stack([self.coords(a)[multi[a]] for a in range(self.ndim)]).T
 
     def lattice(self, flat_values: np.ndarray) -> np.ndarray:
         """View flat storage as the (…, ny, nx) C-ordered lattice array."""
@@ -251,6 +253,18 @@ def ball_node_mask(grid: Grid, ball: Ball) -> np.ndarray:
     return mask.ravel()
 
 
+def ball_samples(u: GridFunction, ball: Ball):
+    """(points, values) of u on the discrete ball's nodes in storage order, the
+    points coordinate-major like ``Grid.points``, gathered from its box alone."""
+    grid = u.grid
+    box, inside = _ball_box(grid, ball)
+    pts = np.empty((grid.ndim, np.count_nonzero(inside)))
+    for a in range(grid.ndim):  # broadcast along lattice axis n-1-a
+        axis = grid.coords(a)[box[grid.ndim - 1 - a]].reshape((-1,) + (1,) * a)
+        pts[a] = np.broadcast_to(axis, inside.shape)[inside]
+    return pts.T, grid.lattice(u.values)[box][inside]
+
+
 def oscillation(u: GridFunction, ball: Ball) -> float:
     """max - min of u over the nodes of the discrete ball, gathered from the
     ball's bounding box of nodes alone."""
@@ -354,12 +368,8 @@ class SymMatrix:
     @property
     def mat(self) -> np.ndarray:
         m = np.zeros((self.n, self.n))
-        k = 0
-        for i in range(self.n):
-            for j in range(i, self.n):
-                m[i, j] = self._upper[k]
-                m[j, i] = self._upper[k]
-                k += 1
+        upper = np.triu_indices(self.n)  # row by row, as __init__ stores it
+        m[upper] = m.T[upper] = self._upper
         return _lock(m)
 
     def frobenius(self) -> float:

@@ -8,8 +8,9 @@ a piecewise-linear convex program.  Its LP dual asks for two probability
 vectors lam, mu over the samples with equal barycenters, maximizing
 sum (mu_i - lam_i) u_i; the equality multipliers at the optimum recover
 (q, band).  The dual has only n + 2 equality rows, so the basis stays tiny
-no matter how many samples there are, and pricing is a single mat-vec over
-the sample coordinates — nothing of size N x N is ever formed.
+no matter how many samples there are.  The samples are read coordinate-major,
+one contiguous row of N values per axis: a pivot prices every column with one
+mat-vec over those n rows, and nothing of size N x N is ever formed.
 
 Columns (never materialized):  index i in [0, N)   ->  (x_i, 1, 0), cost u_i
                                index N + i         ->  (-x_i, 0, 1), cost -u_i
@@ -38,38 +39,31 @@ class MinimaxFit:
     iterations: int
 
 
-def _spanning_subset(x: np.ndarray) -> list:
-    """Indices of n+1 affinely independent samples (greedy Gram-Schmidt)."""
-    big, n = x.shape
-    scale = float(np.max(np.abs(x))) + 1.0
-    chosen = [int(np.argmax(np.einsum("ij,ij->i", x, x)))]  # any point works
-    basis = []  # orthonormal directions spanning the chosen affine set
-    for _ in range(n):
-        rel = x - x[chosen[0]]
-        for b in basis:
-            rel = rel - np.outer(rel @ b, b)
-        norms = np.einsum("ij,ij->i", rel, rel)
+def _spanning_subset(xt: np.ndarray) -> list:
+    """Indices of n+1 affinely independent samples (greedy Gram-Schmidt on
+    the coordinate rows ``xt``, shape (n, N))."""
+    n = xt.shape[0]
+    scale = max(float(xt.max()), -float(xt.min())) + 1.0
+    chosen = [int(np.argmax(np.einsum("ij,ij->j", xt, xt)))]  # any point works
+    rel = xt - xt[:, chosen[0], None]  # offsets from the first sample
+    for k in range(n):
+        norms = np.einsum("ij,ij->j", rel, rel)
         j = int(np.argmax(norms))
         if norms[j] <= (1e-9 * scale) ** 2:
-            raise ValueError(
-                "affine fit underdetermined: samples span a lower-dimensional set"
-            )
+            raise ValueError("affine fit underdetermined: samples span a lower-dimensional set")
         chosen.append(j)
-        basis.append(rel[j] / np.sqrt(norms[j]))
+        if k < n - 1:  # remove the new direction from every offset
+            b = rel[:, j] / np.sqrt(norms[j])
+            rel -= np.outer(b, b @ rel)
     return chosen
 
 
-def _column(x: np.ndarray, j: int) -> np.ndarray:
-    big, n = x.shape
-    col = np.empty(n + 2)
-    if j < big:
-        col[:n] = x[j]
-        col[n] = 1.0
-        col[n + 1] = 0.0
-    else:
-        col[:n] = -x[j - big]
-        col[n] = 0.0
-        col[n + 1] = 1.0
+def _column(xt: np.ndarray, j: int) -> np.ndarray:
+    """Column j of the dual: (x_j, 1, 0) for j < N, else (-x_{j-N}, 0, 1)."""
+    n, big = xt.shape
+    col = np.zeros(n + 2)
+    col[:n] = xt[:, j] if j < big else -xt[:, j - big]
+    col[n if j < big else n + 1] = 1.0
     return col
 
 
@@ -78,41 +72,43 @@ def minimax_affine(points, values) -> MinimaxFit:
 
     Returns the optimal slope q and the band width, the spread of the
     residuals u_i - q . x_i, which is the minimized quantity; the Chebyshev
-    fit is q . x plus the midpoint of the residuals.
+    fit is q . x plus the midpoint of the residuals.  The (N, n) points are
+    read by coordinate: free for a coordinate-major cloud (``Grid.points``),
+    one transposing copy for a row-major one.
     """
-    x = np.ascontiguousarray(points, dtype=float)
+    x = np.asarray(points, dtype=float)
     u = np.ascontiguousarray(values, dtype=float).reshape(-1)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] != u.size:
         raise ValueError("points must be (N, n) with one value per point")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+    xt = np.ascontiguousarray(x.T)  # (n, N): one contiguous row per coordinate
+    if not (np.all(np.isfinite(xt)) and np.all(np.isfinite(u))):
         raise ValueError("samples must be finite")
-    big, n = x.shape
-    m = n + 2
+    n, big = xt.shape
     if big < n + 1:
-        raise ValueError(
-            "affine fit underdetermined: samples span a lower-dimensional set"
-        )
+        raise ValueError("affine fit underdetermined: samples span a lower-dimensional set")
 
-    span = _spanning_subset(x)
+    span = _spanning_subset(xt)
     basis = list(span) + [span[0] + big]
-    bmat = np.column_stack([_column(x, j) for j in basis])
-    b_eq = np.zeros(m)
-    b_eq[n] = 1.0
-    b_eq[n + 1] = 1.0
+    bmat = np.column_stack([_column(xt, j) for j in basis])
+    b_eq = np.zeros(n + 2)
+    b_eq[n:] = 1.0
     xb = np.linalg.solve(bmat, b_eq)
     costs_b = np.array([u[j] if j < big else -u[j - big] for j in basis])
 
-    rc_tol = 1e-12 * (1.0 + float(np.max(np.abs(u))))
+    rc_tol = 1e-12 * (1.0 + max(float(u.max()), -float(u.min())))
     piv_tol = 1e-11
     degenerate_run = 0
+    resid, rc_lo, rc_hi = np.empty((3, big))  # rewritten by every pricing
     for it in range(1, _MAX_PIVOTS + 1):
         y = np.linalg.solve(bmat.T, costs_b)
         q = y[:n]
-        resid = u - x @ q  # pricing mat-vec: the only O(N) work per pivot
-        rc_lo = resid - y[n]  # lambda columns
-        rc_hi = -resid - y[n + 1]  # mu columns
+        # pricing reads the n coordinate rows once, in one mat-vec, and
+        # writes the residuals and both blocks' reduced costs in place
+        np.subtract(u, np.matmul(q, xt, out=resid), out=resid)
+        np.subtract(resid, y[n], out=rc_lo)  # lambda columns
+        np.subtract(-y[n + 1], resid, out=rc_hi)  # mu columns: -resid - y[n+1]
         for pos, j in enumerate(basis):  # basic columns price to exactly zero
             (rc_lo if j < big else rc_hi)[j % big] = 0.0
         if degenerate_run < _BLAND_AFTER:
@@ -131,7 +127,7 @@ def minimax_affine(points, values) -> MinimaxFit:
         if rc_min >= -rc_tol:
             return MinimaxFit(q.copy(), float(resid.max()) - float(resid.min()), it - 1)
 
-        col = _column(x, entering)
+        col = _column(xt, entering)
         d = np.linalg.solve(bmat, col)
         rows = np.flatnonzero(d > piv_tol)
         if rows.size == 0:

@@ -144,11 +144,10 @@ def _shift_ladder(h: float) -> np.ndarray:
 def _ball_offsets(grid, rho: float) -> np.ndarray:
     """Integer lattice offsets (excluding 0) with |d| h <= rho."""
     m = int(math.floor(rho / grid.h + 1e-9))
-    axes = [np.arange(-m, m + 1)] * grid.ndim
-    pts = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")[::-1]], axis=-1)
-    d2 = np.einsum("ij,ij->i", pts, pts)
+    offs = (np.indices((2 * m + 1,) * grid.ndim) - m)[::-1].reshape(grid.ndim, -1)
+    d2 = np.einsum("ij,ij->j", offs, offs)
     keep = (d2 > 0) & (d2 <= (rho / grid.h) ** 2 * (1 + 1e-12))
-    return pts[keep]
+    return offs[:, keep].T
 
 
 def _require_inside(grid, nodes, reach):
@@ -289,9 +288,8 @@ def write_viscosity_report(report: ViscosityReport, path):
 def quartic_perturb(phi: GridFunction, x0) -> GridFunction:
     """phi - |x - x0|^4: localizes maxima without moving value/gradient/Hessian
     at x0 (the quartic vanishes to third order there)."""
-    x0 = np.asarray(x0, dtype=float)
-    d = phi.grid.points() - x0[None, :]
-    r2 = np.einsum("ij,ij->i", d, d)
+    d = phi.grid.points().T - np.asarray(x0, dtype=float)[:, None]
+    r2 = np.einsum("ij,ij->j", d, d)
     return phi.with_values(phi.values - r2 * r2)
 
 

@@ -93,6 +93,28 @@ def dense_minimax_width(points, values, q_box=8.0, rounds=60, pts_per_axis=31):
     return center, best_w
 
 
+def row_major_spanning_subset(x):
+    """Indices of n+1 affinely independent samples by greedy Gram-Schmidt
+    over the rows of an (N, n) C-ordered cloud, one sample per row, with the
+    offsets from the first sample recomputed at every step: the oracle of
+    ``simplex._spanning_subset``, which reads the cloud by coordinate."""
+    big, n = x.shape
+    scale = float(np.max(np.abs(x))) + 1.0
+    chosen = [int(np.argmax(np.einsum("ij,ij->i", x, x)))]
+    basis = []
+    for _ in range(n):
+        rel = x - x[chosen[0]]
+        for b in basis:
+            rel = rel - np.outer(rel @ b, b)
+        norms = np.einsum("ij,ij->i", rel, rel)
+        j = int(np.argmax(norms))
+        if norms[j] <= (1e-9 * scale) ** 2:
+            raise ValueError("affine fit underdetermined")
+        chosen.append(j)
+        basis.append(rel[j] / np.sqrt(norms[j]))
+    return chosen
+
+
 def lp_minimax_width(points, values):
     """min_q (max - min)(u - q.x) as a linear program solved by HiGHS.
 

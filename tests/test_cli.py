@@ -113,15 +113,15 @@ def pucci_run(tmp_path_factory):
     ("visc", "--input", "{solution}", "--lambda", "nan", "--out", "{tmp}"),
 ])
 def test_usage_errors(args, tiny_file, obstacle_run, tmp_path):
-    """A refused run exits 2 and leaves no manifest of a run that never
-    happened."""
+    """A refused run exits 2 and leaves nothing of a run that never
+    happened: not even its --out directory."""
     solution = obstacle_run / "solution.txt"
-    r = run_cli(*(a.format(tiny=tiny_file, solution=solution, tmp=tmp_path) for a in args))
+    out = tmp_path / "out"
+    r = run_cli(*(a.format(tiny=tiny_file, solution=solution, tmp=out) for a in args))
     assert r.returncode == 2, (args, r.stderr)
     assert r.stderr.strip()
     assert "certification failed" not in r.stderr
-    if "--out" in args:
-        assert not (tmp_path / "run_manifest.txt").exists()
+    assert not out.exists()
     if "--tol-scale" in args:
         assert "--tol-scale must be positive and finite" in r.stderr
     if dict(zip(args, args[1:])).get("--lambda") in ("nan", "inf"):
@@ -394,6 +394,23 @@ def test_visc_needs_bounds_stated_for_its_operator(args, affine_file, pucci_run,
     assert r.returncode == 2, r.stderr
     assert "no bounds available" in r.stderr
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kept, dropped", [("lam_lo", "lam_hi"), ("lam_hi", "lam_lo")])
+def test_visc_refuses_a_manifest_with_one_bound(kept, dropped, obstacle_run, tmp_path):
+    """A run manifest that records one bound but not the other is an
+    unreadable input: exit 2 naming the missing key, and nothing written."""
+    run = tmp_path / "run"
+    shutil.copytree(obstacle_run, run)
+    lines = (run / "run_manifest.txt").read_text().splitlines()
+    assert any(line.startswith(kept + "=") for line in lines)
+    (run / "run_manifest.txt").write_text(
+        "".join(line + "\n" for line in lines if not line.startswith(dropped + "=")))
+    out = tmp_path / "out"
+    r = run_cli("visc", "--input", str(run / "solution.txt"), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "records no %s" % dropped in r.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "visc", "mollify"])

@@ -122,6 +122,30 @@ def test_points_at_matches_point_cloud(ndim, res):
         assert np.array_equal(g.points_at(idx), g.points()[idx])
 
 
+def row_major_points(g):
+    """The point cloud stacked sample by sample: (N, n) and C-ordered."""
+    mesh = np.meshgrid(*[g.coords(a) for a in range(g.ndim)][::-1], indexing="ij")[::-1]
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+@pytest.mark.parametrize("ndim, res", [(1, 33), (2, 33), (3, 9)])
+def test_point_clouds_are_coordinate_major(ndim, res):
+    """points(), points_at() and ball_samples() hold the row-major cloud's
+    values, with one contiguous row per coordinate."""
+    g = unit_square_grid(res, ndim=ndim)
+    want = row_major_points(g)
+    u = random_field(g, 2)
+    ball = Ball((0.1,) * ndim, 0.6)
+    mask = ball_node_mask(g, ball)
+    idx = np.random.default_rng(3).permutation(g.node_count)[:40]
+    pts, vals = grids.ball_samples(u, ball)
+    for got, ref in ((g.points(), want), (g.points_at(idx), want[idx]), (pts, want[mask])):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert got.T.flags.c_contiguous
+    assert np.array_equal(vals, u.values[mask])
+
+
 def test_ball_mask_counts_nodes_inside_closed_ball():
     g = unit_square_grid(65)
     mask = ball_node_mask(g, Ball((0.0, 0.0), 0.5))

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipticlab import minimax_affine
+from ellipticlab import Ball, GridFunction, minimax_affine
+from ellipticlab.grids import ball_samples
+from ellipticlab.simplex import _spanning_subset
 
 from conftest import affine_residual_width as width_at
-from conftest import lp_minimax_width
+from conftest import lp_minimax_width, row_major_spanning_subset, unit_square_grid
 
 
 def test_parabola_chebyshev_width_1d():
@@ -76,3 +78,46 @@ def test_input_validation():
         minimax_affine(np.zeros((5, 2)), np.zeros(4))
     with pytest.raises(ValueError, match="finite"):
         minimax_affine(np.array([0.0, 1.0, np.nan]), np.zeros(3))
+
+
+def _ball_cloud(res, radius):
+    """The coordinate-major points of a centred ball on the res^2 square."""
+    grid = unit_square_grid(res)
+    zero = GridFunction(grid, np.zeros(grid.node_count))
+    return ball_samples(zero, Ball((0.0, 0.0), radius))[0]
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_fit_is_the_same_for_either_memory_layout(ndim):
+    """C- and F-ordered copies of one cloud give the same fit, bit for bit."""
+    rng = np.random.default_rng(ndim)
+    x = rng.uniform(-1, 1, size=(4001, ndim))
+    u = np.sin(3.0 * x).sum(axis=1) + rng.standard_normal(4001)
+    c, f = minimax_affine(np.ascontiguousarray(x), u), minimax_affine(np.asfortranarray(x), u)
+    assert c.slope.tobytes() == f.slope.tobytes()
+    assert (c.width, c.iterations) == (f.width, f.iterations)
+    pts = _ball_cloud(65, 0.75)
+    vals = np.hypot(*pts.T) ** 1.5
+    c, f = minimax_affine(np.ascontiguousarray(pts), vals), minimax_affine(pts, vals)
+    assert c.slope.tobytes() == f.slope.tobytes()
+    assert (c.width, c.iterations) == (f.width, f.iterations)
+
+
+@pytest.mark.parametrize("radius", [0.25 ** k for k in range(4)])
+def test_greedy_start_matches_the_row_major_oracle_on_decay_balls(radius):
+    """The decay ladder's balls at 257^2 (perfbench's regularity workload
+    fits the first three): the start picks the oracle's samples."""
+    pts = _ball_cloud(257, radius)
+    assert _spanning_subset(pts.T) == row_major_spanning_subset(np.ascontiguousarray(pts))
+
+
+@pytest.mark.parametrize("r2", [25, 50, 65, 325])
+def test_greedy_start_breaks_exact_ties_like_the_oracle(r2):
+    """A planar integer lattice ball, scaled by 1/8: r2 is a sum of two
+    squares in several ways, so many extreme points lie at exactly the same
+    distance, and the start breaks each tie the same way."""
+    m = int(np.sqrt(r2))
+    axes = np.meshgrid(*[np.arange(-m, m + 1)] * 2, indexing="ij")
+    lattice = np.stack([a.ravel() for a in axes], axis=1)
+    pts = lattice[np.sum(lattice ** 2, axis=1) <= r2] / 8.0
+    assert _spanning_subset(np.ascontiguousarray(pts.T)) == row_major_spanning_subset(pts)
