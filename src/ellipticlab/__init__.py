@@ -14,7 +14,7 @@ from .grids import (
     Grid,
     GridFunction,
     SymMatrix,
-    ball_node_mask,
+    ball_values,
     oscillation,
     read_grid_function,
     resample,
@@ -60,10 +60,8 @@ from .viscosity import (
     limit_stability_experiment,
     make_touching_dictionary,
     quartic_perturb,
-    write_viscosity_report,
 )
 from .decay import (
-    AffineFit,
     CertificationError,
     DecayConfig,
     DecayProfile,
@@ -74,7 +72,6 @@ from .decay import (
     normalize,
     rescale_sequence,
     verify_decay_chain,
-    write_decay_profile,
 )
 from .mollify import SweepRow, hessian_lp_norm, mollify, stability_sweep
 from .fixtures import (

@@ -2,7 +2,8 @@
 
 Every command writes its artifacts (solutions in the grid text format, CSV
 reports, a flat key=value run manifest carrying every parameter and tolerance
-plus the code version) into --out and returns a process exit code:
+plus the code version) into --out, every CSV formatted here from the records
+the layers return, and returns a process exit code:
 
     0   all certifications embedded in the run passed
     1   a certification failed (message names the failing check), or the
@@ -46,9 +47,8 @@ from .decay import (
     DecayConfig,
     decay_profile,
     verify_decay_chain,
-    write_decay_profile,
 )
-from .fileio import atomic_write_text, read_manifest, write_csv, write_manifest
+from .fileio import FLOAT_FMT, atomic_write_text, read_manifest, write_csv, write_manifest
 from .fixtures import build_fixture, disc_problem, limit_families
 from .grids import GridFunction, SymMatrix, read_grid_function, write_grid_function
 from .mollify import sandwich_tolerance, stability_sweep
@@ -72,7 +72,6 @@ from .viscosity import (
     default_tolerance,
     limit_stability_experiment,
     make_touching_dictionary,
-    write_viscosity_report,
 )
 
 __all__ = ["main"]
@@ -150,6 +149,25 @@ def _write_solve(out, command, result, entries: dict):
     atomic_write_text(os.path.join(out, "timings.json"), json.dumps(
         {"levels": [dict(nodes=n, **seconds) for n, seconds in result.timings]},
         indent=1) + "\n")
+
+
+def _write_visc_report(out, report, grid):
+    """visc_<scheme>.csv: one row per node with a verdict (its index,
+    coordinates, margins and verdict), then the report's footer."""
+    header = (["node"] + ["x", "y", "z"][: grid.ndim]
+              + ["scheme", "upper_margin", "lower_margin", "verdict"])
+    # one format string for every row: the text write_csv gives each cell
+    row_format = ",".join(["%d"] + [FLOAT_FMT] * grid.ndim
+                          + [report.scheme, FLOAT_FMT, FLOAT_FMT, "%d"])
+    rows = map(row_format.__mod__, zip(
+        report.node_indices.tolist(), *grid.points_at(report.node_indices).T.tolist(),
+        report.node_upper.tolist(), report.node_lower.tolist(), report.verdicts.tolist()))
+    footer = [("# worst_upper", report.worst_upper), ("# worst_lower", report.worst_lower),
+              ("# tolerance", report.tolerance), ("# triggered", report.triggered)]
+    if report.scheme == "touching":
+        footer += [("# candidates", report.candidates), ("# worst_node", report.worst_node)]
+    footer.append(("# passed", report.passed))
+    write_csv(os.path.join(out, "visc_%s.csv" % report.scheme), header, (), footer, rows)
 
 
 # -- commands -------------------------------------------------------------------
@@ -238,8 +256,8 @@ def cmd_visc(args) -> int:
     pointwise = check_pointwise(u, op, bounds, tol=tol)
     dictionary = make_touching_dictionary(u, node_budget=VISC_NODE_BUDGET)
     touching = check_touching(u, op, bounds, dictionary, tol=tol)
-    write_viscosity_report(pointwise, os.path.join(out, "visc_pointwise.csv"))
-    write_viscosity_report(touching, os.path.join(out, "visc_touching.csv"))
+    _write_visc_report(out, pointwise, u.grid)
+    _write_visc_report(out, touching, u.grid)
     _write_run_manifest(out, "visc", {
         "input": args.input, "op": operator_spec_string(op),
         "lam_lo": bounds.lam_lo, "lam_hi": bounds.lam_hi,
@@ -263,7 +281,11 @@ def cmd_campanato(args) -> int:
                    zip(grid.domain.lower, grid.domain.upper))
     radius0 = 0.5 * min(grid.domain.extent(a) for a in range(grid.ndim))
     profile = decay_profile(subject.u, center, cfg, radius0)
-    write_decay_profile(profile, os.path.join(out, "decay.csv"))
+    write_csv(os.path.join(out, "decay.csv"), ["k", "r", "psi", "phi", "usable"],
+              zip(range(len(profile.radii)), profile.radii, profile.psi, profile.phi,
+                  profile.usable),
+              [("# slope", profile.slope), ("# beta_hat", profile.beta_hat),
+               ("# sigma", profile.sigma), ("# bootstrap_spread", profile.spread)])
     chain = verify_decay_chain(profile)
     write_csv(os.path.join(out, "chain.csv"), ["k", "phi", "bound", "ok"], chain)
     ok = all(step[3] for step in chain)
@@ -300,8 +322,9 @@ def cmd_mollify(args) -> int:
     entries = {**subject.source, "op": operator_spec_string(op), "lam_lo": f1, "lam_hi": f2,
                "eps_schedule": " ".join("%.17g" % e for e in schedule),
                "p": 4.0, "r": r, "sandwich_tolerance": sandwich_tol}
-    rows = stability_sweep(u, a, f1, f2, schedule, 4.0, r,
-                           path=os.path.join(out, "sweep.csv"))
+    rows = stability_sweep(u, a, f1, f2, schedule, 4.0, r)
+    write_csv(os.path.join(out, "sweep.csv"), ["eps", "norm_p", "pass-flag"],
+              [(row.eps, row.norm_p, row.passed) for row in rows])
     _write_run_manifest(out, "mollify", entries)
     ok = all(row.passed for row in rows)
     norms = [row.norm_p for row in rows]

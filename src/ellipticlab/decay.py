@@ -25,18 +25,15 @@ from typing import Optional
 
 import numpy as np
 
-from .fileio import write_csv
 from .grids import Ball, GridFunction, ball_samples, oscillation, resample, square_grid
-from .simplex import minimax_affine
+from .simplex import MinimaxFit, minimax_affine
 
 __all__ = [
-    "AffineFit",
     "CertificationError",
     "best_affine",
     "DecayConfig",
     "DecayProfile",
     "decay_profile",
-    "write_decay_profile",
     "verify_decay_chain",
     "RescaleState",
     "RescaleSequence",
@@ -50,24 +47,15 @@ class CertificationError(ValueError):
     data, not a precondition on how it was called."""
 
 
-@dataclass(frozen=True)
-class AffineFit:
-    """Optimal slope q and the minimized oscillation of u - q . x."""
-
-    q: tuple
-    osc_value: float
-    iterations: int  # simplex pivots of the minimax fit
-
-
-def best_affine(u: GridFunction, ball: Ball) -> AffineFit:
-    """Minimize osc over the ball's nodes of u - q . x (a minimax LP).
+def best_affine(u: GridFunction, ball: Ball) -> MinimaxFit:
+    """Minimize osc over the ball's nodes of u - q . x (a minimax LP): the
+    optimal slope q, the minimized oscillation (``width``) and the pivots.
 
     Note the optimum is over the discrete node set: for u = x^2/2 on a 1D
     ball of radius r the value is r^2/2 (q = 0), not the continuum Chebyshev
     remainder.
     """
-    fit = minimax_affine(*ball_samples(u, ball))
-    return AffineFit(tuple(float(s) for s in fit.slope), fit.width, fit.iterations)
+    return minimax_affine(*ball_samples(u, ball))
 
 
 MIN_RADIUS_NODES = 4  # grid steps spanned by the deepest radius or blow-up scale
@@ -145,8 +133,8 @@ def decay_profile(u: GridFunction, center, cfg: DecayConfig,
         r = radius0 * cfg.lam**k
         fit = best_affine(u, Ball(center, r))
         radii.append(r)
-        psis.append(fit.osc_value)
-        usable.append(fit.osc_value > tiny)
+        psis.append(fit.width)
+        usable.append(fit.width > tiny)
         pivots.append(fit.iterations)
     good = [k for k, f in enumerate(usable) if f]
     if len(good) < 3:
@@ -161,18 +149,6 @@ def decay_profile(u: GridFunction, center, cfg: DecayConfig,
     return DecayProfile(center, cfg.lam, cfg.beta, radius0, tuple(radii),
                         tuple(psis), tuple(phis), tuple(bool(f) for f in usable),
                         slope, slope - 1.0, cfg.sigma, float(spread), tuple(pivots))
-
-
-def write_decay_profile(profile: DecayProfile, path):
-    rows = [(k, profile.radii[k], profile.psi[k], profile.phi[k], profile.usable[k])
-            for k in range(len(profile.radii))]
-    footer = [
-        ("# slope", profile.slope),
-        ("# beta_hat", profile.beta_hat),
-        ("# sigma", profile.sigma),
-        ("# bootstrap_spread", profile.spread),
-    ]
-    write_csv(path, ["k", "r", "psi", "phi", "usable"], rows, footer)
 
 
 def verify_decay_chain(profile: DecayProfile) -> list:
@@ -247,7 +223,7 @@ def rescale_sequence(u: GridFunction, cfg: DecayConfig,
         if k == levels:
             break
         fit = best_affine(uk, Ball((0.0,) * n, cfg.lam))
-        q = q + np.asarray(fit.q) * (2.0**-k * cfg.lam ** (k * cfg.beta))
+        q = q + fit.slope * (2.0**-k * cfg.lam ** (k * cfg.beta))
     return RescaleSequence(tuple(states), truncated, levels)
 
 

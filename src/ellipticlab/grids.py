@@ -26,8 +26,8 @@ __all__ = [
     "GridFunction",
     "Ball",
     "SymMatrix",
-    "ball_node_mask",
     "ball_samples",
+    "ball_values",
     "oscillation",
     "resample",
     "square_grid",
@@ -240,17 +240,16 @@ def _ball_box(grid: Grid, ball: Ball):
     return tuple(box[::-1]), inside
 
 
-def ball_node_mask(grid: Grid, ball: Ball) -> np.ndarray:
-    """Flat boolean mask of grid nodes inside the closed ball.
+def ball_values(grid: Grid, values: np.ndarray, ball: Ball) -> np.ndarray:
+    """Per-node ``values`` (flat or lattice-shaped) on the discrete ball's nodes
+    in storage order, gathered from the ball's bounding box of nodes alone.
 
     Raises if the ball is not contained in the domain box or catches no node.
     Distance ties at the boundary are included (closed ball, with a relative
     1e-12 grace for rounding).
     """
     box, inside = _ball_box(grid, ball)
-    mask = np.zeros(grid.shape[::-1], dtype=bool)
-    mask[box] = inside
-    return mask.ravel()
+    return grid.lattice(values)[box][inside]
 
 
 def ball_samples(u: GridFunction, ball: Ball):
@@ -262,14 +261,13 @@ def ball_samples(u: GridFunction, ball: Ball):
     for a in range(grid.ndim):  # broadcast along lattice axis n-1-a
         axis = grid.coords(a)[box[grid.ndim - 1 - a]].reshape((-1,) + (1,) * a)
         pts[a] = np.broadcast_to(axis, inside.shape)[inside]
-    return pts.T, grid.lattice(u.values)[box][inside]
+    return pts.T, ball_values(grid, u.values, ball)
 
 
 def oscillation(u: GridFunction, ball: Ball) -> float:
-    """max - min of u over the nodes of the discrete ball, gathered from the
-    ball's bounding box of nodes alone."""
-    box, inside = _ball_box(u.grid, ball)
-    vals = u.grid.lattice(u.values)[box][inside]
+    """max - min of u over the nodes of the discrete ball, gathered by
+    ``ball_values``."""
+    vals = ball_values(u.grid, u.values, ball)
     return float(vals.max() - vals.min())
 
 

@@ -24,15 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import write_csv
-from .grids import (
-    Ball,
-    Domain,
-    Grid,
-    GridFunction,
-    SymMatrix,
-    ball_node_mask,
-)
+from .grids import Ball, Domain, Grid, GridFunction, SymMatrix, ball_values
 from .operators import linear_operator
 from .stencils import discrete_hessian, eval_discrete, operator_margin
 
@@ -125,13 +117,11 @@ def hessian_lp_norm(u_eps: GridFunction, p: float, ball: Ball) -> float:
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, inf)")
     grid = u_eps.grid
-    hf = discrete_hessian(u_eps)
     frob2 = None
-    for (i, j), arr in hf.comps.items():
+    for (i, j), arr in discrete_hessian(u_eps).items():
         term = arr**2 if i == j else 2.0 * arr**2
         frob2 = term if frob2 is None else frob2 + term
-    frob = np.sqrt(frob2).ravel()
-    vals = frob[ball_node_mask(grid, ball)]
+    vals = ball_values(grid, np.sqrt(frob2), ball)
     if not np.all(np.isfinite(vals)):
         raise ValueError("ball touches nodes where the Hessian is undefined")
     return float(np.sum(vals**p) * grid.h**grid.ndim) ** (1.0 / p)
@@ -147,23 +137,24 @@ class SweepRow:
 
 
 def stability_sweep(u: GridFunction, a: SymMatrix, f1: float, f2: float, schedule,
-                    p: float, r: float, path=None) -> list:
+                    p: float, r: float) -> list:
     """Sandwich verdict and |D2 u_eps|_{L^p(B(r))} for each eps in a
     decreasing schedule; the norm column staying bounded as eps shrinks is
     the desk-scale version of an eps-independent W^{2,p} estimate.
 
     The sandwich covers the nodes where g_eps is defined: the shrunken domain
     when the scheme of A reaches one node layer, fewer nodes when it reaches
-    further.  Writes a CSV (columns eps, norm_p, pass-flag) when given a path.
+    further.
     """
     schedule = [float(e) for e in schedule]
     if not schedule:
         raise ValueError("schedule is empty")
+    grid = u.grid
+    # NaN fails both comparisons and inf the second: neither reaches _kernel
+    if not all(3.0 * grid.h * (1.0 - 1e-12) <= e < math.inf for e in schedule):
+        raise ValueError("schedule: every eps must be finite and >= 3h, got %r" % schedule)
     if any(b >= a_ for a_, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
-    grid = u.grid
-    if schedule[-1] < 3.0 * grid.h * (1.0 - 1e-12):
-        raise ValueError("schedule under-resolved: every eps must be >= 3h")
     f1, f2 = float(f1), float(f2)
     if not (math.isfinite(f1) and math.isfinite(f2)):
         raise ValueError("sandwich bounds f1 = %r and f2 = %r must be finite" % (f1, f2))
@@ -189,7 +180,4 @@ def stability_sweep(u: GridFunction, a: SymMatrix, f1: float, f2: float, schedul
         norm = hessian_lp_norm(_shrunken(conv, grid, k), p, ball)
         rows.append(SweepRow(eps, norm, worst_lower >= -tol and worst_upper >= -tol,
                              worst_lower, worst_upper))
-    if path is not None:
-        write_csv(path, ["eps", "norm_p", "pass-flag"],
-                  [(row.eps, row.norm_p, row.passed) for row in rows])
     return rows

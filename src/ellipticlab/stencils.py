@@ -51,7 +51,6 @@ from .grids import Grid, GridFunction
 from .operators import EllipticOperator
 
 __all__ = [
-    "HessianField",
     "StencilReachError",
     "discrete_hessian",
     "eval_discrete",
@@ -66,16 +65,9 @@ class StencilReachError(ValueError):
     operator/grid pair, not a failed certificate."""
 
 
-@dataclass(frozen=True, eq=False)
-class HessianField:
-    """Central-difference Hessian entries on interior nodes (NaN on the ring)."""
-
-    grid: Grid
-    comps: dict  # (i, j), i <= j -> lattice array
-
-
-def discrete_hessian(u: GridFunction) -> HessianField:
-    """Second differences (u(x+he_i) - 2u(x) + u(x-he_i))/h^2 and the mixed
+def discrete_hessian(u: GridFunction) -> dict:
+    """(i, j), i <= j -> the lattice array of Hessian entry ij, NaN on the
+    ring: second differences (u(x+he_i) - 2u(x) + u(x-he_i))/h^2 and the mixed
     four-point cross differences (u(x+he_i+he_j) - u(x-he_i+he_j)
     - u(x+he_i-he_j) + u(x-he_i-he_j))/(4h^2) on the interior block, in any
     dimension; exact on quadratics."""
@@ -101,7 +93,7 @@ def discrete_hessian(u: GridFunction) -> HessianField:
                 comp[inner] = (at((i, 1), (j, 1)) - at((i, -1), (j, 1))
                                - at((i, 1), (j, -1)) + at((i, -1), (j, -1))) / (4.0 * grid.h**2)
             comps[(i, j)] = comp
-    return HessianField(grid, comps)
+    return comps
 
 
 # -- building the scheme ---------------------------------------------------------

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import FLOAT_FMT, write_csv
 from .grids import GridFunction
 from .operators import EllipticOperator, op_eval
 from .stencils import discrete_hessian, eval_discrete, operator_margin
@@ -35,7 +34,6 @@ __all__ = [
     "check_pointwise",
     "check_touching",
     "make_touching_dictionary",
-    "write_viscosity_report",
     "quartic_perturb",
     "LimitStabilityReport",
     "limit_stability_experiment",
@@ -56,7 +54,10 @@ class Bounds:
 
     @classmethod
     def symmetric(cls, lam: float) -> "Bounds":
-        return cls(-abs(lam), abs(lam))
+        """[-lam, lam]; lam is a magnitude, so a negative one is refused."""
+        if lam < 0:
+            raise ValueError("a symmetric bound must be >= 0, got %r" % lam)
+        return cls(-lam, lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +84,6 @@ class ViscosityReport:
     worst_upper: float  # max of F - lam_hi over checked entities
     worst_lower: float  # max of lam_lo - F
     tolerance: float
-    grid: object
     node_indices: np.ndarray  # flat indices of nodes with a verdict
     node_upper: np.ndarray  # per-node worst upper margin (-inf if untested)
     node_lower: np.ndarray
@@ -106,12 +106,12 @@ def default_tolerance(op: EllipticOperator, u: GridFunction) -> float:
     return 10.0 * op.params.lam2 * (1.0 + u.sup_norm()) * u.grid.h
 
 
-def _finish(scheme, grid, tol, idx, upper, lower, triggered=0, candidates=0):
+def _finish(scheme, tol, idx, upper, lower, triggered=0, candidates=0):
     verdicts = (upper <= tol) & (lower <= tol)
     w_up = float(np.max(upper)) if idx.size else float("-inf")
     w_lo = float(np.max(lower)) if idx.size else float("-inf")
     passed = bool(w_up <= tol and w_lo <= tol)
-    return ViscosityReport(scheme, passed, w_up, w_lo, tol, grid,
+    return ViscosityReport(scheme, passed, w_up, w_lo, tol,
                            idx, upper, lower, verdicts, triggered, candidates)
 
 
@@ -126,7 +126,7 @@ def check_pointwise(u: GridFunction, op: EllipticOperator, bounds: Bounds,
     vals = eval_discrete(op, u).values[idx]
     upper = vals - bounds.lam_hi
     lower = bounds.lam_lo - vals
-    return _finish("pointwise", grid, tol, idx, upper, lower)
+    return _finish("pointwise", tol, idx, upper, lower)
 
 
 def _shift_ladder(h: float) -> np.ndarray:
@@ -187,7 +187,7 @@ def make_touching_dictionary(u: GridFunction, node_budget: int) -> TouchingDicti
         grads[:, 1 + 2 * a, a] += h
         grads[:, 2 + 2 * a, a] -= h
     hessians = np.empty((flat.size, n, n))
-    for (i, j), comp in discrete_hessian(u).comps.items():
+    for (i, j), comp in discrete_hessian(u).items():
         hessians[:, i, j] = hessians[:, j, i] = comp.ravel()[flat]
     return TouchingDictionary(flat, grads, hessians, _shift_ladder(h), float(rho))
 
@@ -259,30 +259,7 @@ def check_touching(u: GridFunction, op: EllipticOperator, bounds: Bounds,
     lower = np.full(idx.size, -np.inf)
     np.maximum.at(upper, row, row_upper)
     np.maximum.at(lower, row, row_lower)
-    return _finish("touching", grid, tol, idx, upper, lower, triggered, len(dictionary))
-
-
-def write_viscosity_report(report: ViscosityReport, path):
-    grid = report.grid
-    coord_names = ["x", "y", "z"][: grid.ndim]
-    header = ["node"] + coord_names + ["scheme", "upper_margin", "lower_margin", "verdict"]
-    # one format string for every row: the text write_csv gives each cell
-    row_format = ",".join(["%d"] + [FLOAT_FMT] * grid.ndim
-                          + [report.scheme, FLOAT_FMT, FLOAT_FMT, "%d"])
-    rows = map(row_format.__mod__, zip(
-        report.node_indices.tolist(), *grid.points_at(report.node_indices).T.tolist(),
-        report.node_upper.tolist(), report.node_lower.tolist(), report.verdicts.tolist()))
-    footer = [
-        ("# worst_upper", report.worst_upper),
-        ("# worst_lower", report.worst_lower),
-        ("# tolerance", report.tolerance),
-        ("# triggered", report.triggered),
-    ]
-    if report.scheme == "touching":
-        footer += [("# candidates", report.candidates),
-                   ("# worst_node", report.worst_node)]
-    footer.append(("# passed", bool(report.passed)))
-    write_csv(path, header, (), footer, rows)
+    return _finish("touching", tol, idx, upper, lower, triggered, len(dictionary))
 
 
 def quartic_perturb(phi: GridFunction, x0) -> GridFunction:

@@ -361,9 +361,10 @@ def shift_add_convolve(lat, weights):
 
 
 def zeros_ball_mask(grid, ball):
-    """The nodes of a closed ball the way ``grids.ball_node_mask`` selects
-    them but from a whole-grid ``zeros`` to which each axis's squared
-    distances are added in turn; the reference for its broadcast sum."""
+    """Flat mask of the nodes of a closed ball the way ``grids._ball_box``
+    selects them, but from a whole-grid ``zeros`` to which each axis's
+    squared distances are added in turn; the reference for its broadcast
+    sum over the box."""
     d2 = np.zeros(grid.shape[::-1])
     for a in range(grid.ndim):
         diff = grid.coords(a) - ball.center[a]

@@ -3,6 +3,7 @@ exit code 0 = certified, 1 = certification failure, 2 = usage error,
 3 = a solve that did not converge, or anything unexpected."""
 
 import argparse
+import ast
 import platform
 import re
 import shutil
@@ -111,6 +112,13 @@ def pucci_run(tmp_path_factory):
     # refused as crossed bounds
     ("visc", "--input", "{solution}", "--lambda", "inf", "--out", "{tmp}"),
     ("visc", "--input", "{solution}", "--lambda", "nan", "--out", "{tmp}"),
+    # a non-finite eps: nan stopped in Python's float-to-int conversion, and
+    # inf leaves no room for the norm ball
+    ("mollify", "--eps", "nan", "--out", "{tmp}"),
+    ("mollify", "--eps", "inf", "--out", "{tmp}"),
+    # --lambda is a magnitude: -1 was read as 1
+    ("visc", "--input", "{solution}", "--lambda", "-1", "--out", "{tmp}"),
+    ("mollify", "--fixture", "harmonic", "--lambda", "-1", "--out", "{tmp}"),
 ])
 def test_usage_errors(args, tiny_file, obstacle_run, tmp_path):
     """A refused run exits 2 and leaves nothing of a run that never
@@ -124,9 +132,14 @@ def test_usage_errors(args, tiny_file, obstacle_run, tmp_path):
     assert not out.exists()
     if "--tol-scale" in args:
         assert "--tol-scale must be positive and finite" in r.stderr
-    if dict(zip(args, args[1:])).get("--lambda") in ("nan", "inf"):
+    flags = dict(zip(args, args[1:]))
+    if flags.get("--lambda") in ("nan", "inf"):
         assert "bounds must be finite" in r.stderr
-    res = dict(zip(args, args[1:])).get("--res")
+    if flags.get("--lambda") == "-1":
+        assert "a symmetric bound must be >= 0, got -1.0" in r.stderr
+    if flags.get("--eps") == "nan":
+        assert "every eps must be finite" in r.stderr
+    res = flags.get("--res")
     if res and int(res) % 2 == 0:
         assert "the %sx%s grid has an odd number of cells" % (res, res) in r.stderr
 
@@ -298,6 +311,23 @@ def test_import_leaves_scipy_unloaded():
             "sys.exit('scipy' in sys.modules)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr or "importing ellipticlab loaded scipy"
+
+
+def test_only_the_cli_and_the_grid_format_import_fileio():
+    """The CLI formats every CSV and manifest, and grids the grid file format:
+    no other module of the package imports the text-output helpers."""
+    importers = set()
+    for path in (ROOT / "src" / "ellipticlab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["%s.%s" % (node.module or "", a.name) for a in node.names]
+            else:
+                continue
+            if any("fileio" in name.split(".") for name in names):
+                importers.add(path.name)
+    assert importers == {"cli.py", "grids.py"}
 
 
 def test_mollification_leaves_scipy_unloaded():

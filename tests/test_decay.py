@@ -9,7 +9,6 @@ from ellipticlab import (
     Ball,
     DecayConfig,
     GridFunction,
-    ball_node_mask,
     best_affine,
     build_fixture,
     decay_profile,
@@ -18,10 +17,11 @@ from ellipticlab import (
     rescale_sequence,
     square_grid,
     verify_decay_chain,
-    write_decay_profile,
 )
+from ellipticlab import cli
+from ellipticlab.grids import ball_samples
 
-from conftest import field, lp_minimax_width, sample_bilinear, unit_square_grid
+from conftest import csv_cell, field, lp_minimax_width, sample_bilinear, unit_square_grid
 
 
 # ---------------------------------------------------------------------------
@@ -61,15 +61,15 @@ def test_decay_config_marginal_closure_allowed():
 def test_parabola_fit_matches_chebyshev(grid65):
     u = build_fixture("quad", 65)
     fit = best_affine(u, Ball((0.0, 0.0), 0.5))
-    np.testing.assert_allclose(fit.q, 0.0, atol=1e-12)
-    assert fit.osc_value == pytest.approx(0.125, abs=1e-12)
+    np.testing.assert_allclose(fit.slope, 0.0, atol=1e-12)
+    assert fit.width == pytest.approx(0.125, abs=1e-12)
 
 
 def test_affine_fit_recovers_an_affine_field(grid33):
     u = field(grid33, lambda p: 1.0 + 2.0 * p[:, 0] - 0.5 * p[:, 1])
     fit = best_affine(u, Ball((0.0, 0.0), 0.5))
-    assert fit.osc_value == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(fit.q, (2.0, -0.5), atol=1e-10)
+    assert fit.width == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(fit.slope, (2.0, -0.5), atol=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -83,8 +83,8 @@ def test_best_affine_equivariant_under_affine_shifts(seed, c, p0, p1):
     base = best_affine(u, ball)
     shifted = best_affine(
         field(g, lambda x: u.values + c + x @ np.array([p0, p1])), ball)
-    assert shifted.osc_value == pytest.approx(base.osc_value, rel=1e-9, abs=1e-9)
-    np.testing.assert_allclose(shifted.q, np.asarray(base.q) + [p0, p1],
+    assert shifted.width == pytest.approx(base.width, rel=1e-9, abs=1e-9)
+    np.testing.assert_allclose(shifted.slope, base.slope + [p0, p1],
                                rtol=0, atol=2e-7)
 
 
@@ -98,9 +98,7 @@ def test_best_affine_matches_dense_search(seed):
     u = GridFunction(g, rng.standard_normal(g.node_count))
     ball = Ball((0.0, 0.0), 0.7)
     fit = best_affine(u, ball)
-    mask = ball_node_mask(g, ball)
-    assert abs(fit.osc_value - lp_minimax_width(g.points_at(np.flatnonzero(mask)),
-                                                u.values[mask])) <= 1e-9
+    assert abs(fit.width - lp_minimax_width(*ball_samples(u, ball))) <= 1e-9
 
 
 @settings(max_examples=20, deadline=None)
@@ -109,8 +107,8 @@ def test_corrected_oscillation_monotone_in_radius(seed, r1, r2):
     g = unit_square_grid(33)
     rng = np.random.default_rng(seed)
     u = GridFunction(g, rng.standard_normal(g.node_count))
-    psi1 = best_affine(u, Ball((0.0, 0.0), r1)).osc_value
-    psi2 = best_affine(u, Ball((0.0, 0.0), r2)).osc_value
+    psi1 = best_affine(u, Ball((0.0, 0.0), r1)).width
+    psi2 = best_affine(u, Ball((0.0, 0.0), r2)).width
     assert psi1 <= psi2 + 1e-12
 
 
@@ -180,15 +178,20 @@ def test_chain_certificate_on_harmonic():
 
 
 def test_profile_csv_is_deterministic(tmp_path):
-    u = build_fixture("quad", 257)
-    prof = decay_profile(u, (0.0, 0.0), DecayConfig(levels=2), radius0=1.0)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_decay_profile(prof, a)
-    write_decay_profile(prof, b)
+    """``campanato`` writes decay.csv: the same bytes on a rerun, one row per
+    level of the profile the test recomputes, then the fit's footer."""
+    for run in ("a", "b"):
+        assert cli.main(["campanato", "--fixture", "quad", "--out", str(tmp_path / run)]) == 0
+    a, b = tmp_path / "a" / "decay.csv", tmp_path / "b" / "decay.csv"
     assert a.read_bytes() == b.read_bytes()
-    text = a.read_text()
-    for footer in ("# slope", "# beta_hat", "# sigma", "# bootstrap_spread"):
-        assert footer in text
+    prof = decay_profile(build_fixture("quad", 257), (0.0, 0.0), DecayConfig(levels=2),
+                         radius0=1.0)
+    rows = [(k, prof.radii[k], prof.psi[k], prof.phi[k], prof.usable[k])
+            for k in range(len(prof.radii))]
+    rows += [("# slope", prof.slope), ("# beta_hat", prof.beta_hat), ("# sigma", prof.sigma),
+             ("# bootstrap_spread", prof.spread)]
+    assert a.read_text().splitlines() == ["k,r,psi,phi,usable"] + [
+        ",".join(map(csv_cell, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------

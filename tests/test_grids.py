@@ -9,7 +9,7 @@ from ellipticlab import (
     Grid,
     GridFunction,
     SymMatrix,
-    ball_node_mask,
+    ball_values,
     oscillation,
     resample,
     read_grid_function,
@@ -19,6 +19,11 @@ from ellipticlab import grids
 from ellipticlab.fileio import read_manifest, write_manifest
 
 from conftest import field, sample_bilinear, unit_square_grid, zeros_ball_mask
+
+
+def ball_nodes(grid, ball):
+    """Flat indices of the ball's nodes, gathered from its box like values."""
+    return ball_values(grid, np.arange(grid.node_count), ball)
 
 
 def random_field(grid, seed, scale=1.0):
@@ -116,7 +121,7 @@ def test_values_are_write_locked(grid33):
 @pytest.mark.parametrize("ndim, res", [(1, 33), (2, 33), (3, 9)])
 def test_points_at_matches_point_cloud(ndim, res):
     g = unit_square_grid(res, ndim=ndim)
-    ball = np.flatnonzero(ball_node_mask(g, Ball((0.1,) * ndim, 0.6)))
+    ball = ball_nodes(g, Ball((0.1,) * ndim, 0.6))
     unsorted = np.random.default_rng(5).permutation(g.node_count)[:50]
     for idx in (ball, unsorted):
         assert np.array_equal(g.points_at(idx), g.points()[idx])
@@ -136,7 +141,7 @@ def test_point_clouds_are_coordinate_major(ndim, res):
     want = row_major_points(g)
     u = random_field(g, 2)
     ball = Ball((0.1,) * ndim, 0.6)
-    mask = ball_node_mask(g, ball)
+    mask = zeros_ball_mask(g, ball)
     idx = np.random.default_rng(3).permutation(g.node_count)[:40]
     pts, vals = grids.ball_samples(u, ball)
     for got, ref in ((g.points(), want), (g.points_at(idx), want[idx]), (pts, want[mask])):
@@ -148,23 +153,23 @@ def test_point_clouds_are_coordinate_major(ndim, res):
 
 def test_ball_mask_counts_nodes_inside_closed_ball():
     g = unit_square_grid(65)
-    mask = ball_node_mask(g, Ball((0.0, 0.0), 0.5))
+    nodes = ball_nodes(g, Ball((0.0, 0.0), 0.5))
     pts = g.points()
     inside = np.sum(np.hypot(pts[:, 0], pts[:, 1]) <= 0.5 + 1e-12)
-    assert mask.sum() == inside
+    assert nodes.size == inside
     # closed ball: the four axis nodes at exactly r = 0.5 are included
-    assert mask.sum() >= 4
+    assert nodes.size >= 4
 
 
 def test_ball_must_stay_inside_domain(grid33):
     with pytest.raises(ValueError, match="ball exits domain"):
-        ball_node_mask(grid33, Ball((0.9, 0.0), 0.5))
+        ball_nodes(grid33, Ball((0.9, 0.0), 0.5))
 
 
 def test_ball_too_small_resolves_to_no_nodes():
     g = unit_square_grid(33)
     with pytest.raises(ValueError, match="no nodes"):
-        ball_node_mask(g, Ball((g.h / 2, g.h / 2), g.h / 4))
+        ball_nodes(g, Ball((g.h / 2, g.h / 2), g.h / 4))
 
 
 OFF_CENTRE_BALLS = [
@@ -181,10 +186,9 @@ OFF_CENTRE_BALLS = [
 @pytest.mark.parametrize("grid, ball", OFF_CENTRE_BALLS)
 def test_ball_mask_is_the_whole_grid_zeros_sum(grid, ball):
     """Off-centre balls, some with nodes exactly at distance r (node-aligned
-    centres, radii a whole number of h): same mask as the zeros oracle."""
-    mask = ball_node_mask(grid, ball)
-    assert mask.dtype == bool and mask.shape == (grid.node_count,)
-    assert np.array_equal(mask, zeros_ball_mask(grid, ball))
+    centres, radii a whole number of h): the box gather reads the nodes of
+    the zeros oracle's mask, in storage order."""
+    assert np.array_equal(ball_nodes(grid, ball), np.flatnonzero(zeros_ball_mask(grid, ball)))
 
 
 @pytest.mark.parametrize("grid, ball", OFF_CENTRE_BALLS)
@@ -198,14 +202,16 @@ def test_oscillation_is_max_minus_min_over_the_whole_grid_mask(grid, ball):
 
 def test_a_returned_ball_mask_is_the_callers_own(grid33):
     """The ball's mask is kept for the next call on the same ball; what
-    ``ball_node_mask`` returns is a fresh array, so changing it changes
-    neither a later mask nor an oscillation."""
+    ``ball_values`` returns is a fresh array, so changing it changes neither
+    a later gather nor an oscillation."""
     ball = Ball((0.1, -0.3), 0.6)
     u = random_field(grid33, 4)
-    first = ball_node_mask(grid33, ball)
+    first = ball_nodes(grid33, ball)
     osc = oscillation(u, ball)
-    first[:] = ~first
-    assert np.array_equal(ball_node_mask(grid33, ball), zeros_ball_mask(grid33, ball))
+    first[:] = -1
+    want = np.flatnonzero(zeros_ball_mask(grid33, ball))
+    assert np.array_equal(ball_nodes(grid33, ball), want)
+    assert np.array_equal(ball_values(grid33, u.values, ball), u.values[want])
     assert oscillation(u, ball) == osc
 
 

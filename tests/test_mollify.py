@@ -19,8 +19,10 @@ from ellipticlab import (
     operator_margin,
     stability_sweep,
 )
+from ellipticlab import cli
+from ellipticlab.fileio import read_manifest
 
-from conftest import field, shift_add_convolve, unit_square_grid
+from conftest import csv_cell, field, shift_add_convolve, unit_square_grid
 
 mollify_module = sys.modules["ellipticlab.mollify"]  # ellipticlab.mollify is the function
 
@@ -300,6 +302,17 @@ def test_sweep_schedule_validation():
         stability_sweep(u, a, 0.0, 4.0, [], p=4.0, r=0.25)
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_sweep_refuses_a_non_finite_eps(eps):
+    """NaN fails every comparison and inf overflowed the kernel's width: both
+    are refused before any kernel is built."""
+    u = build_fixture("quad", 65)
+    with pytest.raises(ValueError, match="every eps must be finite"):
+        stability_sweep(u, SymMatrix.identity(2), 0.0, 4.0, [eps], 4.0, 0.1)
+    with pytest.raises(ValueError, match="every eps must be finite"):
+        stability_sweep(u, SymMatrix.identity(2), 0.0, 4.0, [0.5, eps], 4.0, 0.1)
+
+
 def test_sweep_bounded_hessian_is_flat():
     u = build_fixture("quad", 129)
     h = u.grid.h
@@ -351,12 +364,15 @@ def test_sweep_convolves_u_once_per_eps(monkeypatch):
 
 
 def test_sweep_csv_deterministic(tmp_path):
-    u = build_fixture("quad", 65)
-    h = u.grid.h
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    stability_sweep(u, SymMatrix.identity(2), 0.0, 4.0, [8 * h, 6 * h],
-                    p=4.0, r=0.2, path=a)
-    stability_sweep(u, SymMatrix.identity(2), 0.0, 4.0, [8 * h, 6 * h],
-                    p=4.0, r=0.2, path=b)
+    """``mollify`` writes sweep.csv: the same bytes on a rerun, one row per eps
+    of the sweep the test recomputes from the run manifest's parameters."""
+    for run in ("a", "b"):
+        assert cli.main(["mollify", "--fixture", "quad", "--out", str(tmp_path / run)]) == 0
+    a, b = tmp_path / "a" / "sweep.csv", tmp_path / "b" / "sweep.csv"
     assert a.read_bytes() == b.read_bytes()
-    assert a.read_text().splitlines()[0] == "eps,norm_p,pass-flag"
+    m = read_manifest(tmp_path / "a" / "run_manifest.txt")
+    rows = stability_sweep(build_fixture("quad", 65), SymMatrix.identity(2),
+                           float(m["lam_lo"]), float(m["lam_hi"]),
+                           [float(e) for e in m["eps_schedule"].split()], 4.0, float(m["r"]))
+    assert a.read_text().splitlines() == ["eps,norm_p,pass-flag"] + [
+        ",".join(map(csv_cell, (row.eps, row.norm_p, row.passed))) for row in rows]

@@ -40,13 +40,13 @@ def test_hessian_exact_on_quadratic(grid33):
     m = np.array([[2.0, 0.75], [0.75, -1.0]])
     hf = discrete_hessian(quadratic_field(grid33, m, p=(0.3, -0.2), c=1.0))
     for (i, j), want in (((0, 0), 2.0), ((0, 1), 0.75), ((1, 1), -1.0)):
-        got = interior(hf.comps[(i, j)], 1)
+        got = interior(hf[(i, j)], 1)
         np.testing.assert_allclose(got, want, rtol=0, atol=5e-12)
 
 
 def test_hessian_nan_ring(grid33):
     hf = discrete_hessian(quadratic_field(grid33, np.eye(2)))
-    for comp in hf.comps.values():
+    for comp in hf.values():
         assert np.isnan(comp[0]).all() and np.isnan(comp[-1]).all()
         assert np.isnan(comp[:, 0]).all() and np.isnan(comp[:, -1]).all()
         assert np.isfinite(interior(comp, 1)).all()
@@ -55,7 +55,7 @@ def test_hessian_nan_ring(grid33):
 def test_hessian_matrix_at_interior(grid33):
     m = np.array([[1.0, -0.5], [-0.5, 3.0]])
     hf = discrete_hessian(quadratic_field(grid33, m))
-    for (i, j), comp in hf.comps.items():
+    for (i, j), comp in hf.items():
         assert comp[16, 16] == pytest.approx(m[i, j], rel=0, abs=5e-12)
 
 
@@ -64,7 +64,7 @@ def test_hessian_1d():
 
     g = Grid(Domain((0.0,), (1.0,)), (41,))
     u = field(g, lambda p: 3.0 * p[:, 0] ** 2)
-    xx = discrete_hessian(u).comps[(0, 0)]
+    xx = discrete_hessian(u)[(0, 0)]
     np.testing.assert_allclose(xx[1:-1], 6.0, rtol=0, atol=1e-9)
     assert np.isnan(xx[0]) and np.isnan(xx[-1])
 
@@ -72,9 +72,9 @@ def test_hessian_1d():
 def test_hessian_3d():
     m = np.array([[2.0, 0.75, -0.5], [0.75, -1.0, 0.25], [-0.5, 0.25, 3.0]])
     hf = discrete_hessian(quadratic_field(unit_square_grid(9, ndim=3), m, p=(0.3, -0.2, 0.1)))
-    assert sorted(hf.comps) == [(i, j) for i in range(3) for j in range(i, 3)]
+    assert sorted(hf) == [(i, j) for i in range(3) for j in range(i, 3)]
     inner = (slice(1, -1),) * 3
-    for (i, j), comp in hf.comps.items():
+    for (i, j), comp in hf.items():
         np.testing.assert_allclose(comp[inner], m[i, j], rtol=0, atol=5e-12)
         ring = np.ones(comp.shape, bool)
         ring[inner] = False

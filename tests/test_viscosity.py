@@ -22,8 +22,11 @@ from ellipticlab import (
     quartic_perturb,
     solve_obstacle,
     trace_operator,
-    write_viscosity_report,
+    write_grid_function,
 )
+from ellipticlab import cli
+from ellipticlab.fileio import write_manifest
+from ellipticlab.viscosity import VISC_NODE_BUDGET
 
 from conftest import csv_cell, field, loop_touching, quadratic_field, unit_square_grid
 
@@ -36,8 +39,10 @@ def test_default_tolerance_formula(grid33):
 
 
 def test_bounds_symmetric():
-    b = Bounds.symmetric(-2.0)
+    b = Bounds.symmetric(2.0)
     assert (b.lam_lo, b.lam_hi) == (-2.0, 2.0)
+    with pytest.raises(ValueError, match="symmetric bound must be >= 0"):
+        Bounds.symmetric(-2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +211,30 @@ def test_kink_fails_pointwise_but_passes_touching():
     assert tch.triggered > 0
 
 
+def visc_run(tmp_path, name, u, bounds, tol_scale=1.0):
+    """``visc --tol-scale tol_scale`` on u, whose bounds a run manifest beside
+    it states for the trace; returns the exit code and the run directory."""
+    run = tmp_path / "input"
+    write_grid_function(u, run / "solution.txt")
+    write_manifest(run / "run_manifest.txt",
+                   {"op": "trace", "lam_lo": bounds.lam_lo, "lam_hi": bounds.lam_hi})
+    out = tmp_path / name
+    code = cli.main(["visc", "--input", str(run / "solution.txt"),
+                     "--tol-scale", repr(tol_scale), "--out", str(out)])
+    return code, out
+
+
 def test_touching_report_round_trip(tmp_path):
+    """``visc`` writes visc_touching.csv: the same bytes on a rerun, and a
+    footer that reads the report the test recomputes."""
     u = build_fixture("quad", 33)
-    tests = make_touching_dictionary(u, node_budget=150)
-    rep = check_touching(u, TRACE, Bounds(2.0, 2.0), tests)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_viscosity_report(rep, p1)
-    write_viscosity_report(rep, p2)
+    bounds = Bounds(2.0, 2.0)
+    (code, a), (_, b) = (visc_run(tmp_path, name, u, bounds) for name in ("a", "b"))
+    assert code == 0
+    p1, p2 = a / "visc_touching.csv", b / "visc_touching.csv"
     assert p1.read_bytes() == p2.read_bytes()
+    tests = make_touching_dictionary(u, node_budget=VISC_NODE_BUDGET)
+    rep = check_touching(u, TRACE, bounds, tests)
     text = p1.read_text()
     assert text.splitlines()[0].startswith("node,")
     assert "# passed" in text
@@ -245,7 +266,7 @@ def test_quartic_perturb_hessian_is_negligible_at_center():
     g = unit_square_grid(33)
     u = quadratic_field(g, np.array([[2.0, 0.5], [0.5, 1.0]]))
     w = quartic_perturb(u, (0.0, 0.0))
-    hu, hw = discrete_hessian(u).comps, discrete_hessian(w).comps
+    hu, hw = discrete_hessian(u), discrete_hessian(w)
     for key, comp in hu.items():
         assert abs(hw[key][16, 16] - comp[16, 16]) <= 2.0 * g.h ** 2 + 1e-12
 
@@ -266,10 +287,9 @@ def test_limit_stability_ripple_family():
     assert deltas[-1] > 0  # the c0 h floor never vanishes at finite h
 
 
-def per_cell_report_lines(report):
+def per_cell_report_lines(report, grid):
     """A viscosity report's CSV lines, one row tuple per node and each value
     formatted on its own."""
-    grid = report.grid
     header = ["node"] + ["x", "y", "z"][: grid.ndim] + [
         "scheme", "upper_margin", "lower_margin", "verdict"]
     rows = [(int(k), *map(float, grid.points()[k]), report.scheme, float(up), float(lo),
@@ -286,20 +306,23 @@ def per_cell_report_lines(report):
 @pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("scheme", ["pointwise", "touching"])
 def test_report_rows_are_formatted_cell_by_cell(scheme, ndim, tmp_path):
-    """Failing reports on the kink, which is flat away from its crease, for
-    bounds that exclude 0; touching leaves -inf margins on nodes where no
-    candidate fired."""
+    """``visc`` on the kink, which is flat away from its crease, for bounds
+    that exclude 0 and a tolerance of 0.1: failing reports, whose CSV the
+    test recomputes row by row; touching leaves -inf margins on nodes where
+    no candidate fired."""
     u = build_fixture("kink", 65 if ndim == 1 else 33, ndim=ndim)
     bounds = Bounds(0.5, 0.5)
+    scale = 0.1 / default_tolerance(TRACE, u)
+    code, out = visc_run(tmp_path, "visc", u, bounds, tol_scale=scale)
+    assert code == 1
+    tol = scale * default_tolerance(TRACE, u)  # as visc computes it
     if scheme == "pointwise":
-        rep = check_pointwise(u, TRACE, bounds, tol=0.1)
+        rep = check_pointwise(u, TRACE, bounds, tol=tol)
     else:
-        rep = check_touching(u, TRACE, bounds, make_touching_dictionary(u, node_budget=40),
-                             tol=0.1)
+        rep = check_touching(u, TRACE, bounds,
+                             make_touching_dictionary(u, node_budget=VISC_NODE_BUDGET), tol=tol)
         assert np.isneginf(rep.node_upper).any() and np.isneginf(rep.node_lower).any()
     assert not rep.passed
-    path = tmp_path / "report.csv"
-    write_viscosity_report(rep, path)
-    text = path.read_text()
+    text = (out / ("visc_%s.csv" % scheme)).read_text()
     assert text.endswith("\n")
-    assert text.splitlines() == per_cell_report_lines(rep)
+    assert text.splitlines() == per_cell_report_lines(rep, u.grid)
