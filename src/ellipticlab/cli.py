@@ -51,7 +51,7 @@ from .decay import (
 from .fileio import FLOAT_FMT, atomic_write_text, read_manifest, write_csv, write_manifest
 from .fixtures import build_fixture, disc_problem, limit_families
 from .grids import GridFunction, SymMatrix, read_grid_function, write_grid_function
-from .mollify import sandwich_tolerance, stability_sweep
+from .mollify import check_schedule, sandwich_tolerance, stability_sweep
 from .operators import (
     EllipticOperator,
     check_homogeneity,
@@ -306,8 +306,8 @@ def cmd_mollify(args) -> int:
     if op.kind not in ("trace", "linear"):  # the sweep takes one constant SPD matrix
         raise ValueError("mollify checks linear operators only, not %s" % operator_spec_string(op))
     h = u.grid.h
-    # stability_sweep refuses an eps below 3h
-    schedule = [24.0 * h, 16.0 * h, 12.0 * h, 8.0 * h] if args.eps is None else [args.eps]
+    schedule = check_schedule([24.0 * h, 16.0 * h, 12.0 * h, 8.0 * h]
+                              if args.eps is None else [args.eps], h)
     if subject.bounds is None:  # the realized range of F_h(u), NaN where undefined
         realized = eval_discrete(op, u).values
         f1, f2 = float(np.nanmin(realized)), float(np.nanmax(realized))

@@ -243,10 +243,11 @@ def normalize(u: GridFunction, radius: float, lam: float, eps: float,
     = 1 with the unit lattice u's own, say), that axis is a gather of those
     nodes, not an interpolation: the identity zoom is a copy.
     """
-    if eps <= 0 or radius <= 0:
-        raise ValueError("radius and eps must be positive")
-    if lam < 0:
-        raise ValueError("lam is a magnitude bound and must be >= 0")
+    # NaN fails every comparison, so these refuse it too
+    if not (eps > 0 and radius > 0):
+        raise ValueError("radius and eps must be positive, got %r and %r" % (radius, eps))
+    if not 0 <= lam < math.inf:
+        raise ValueError("lam is a magnitude bound and must be finite and >= 0, got %r" % lam)
     grid = u.grid
     n = grid.ndim
     osc0 = oscillation(u, Ball((0.0,) * n, radius))

@@ -197,8 +197,10 @@ class Ball:
     def __post_init__(self):
         center = tuple(float(c) for c in np.atleast_1d(np.asarray(self.center, dtype=float)))
         radius = float(self.radius)
-        if radius <= 0:
-            raise ValueError("ball radius must be positive")
+        if not all(map(math.isfinite, center)):
+            raise ValueError("ball center must be finite, got %r" % (center,))
+        if not 0 < radius < math.inf:
+            raise ValueError("ball radius must be positive and finite, got %r" % radius)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
 

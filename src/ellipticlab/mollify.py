@@ -30,6 +30,7 @@ from .stencils import discrete_hessian, eval_discrete, operator_margin
 
 __all__ = [
     "SweepRow",
+    "check_schedule",
     "mollify",
     "sandwich_tolerance",
     "hessian_lp_norm",
@@ -127,6 +128,21 @@ def hessian_lp_norm(u_eps: GridFunction, p: float, ball: Ball) -> float:
     return float(np.sum(vals**p) * grid.h**grid.ndim) ** (1.0 / p)
 
 
+def check_schedule(schedule, h: float) -> list:
+    """The eps of a sweep on a grid of spacing ``h`` as floats, refused
+    unless there is at least one, each is finite and >= 3h, and they
+    strictly decrease."""
+    schedule = [float(e) for e in schedule]
+    if not schedule:
+        raise ValueError("schedule is empty")
+    # NaN fails both comparisons and inf the second: neither reaches _kernel
+    if not all(3.0 * h * (1.0 - 1e-12) <= e < math.inf for e in schedule):
+        raise ValueError("schedule: every eps must be finite and >= 3h, got %r" % schedule)
+    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly decreasing")
+    return schedule
+
+
 @dataclass(frozen=True)
 class SweepRow:
     eps: float
@@ -146,15 +162,8 @@ def stability_sweep(u: GridFunction, a: SymMatrix, f1: float, f2: float, schedul
     when the scheme of A reaches one node layer, fewer nodes when it reaches
     further.
     """
-    schedule = [float(e) for e in schedule]
-    if not schedule:
-        raise ValueError("schedule is empty")
     grid = u.grid
-    # NaN fails both comparisons and inf the second: neither reaches _kernel
-    if not all(3.0 * grid.h * (1.0 - 1e-12) <= e < math.inf for e in schedule):
-        raise ValueError("schedule: every eps must be finite and >= 3h, got %r" % schedule)
-    if any(b >= a_ for a_, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly decreasing")
+    schedule = check_schedule(schedule, grid.h)
     f1, f2 = float(f1), float(f2)
     if not (math.isfinite(f1) and math.isfinite(f2)):
         raise ValueError("sandwich bounds f1 = %r and f2 = %r must be finite" % (f1, f2))

@@ -47,6 +47,15 @@ start already meets the stopping rule).  A coarse rung only seeds the next,
 so it returns as soon as a step has solved and its active set settled; only
 the finest polishes its residual to the tolerance.
 
+While the set pinned to the obstacle still moves, a projected multigrid step
+replaces the linear solve, on stencils of one node layer (Kornhuber, Numer.
+Math. 69, 1994; on two layers the steps diverged): _SWEEPS projected damped
+Jacobi sweeps u = max(psi, u + w D^-1 r) on the frozen policy's system, one
+V-cycle truncated to the nodes above psi and projected, and _SWEEPS sweeps
+more.  The first step that leaves the pinned set {u = psi} as it was ends
+them: a coarse rung returns, and the finest seeds the BiCGSTAB steps with
+that set, so it still returns a fixed point of the active-set rule.
+
 Each step solves for the correction to the current iterate (the same as
 warm-starting at the iterate); the correction vanishes on the boundary band
 and on pinned nodes, so only the free interior nodes are unknowns.  Every
@@ -91,9 +100,10 @@ as it is.  The V-cycle and the BiCGSTAB operator apply their sparse matrices
 by scipy's compiled kernels, without the dispatch of ``@``, and share the
 finest A's masked product.  Nothing outlives the solve.
 
-Every step records its residual, active-set size and BiCGSTAB iteration
-count in the result's ``history``, and its ``timings`` give each level's
-wall seconds of builds, refills and BiCGSTAB.  scipy is imported inside the
+Every step records its residual, active-set size, BiCGSTAB iteration count
+and whether it was projected in the result's ``history``, and its
+``timings`` give each level's wall seconds of builds, refills, BiCGSTAB and
+projected steps.  scipy is imported inside the
 solves, which keeps importing the package light.
 """
 
@@ -152,7 +162,7 @@ class SolveResult:
     iterations: int  # policy (active-set) steps, one linear solve each, over all levels
     residual: float  # sup-norm of F_h(u) - g u - f off contact at return
     level_steps: tuple  # (nodes along the first axis, steps) per level, coarse to fine
-    # one (residual, active-set size, BiCGSTAB iterations) row per step,
+    # one (residual, active-set size, BiCGSTAB iterations, projected) row per step,
     # coarse to fine; the residual is the one the step started from, and
     # level_steps says how many rows each level has.  On a ladder of one
     # level the V-cycle is the exact solve, so BiCGSTAB converges inside its
@@ -161,7 +171,8 @@ class SolveResult:
     history: tuple = ()
     # (nodes along the first axis, wall seconds of the ladder's layouts and
     # transfers if the level built it, of its policy refills, mask refreshes
-    # and last-level factorizations and of BiCGSTAB, by name) per level, coarse
+    # and last-level factorizations, of BiCGSTAB and of projected steps, by
+    # name) per level, coarse
     # to fine: ``_FrozenSystem.seconds``
     timings: tuple = ()
 
@@ -384,18 +395,27 @@ def _smooth(a, dinv, b, x):
     x += r
 
 
+def _move(a, v, lo, x, b):
+    """Move ``v`` by ``x`` in place, projected onto v >= ``lo`` (so a node
+    held there equals lo exactly), and take the move's product by ``a`` from
+    the residual ``b``."""
+    new = np.maximum(v + x, lo)
+    b -= a(new - v)
+    v[:] = new
+
+
 class _FrozenSystem:
     """The frozen-policy systems of one grid's step loop and their V-cycle:
     level ``k`` of the ladder that ``ladder()`` returns and the levels below
     it, refilled and truncated in place as the module docstring describes.
     ``seconds`` sums the wall time of the builds (the ladder, if this loop's
     call builds it), of the refills (the policy's entries, the masks and the
-    last level's factorization) and of BiCGSTAB."""
+    last level's factorization), of BiCGSTAB and of the projected steps."""
 
     def __init__(self, ladder, k):
-        self.ladder, self.k = ladder, k
+        self.ladder, self.k, self.factorized = ladder, k, False
         self.levels = self.policy = self.free = self.precondition = None
-        self.seconds = dict.fromkeys(("build_s", "refill_s", "krylov_s"), 0.0)
+        self.seconds = dict.fromkeys(("build_s", "refill_s", "krylov_s", "projected_s"), 0.0)
 
     def current(self, policy, free):
         """Whether the last solve's system is ``policy``'s on the ``free``
@@ -403,50 +423,90 @@ class _FrozenSystem:
         return (self.free is not None and np.array_equal(self.free, free)
                 and not (policy != self.policy)[:, free].any())
 
-    def solve(self, policy, free, rhs, tol, where, r):
-        """The correction over ``nodes`` that solves the system of ``policy``
-        for ``rhs`` on the ``free`` nodes (a flat mask over the grid) and is 0
-        on the other ones, by BiCGSTAB from 0 preconditioned by the V-cycle,
-        and its BiCGSTAB iteration count; a breakdown raises SolverError
-        naming ``where``, with the step's residual ``r``."""
-        from scipy.sparse.linalg import LinearOperator, bicgstab
+    def _lap(self, key, start):
+        """Add the seconds since ``start`` to ``key``; returns the time now."""
+        now = time.perf_counter()
+        self.seconds[key] += now - start
+        return now
 
-        clock = [time.perf_counter()]
+    def _refill(self, policy):
+        """Build the ladder on first use and refill its levels for a new
+        ``policy``."""
+        from scipy.sparse.linalg import LinearOperator
+
+        clock = time.perf_counter()
         if self.levels is None:
             self.levels = self.ladder()[self.k:]
             top = self.levels[0]
-            self.nodes = top.nodes
+            self.nodes, self.whole = top.nodes, _product(top.matrix)
             self.operator = LinearOperator(top.matrix.shape, matvec=top.product, dtype=float)
             self.precondition = LinearOperator(top.matrix.shape, dtype=float,
                                                matvec=functools.partial(_cycle, self.levels))
-        clock.append(time.perf_counter())
-        levels, factorize = self.levels, False
+            clock = self._lap("build_s", clock)
         if policy is not self.policy and not np.array_equal(policy, self.policy):
-            self.policy, factorize = policy, True
-            for level in levels:
+            self.policy, self.factorized = policy, False
+            for level in self.levels:
                 _fill(policy, level)
                 policy = _inject(level.shape, policy)
+        self._lap("refill_s", clock)
+
+    def _truncate(self, free):
+        """Truncate every level to the ``free`` nodes (a flat mask over the
+        grid), and factorize the last level again if its policy or its free
+        nodes changed."""
+        clock, levels = time.perf_counter(), self.levels
         if not np.array_equal(free, self.free):
             bottom = levels[-1].f.copy()
             np.copyto(levels[0].f, free[self.nodes])
             for fine, coarse in zip(levels, levels[1:]):
                 np.take(fine.f, coarse.seat, out=coarse.f)
             self.free = free
-            factorize = factorize or not np.array_equal(bottom, levels[-1].f)
-        if factorize:
-            levels[-1].solve = _factorize(levels[-1])
-        clock.append(time.perf_counter())
-        steps = []
-        x, info = bicgstab(self.operator, rhs[self.nodes] * levels[0].f, rtol=_INNER_RTOL,
+            self.factorized = self.factorized and np.array_equal(bottom, levels[-1].f)
+        if not self.factorized:
+            levels[-1].solve, self.factorized = _factorize(levels[-1]), True
+        self._lap("refill_s", clock)
+
+    def solve(self, policy, free, rhs, tol, where, r):
+        """The correction over ``nodes`` that solves the system of ``policy``
+        for ``rhs`` on the ``free`` nodes (a flat mask over the grid) and is 0
+        on the other ones, by BiCGSTAB from 0 preconditioned by the V-cycle,
+        and its BiCGSTAB iteration count; a breakdown raises SolverError
+        naming ``where``, with the step's residual ``r``."""
+        from scipy.sparse.linalg import bicgstab
+
+        self._refill(policy)
+        self._truncate(free)
+        clock, steps = time.perf_counter(), []
+        x, info = bicgstab(self.operator, rhs[self.nodes] * self.levels[0].f, rtol=_INNER_RTOL,
                            atol=_INNER_ATOL * tol, M=self.precondition,
                            callback=lambda _: steps.append(None))
         if info != 0:
             raise SolverError("linear solve of %s broke down (BiCGSTAB info %d);"
                               " residual %.3e" % (where, info, r), r)
-        clock.append(time.perf_counter())
-        for key, a, b in zip(self.seconds, clock, clock[1:]):  # build, refill, krylov
-            self.seconds[key] += b - a
+        self._lap("krylov_s", clock)
         return x, len(steps)
+
+    def project(self, policy, u, psi, rhs):
+        """One projected multigrid step on the iterate ``u`` (flat over the
+        grid, moved in place and kept >= ``psi``) for the system of
+        ``policy`` with residual ``rhs`` at u: _SWEEPS projected damped Jacobi
+        sweeps on the top level, the V-cycle truncated to the nodes above
+        psi, projected, and _SWEEPS sweeps more."""
+        self._refill(policy)
+        clock, top = time.perf_counter(), self.levels[0]
+        v, lo, b = u[self.nodes], psi[self.nodes], rhs[self.nodes]
+        for _ in range(_SWEEPS):
+            _move(self.whole, v, lo, top.jacobi * b, b)
+        free = np.zeros(u.size, dtype=bool)
+        free[self.nodes] = v > lo
+        self._lap("projected_s", clock)
+        self._truncate(free)
+        clock = time.perf_counter()
+        _move(self.whole, v, lo, _cycle(self.levels, b * top.f), b)
+        for _ in range(_SWEEPS):
+            _move(self.whole, v, lo, top.jacobi * b, b)
+        u[self.nodes] = v
+        self._lap("projected_s", clock)
 
 
 def _iterate(op, grid, psi, bv, fv, g, tol, u, seed, system, polish=True):
@@ -472,24 +532,38 @@ def _iterate(op, grid, psi, bv, fv, g, tol, u, seed, system, polish=True):
         return fh.values - g * u - fv, policy
 
     pinned = mask & (u == psi) if seed is None else seed
+    # an obstacle takes projected steps while the set pinned to it moves, on
+    # stencils of one node layer (on two they diverged)
+    projecting = margin == 1 and np.max(psi[mask]) > -math.inf
+    last = None  # the last step: "projected", "settled" (the last projected one) or "solved"
     for step in range(MAX_STEPS + 1):
         e, policy = evaluate()
         # a node below the obstacle is pinned whatever its multiplier says
         active = mask & (u - psi < np.maximum(-e, 0.0))
         settled = np.array_equal(active, pinned)
-        if step == 0 and seed is not None:
-            active = seed
+        if seed is not None:  # the seed, or the set the projected steps settled on
+            active, seed = seed, None
         free = mask & ~active
         r = float(np.max(np.abs(e[free]))) if free.any() else 0.0
-        if minimize and step and not settled:  # nested policy iteration
+        if minimize and last == "solved" and not settled:  # nested policy iteration
             held = mask & ~pinned
             r_held = float(np.max(np.abs(e[held]))) if held.any() else 0.0
             if r_held > tol and not system.current(policy, held):
                 active, free, r = pinned, held, r_held
-        if settled and (r <= tol or step and not polish):
+        if settled and r <= tol or not polish and (
+                last == "settled" or settled and last == "solved"):
             return u, active, e, r, tuple(history), system.seconds
         if step == MAX_STEPS:
             break
+        if projecting:
+            system.project(policy, u, psi, -e)
+            now = mask & (u == psi)
+            projecting = not np.array_equal(now, pinned)
+            if not projecting:  # it stopped moving: it seeds the BiCGSTAB steps or the next rung
+                seed = now
+            pinned, last = now, "projected" if projecting else "settled"
+            history.append((r, int(np.count_nonzero(now)), 0, True))
+            continue
         pinned = active
         moved = active & (u != psi)
         if moved.any():
@@ -500,7 +574,8 @@ def _iterate(op, grid, psi, bv, fv, g, tol, u, seed, system, polish=True):
             x, krylov = system.solve(policy, free, -e, tol,
                                      "step %d on the %s grid" % (step, level), r)
             u[system.nodes] += x  # 0 on pinned nodes
-        history.append((r, int(np.count_nonzero(active)), krylov))
+        history.append((r, int(np.count_nonzero(active)), krylov, False))
+        last = "solved"
     raise SolverError(
         "policy iteration on the %s grid failed to converge: residual %.3e"
         " after %d steps (tolerance %.3e)" % (level, r, MAX_STEPS, tol), r

@@ -113,7 +113,7 @@ def pucci_run(tmp_path_factory):
     ("visc", "--input", "{solution}", "--lambda", "inf", "--out", "{tmp}"),
     ("visc", "--input", "{solution}", "--lambda", "nan", "--out", "{tmp}"),
     # a non-finite eps: nan stopped in Python's float-to-int conversion, and
-    # inf leaves no room for the norm ball
+    # inf was refused as leaving no room for the norm ball
     ("mollify", "--eps", "nan", "--out", "{tmp}"),
     ("mollify", "--eps", "inf", "--out", "{tmp}"),
     # --lambda is a magnitude: -1 was read as 1
@@ -137,7 +137,7 @@ def test_usage_errors(args, tiny_file, obstacle_run, tmp_path):
         assert "bounds must be finite" in r.stderr
     if flags.get("--lambda") == "-1":
         assert "a symmetric bound must be >= 0, got -1.0" in r.stderr
-    if flags.get("--eps") == "nan":
+    if flags.get("--eps") in ("nan", "inf"):
         assert "every eps must be finite" in r.stderr
     res = flags.get("--res")
     if res and int(res) % 2 == 0:
@@ -342,16 +342,22 @@ def test_mollification_leaves_scipy_unloaded():
     assert r.returncode == 0, r.stderr or "mollification loaded scipy"
 
 
+TIMINGS = {"nodes", "build_s", "refill_s", "krylov_s", "projected_s"}
+
+
 def test_obstacle_writes_its_timings_outside_the_csvs(obstacle_run):
-    """Seconds per level of layout and V-cycle builds, refills and BiCGSTAB
-    go to timings.json, beside the manifest and in no CSV."""
+    """Seconds per level of layout and V-cycle builds, refills, BiCGSTAB and
+    projected steps go to timings.json, beside the manifest and in no CSV.
+    The coarse level only takes projected steps; the finest goes on to
+    BiCGSTAB steps."""
     import json
 
     levels = json.loads((obstacle_run / "timings.json").read_text())["levels"]
     assert [level["nodes"] for level in levels] == [17, 33]
     for level in levels:
-        assert set(level) == {"nodes", "build_s", "refill_s", "krylov_s"}
-        assert all(level[key] > 0.0 for key in ("build_s", "refill_s", "krylov_s"))
+        assert set(level) == TIMINGS
+        assert all(level[key] > 0.0 for key in ("build_s", "refill_s", "projected_s"))
+    assert levels[0]["krylov_s"] == 0.0 < levels[1]["krylov_s"]
     for csv in obstacle_run.glob("*.csv"):
         assert "krylov_s" not in csv.read_text()
 
@@ -359,7 +365,7 @@ def test_obstacle_writes_its_timings_outside_the_csvs(obstacle_run):
 def test_solve_writes_its_timings_outside_the_csvs(tmp_path):
     """The Dirichlet solve's one level records its seconds of layout and
     V-cycle builds, refills and BiCGSTAB in timings.json, as the obstacle's
-    levels do, and no CSV carries them."""
+    levels do, and no CSV carries them; it takes no projected step."""
     import json
 
     r = run_cli("solve", "--fixture", "quad", "--res", "33", "--out", str(tmp_path))
@@ -367,8 +373,9 @@ def test_solve_writes_its_timings_outside_the_csvs(tmp_path):
     levels = json.loads((tmp_path / "timings.json").read_text())["levels"]
     assert [level["nodes"] for level in levels] == [33]
     for level in levels:
-        assert set(level) == {"nodes", "build_s", "refill_s", "krylov_s"}
+        assert set(level) == TIMINGS
         assert all(level[key] > 0.0 for key in ("build_s", "refill_s", "krylov_s"))
+        assert level["projected_s"] == 0.0  # no obstacle, so no projected step
     for csv in tmp_path.glob("*.csv"):
         assert "krylov_s" not in csv.read_text()
 

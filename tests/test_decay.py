@@ -214,6 +214,18 @@ def test_normalize_epsilon_postcondition():
             assert oscillation(w, Ball((0.0, 0.0), 1.0)) < 1.0
 
 
+@pytest.mark.parametrize("lam, eps", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5)],
+                         ids=["nan-lam", "nan-eps", "inf-lam"])
+def test_normalize_refuses_non_finite_bounds(lam, eps):
+    """NaN failed both comparisons of the checks, so kappa came out NaN and
+    the call failed later as non-finite grid values; an infinite lam gives
+    an infinite kappa.  Each is refused at the check."""
+    u = build_fixture("quad", 33)
+    match = "lam is a magnitude bound" if eps == 0.5 else "radius and eps must be positive"
+    with pytest.raises(ValueError, match=match):
+        normalize(u, 1.0, lam, eps)
+
+
 @pytest.mark.parametrize("radius", [1.0, 0.7])
 @pytest.mark.parametrize("name, res, unit_nodes", [
     ("harmonic", 257, 257), ("quad", 129, 65), ("radial-holder:0.5", 257, 65)])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,19 @@ def test_ball_mask_counts_nodes_inside_closed_ball():
 def test_ball_must_stay_inside_domain(grid33):
     with pytest.raises(ValueError, match="ball exits domain"):
         ball_nodes(grid33, Ball((0.9, 0.0), 0.5))
+
+
+@pytest.mark.parametrize("center, radius, match", [
+    ((math.nan, 0.0), 0.5, "ball center must be finite"),
+    ((0.0, math.inf), 0.5, "ball center must be finite"),
+    ((0.0, 0.0), math.nan, "ball radius must be positive and finite"),
+    ((0.0, 0.0), math.inf, "ball radius must be positive and finite"),
+])
+def test_ball_refuses_non_finite_geometry(center, radius, match):
+    """A NaN center was accepted, and a ball round it then resolved to no
+    nodes; a NaN radius passed the check too."""
+    with pytest.raises(ValueError, match=match):
+        Ball(center, radius)
 
 
 def test_ball_too_small_resolves_to_no_nodes():

@@ -313,6 +313,24 @@ def test_sweep_refuses_a_non_finite_eps(eps):
         stability_sweep(u, SymMatrix.identity(2), 0.0, 4.0, [0.5, eps], 4.0, 0.1)
 
 
+@pytest.mark.parametrize("schedule, match", [
+    ([], "schedule is empty"),
+    ([math.inf], "every eps must be finite"),
+    ([0.2, math.nan], "every eps must be finite"),
+    ([0.1], "every eps must be finite and >= 3h"),  # 3h is 0.1875 at 33^2
+    ([0.5, 0.5], "strictly decreasing"),
+])
+def test_one_schedule_check_for_the_cli_and_the_sweep(schedule, match):
+    """``check_schedule`` is the one check: the sweep calls it, and so does
+    ``mollify`` before it works out its norm ball."""
+    u = build_fixture("quad", 33)
+    with pytest.raises(ValueError, match=match):
+        mollify_module.check_schedule(schedule, u.grid.h)
+    with pytest.raises(ValueError, match=match):
+        stability_sweep(u, SymMatrix.identity(2), 0.0, 4.0, schedule, 4.0, 0.1)
+    assert mollify_module.check_schedule((0.5, 0.25), u.grid.h) == [0.5, 0.25]
+
+
 def test_sweep_bounded_hessian_is_flat():
     u = build_fixture("quad", 129)
     h = u.grid.h

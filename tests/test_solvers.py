@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -281,11 +282,14 @@ def test_coarse_to_fine_matches_the_cold_start(op):
 def test_coarse_to_fine_step_count_is_mesh_independent(res):
     """From the cold start the finest level took 22 and 44 steps, releasing
     about one node layer per step; seeded from the coarse contact set it
-    takes a few."""
+    takes a few projected steps (2 and 6 here) and then at most 2 BiCGSTAB
+    steps."""
     result = solve_obstacle(disc_problem(res))
     levels = [n for n, _ in result.level_steps]
     assert levels == [17, 33, 65, 129, 257][:len(levels)] and levels[-1] == res
-    assert result.level_steps[-1][1] <= 6
+    finest = result.history[-result.level_steps[-1][1]:]
+    assert len(finest) <= 8
+    assert 1 <= sum(not projected for *_, projected in finest) <= 2
     assert result.residual <= 1e-9
 
 
@@ -465,7 +469,7 @@ def test_a_one_level_ladder_solves_by_its_factorization(monkeypatch):
     f, target, zero = manufactured_quad(op)
     r = solve_dirichlet(op, f, target, initial=zero)
     assert r.iterations >= 1 and cycles and set(cycles) == {1}
-    assert all(krylov == 0 for _, _, krylov in r.history)
+    assert all(krylov == 0 and not projected for _, _, krylov, projected in r.history)
     assert np.max(np.abs(r.u.values - target.values)) <= 1e-8
 
 
@@ -611,11 +615,12 @@ def test_obstacle_builds_one_hierarchy_per_level(monkeypatch):
     level's V-cycle, and every level's V-cycle is the ladder from that level
     down.  Each level fills its slice on its first step; the trace's policy
     never changes, so that is its only fill, and the moving active set costs
-    no refill.  A coarse level returns as soon as its active set settles, one
-    step before the finest would."""
+    no refill.  A coarse level returns once a projected step leaves its
+    pinned set as it was; the finest then takes 2 BiCGSTAB steps (the
+    active-set loop alone took 3, 3, 3 and 4 steps)."""
     layouts, ladders, fills = count_builds(monkeypatch)
     result = solve_obstacle(disc_problem(129))
-    assert result.level_steps == ((17, 3), (33, 3), (65, 3), (129, 4))
+    assert result.level_steps == ((17, 3), (33, 2), (65, 2), (129, 4))
     assert ladders == [129 * 129]
     assert layouts == vcycle_nodes(129)
     assert [n for n, _ in fills] == vcycle_nodes(17, 33, 65, 129)
@@ -848,13 +853,22 @@ def test_histories_have_one_row_per_step():
     f, target, zero = manufactured_quad(op)
     r = solve_dirichlet(op, f, target, initial=zero)
     assert len(r.history) == r.iterations
-    assert all(active == 0 and krylov >= 1 for _, active, krylov in r.history)
+    assert all(active == 0 and krylov >= 1 and not projected
+               for _, active, krylov, projected in r.history)
     assert r.history[0][0] > r.history[-1][0] > r.residual
 
     o = solve_obstacle(disc_problem(65))
     assert len(o.history) == o.iterations == sum(s for _, s in o.level_steps)
     interior = np.count_nonzero(disc_problem(65).psi.grid.interior_mask(1))
     assert o.history[-1][1] == np.count_nonzero(o.contact) < interior
+    # every level starts with projected steps, which take no BiCGSTAB
+    # iteration; only the finest level goes on to BiCGSTAB steps
+    assert all(krylov == 0 for _, _, krylov, projected in o.history if projected)
+    rows = iter(o.history)
+    for n, steps in o.level_steps:
+        projected = [row[3] for row in itertools.islice(rows, steps)]
+        assert projected[0] and projected == sorted(projected, reverse=True)
+        assert all(projected) == (n != 65)
 
 
 def test_pucci_min_obstacle_converges():
@@ -868,10 +882,72 @@ def test_pucci_min_obstacle_converges():
 def test_pucci_min_obstacle_steps_coarse_to_fine():
     problem = dataclasses.replace(disc_problem(129), op=pucci_min(1.0, 2.0))
     result = solve_obstacle(problem)
-    assert result.level_steps == ((17, 9), (33, 8), (65, 9), (129, 13))
+    # the active-set loop alone took 9, 8, 9 and 13 steps, and 120 BiCGSTAB
+    # iterations
+    assert result.level_steps == ((17, 2), (33, 3), (65, 4), (129, 8))
     assert result.residual <= 1e-9
     assert round(result.contact_fraction, 4) == 0.1709
     assert np.array_equal(result.u.values[result.contact], problem.psi.values[result.contact])
     fh = eval_discrete(problem.op, result.u).values
     off = problem.psi.grid.interior_mask(1) & ~result.contact
     assert np.max(np.abs(fh[off] - result.u.values[off])) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# projected multigrid steps while the contact set moves
+
+
+@pytest.mark.parametrize("res, contacts", [
+    (129, {"trace": 2009, "pucci+:1,2": 1421, "pucci-:1,2": 2757}),
+    (257, {"trace": 7893, "pucci+:1,2": 5557, "pucci-:1,2": 10993}),
+])
+def test_projected_steps_keep_the_contact_sets(res, contacts):
+    """The contact sets the active-set loop alone found, node for node: the
+    projected steps hand it the set they settle on, and it returns a fixed
+    point of its own rule."""
+    from ellipticlab.operators import parse_operator
+
+    for spec, count in contacts.items():
+        result = solve_obstacle(dataclasses.replace(disc_problem(res), op=parse_operator(spec)))
+        assert np.count_nonzero(result.contact) == count, spec
+        assert result.residual <= 1e-9
+
+
+@pytest.mark.parametrize("op, most", [(TRACE, 10), (pucci_min(1.0, 2.0), 20)],
+                         ids=["trace", "pucci-:1,2"])
+def test_projected_steps_cut_the_bicgstab_iterations(op, most):
+    """The active-set loop alone took 34 BiCGSTAB iterations for the trace at
+    129^2 and 120 for pucci-:1,2: most of them moved the contact set a ring
+    at a time, which the projected steps now do."""
+    result = solve_obstacle(dataclasses.replace(disc_problem(129), op=op))
+    assert sum(krylov for _, _, krylov, _ in result.history) <= most
+
+
+def test_dirichlet_history_is_the_active_set_loops():
+    """A Dirichlet solve pins no node, so it takes no projected step: its
+    65^2 trace history stays 2 BiCGSTAB steps of 2 iterations each."""
+    f, target, zero = manufactured_quad(TRACE, 65)
+    result = solve_dirichlet(TRACE, f, target, initial=zero)
+    assert [(krylov, projected) for _, _, krylov, projected in result.history] == \
+        [(2, False), (2, False)]
+
+
+def test_two_layer_stencils_take_no_projected_step():
+    """pucci+:1,10 reaches two node layers, on which the projected steps
+    diverged at 257^2; its obstacle solve is the active-set loop alone."""
+    result = solve_obstacle(dataclasses.replace(disc_problem(65), op=pucci_max(1.0, 10.0)))
+    assert not any(projected for *_, projected in result.history)
+    assert all(seconds["projected_s"] == 0.0 for _, seconds in result.timings)
+
+
+def test_projected_steps_count_against_the_step_budget(monkeypatch):
+    """The 17^2 level of the 65^2 disc takes 3 projected steps; a budget of
+    2 stops it there."""
+    from ellipticlab import solvers
+
+    result = solve_obstacle(disc_problem(65))
+    assert result.level_steps[0] == (17, 3)
+    assert all(projected for *_, projected in result.history[:3])
+    monkeypatch.setattr(solvers, "MAX_STEPS", 2)
+    with pytest.raises(SolverError, match="on the 17x17 grid failed to converge"):
+        solve_obstacle(disc_problem(65))
