@@ -516,7 +516,8 @@ def _iterate(op, grid, psi, bv, fv, g, tol, u, seed, system, polish=True):
     A ``seed`` replaces the first step's active set, and ``u`` counts as
     pinned on it; without one, ``u`` counts as pinned where it equals psi.
     Without ``polish`` the loop also returns once a step has solved and the
-    active set settled, whatever the residual.  Returns (u, active set,
+    active set settled, or once the projected steps settled, whatever the
+    residual.  Returns (u, active set,
     excess F_h(u) - g u - f, free residual, history, seconds), one history
     row per step, and the system's seconds.
     """
