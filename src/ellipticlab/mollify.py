@@ -129,9 +129,8 @@ def hessian_lp_norm(u_eps: GridFunction, p: float, ball: Ball) -> float:
 
 
 def check_schedule(schedule, h: float) -> list:
-    """The eps of a sweep on a grid of spacing ``h`` as floats, refused
-    unless there is at least one, each is finite and >= 3h, and they
-    strictly decrease."""
+    """The eps of a sweep on a grid of spacing ``h`` as floats: at least one,
+    each finite and >= 3h, strictly decreasing; ValueError otherwise."""
     schedule = [float(e) for e in schedule]
     if not schedule:
         raise ValueError("schedule is empty")

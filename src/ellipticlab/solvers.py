@@ -44,17 +44,12 @@ the bilinear interpolation of the coarse solution, pinned to psi on that set;
 from there the loop is the single-level one, so it stops at the same discrete
 fixed point, a few steps per rung on every grid (none when the interpolated
 start already meets the stopping rule).  A coarse rung only seeds the next,
-so it returns as soon as a step has solved and its active set settled; only
-the finest polishes its residual to the tolerance.
-
-While the set pinned to the obstacle still moves, a projected multigrid step
-replaces the linear solve, on stencils of one node layer (Kornhuber, Numer.
-Math. 69, 1994; on two layers the steps diverged): _SWEEPS projected damped
-Jacobi sweeps u = max(psi, u + w D^-1 r) on the frozen policy's system, one
-V-cycle truncated to the nodes above psi and projected, and _SWEEPS sweeps
-more.  The first step that leaves the pinned set {u = psi} as it was ends
-them: a coarse rung returns, and the finest seeds the BiCGSTAB steps with
-that set, so it still returns a fixed point of the active-set rule.
+so it returns once its active set settles; only the finest polishes its
+residual to the tolerance.  On one-layer stencils (on two-layer Pucci ones
+the policy swung between iterates and they diverged) an obstacle's steps are
+projected multigrid ones (``_FrozenSystem.project``) until the pinned set
+{u = psi} repeats the last step's or the one before; that set seeds the
+linear solves, so the loop still returns a fixed point of the active-set rule.
 
 Each step solves for the correction to the current iterate (the same as
 warm-starting at the iterate); the correction vanishes on the boundary band
@@ -100,11 +95,10 @@ as it is.  The V-cycle and the BiCGSTAB operator apply their sparse matrices
 by scipy's compiled kernels, without the dispatch of ``@``, and share the
 finest A's masked product.  Nothing outlives the solve.
 
-Every step records its residual, active-set size, BiCGSTAB iteration count
-and whether it was projected in the result's ``history``, and its
-``timings`` give each level's wall seconds of builds, refills, BiCGSTAB and
-projected steps.  scipy is imported inside the
-solves, which keeps importing the package light.
+Every step records its residual, active-set size, BiCGSTAB iterations and
+whether it was projected in the result's ``history``, and its ``timings``
+give each level's wall seconds of builds, refills, BiCGSTAB and projected
+steps.  scipy is imported inside the solves, keeping the package light.
 """
 
 from __future__ import annotations
@@ -159,7 +153,7 @@ class SolveResult:
     # manufactured bounds on the realized F_h(u) over the interior
     lam_lo: float
     lam_hi: float
-    iterations: int  # policy (active-set) steps, one linear solve each, over all levels
+    iterations: int  # steps over all levels, each projected or one linear solve
     residual: float  # sup-norm of F_h(u) - g u - f off contact at return
     level_steps: tuple  # (nodes along the first axis, steps) per level, coarse to fine
     # one (residual, active-set size, BiCGSTAB iterations, projected) row per step,
@@ -172,8 +166,7 @@ class SolveResult:
     # (nodes along the first axis, wall seconds of the ladder's layouts and
     # transfers if the level built it, of its policy refills, mask refreshes
     # and last-level factorizations, of BiCGSTAB and of projected steps, by
-    # name) per level, coarse
-    # to fine: ``_FrozenSystem.seconds``
+    # name) per level, coarse to fine: ``_FrozenSystem.seconds``
     timings: tuple = ()
 
 
@@ -395,15 +388,6 @@ def _smooth(a, dinv, b, x):
     x += r
 
 
-def _move(a, v, lo, x, b):
-    """Move ``v`` by ``x`` in place, projected onto v >= ``lo`` (so a node
-    held there equals lo exactly), and take the move's product by ``a`` from
-    the residual ``b``."""
-    new = np.maximum(v + x, lo)
-    b -= a(new - v)
-    v[:] = new
-
-
 class _FrozenSystem:
     """The frozen-policy systems of one grid's step loop and their V-cycle:
     level ``k`` of the ladder that ``ladder()`` returns and the levels below
@@ -413,7 +397,7 @@ class _FrozenSystem:
     last level's factorization), of BiCGSTAB and of the projected steps."""
 
     def __init__(self, ladder, k):
-        self.ladder, self.k, self.factorized = ladder, k, False
+        self.ladder, self.k = ladder, k
         self.levels = self.policy = self.free = self.precondition = None
         self.seconds = dict.fromkeys(("build_s", "refill_s", "krylov_s", "projected_s"), 0.0)
 
@@ -430,8 +414,7 @@ class _FrozenSystem:
         return now
 
     def _refill(self, policy):
-        """Build the ladder on first use and refill its levels for a new
-        ``policy``."""
+        """Build the ladder on first use and refill it if ``policy`` is new; whether it was."""
         from scipy.sparse.linalg import LinearOperator
 
         clock = time.perf_counter()
@@ -443,17 +426,17 @@ class _FrozenSystem:
             self.precondition = LinearOperator(top.matrix.shape, dtype=float,
                                                matvec=functools.partial(_cycle, self.levels))
             clock = self._lap("build_s", clock)
-        if policy is not self.policy and not np.array_equal(policy, self.policy):
-            self.policy, self.factorized = policy, False
+        if new := (policy is not self.policy and not np.array_equal(policy, self.policy)):
+            self.policy = policy
             for level in self.levels:
                 _fill(policy, level)
                 policy = _inject(level.shape, policy)
         self._lap("refill_s", clock)
+        return new
 
-    def _truncate(self, free):
-        """Truncate every level to the ``free`` nodes (a flat mask over the
-        grid), and factorize the last level again if its policy or its free
-        nodes changed."""
+    def _truncate(self, free, factorize):
+        """Truncate the levels to ``free`` (a flat mask over the grid) and factorize
+        the last level again if told to or it changed; returns the time now."""
         clock, levels = time.perf_counter(), self.levels
         if not np.array_equal(free, self.free):
             bottom = levels[-1].f.copy()
@@ -461,10 +444,10 @@ class _FrozenSystem:
             for fine, coarse in zip(levels, levels[1:]):
                 np.take(fine.f, coarse.seat, out=coarse.f)
             self.free = free
-            self.factorized = self.factorized and np.array_equal(bottom, levels[-1].f)
-        if not self.factorized:
-            levels[-1].solve, self.factorized = _factorize(levels[-1]), True
-        self._lap("refill_s", clock)
+            factorize = factorize or not np.array_equal(bottom, levels[-1].f)
+        if factorize:
+            levels[-1].solve = _factorize(levels[-1])
+        return self._lap("refill_s", clock)
 
     def solve(self, policy, free, rhs, tol, where, r):
         """The correction over ``nodes`` that solves the system of ``policy``
@@ -474,9 +457,7 @@ class _FrozenSystem:
         naming ``where``, with the step's residual ``r``."""
         from scipy.sparse.linalg import bicgstab
 
-        self._refill(policy)
-        self._truncate(free)
-        clock, steps = time.perf_counter(), []
+        clock, steps = self._truncate(free, self._refill(policy)), []
         x, info = bicgstab(self.operator, rhs[self.nodes] * self.levels[0].f, rtol=_INNER_RTOL,
                            atol=_INNER_ATOL * tol, M=self.precondition,
                            callback=lambda _: steps.append(None))
@@ -487,24 +468,22 @@ class _FrozenSystem:
         return x, len(steps)
 
     def project(self, policy, u, psi, rhs):
-        """One projected multigrid step on the iterate ``u`` (flat over the
-        grid, moved in place and kept >= ``psi``) for the system of
-        ``policy`` with residual ``rhs`` at u: _SWEEPS projected damped Jacobi
-        sweeps on the top level, the V-cycle truncated to the nodes above
-        psi, projected, and _SWEEPS sweeps more."""
-        self._refill(policy)
+        """One projected multigrid step on ``u`` for ``policy``'s system, its
+        residual ``rhs``: _SWEEPS damped Jacobi sweeps, the V-cycle truncated to
+        the nodes above ``psi``, _SWEEPS more, each move projected onto psi."""
+        factorize = self._refill(policy)
         clock, top = time.perf_counter(), self.levels[0]
         v, lo, b = u[self.nodes], psi[self.nodes], rhs[self.nodes]
-        for _ in range(_SWEEPS):
-            _move(self.whole, v, lo, top.jacobi * b, b)
-        free = np.zeros(u.size, dtype=bool)
-        free[self.nodes] = v > lo
-        self._lap("projected_s", clock)
-        self._truncate(free)
-        clock = time.perf_counter()
-        _move(self.whole, v, lo, _cycle(self.levels, b * top.f), b)
-        for _ in range(_SWEEPS):
-            _move(self.whole, v, lo, top.jacobi * b, b)
+        for sweep in range(2 * _SWEEPS + 1):
+            if sweep == _SWEEPS:
+                free = np.zeros(u.size, dtype=bool)
+                free[self.nodes] = v > lo
+                self._lap("projected_s", clock)
+                clock = self._truncate(free, factorize)
+            x = _cycle(self.levels, b * top.f) if sweep == _SWEEPS else top.jacobi * b
+            new = np.maximum(v + x, lo)  # a node held at psi equals it exactly
+            b -= self.whole(new - v)  # b stays the residual at v
+            v[:] = new
         u[self.nodes] = v
         self._lap("projected_s", clock)
 
@@ -515,11 +494,10 @@ def _iterate(op, grid, psi, bv, fv, g, tol, u, seed, system, polish=True):
 
     A ``seed`` replaces the first step's active set, and ``u`` counts as
     pinned on it; without one, ``u`` counts as pinned where it equals psi.
-    Without ``polish`` the loop also returns once a step has solved and the
-    active set settled, or once the projected steps settled, whatever the
-    residual.  Returns (u, active set,
-    excess F_h(u) - g u - f, free residual, history, seconds), one history
-    row per step, and the system's seconds.
+    Without ``polish`` the loop also returns once the active set settled
+    after a solve or the projected steps, whatever the residual.  Returns (u,
+    active set, excess F_h(u) - g u - f, free residual, one history row per
+    step, the system's seconds).
     """
     margin = operator_margin(op, grid.ndim)
     mask = grid.interior_mask(margin)
@@ -533,36 +511,32 @@ def _iterate(op, grid, psi, bv, fv, g, tol, u, seed, system, polish=True):
         return fh.values - g * u - fv, policy
 
     pinned = mask & (u == psi) if seed is None else seed
-    # an obstacle takes projected steps while the set pinned to it moves, on
-    # stencils of one node layer (on two they diverged)
-    projecting = margin == 1 and np.max(psi[mask]) > -math.inf
-    last = None  # the last step: "projected", "settled" (the last projected one) or "solved"
+    projecting, before = margin == 1 and np.max(psi[mask]) > -math.inf, None
     for step in range(MAX_STEPS + 1):
         e, policy = evaluate()
         # a node below the obstacle is pinned whatever its multiplier says
         active = mask & (u - psi < np.maximum(-e, 0.0))
         settled = np.array_equal(active, pinned)
-        if seed is not None:  # the seed, or the set the projected steps settled on
+        if seed is not None:  # the seed, or the set the projected steps ended on
             active, seed = seed, None
         free = mask & ~active
         r = float(np.max(np.abs(e[free]))) if free.any() else 0.0
-        if minimize and last == "solved" and not settled:  # nested policy iteration
+        if minimize and history and not history[-1][3] and not settled:  # nested policy iteration
             held = mask & ~pinned
             r_held = float(np.max(np.abs(e[held]))) if held.any() else 0.0
             if r_held > tol and not system.current(policy, held):
                 active, free, r = pinned, held, r_held
-        if settled and r <= tol or not polish and (
-                last == "settled" or settled and last == "solved"):
+        if settled and r <= tol or not polish and history and not projecting and (
+                settled or history[-1][3]):  # after a solve or the projected steps
             return u, active, e, r, tuple(history), system.seconds
         if step == MAX_STEPS:
             break
         if projecting:
             system.project(policy, u, psi, -e)
             now = mask & (u == psi)
-            projecting = not np.array_equal(now, pinned)
-            if not projecting:  # it stopped moving: it seeds the BiCGSTAB steps or the next rung
-                seed = now
-            pinned, last = now, "projected" if projecting else "settled"
+            if np.array_equal(now, pinned) or np.array_equal(now, before):  # or flipped back
+                projecting, seed = False, now  # the BiCGSTAB steps or the next rung start here
+            before, pinned = pinned, now
             history.append((r, int(np.count_nonzero(now)), 0, True))
             continue
         pinned = active
@@ -576,7 +550,6 @@ def _iterate(op, grid, psi, bv, fv, g, tol, u, seed, system, polish=True):
                                      "step %d on the %s grid" % (step, level), r)
             u[system.nodes] += x  # 0 on pinned nodes
         history.append((r, int(np.count_nonzero(active)), krylov, False))
-        last = "solved"
     raise SolverError(
         "policy iteration on the %s grid failed to converge: residual %.3e"
         " after %d steps (tolerance %.3e)" % (level, r, MAX_STEPS, tol), r
