@@ -435,8 +435,8 @@ class _FrozenSystem:
         return new
 
     def _truncate(self, free, factorize):
-        """Truncate the levels to ``free`` (a flat mask over the grid) and factorize
-        the last level again if told to or it changed; returns the time now."""
+        """Truncate the levels to ``free`` (a flat mask over the grid); factorize
+        the last again if told to or its mask changed.  Returns the time now."""
         clock, levels = time.perf_counter(), self.levels
         if not np.array_equal(free, self.free):
             bottom = levels[-1].f.copy()
