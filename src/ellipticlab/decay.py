@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import Ball, GridFunction, ball_samples, oscillation, resample, square_grid
+from .grids import Ball, GridFunction, _lock, ball_samples, oscillation, resample, square_grid
 from .simplex import MinimaxFit, minimax_affine
 
 __all__ = [
@@ -216,8 +216,7 @@ def rescale_sequence(u: GridFunction, cfg: DecayConfig,
             truncated = True
             break
         amp = 2.0**k * cfg.lam ** (-k * (1.0 + cfg.beta))
-        vals = amp * (resample(u, unit, r) - (r * unit_pts) @ q)
-        uk = GridFunction(unit, vals)
+        uk = GridFunction(unit, _lock(amp * (resample(u, unit, r) - (r * unit_pts) @ q)))
         states.append(RescaleState(k, tuple(q.tolist()), uk,
                                    float(oscillation(uk, unit_ball))))
         if k == levels:
@@ -253,5 +252,6 @@ def normalize(u: GridFunction, radius: float, lam: float, eps: float,
     osc0 = oscillation(u, Ball((0.0,) * n, radius))
     kappa = lam / eps + radius**2 + osc0 + 1.0
     unit = square_grid(unit_nodes, ndim=n)
-    vals = resample(u, unit, radius) / kappa
-    return GridFunction(unit, vals), float(kappa)
+    vals = resample(u, unit, radius)
+    vals /= kappa
+    return GridFunction(unit, _lock(vals)), float(kappa)

@@ -88,13 +88,13 @@ def limit_families(resolution: int = 65) -> dict:
     grid = square_grid(resolution)
     const = GridFunction(grid, np.full(grid.node_count, 0.25))
     harmonic = build_fixture("harmonic", resolution)
-    x1 = grid.points()[:, 0]
+    x1 = grid.coords(0)  # broadcast along the lattice's rows
 
     def constant(k):
         return const, 0.0
 
     def ripple(k):
-        return GridFunction(grid, harmonic.values + np.sin(k * x1) / k**3), 2.0 / k
+        return GridFunction(grid, (harmonic.lattice() + np.sin(k * x1) / k**3).ravel()), 2.0 / k
 
     def solver_tail(k):
         return solve_dirichlet(op, 1.0 + 1.0 / k, 0.0, grid=grid).u, 1.0 + 1.0 / k

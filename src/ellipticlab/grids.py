@@ -7,6 +7,9 @@ node (i_0, ..., i_{n-1}) sits at flat index ``sum_a i_a * Grid.strides[a]``.
 the lattice view reverses the axes, so coordinate axis a is its axis n-1-a.
 The text format serializes with 17 significant digits so values round-trip
 exactly.
+
+A GridFunction keeps a flat float64 array that is C-contiguous, read-only and
+owns its data (``_lock`` of a fresh array) without a copy; it copies any other.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ __all__ = [
     "read_grid_function",
     "write_grid_function",
 ]
+
+_CHUNK = 1 << 13  # floats per chunk of a slab loop: 64 KiB temporaries, reused warm
 
 
 def _lock(arr):
@@ -149,27 +154,44 @@ def square_grid(resolution: int, half_width: float = 1.0, ndim: int = 2) -> Grid
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real values attached to every node of a Grid (flat, x fastest)."""
+    """Read-only real values on every node of a Grid (flat, x fastest).  A flat
+    float64 array that is C-contiguous, read-only and owns its data is kept, not
+    copied; any other is copied, so later writes to it never show here."""
 
     grid: Grid
     values: np.ndarray
     allow_non_finite: bool = field(default=False, repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
+        vals = self.values
+        if not (isinstance(vals, np.ndarray) and vals.dtype == float and vals.ndim == 1
+                and vals.flags.c_contiguous and vals.flags.owndata and not vals.flags.writeable):
+            vals = _lock(np.asarray(vals, dtype=float).flatten())
         if vals.size != self.grid.node_count:
             raise ValueError(
                 "value count mismatch: got %d values for %d nodes"
                 % (vals.size, self.grid.node_count)
             )
-        if not self.allow_non_finite and not np.all(np.isfinite(vals)):
+        # min and max carry NaN and +-inf through
+        if not (self.allow_non_finite or math.isfinite(vals.min()) and math.isfinite(vals.max())):
             raise ValueError("grid function values must be finite")
-        object.__setattr__(self, "values", _lock(vals.copy()))
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        """Sample ``fn(points)`` (vectorized over an (N, n) point array)."""
-        return cls(grid, np.asarray(fn(grid.points()), dtype=float))
+        """Sample ``fn`` at every node: it maps (M, n) points, coordinate-major
+        like ``Grid.points``, to M values and runs on a chunk of slabs of the
+        last axis at a time, into the output, so it must act on each point
+        alone, not on the cloud."""
+        size, last = grid.strides[-1], grid.coords(grid.ndim - 1)  # size: nodes per slab
+        step = max(1, _CHUNK // size)  # slabs per call
+        pts = np.tile(grid.points_at(np.arange(size)).T, min(step, last.size)).T
+        out = np.empty(grid.node_count)
+        for j in range(0, last.size, step):
+            chunk = pts[:last[j:j + step].size * size]
+            chunk.T[-1].reshape(-1, size)[:] = last[j:j + step, None]
+            out[j * size:j * size + len(chunk)] = np.reshape(fn(chunk), len(chunk))
+        return cls(grid, _lock(out))
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.grid, values)
@@ -178,13 +200,10 @@ class GridFunction:
         return self.grid.lattice(self.values)
 
     def sup_norm(self) -> float:
-        """max |u| over the finite values (0.0 if there are none)."""
-        if not self.allow_non_finite:  # every value was checked finite
-            return float(np.max(np.abs(self.values)))
-        finite = self.values[np.isfinite(self.values)]
-        if finite.size == 0:
-            return 0.0
-        return float(np.max(np.abs(finite)))
+        """max |u| over the finite values (0.0 if there are none): the larger of
+        max u and -min u, +0.0 and never -0.0 when they are all zeros."""
+        vals = self.values[np.isfinite(self.values)] if self.allow_non_finite else self.values
+        return abs(max(float(vals.max()), -float(vals.min()))) if vals.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -212,9 +231,10 @@ def _ball_box(grid: Grid, ball: Ball):
     ball over it.  Kept for the last few (grid, ball) pairs: a blow-up
     sequence measures every zoom on the same unit ball of the same lattice.
 
-    A node off the box has one axis's squared distance above r^2 alone, and
-    a sum of nonnegative floats is no smaller than any of its terms, so no
-    node outside the box is in the ball.
+    A node's squared distance is summed from 0.0 and axis 0 up, a chunk of
+    slabs of the last axis at a time.  A node off the box has one axis's square
+    above r^2 alone, and a sum of nonnegative floats is no smaller than any of
+    its terms, so no node outside the box is in the ball.
     """
     if len(ball.center) != grid.ndim:
         raise ValueError("ball center rank must match grid dimension")
@@ -224,18 +244,19 @@ def _ball_box(grid: Grid, ball: Ball):
            ball.center[a] + ball.radius > grid.domain.upper[a] + slack:
             raise ValueError("ball exits domain")
     bound = ball.radius ** 2 * (1.0 + 1e-12)
-    box = []
-    d2 = 0.0  # grows to the box by broadcasting, one axis at a time
+    box, d2 = [], 0.0  # d2 grows over all axes but the last by broadcasting
     for a in range(grid.ndim):
         sq = (grid.coords(a) - ball.center[a]) ** 2
         near = np.flatnonzero(sq <= bound)
         if near.size == 0:
             raise ValueError("ball resolves to no nodes")
         box.append(slice(near[0], near[-1] + 1))
-        shape = [1] * grid.ndim
-        shape[grid.ndim - 1 - a] = near[-1] + 1 - near[0]
-        d2 = d2 + sq[box[-1]].reshape(shape)
-    inside = d2 <= bound
+        sq = sq[box[-1]].reshape((-1,) + (1,) * a)
+        d2 = d2 + sq if a < grid.ndim - 1 else d2
+    inside = np.empty(sq.shape[:1] + np.shape(d2), dtype=bool)
+    step = max(1, _CHUNK // np.size(d2))  # slabs per chunk
+    for j in range(0, len(sq), step):
+        np.less_equal(d2 + sq[j:j + step], bound, out=inside[j:j + step])
     if not inside.any():
         raise ValueError("ball resolves to no nodes")
     inside.flags.writeable = False
@@ -267,10 +288,12 @@ def ball_samples(u: GridFunction, ball: Ball):
 
 
 def oscillation(u: GridFunction, ball: Ball) -> float:
-    """max - min of u over the nodes of the discrete ball, gathered by
-    ``ball_values``."""
-    vals = ball_values(u.grid, u.values, ball)
-    return float(vals.max() - vals.min())
+    """max - min of u over the nodes of the discrete ball, each taken over the
+    ball's box under its mask, without gathering the ball's values."""
+    box, inside = _ball_box(u.grid, ball)
+    vals = u.lattice()[box]
+    return float(vals.max(where=inside, initial=-math.inf)
+                 - vals.min(where=inside, initial=math.inf))
 
 
 def _cells(grid: Grid, axis: int, x: np.ndarray):
@@ -324,7 +347,8 @@ def resample(u: GridFunction, target: Grid, scale: float) -> np.ndarray:
     taps = [_taps(grid, a, scale * target.coords(a), not u.allow_non_finite)
             for a in range(n)]
     lattice = u.lattice()
-    out = np.zeros(target.shape[::-1])
+    out = np.zeros(target.node_count)
+    sums = target.lattice(out)
     # the taps taken in lattice-axis order vary coordinate axis 0 fastest,
     # which is the corner order of the sum
     for corner in itertools.product(*taps[::-1]):
@@ -339,8 +363,8 @@ def resample(u: GridFunction, target: Grid, scale: float) -> np.ndarray:
                 block = block[(slice(None),) * ax + (idx,)]
             else:
                 block = block.take(idx, axis=ax)
-        out += block if weight is None else weight * block
-    return out.ravel()
+        sums += block if weight is None else weight * block
+    return out
 
 
 # -- symmetric matrices -------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Ball, Domain, Grid, GridFunction, SymMatrix, ball_values
+from .grids import Ball, Domain, Grid, GridFunction, SymMatrix, _lock, ball_values
 from .operators import linear_operator
 from .stencils import discrete_hessian, eval_discrete, operator_margin
 
@@ -96,7 +96,7 @@ def _shrunken(conv: np.ndarray, grid: Grid, k: int) -> GridFunction:
     """u_eps on the nodes strictly farther than eps from the boundary, from
     its valid correlation ``conv`` over ``grid`` trimmed by k layers."""
     sub = _trimmed_grid(grid, k + 1)
-    return GridFunction(sub, conv[(slice(1, -1),) * conv.ndim].ravel())
+    return GridFunction(sub, _lock(conv[(slice(1, -1),) * conv.ndim].ravel()))
 
 
 def mollify(u: GridFunction, eps: float) -> GridFunction:
@@ -179,7 +179,7 @@ def stability_sweep(u: GridFunction, a: SymMatrix, f1: float, f2: float, schedul
         w = _kernel(grid, eps)
         k = w.shape[0] // 2
         conv = correlate(w)  # shared by both columns
-        g = eval_discrete(op, GridFunction(_trimmed_grid(grid, k), conv.ravel())).lattice()
+        g = eval_discrete(op, GridFunction(_trimmed_grid(grid, k), _lock(conv.ravel()))).lattice()
         if min(g.shape) - 2 * margin < 3:
             raise ValueError(_EMPTY)
         g = g[(slice(margin, -margin),) * g.ndim]

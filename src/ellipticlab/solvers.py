@@ -110,7 +110,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid, GridFunction
+from .grids import Grid, GridFunction, _lock
 from .operators import EllipticOperator
 from .stencils import eval_discrete, eval_policy, operator_margin, policy_lines
 
@@ -627,7 +627,7 @@ def _solve(op, grid, psi, bv, fv, g, tol, initial):
         lo = min(lo, float(np.min(eval_discrete(op, GridFunction(grid, psi)).values[contact])))
     hi = max(sup, float(np.max(fh[mask])))
     frac = float(np.count_nonzero(contact)) / float(np.count_nonzero(mask))
-    return SolveResult(GridFunction(grid, u), contact, frac, lo - slack, hi + slack,
+    return SolveResult(GridFunction(grid, _lock(u)), contact, frac, lo - slack, hi + slack,
                        len(history), r, level_steps, history, timings)
 
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridFunction
+from .grids import Grid, GridFunction, _lock
 from .operators import EllipticOperator
 
 __all__ = [
@@ -413,7 +413,7 @@ def _envelope(op, u, track):
 def eval_discrete(op: EllipticOperator, u: GridFunction) -> GridFunction:
     """Apply the discrete operator; nodes on the margin band are NaN sentinels."""
     vals, _ = _envelope(op, u, False)
-    return GridFunction(u.grid, vals, allow_non_finite=True)
+    return GridFunction(u.grid, _lock(vals), allow_non_finite=True)
 
 
 def eval_policy(op: EllipticOperator, u: GridFunction):
@@ -421,4 +421,4 @@ def eval_policy(op: EllipticOperator, u: GridFunction):
     node, the weight c >= 0 of the matrix attaining F_h(u), so that sum c
     D_e u / h^2 is F_h(u) there; shape (lines, nodes), 0 on the band."""
     vals, policy = _envelope(op, u, True)
-    return GridFunction(u.grid, vals, allow_non_finite=True), policy
+    return GridFunction(u.grid, _lock(vals), allow_non_finite=True), policy

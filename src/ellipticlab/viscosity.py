@@ -265,9 +265,10 @@ def check_touching(u: GridFunction, op: EllipticOperator, bounds: Bounds,
 def quartic_perturb(phi: GridFunction, x0) -> GridFunction:
     """phi - |x - x0|^4: localizes maxima without moving value/gradient/Hessian
     at x0 (the quartic vanishes to third order there)."""
-    d = phi.grid.points().T - np.asarray(x0, dtype=float)[:, None]
-    r2 = np.einsum("ij,ij->j", d, d)
-    return phi.with_values(phi.values - r2 * r2)
+    grid, r2 = phi.grid, 0.0  # |x - x0|^2 from axis 0 up, by per-axis broadcasts
+    for a, c in enumerate(np.broadcast_to(np.asarray(x0, dtype=float), grid.ndim)):
+        r2 = r2 + ((grid.coords(a) - c) ** 2).reshape((-1,) + (1,) * a)
+    return phi.with_values(phi.values - (r2 * r2).ravel())
 
 
 @dataclass(frozen=True, eq=False)

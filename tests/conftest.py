@@ -12,8 +12,21 @@ def unit_square_grid(res=33, half=1.0, ndim=2):
 
 
 def field(grid, fn):
-    """Sample a callable over flat (N, n) points into a GridFunction."""
+    """Sample a pointwise callable of (M, n) points into a GridFunction."""
     return GridFunction.from_callable(grid, fn)
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of the memory tracemalloc saw it hold."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def sample_bilinear(u, points):

@@ -19,9 +19,11 @@ from ellipticlab import (
     verify_decay_chain,
 )
 from ellipticlab import cli
+from ellipticlab import grids
 from ellipticlab.grids import ball_samples
 
-from conftest import csv_cell, field, lp_minimax_width, sample_bilinear, unit_square_grid
+from conftest import (csv_cell, field, lp_minimax_width, sample_bilinear, traced_peak,
+                      unit_square_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +84,7 @@ def test_best_affine_equivariant_under_affine_shifts(seed, c, p0, p1):
     ball = Ball((0.0, 0.0), 0.8)
     base = best_affine(u, ball)
     shifted = best_affine(
-        field(g, lambda x: u.values + c + x @ np.array([p0, p1])), ball)
+        GridFunction(g, u.values + c + g.points() @ np.array([p0, p1])), ball)
     assert shifted.width == pytest.approx(base.width, rel=1e-9, abs=1e-9)
     np.testing.assert_allclose(shifted.slope, base.slope + [p0, p1],
                                rtol=0, atol=2e-7)
@@ -212,6 +214,17 @@ def test_normalize_epsilon_postcondition():
             w, kappa = normalize(u, radius=radius, lam=lam, eps=0.5)
             assert radius ** 2 * lam / kappa <= 0.5 + 1e-15
             assert oscillation(w, Ball((0.0, 0.0), 1.0)) < 1.0
+
+
+def test_normalize_makes_no_whole_grid_temporaries():
+    """The 1025^2 identity zoom with a fresh ball mask holds its output, the
+    mask and a chunk: the float box of squared distances, the gathered ball,
+    the quotient and its copy held about 2.1 outputs."""
+    u = build_fixture("harmonic", 1025)
+    grids._ball_box.cache_clear()
+    (w, kappa), peak = traced_peak(lambda: normalize(u, 1.0, 0.0, 0.5, unit_nodes=1025))
+    assert kappa == 4.0
+    assert peak <= 1.5 * w.values.nbytes
 
 
 @pytest.mark.parametrize("lam, eps", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5)],

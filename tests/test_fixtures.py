@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ellipticlab import (
+    GridFunction,
     build_fixture,
     disc_problem,
     fixture_callable,
@@ -9,6 +10,8 @@ from ellipticlab import (
     square_grid,
 )
 from ellipticlab.fixtures import FUNCTION_FIXTURES
+
+from conftest import traced_peak
 
 
 def test_fixture_roster():
@@ -47,6 +50,22 @@ def test_kink_in_both_dimensions():
         u = build_fixture("kink", 33, ndim=ndim)
         assert u.values.min() == 0.0
         assert u.values.max() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("ndim, res", [(1, 33), (2, 65), (3, 9)])
+def test_slab_sampling_is_the_cloud_evaluation(ndim, res):
+    grid = square_grid(res, ndim=ndim)
+    for name in ("quad", "kink", "radial-holder:0.5") + (("harmonic",) if ndim == 2 else ()):
+        fn = fixture_callable(name, ndim)
+        got = GridFunction.from_callable(grid, fn).values
+        assert got.tobytes() == np.asarray(fn(grid.points()), dtype=float).tobytes()
+
+
+def test_sampling_a_fixture_builds_no_point_cloud():
+    """1025^2 samples go slab by slab into the output; the (N, 2) cloud, its
+    per-term temporaries and a copy held about four outputs."""
+    u, peak = traced_peak(lambda: build_fixture("harmonic", 1025))
+    assert peak <= 1.5 * u.values.nbytes
 
 
 def test_disc_is_not_a_function_fixture():

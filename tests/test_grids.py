@@ -20,7 +20,7 @@ from ellipticlab import (
 from ellipticlab import grids
 from ellipticlab.fileio import read_manifest, write_manifest
 
-from conftest import field, sample_bilinear, unit_square_grid, zeros_ball_mask
+from conftest import field, sample_bilinear, traced_peak, unit_square_grid, zeros_ball_mask
 
 
 def ball_nodes(grid, ball):
@@ -116,6 +116,50 @@ def test_values_are_write_locked(grid33):
         u.values[0] = 1.0
 
 
+def test_only_arrays_nobody_can_write_are_shared(grid33):
+    """A locked float64 array that owns its data is kept as it is; a writable
+    array, a read-only view of one and an int array are copied, so writing
+    to the caller's source never shows in ``values``."""
+    n = grid33.node_count
+    locked = grids._lock(np.arange(n, dtype=float))
+    assert locked.flags.owndata
+    u = GridFunction(grid33, locked)
+    assert np.shares_memory(u.values, locked) and not u.values.flags.writeable
+    writable = np.arange(n, dtype=float)
+    view = writable[:]
+    view.flags.writeable = False
+    ints = np.arange(n)
+    copies = [GridFunction(grid33, source) for source in (writable, view, ints)]
+    writable[:] = 7.0
+    ints[:] = 7
+    for u in copies:
+        assert not np.shares_memory(u.values, writable) and not np.shares_memory(u.values, ints)
+        assert not u.values.flags.writeable
+        assert np.array_equal(u.values, np.arange(n))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_a_non_finite_value_is_caught_at_any_node(grid33, bad, where):
+    n = grid33.node_count
+    vals = np.linspace(-1.0, 1.0, n)  # |u| reaches 1 at both ends
+    vals[{"first": 0, "middle": n // 2, "last": n - 1}[where]] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        GridFunction(grid33, vals)
+    assert GridFunction(grid33, vals, allow_non_finite=True).sup_norm() == 1.0
+
+
+def test_sup_norm_of_negative_zeros_is_positive_zero(grid33):
+    """max u = -0.0 and -min u = +0.0: the norm must not print as -0."""
+    zeros = np.full(grid33.node_count, -0.0)
+    mixed = zeros.copy()
+    mixed[::5] = 0.0
+    mixed[3] = np.nan
+    for vals, allow in ((zeros, False), (zeros, True), (mixed, True)):
+        norm = GridFunction(grid33, vals, allow_non_finite=allow).sup_norm()
+        assert math.copysign(1.0, norm) == 1.0 and "%g" % norm == "0"
+
+
 # ---------------------------------------------------------------------------
 # balls, oscillation, restriction
 
@@ -151,6 +195,18 @@ def test_point_clouds_are_coordinate_major(ndim, res):
         assert np.array_equal(got, ref)
         assert got.T.flags.c_contiguous
     assert np.array_equal(vals, u.values[mask])
+
+
+def test_oscillation_reduces_the_ball_in_place():
+    """On a fresh 1025^2 unit ball, oscillation holds the ball's mask and a
+    chunk of squared distances, not a float box or a gathered copy of the
+    ball (which held about 1.1 grid arrays)."""
+    g = unit_square_grid(1025)
+    u = random_field(g, 6)
+    grids._ball_box.cache_clear()
+    osc, peak = traced_peak(lambda: oscillation(u, Ball((0.0, 0.0), 1.0)))
+    assert osc == np.ptp(ball_values(g, u.values, Ball((0.0, 0.0), 1.0)))
+    assert peak <= 0.5 * u.values.nbytes
 
 
 def test_ball_mask_counts_nodes_inside_closed_ball():
